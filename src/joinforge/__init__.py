@@ -18,7 +18,6 @@ from .bounds import (
     MuirheadSpec,
     MuirheadValue,
     NodeAccount,
-    Slot,
     cosh_ratio,
     k_binary,
     k_general,
@@ -27,7 +26,6 @@ from .bounds import (
     muirhead_closed_form,
     muirhead_numeric,
     rhs_product,
-    shape_slots,
     symmetric_sum,
     validate_exponents,
 )
@@ -42,10 +40,9 @@ from .orbits import (
     Configuration,
     EnumerationGuardError,
     JoinShape,
-    OrbitDescriptor,
     ShapeLeaf,
     ShapeNode,
-    describe_orbit,
+    Slot,
     equivalent,
     extract_shape,
     orbit_enumerate,
@@ -53,6 +50,7 @@ from .orbits import (
     realize_shape,
     shape_join_levels,
     shape_orbit_size,
+    shape_slots,
 )
 from .tree import (
     ROOT,

@@ -20,7 +20,8 @@ Constant regimes:
   together with branch conjugacy bookkeeping.  Nodes whose symmetric-sum
   constant has no closed form are estimated numerically and flagged, since
   a numeric maximum is a lower bound for the true constant rather than a
-  certified upper bound.
+  certified upper bound; beyond the estimator's arities (``m > 5``) they
+  take the bracket's upper end ``(m-1)!``, certified but loose.
 
 The symmetric-sum constant ``K(m; a)`` is the least ``C`` with
 ``sum over permutations of x_sigma(1)**a_1 ... <= C * (sum x_i)**s`` for
@@ -40,42 +41,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .orbits import JoinShape, ShapeLeaf
+from .orbits import JoinShape, ShapeLeaf, Slot, shape_slots
 from .tree import ConfigurationError, CylinderMassTable, LevelFunction, TreeParams, Vertex
 
 CONJUGACY_RTOL = 1e-12
 HALF_TOL = 1e-12
-
-
-# ---------------------------------------------------------------------------
-# Exponent slots
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Slot:
-    """One exponent slot: a join node owns one slot per unit of multiplicity."""
-
-    slot_id: int
-    level: int
-    node_path: tuple[int, ...]  # branch indices from the top node
-
-
-def shape_slots(shape: JoinShape, base_level: int) -> tuple[Slot, ...]:
-    """Slots in canonical order: preorder over nodes, node slots before branches."""
-    slots: list[Slot] = []
-
-    def walk(node: JoinShape, parent_level: int, path: tuple[int, ...]) -> None:
-        if isinstance(node, ShapeLeaf):
-            return
-        level = parent_level + node.gap
-        for _ in range(node.multiplicity):
-            slots.append(Slot(len(slots), level, path))
-        for j, branch in enumerate(node.branches):
-            walk(branch, level, path + (j,))
-
-    walk(shape, base_level, ())
-    return tuple(slots)
 
 
 @dataclass(frozen=True)
@@ -140,6 +110,28 @@ def validate_exponents(
     return None
 
 
+def _bind_slots(
+    shape: JoinShape, pa: ExponentAssignment, base_level: int = 0
+) -> tuple[Slot, ...]:
+    """The shape's slots, refusing an assignment with the wrong slot count."""
+    slots = shape_slots(shape, base_level)
+    if len(slots) != pa.n_slots:
+        raise ConfigurationError(
+            f"exponent assignment has {pa.n_slots} slots, shape needs {len(slots)}"
+        )
+    return slots
+
+
+def _node_reciprocal_sums(
+    shape: JoinShape, pa: ExponentAssignment
+) -> dict[tuple[int, ...], float]:
+    """Sum of the exponent reciprocals each join node owns, keyed by node path."""
+    owned: dict[tuple[int, ...], list[float]] = {}
+    for slot, q in zip(_bind_slots(shape, pa), pa.reciprocals()):
+        owned.setdefault(slot.node_path, []).append(q)
+    return {path: sum(qs) for path, qs in owned.items()}
+
+
 # ---------------------------------------------------------------------------
 # Level power sums and the product bound
 # ---------------------------------------------------------------------------
@@ -159,14 +151,7 @@ def level_power_sum(
     p: float,
 ) -> float:
     """Sum of ``f(j)**p * mass(j)**(1+p)`` over vertices ``j`` at ``level`` below ``base``."""
-    if level < base.level or level > tree.depth:
-        raise ConfigurationError(
-            f"level {level} outside {base.level}..{tree.depth} for {base!r}"
-        )
-    total = 0.0
-    for j in tree.descendants_at(base, level):
-        total += _pow(f(j), p) * _pow(masses.mass(j), 1.0 + p)
-    return total
+    return math.exp(_log_level_power_sum(tree, masses, f, base, level, p))
 
 
 def _log_level_power_sum(
@@ -205,13 +190,8 @@ def rhs_product(
     Factors are combined in the log domain so large sampled exponents cannot
     overflow intermediate sums.
     """
-    slots = shape_slots(shape, base.level)
-    if len(slots) != pa.n_slots:
-        raise ConfigurationError(
-            f"exponent assignment has {pa.n_slots} slots, shape needs {len(slots)}"
-        )
     log_total = 0.0
-    for slot, p in zip(slots, pa.exponents):
+    for slot, p in zip(_bind_slots(shape, pa, base.level), pa.exponents):
         log_sum = _log_level_power_sum(tree, masses, f, base, slot.level, p)
         if log_sum == -math.inf:
             return 0.0
@@ -280,20 +260,13 @@ def k_binary(shape: JoinShape, pa: ExponentAssignment) -> KBinaryResult:
     for node in _iter_nodes(shape):
         if node.degree != 2:
             raise ConfigurationError("the sharp binary constant needs a binary shape")
-    if pa.n_slots != shape.n_particles - 1:
-        raise ConfigurationError(
-            f"exponent assignment has {pa.n_slots} slots, shape needs "
-            f"{shape.n_particles - 1}"
-        )
-    reciprocals = list(pa.reciprocals())
-    cursor = iter(range(len(reciprocals)))
+    own_sums = _node_reciprocal_sums(shape, pa)
     failing: list[tuple[int, ...]] = []
     top_sums: list[float] = []
 
     def subtree_sum(node: JoinShape, path: tuple[int, ...]) -> float:
         if isinstance(node, ShapeLeaf):
             return 0.0
-        own = sum(reciprocals[next(cursor)] for _ in range(node.multiplicity))
         branch_sums = [
             subtree_sum(branch, path + (j,)) for j, branch in enumerate(node.branches)
         ]
@@ -301,7 +274,7 @@ def k_binary(shape: JoinShape, pa: ExponentAssignment) -> KBinaryResult:
             top_sums.extend(branch_sums)
         if any(s > 0.5 + HALF_TOL for s in branch_sums):
             failing.append(path)
-        return own + sum(branch_sums)
+        return own_sums[path] + sum(branch_sums)
 
     subtree_sum(shape, ())
     condition_met = not failing
@@ -530,6 +503,11 @@ class NodeAccount:
     def factor(self) -> float:
         return math.exp(self.log_factor)
 
+    @property
+    def bracket_upper(self) -> bool:
+        """The symmetric-sum constant is the bracket's upper end, unestimated."""
+        return self.muirhead_case == "ii" and not self.estimated
+
 
 @dataclass(frozen=True)
 class AlphaBetaLedger:
@@ -561,16 +539,12 @@ def k_inductive(
 
     computed in the log domain.  Nodes falling in the bracket-only case use
     the numeric estimator clamped into the bracket and mark the result as
-    estimated (not certified as an upper-bound constant).
+    estimated (not certified as an upper-bound constant).  Beyond the
+    estimator's range of arities they take the bracket's certified upper end
+    ``(m-1)!`` instead and are not estimated (see ``NodeAccount.bracket_upper``).
     """
     m = arity
-    if pa.n_slots != shape.n_particles - 1:
-        raise ConfigurationError(
-            f"exponent assignment has {pa.n_slots} slots, shape needs "
-            f"{shape.n_particles - 1}"
-        )
-    reciprocals = list(pa.reciprocals())
-    cursor = iter(range(len(reciprocals)))
+    own_sums = _node_reciprocal_sums(shape, pa)
     entries: list[NodeAccount] = []
 
     def walk(node: JoinShape, path: tuple[int, ...], level_offset: int) -> float:
@@ -582,7 +556,7 @@ def k_inductive(
                 f"join node with {node.degree} branches exceeds arity {m}"
             )
         level = level_offset + node.gap
-        own = sum(reciprocals[next(cursor)] for _ in range(node.multiplicity))
+        own = own_sums[path]
         branch_sums = [
             walk(branch, path + (j,), level) for j, branch in enumerate(node.branches)
         ]
@@ -597,18 +571,20 @@ def k_inductive(
         a_vec = tuple(ai / beta_inv for ai in alpha_inv) + (0.0,) * (m - d)
         mspec = MuirheadSpec(a_vec)
         closed = muirhead_closed_form(mspec)
-        estimated = not closed.exact
+        estimated = not closed.exact and m in _DEFAULT_RESOLUTION
+        log_upper = math.lgamma(m)  # log (m-1)!
         if closed.exact:
             log_k = _log_closed_form(closed.case, m, mspec.s)
+        elif not estimated:
+            log_k = log_upper
         else:
             log_lower = _log_uniform_constant(m, mspec.s)
-            log_upper = math.lgamma(m)  # log (m-1)!
             est = muirhead_numeric(mspec, resolution)
             log_est = math.log(est.value) if est.value > 0.0 else log_lower
             log_k = min(max(log_est, log_lower), log_upper)
         log_factor = (
             beta_inv * log_k
-            + (1.0 - beta_inv) * math.lgamma(m)
+            + (1.0 - beta_inv) * log_upper
             - math.lgamma(m - d + 1)
         )
         entries.append(

@@ -215,20 +215,35 @@ def _shape_of(
     return ShapeNode(gap=w.level - parent_level, branches=branches)
 
 
-def shape_join_levels(shape: JoinShape, base_level: int) -> list[int]:
-    """Join levels with multiplicity, one per slot, in canonical slot order."""
-    levels: list[int] = []
+@dataclass(frozen=True)
+class Slot:
+    """One exponent slot: a join node owns one slot per unit of multiplicity."""
 
-    def walk(node: JoinShape, parent_level: int) -> None:
+    slot_id: int
+    level: int
+    node_path: tuple[int, ...]  # branch indices from the top node
+
+
+def shape_slots(shape: JoinShape, base_level: int) -> tuple[Slot, ...]:
+    """Slots in canonical order: preorder over nodes, node slots before branches."""
+    slots: list[Slot] = []
+
+    def walk(node: JoinShape, parent_level: int, path: tuple[int, ...]) -> None:
         if isinstance(node, ShapeLeaf):
             return
         level = parent_level + node.gap
-        levels.extend([level] * node.multiplicity)
-        for b in node.branches:
-            walk(b, level)
+        for _ in range(node.multiplicity):
+            slots.append(Slot(len(slots), level, path))
+        for j, branch in enumerate(node.branches):
+            walk(branch, level, path + (j,))
 
-    walk(shape, base_level)
-    return levels
+    walk(shape, base_level, ())
+    return tuple(slots)
+
+
+def shape_join_levels(shape: JoinShape, base_level: int) -> list[int]:
+    """Join levels with multiplicity, one per slot, in canonical slot order."""
+    return [s.level for s in shape_slots(shape, base_level)]
 
 
 def equivalent(a: Configuration, b: Configuration) -> bool:
@@ -296,19 +311,6 @@ def _count(shape: JoinShape, m: int, top: bool) -> int:
 
 def orbit_size(config: Configuration) -> int:
     return shape_orbit_size(extract_shape(config), config.tree.arity)
-
-
-@dataclass(frozen=True)
-class OrbitDescriptor:
-    """Canonical shape plus the number of ordered tuples in the orbit."""
-
-    shape: JoinShape
-    size: int
-
-
-def describe_orbit(config: Configuration) -> OrbitDescriptor:
-    shape = extract_shape(config)
-    return OrbitDescriptor(shape, shape_orbit_size(shape, config.tree.arity))
 
 
 def orbit_enumerate(

@@ -45,11 +45,6 @@ class Vertex:
     def is_root(self) -> bool:
         return not self.word
 
-    def parent(self) -> "Vertex":
-        if self.is_root:
-            raise ConfigurationError("the root has no parent")
-        return Vertex(self.word[:-1])
-
     def child(self, symbol: int) -> "Vertex":
         return Vertex(self.word + (symbol,))
 
@@ -236,14 +231,8 @@ class WeightAssignment:
         mapping: Mapping[Vertex, float],
         default: float = 1.0,
     ) -> "WeightAssignment":
-        """Fill unmentioned leaves with ``default``; reject non-leaf keys."""
-        weights = {leaf: default for leaf in tree.leaves()}
-        for v, w in mapping.items():
-            tree.validate_vertex(v)
-            if not tree.is_leaf(v):
-                raise ConfigurationError(f"weight key {v!r} is not a leaf")
-            weights[v] = w
-        return cls(tree, weights)
+        """Fill unmentioned leaves with ``default``; other keys fail coverage."""
+        return cls(tree, {**{leaf: default for leaf in tree.leaves()}, **mapping})
 
     def weight(self, leaf: Vertex) -> float:
         return self.leaf_weights[leaf]
@@ -319,11 +308,8 @@ class LevelFunction:
         mapping: Mapping[Vertex, float],
         default: float = 1.0,
     ) -> "LevelFunction":
-        values = {v: default for v in tree.vertices()}
-        for v, x in mapping.items():
-            tree.validate_vertex(v)
-            values[v] = x
-        return cls(tree, values)
+        """Fill unmentioned vertices with ``default``; other keys fail coverage."""
+        return cls(tree, {**{v: default for v in tree.vertices()}, **mapping})
 
     @classmethod
     def by_level(cls, tree: TreeParams, level_values: Sequence[float]) -> "LevelFunction":

@@ -33,13 +33,12 @@ from .bounds import (
     k_general,
     k_inductive,
     rhs_product,
-    shape_slots,
     validate_exponents,
 )
 from .energy import (
     EnergyResult,
+    factorized_from_shape,
     orbit_energy_bruteforce,
-    orbit_energy_factorized,
 )
 from .orbits import (
     Configuration,
@@ -66,6 +65,7 @@ REGIMES = ("general", "binary_optimal", "inductive", "explicit")
 DEFAULT_REL_TOL = 1e-9
 
 FLAG_ESTIMATED_K = "estimated-K"
+FLAG_BRACKET_K = "bracket-upper-K"
 FLAG_CONDITION_RECURSIVE = "halves-condition-failure"
 FLAG_CONDITION_TOP_ONLY = "halves-condition-top-only"
 FLAG_ENUMERATION_GUARD = "enumeration-guard"
@@ -322,9 +322,17 @@ def resolve_constant(inst: Instance) -> tuple[float, tuple[str, ...]]:
         k = ki.value
         if ki.estimated:
             flags.append(FLAG_ESTIMATED_K)
+        if any(e.bracket_upper for e in ki.ledger.entries):
+            flags.append(FLAG_BRACKET_K)
     else:  # explicit
         k = float(inst.explicit_k)  # type: ignore[arg-type]
     return k, tuple(flags)
+
+
+def _factorized_energy(inst: Instance) -> EnergyResult:
+    """The factorized energy from the instance's cached shape and masses."""
+    value = factorized_from_shape(inst.tree, inst.base, inst.shape, inst.masses, inst.f)
+    return EnergyResult(value, "factorized", shape_orbit_size(inst.shape, inst.tree.arity))
 
 
 def check_inequality(
@@ -332,7 +340,6 @@ def check_inequality(
     rel_tol: float = DEFAULT_REL_TOL,
     method: str = "factorized",
     guard: int | None = None,
-    pairwise: bool = False,
 ) -> Report:
     """Evaluate both sides of the bound and report the outcome.
 
@@ -363,16 +370,14 @@ def check_inequality(
     flags = list(flags)
 
     energy: EnergyResult
-    if method in ("brute", "bruteforce"):
+    if method == "brute":
         try:
-            energy = orbit_energy_bruteforce(
-                inst.config, inst.weights, inst.f, guard=guard, pairwise=pairwise
-            )
+            energy = orbit_energy_bruteforce(inst.config, inst.weights, inst.f, guard=guard)
         except EnumerationGuardError:
             flags.append(FLAG_ENUMERATION_GUARD)
-            energy = orbit_energy_factorized(inst.config, inst.weights, inst.f)
+            energy = _factorized_energy(inst)
     elif method == "factorized":
-        energy = orbit_energy_factorized(inst.config, inst.weights, inst.f)
+        energy = _factorized_energy(inst)
     else:
         raise ConfigurationError(f"unknown energy method {method!r}")
 
@@ -503,7 +508,7 @@ def reproduce_example(
     shape = extract_shape(config)
     joins = {v.to_text(): r for v, r in sorted(config.join_multiset().items())}
     pa = ExponentAssignment(tuple(float(x) for x in p))
-    levels = [slot.level for slot in shape_slots(shape, 0)]
+    levels = shape_join_levels(shape, 0)
     displayed = 8.0 * math.prod(
         (2.0 ** (tree.depth - level)) ** (1.0 / pe)
         for level, pe in zip(levels, pa.exponents)

@@ -418,6 +418,19 @@ class TestKInductive:
         # the sharp constant for two particles at a ternary root is 2/3
         assert result.value == pytest.approx(2.0 / 3.0, abs=1e-5)
 
+    def test_beyond_estimator_takes_bracket_upper_end(self):
+        # a 7-ary star of degree 5: the zero-padded vector has no closed form
+        # and the numeric estimator stops at m = 5
+        tree = TreeParams(7, 1)
+        config = Configuration(tree, ROOT, tuple(vx(c) for c in range(1, 6)))
+        result = k_inductive(extract_shape(config), ExponentAssignment((4.0,) * 4), 7)
+        (entry,) = result.ledger.entries
+        assert entry.muirhead_case == "ii" and entry.bracket_upper
+        assert not result.estimated
+        assert entry.log_muirhead == math.lgamma(7)
+        # (m-1)! at the node gives back the general constant 6!/2!
+        assert result.value == pytest.approx(360.0, rel=1e-12)
+
 
 class TestCoshRatio:
     def test_equal_parameters(self):

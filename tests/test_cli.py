@@ -169,6 +169,20 @@ class TestCliContract:
         err = capsys.readouterr().err
         assert code == 2 and "'p'" in err
 
+    @pytest.mark.parametrize(
+        "field, key",
+        [("mu", "1"), ("f", "3.1")],
+        ids=["mu-non-leaf", "f-outside-tree"],
+    )
+    def test_foreign_vertex_key_exit_two(self, capsys, tmp_path, field, key):
+        doc = {"m": 2, "k": 2, "config": [[1, 1], [2, 1]], "p": [1.0], field: {key: 2.0}}
+        bad = tmp_path / "foreign.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["verify", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "unexpected" in captured.err
+
     def test_usage_error_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["orbit", "nonsense", "whatever.json"])

@@ -28,6 +28,7 @@ from joinforge import (
     reproduce_example,
     worked_example_configuration,
 )
+import joinforge.energy as energy_mod
 import joinforge.verify as verify_mod
 
 from conftest import vx
@@ -139,6 +140,22 @@ class TestCheckInequality:
         assert report.metadata["method"] == "factorized"
         assert report.passed
 
+    @pytest.mark.parametrize("method", ["factorized", "brute"])
+    def test_shape_and_masses_derived_once(self, monkeypatch, method):
+        counts = {"extract_shape": 0, "cylinder_masses": 0}
+        for module in (verify_mod, energy_mod):
+            for name in counts:
+
+                def counted(*args, _name=name, _original=getattr(module, name)):
+                    counts[_name] += 1
+                    return _original(*args)
+
+                monkeypatch.setattr(module, name, counted)
+        monkeypatch.setenv("JOINFORGE_GUARD", "5")  # brute falls back to factorized
+        report = check_inequality(worked_instance(), method=method)
+        assert report.passed and report.metadata["method"] == "factorized"
+        assert counts == {"extract_shape": 1, "cylinder_masses": 1}
+
     def test_condition_failure_flag_and_fallback(self):
         inst = worked_instance(p=(6.0, 1.5, 6.0))
         report = check_inequality(inst)
@@ -168,6 +185,24 @@ class TestCheckInequality:
         report = check_inequality(inst)
         assert "estimated-K" in report.flags
         assert report.passed  # estimate equals the sharp constant here
+
+    def test_inductive_regime_wide_star_beyond_estimator(self):
+        tree = TreeParams(7, 2)
+        particles = tuple(vx(c, c) for c in range(1, 6))
+        rng = np.random.default_rng(3)
+        inst = Instance(
+            config=Configuration(tree, ROOT, particles),
+            weights=WeightAssignment(
+                tree, {leaf: float(rng.uniform(0.1, 2.0)) for leaf in tree.leaves()}
+            ),
+            f=LevelFunction(tree, {v: float(rng.uniform(0.5, 2.0)) for v in tree.vertices()}),
+            exponents=ExponentAssignment((4.0,) * 4),
+            regime="inductive",
+        )
+        report = check_inequality(inst)
+        assert report.passed and math.isfinite(report.k_constant)
+        assert "bracket-upper-K" in report.flags
+        assert "estimated-K" not in report.flags
 
     def test_recursive_form_with_coexponent(self):
         # exponent reciprocals sum to 1 - 1/alpha; the base mass enters the bound

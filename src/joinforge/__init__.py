@@ -55,7 +55,6 @@ from .orbits import (
 from .tree import (
     ROOT,
     ConfigurationError,
-    CylinderMassTable,
     LevelFunction,
     TreeParams,
     Vertex,

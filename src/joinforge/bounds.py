@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .orbits import JoinShape, ShapeLeaf, Slot, shape_slots
-from .tree import ConfigurationError, CylinderMassTable, LevelFunction, TreeParams, Vertex
+from .tree import ConfigurationError, LevelFunction, TreeParams, Vertex
 
 CONJUGACY_RTOL = 1e-12
 HALF_TOL = 1e-12
@@ -144,7 +144,7 @@ def _pow(x: float, e: float) -> float:
 
 def level_power_sum(
     tree: TreeParams,
-    masses: CylinderMassTable,
+    masses: Sequence[np.ndarray],
     f: LevelFunction,
     base: Vertex,
     level: int,
@@ -156,28 +156,26 @@ def level_power_sum(
 
 def _log_level_power_sum(
     tree: TreeParams,
-    masses: CylinderMassTable,
+    masses: Sequence[np.ndarray],
     f: LevelFunction,
     base: Vertex,
     level: int,
     p: float,
 ) -> float:
     """log of level_power_sum, -inf when it vanishes; safe for extreme exponents."""
-    logs = []
-    for j in tree.descendants_at(base, level):
-        mass = masses.mass(j)
-        if mass == 0.0:
-            continue
-        logs.append(p * math.log(f(j)) + (1.0 + p) * math.log(mass))
-    if not logs:
+    ranks = tree.ranks_below(base, level)
+    mass = masses[level][ranks]
+    nonzero = mass != 0.0
+    if not nonzero.any():
         return -math.inf
-    top = max(logs)
-    return top + math.log(sum(math.exp(x - top) for x in logs))
+    logs = p * np.log(f.levels[level][ranks][nonzero]) + (1.0 + p) * np.log(mass[nonzero])
+    top = logs.max()
+    return float(top + np.log(np.exp(logs - top).sum()))
 
 
 def rhs_product(
     tree: TreeParams,
-    masses: CylinderMassTable,
+    masses: Sequence[np.ndarray],
     f: LevelFunction,
     base: Vertex,
     shape: JoinShape,
@@ -197,7 +195,7 @@ def rhs_product(
             return 0.0
         log_total += log_sum / p
     if pa.coexponent > 0.0:
-        base_mass = masses.mass(base)
+        base_mass = float(masses[base.level][tree.rank(base.word)])
         if base_mass == 0.0:
             return 0.0
         log_total += pa.coexponent * math.log(base_mass)

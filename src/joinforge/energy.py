@@ -19,18 +19,21 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .orbits import (
     Configuration,
     JoinShape,
     ShapeLeaf,
+    ShapeNode,
     extract_shape,
     orbit_enumerate,
     shape_orbit_size,
 )
 from .tree import (
-    CylinderMassTable,
     LevelFunction,
     TreeParams,
     Vertex,
@@ -110,35 +113,48 @@ def factorized_from_shape(
     tree: TreeParams,
     base: Vertex,
     shape: JoinShape,
-    masses: CylinderMassTable,
+    masses: Sequence[np.ndarray],
     f: LevelFunction,
 ) -> float:
-    """Shape-level evaluator shared by the orbit entry point and the verifier."""
+    """Shape-level evaluator shared by the orbit entry point and the verifier.
+
+    Works one level at a time on contiguous rank ranges: each call returns
+    one value per vertex of ranks ``lo..hi-1`` at its level, so a descent
+    is a block sum over the level below and a leaf branch is a slice of the
+    masses.
+    """
     m = tree.arity
 
-    def over_descents(node: JoinShape, start: Vertex, free_levels: int) -> float:
+    def over_descents(
+        node: JoinShape, level: int, free_levels: int, lo: int, hi: int
+    ) -> np.ndarray:
         if isinstance(node, ShapeLeaf):
-            # every leaf below `start` is a valid placement; their weights sum
-            # to the cylinder mass regardless of the remaining gap
-            return masses.mass(start)
-        total = 0.0
-        for w in tree.descendants_at(start, start.level + free_levels):
-            total += at_join(node, w)
-        return total
+            # every leaf below a start vertex is a valid placement; their
+            # weights sum to its cylinder mass regardless of the remaining gap
+            return masses[level][lo:hi]
+        width = m**free_levels
+        joins = at_join(node, level + free_levels, lo * width, hi * width)
+        return joins.reshape(-1, width).sum(axis=1)
 
-    def at_join(node: JoinShape, w: Vertex) -> float:
-        kids = tree.children(w)
-        table = [
-            [over_descents(branch, child, branch.gap - 1) for child in kids]
+    def at_join(node: ShapeNode, level: int, lo: int, hi: int) -> np.ndarray:
+        rows = [
+            over_descents(branch, level + 1, branch.gap - 1, lo * m, hi * m)
+            .reshape(-1, m)
+            .tolist()
             for branch in node.branches
         ]
         d = node.degree
-        assignments = 0.0
-        for chosen in itertools.permutations(range(m), d):
-            product = 1.0
-            for bi, ci in enumerate(chosen):
-                product *= table[bi][ci]
-            assignments += product
-        return f(w) ** (d - 1) * assignments
+        values = []
+        for i, fw in enumerate(f.levels[level][lo:hi].tolist()):
+            table = [row[i] for row in rows]
+            assignments = 0.0
+            for chosen in itertools.permutations(range(m), d):
+                product = 1.0
+                for bi, ci in enumerate(chosen):
+                    product *= table[bi][ci]
+                assignments += product
+            values.append(fw ** (d - 1) * assignments)
+        return np.array(values)
 
-    return over_descents(shape, base, shape.gap)
+    lo = tree.rank(base.word)
+    return float(over_descents(shape, base.level, shape.gap, lo, lo + 1)[0])

@@ -10,9 +10,9 @@ at each join point, and the partition of particle indices across branches.
 Shapes are kept in a canonical form (branches sorted by a fixed total
 order), so orbit equality is shape equality, orbit size is a product over
 the shape, and orbit members can be enumerated or counted independently of
-each other.  The enumeration path deliberately works by filtering all
-ordered tuples on shape equality; it is the brute-force oracle against
-which the counting formula and the factorized energy recursion are judged.
+each other.  The enumeration path deliberately works by filtering ordered
+tuples on shape equality; it is the brute-force oracle against which the
+counting formula and the factorized energy recursion are judged.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,7 +28,9 @@ from .tree import (
     ConfigurationError,
     TreeParams,
     Vertex,
+    Word,
     common_join,
+    join,
     join_multiset,
 )
 
@@ -113,11 +115,11 @@ class ShapeLeaf:
     def indices(self) -> frozenset[int]:
         return frozenset((self.index,))
 
-    @cached_property
+    @property
     def skeleton(self) -> str:
         return f"{self.gap}#"
 
-    @cached_property
+    @property
     def serialized(self) -> str:
         return f"{self.gap}#{self.index}"
 
@@ -192,27 +194,28 @@ def _branch_key(shape: JoinShape) -> tuple[str, int]:
 
 def extract_shape(config: Configuration) -> JoinShape:
     """Canonical join shape of a configuration; equal across exactly one orbit."""
-    items = list(enumerate(config.particles))
+    items = [(index, p.word) for index, p in enumerate(config.particles)]
     return _shape_of(items, config.base.level, config.tree.depth)
 
 
-def _shape_of(
-    items: list[tuple[int, Vertex]], parent_level: int, depth: int
-) -> JoinShape:
+def _shape_of(items: list[tuple[int, Word]], parent_level: int, depth: int) -> JoinShape:
     if len(items) == 1:
-        index, _ = items[0]
-        return ShapeLeaf(gap=depth - parent_level, index=index)
-    w = common_join([v for _, v in items])
-    parts: dict[int, list[tuple[int, Vertex]]] = {}
-    for index, v in items:
-        parts.setdefault(v.word[w.level], []).append((index, v))
+        return ShapeLeaf(gap=depth - parent_level, index=items[0][0])
+    # the least and greatest words share exactly the prefix common to all
+    first, last = min(w for _, w in items), max(w for _, w in items)
+    level = 0
+    while first[level] == last[level]:
+        level += 1
+    parts: dict[int, list[tuple[int, Word]]] = {}
+    for index, word in items:
+        parts.setdefault(word[level], []).append((index, word))
     branches = tuple(
         sorted(
-            (_shape_of(part, w.level, depth) for part in parts.values()),
+            (_shape_of(part, level, depth) for part in parts.values()),
             key=_branch_key,
         )
     )
-    return ShapeNode(gap=w.level - parent_level, branches=branches)
+    return ShapeNode(gap=level - parent_level, branches=branches)
 
 
 @dataclass(frozen=True)
@@ -318,11 +321,11 @@ def orbit_enumerate(
 ) -> Iterator[Configuration]:
     """Yield every ordered tuple in the orbit exactly once.
 
-    Works by scanning all ordered tuples of distinct leaves below the base
-    and keeping those with the same canonical shape.  Refuses up front when
-    either the orbit size estimate or the scan size exceeds the guard
-    (default 10**7, overridable via the JOINFORGE_GUARD variable), since a
-    filter scan must not silently hang.
+    Works by scanning ordered tuples of distinct leaves below the base and
+    keeping those with the same canonical shape.  Refuses up front when
+    either the orbit size estimate or the count of all ordered tuples
+    exceeds the guard (default 10**7, overridable via the JOINFORGE_GUARD
+    variable), since a filter scan must not silently hang.
     """
     limit = resolve_guard(guard)
     estimate = orbit_size(config)
@@ -344,11 +347,60 @@ def orbit_enumerate(
 
 
 def _filtered_orbit(config: Configuration, pool: list[Vertex]) -> Iterator[Configuration]:
+    """Tuples of ``pool`` in ``itertools.permutations`` order, filtered on shape.
+
+    Tuples grow depth-first in pool order, and a prefix is dropped as soon
+    as one of its pairs joins at another level than the same pair of
+    ``config``: automorphisms preserve pairwise join levels, so no member
+    of the orbit extends such a prefix.
+    """
     target = extract_shape(config)
-    for tup in itertools.permutations(pool, config.n):
-        candidate = Configuration(config.tree, config.base, tup)
-        if extract_shape(candidate) == target:
-            yield candidate
+    levels = [[join(a, b).level for b in config.particles] for a in config.particles]
+    m, depth = config.tree.arity, config.tree.depth
+
+    def join_level(a: int, b: int) -> int:
+        # pool indices are the leaves' ranks below the base
+        level = depth
+        while a != b:
+            a, b, level = a // m, b // m, level - 1
+        return level
+
+    def candidates(i: int) -> Iterable[int]:
+        """Pool indices that join the deepest-joining earlier particle at its level."""
+        if not chosen:
+            return range(len(pool))
+        h = max(range(i), key=lambda h: levels[h][i])
+        width = m ** (depth - levels[h][i])
+        block = chosen[h] // width * width
+        inner = chosen[h] // (width // m) * (width // m)
+        return itertools.chain(range(block, inner), range(inner + width // m, block + width))
+
+    chosen: list[int] = []
+    free = [True] * len(pool)
+
+    def extend() -> Iterator[Configuration]:
+        i = len(chosen)
+        if i == config.n:
+            candidate = Configuration(
+                config.tree, config.base, tuple(pool[j] for j in chosen)
+            )
+            if extract_shape(candidate) == target:
+                yield candidate
+            return
+        for j in candidates(i):
+            if not free[j]:
+                continue
+            for h, c in enumerate(chosen):
+                if join_level(c, j) != levels[h][i]:
+                    break
+            else:
+                free[j] = False
+                chosen.append(j)
+                yield from extend()
+                chosen.pop()
+                free[j] = True
+
+    return extend()
 
 
 def realize_shape(tree: TreeParams, base: Vertex, shape: JoinShape) -> Configuration:

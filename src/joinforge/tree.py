@@ -7,16 +7,30 @@ relation is the prefix relation and the join of two vertices is their
 longest common prefix.  Leaves carry nonnegative weights; the mass of the
 cylinder below an arbitrary vertex is the sum of the leaf weights under it.
 
-Everything here is immutable after construction and all operations are
-pure, so values can be shared freely between threads or processes.
+Per-vertex data (leaf weights, vertex functions, cylinder masses) is held
+as one float64 array per level, indexed by word rank: the word's symbols
+minus one, read as a base-``m`` number.  Ranks number each level in
+lexicographic order, and the vertices at one level below a vertex fill one
+contiguous slice of that level's array.
+
+Everything here is immutable after construction (the arrays are read-only)
+and all operations are pure, so values can be shared freely between threads
+or processes.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator, Mapping, Sequence
+import math
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
+
+import numpy as np
+
+# Largest tree whose per-vertex arrays are built: k = 21 at m = 2, about
+# 32 MB per set of level arrays.
+MAX_TREE_VERTICES = 2**22
 
 
 class ConfigurationError(ValueError):
@@ -24,6 +38,17 @@ class ConfigurationError(ValueError):
 
 
 Word = tuple[int, ...]
+
+
+def parse_word(text: str) -> Word:
+    """Symbols of a dot-separated word, as written in files and CLI arguments; '' is the root."""
+    text = text.strip()
+    if not text:
+        return ()
+    try:
+        return tuple(map(int, text.split(".")))
+    except ValueError as exc:
+        raise ConfigurationError(f"bad vertex encoding {text!r}") from exc
 
 
 @dataclass(frozen=True, order=True)
@@ -58,13 +83,7 @@ class Vertex:
 
     @classmethod
     def from_text(cls, text: str) -> "Vertex":
-        text = text.strip()
-        if not text:
-            return cls()
-        try:
-            return cls(tuple(int(part) for part in text.split(".")))
-        except ValueError as exc:
-            raise ConfigurationError(f"bad vertex encoding {text!r}") from exc
+        return cls(parse_word(text))
 
     @classmethod
     def from_symbols(cls, symbols: Sequence[int]) -> "Vertex":
@@ -115,11 +134,6 @@ class TreeParams:
     def is_leaf(self, v: Vertex) -> bool:
         return v.level == self.depth
 
-    def children(self, v: Vertex) -> list[Vertex]:
-        if v.level >= self.depth:
-            return []
-        return [v.child(s) for s in self.symbols()]
-
     def vertices_at(self, level: int) -> Iterator[Vertex]:
         """All vertices at a given level, in lexicographic order."""
         if level < 0 or level > self.depth:
@@ -145,6 +159,36 @@ class TreeParams:
 
     def leaves_below(self, v: Vertex) -> Iterator[Vertex]:
         return self.descendants_at(v, self.depth)
+
+    def rank(self, word: Sequence[int]) -> int:
+        """Index of the vertex with this word in its level's array.
+
+        The rank reads the word's symbols minus one as a base-``m`` number,
+        so each level's vertices are numbered from 0 in lexicographic order.
+        """
+        m = self.arity
+        rank = 0
+        for s in word:
+            if not 1 <= s <= m:
+                break
+            rank = rank * m + s - 1
+        else:
+            if len(word) <= self.depth:
+                return rank
+        raise ConfigurationError(
+            f"unexpected word {'.'.join(map(str, word))!r}: the tree with "
+            f"m={m}, k={self.depth} has no such vertex"
+        )
+
+    def ranks_below(self, v: Vertex, level: int) -> slice:
+        """Ranks of the vertices at absolute ``level`` below ``v``: one contiguous slice."""
+        if level < v.level or level > self.depth:
+            raise ConfigurationError(
+                f"level {level} outside {v.level}..{self.depth} for {v!r}"
+            )
+        width = self.arity ** (level - v.level)
+        start = self.rank(v.word) * width
+        return slice(start, start + width)
 
 
 def join(a: Vertex, b: Vertex) -> Vertex:
@@ -194,35 +238,125 @@ def join_multiset(particles: Sequence[Vertex]) -> dict[Vertex, int]:
     return mult
 
 
-def _check_weight(v: Vertex, value: float) -> float:
-    value = float(value)
-    if not value >= 0.0:  # also rejects NaN
-        raise ConfigurationError(f"weight at {v!r} must be >= 0, got {value!r}")
-    return value
+def level_arrays(tree: TreeParams, first_level: int, fill: float) -> list[np.ndarray]:
+    """Fresh float64 arrays for levels ``first_level..depth``, filled with ``fill``.
+
+    Every per-vertex array is allocated here, so this is where a tree too
+    large to hold is refused, before anything is allocated.
+    """
+    if tree.vertex_count > MAX_TREE_VERTICES:
+        raise ConfigurationError(
+            f"a tree with m={tree.arity}, k={tree.depth} has {tree.vertex_count} "
+            f"vertices, over the limit of {MAX_TREE_VERTICES}"
+        )
+    return [
+        np.full(tree.arity**level, fill, dtype=np.float64)
+        for level in range(first_level, tree.depth + 1)
+    ]
 
 
-@dataclass(frozen=True)
+def fill_levels(
+    tree: TreeParams,
+    first_level: int,
+    items: Iterable[tuple[Sequence[int], float]],
+    fill: float = math.nan,
+) -> list[np.ndarray]:
+    """Level arrays ``first_level..depth`` holding ``(word, value)`` pairs.
+
+    Each word is checked once.  Vertices the pairs leave out hold ``fill``;
+    with the default NaN, every vertex on those levels must be given.
+    """
+    arrays = level_arrays(tree, first_level, fill)
+    for word, value in items:
+        if len(word) < first_level:
+            raise ConfigurationError(
+                f"unexpected word {'.'.join(map(str, word))!r} above level {first_level}"
+            )
+        arrays[len(word) - first_level][tree.rank(word)] = value
+    missing = sum(int(np.isnan(a).sum()) for a in arrays) if math.isnan(fill) else 0
+    if missing:
+        raise ConfigurationError(
+            f"{missing} vertices at levels {first_level}..{tree.depth} have no value"
+        )
+    return arrays
+
+
+def _word_items(mapping: Mapping[Vertex, float]) -> Iterator[tuple[Word, float]]:
+    return ((v.word, x) for v, x in mapping.items())
+
+
+def _held(
+    tree: TreeParams,
+    first_level: int,
+    arrays: Sequence[np.ndarray],
+    what: str,
+    positive: bool,
+) -> tuple[np.ndarray, ...]:
+    """Read-only copies of level arrays ``first_level..depth``, every value
+    checked: ``> 0`` when ``positive``, else ``>= 0`` (NaN never passes)."""
+    held = level_arrays(tree, first_level, math.nan)
+    if [np.shape(a) for a in arrays] != [a.shape for a in held]:
+        raise ConfigurationError(
+            f"{what}s need one array of m**level values per level {first_level}..{tree.depth}"
+        )
+    for level, (out, given) in enumerate(zip(held, arrays), first_level):
+        out[:] = given
+        bad = np.flatnonzero(~(out > 0.0 if positive else out >= 0.0))
+        if bad.size:
+            v = next(itertools.islice(tree.vertices_at(level), int(bad[0]), None))
+            raise ConfigurationError(
+                f"{what} at {v!r} must be {'>' if positive else '>='} 0, "
+                f"got {float(out[bad[0]])!r}"
+            )
+        out.flags.writeable = False
+    return tuple(held)
+
+
+class _VertexView(Mapping[Vertex, float]):
+    """Read-only Vertex-keyed view of level arrays that end at the leaves."""
+
+    def __init__(self, tree: TreeParams, arrays: tuple[np.ndarray, ...]) -> None:
+        self._tree = tree
+        self._arrays = arrays
+        self._first_level = tree.depth + 1 - len(arrays)
+
+    def __getitem__(self, v: Vertex) -> float:
+        try:
+            rank = self._tree.rank(v.word)
+        except (AttributeError, ConfigurationError):
+            raise KeyError(v) from None
+        if v.level < self._first_level:
+            raise KeyError(v)
+        return self._arrays[v.level - self._first_level].item(rank)
+
+    def __iter__(self) -> Iterator[Vertex]:
+        for level in range(self._first_level, self._tree.depth + 1):
+            yield from self._tree.vertices_at(level)
+
+    def __len__(self) -> int:
+        return sum(a.size for a in self._arrays)
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class WeightAssignment:
-    """Nonnegative weight for every leaf of the tree."""
+    """Nonnegative weight for every leaf, held as one array in word-rank order."""
 
     tree: TreeParams
-    leaf_weights: Mapping[Vertex, float]
+    leaf_array: np.ndarray
 
-    def __post_init__(self) -> None:
-        weights = {v: _check_weight(v, w) for v, w in self.leaf_weights.items()}
-        expected = set(self.tree.leaves())
-        if set(weights) != expected:
-            missing = sorted(expected - set(weights))[:3]
-            extra = sorted(set(weights) - expected)[:3]
-            raise ConfigurationError(
-                f"leaf weights must cover every leaf exactly once "
-                f"(missing {missing}, unexpected {extra})"
-            )
-        object.__setattr__(self, "leaf_weights", weights)
+    def __init__(
+        self, tree: TreeParams, leaf_weights: Mapping[Vertex, float] | np.ndarray
+    ) -> None:
+        """From a mapping that names every leaf once, or from the leaf array."""
+        if isinstance(leaf_weights, Mapping):
+            leaf_weights = fill_levels(tree, tree.depth, _word_items(leaf_weights))[0]
+        (array,) = _held(tree, tree.depth, [leaf_weights], "weight", positive=False)
+        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "leaf_array", array)
 
     @classmethod
     def constant(cls, tree: TreeParams, value: float = 1.0) -> "WeightAssignment":
-        return cls(tree, {leaf: value for leaf in tree.leaves()})
+        return cls.from_mapping(tree, {}, default=value)
 
     @classmethod
     def from_mapping(
@@ -231,75 +365,63 @@ class WeightAssignment:
         mapping: Mapping[Vertex, float],
         default: float = 1.0,
     ) -> "WeightAssignment":
-        """Fill unmentioned leaves with ``default``; other keys fail coverage."""
-        return cls(tree, {**{leaf: default for leaf in tree.leaves()}, **mapping})
+        """Fill unmentioned leaves with ``default``; other keys are refused."""
+        return cls(tree, fill_levels(tree, tree.depth, _word_items(mapping), default)[0])
+
+    @cached_property
+    def leaf_weights(self) -> Mapping[Vertex, float]:
+        """Read-only view of the weights, keyed by leaf."""
+        return _VertexView(self.tree, (self.leaf_array,))
 
     def weight(self, leaf: Vertex) -> float:
         return self.leaf_weights[leaf]
 
-    def total(self) -> float:
-        return sum(self.leaf_weights.values())
-
     def scaled(self, factor: float) -> "WeightAssignment":
-        return WeightAssignment(
-            self.tree, {v: w * factor for v, w in self.leaf_weights.items()}
-        )
+        return WeightAssignment(self.tree, self.leaf_array * factor)
 
 
-@dataclass(frozen=True)
-class CylinderMassTable:
-    """Mass of the cylinder below every vertex: the sum of leaf weights under it."""
+def cylinder_masses(tree: TreeParams, weights: WeightAssignment) -> tuple[np.ndarray, ...]:
+    """Mass of the cylinder below every vertex, one read-only array per level.
 
-    tree: TreeParams
-    mass_by_vertex: Mapping[Vertex, float]
-
-    def mass(self, v: Vertex) -> float:
-        try:
-            return self.mass_by_vertex[v]
-        except KeyError:
-            raise ConfigurationError(f"{v!r} is not a vertex of this tree") from None
-
-
-def cylinder_masses(tree: TreeParams, weights: WeightAssignment) -> CylinderMassTable:
-    """Aggregate leaf weights bottom-up into per-vertex cylinder masses."""
+    ``masses[level][rank]`` is the sum of the leaf weights below the vertex
+    with that rank.  Each level adds its children's columns in symbol order,
+    so every mass is the float a left-to-right sum over the children gives.
+    """
     if weights.tree != tree:
         raise ConfigurationError("weight assignment belongs to a different tree")
-    masses: dict[Vertex, float] = dict(weights.leaf_weights)
+    masses = level_arrays(tree, 0, 0.0)
+    masses[-1][:] = weights.leaf_array
     for level in range(tree.depth - 1, -1, -1):
-        for v in tree.vertices_at(level):
-            masses[v] = sum(masses[c] for c in tree.children(v))
-    return CylinderMassTable(tree, masses)
+        children = masses[level + 1].reshape(-1, tree.arity)
+        for symbol in range(tree.arity):
+            masses[level] += children[:, symbol]
+    for array in masses:
+        array.flags.writeable = False
+    return tuple(masses)
 
 
-def _check_positive(v: Vertex, value: float) -> float:
-    value = float(value)
-    if not value > 0.0:
-        raise ConfigurationError(f"vertex value at {v!r} must be > 0, got {value!r}")
-    return value
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class LevelFunction:
-    """A positive value attached to every vertex of the tree (all levels)."""
+    """A positive value at every vertex, held as one array per level in word-rank order.
+
+    ``levels[l][r]`` is the value at the vertex of level ``l`` with rank ``r``.
+    """
 
     tree: TreeParams
-    values: Mapping[Vertex, float]
+    levels: tuple[np.ndarray, ...]
 
-    def __post_init__(self) -> None:
-        values = {v: _check_positive(v, x) for v, x in self.values.items()}
-        expected = set(self.tree.vertices())
-        if set(values) != expected:
-            missing = sorted(expected - set(values))[:3]
-            extra = sorted(set(values) - expected)[:3]
-            raise ConfigurationError(
-                f"vertex function must cover every vertex exactly once "
-                f"(missing {missing}, unexpected {extra})"
-            )
-        object.__setattr__(self, "values", values)
+    def __init__(
+        self, tree: TreeParams, values: Mapping[Vertex, float] | Sequence[np.ndarray]
+    ) -> None:
+        """From a mapping that names every vertex once, or from the k+1 level arrays."""
+        if isinstance(values, Mapping):
+            values = fill_levels(tree, 0, _word_items(values))
+        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "levels", _held(tree, 0, values, "vertex value", positive=True))
 
     @classmethod
     def constant(cls, tree: TreeParams, value: float = 1.0) -> "LevelFunction":
-        return cls(tree, {v: value for v in tree.vertices()})
+        return cls.from_mapping(tree, {}, default=value)
 
     @classmethod
     def from_mapping(
@@ -308,8 +430,8 @@ class LevelFunction:
         mapping: Mapping[Vertex, float],
         default: float = 1.0,
     ) -> "LevelFunction":
-        """Fill unmentioned vertices with ``default``; other keys fail coverage."""
-        return cls(tree, {**{v: default for v in tree.vertices()}, **mapping})
+        """Fill unmentioned vertices with ``default``; other keys are refused."""
+        return cls(tree, fill_levels(tree, 0, _word_items(mapping), default))
 
     @classmethod
     def by_level(cls, tree: TreeParams, level_values: Sequence[float]) -> "LevelFunction":
@@ -318,10 +440,18 @@ class LevelFunction:
             raise ConfigurationError(
                 f"need {tree.depth + 1} level values, got {len(level_values)}"
             )
-        return cls(tree, {v: level_values[v.level] for v in tree.vertices()})
+        arrays = level_arrays(tree, 0, 0.0)
+        for array, value in zip(arrays, level_values):
+            array[:] = value
+        return cls(tree, arrays)
+
+    @cached_property
+    def values(self) -> Mapping[Vertex, float]:
+        """Read-only view of the values, keyed by vertex."""
+        return _VertexView(self.tree, self.levels)
 
     def __call__(self, v: Vertex) -> float:
         return self.values[v]
 
     def scaled(self, factor: float) -> "LevelFunction":
-        return LevelFunction(self.tree, {v: x * factor for v, x in self.values.items()})
+        return LevelFunction(self.tree, [array * factor for array in self.levels])

@@ -53,12 +53,14 @@ from .orbits import (
 from .tree import (
     ROOT,
     ConfigurationError,
-    CylinderMassTable,
     LevelFunction,
     TreeParams,
     Vertex,
     WeightAssignment,
     cylinder_masses,
+    fill_levels,
+    level_arrays,
+    parse_word,
 )
 
 REGIMES = ("general", "binary_optimal", "inductive", "explicit")
@@ -108,7 +110,7 @@ class Instance:
         return extract_shape(self.config)
 
     @cached_property
-    def masses(self) -> CylinderMassTable:
+    def masses(self) -> tuple[np.ndarray, ...]:
         return cylinder_masses(self.tree, self.weights)
 
     def to_json_dict(self) -> dict[str, Any]:
@@ -134,21 +136,16 @@ class Instance:
     def from_json_dict(cls, data: dict[str, Any]) -> "Instance":
         if not isinstance(data, dict):
             raise ConfigurationError("instance document must be a JSON object")
-        tree = TreeParams(
-            _field(data, "m", int), _field(data, "k", int)
-        )
+        tree = TreeParams(_field(data, "m", _integer), _field(data, "k", _integer))
         base = _vertex_field(data.get("base", ""), "base")
         raw_config = _field(data, "config", list)
         particles = []
         for i, entry in enumerate(raw_config):
             particles.append(_vertex_field(entry, f"config[{i}]"))
         config = Configuration(tree, base, tuple(particles))
-        weights = WeightAssignment.from_mapping(
-            tree, _vertex_map(data.get("mu", {}), "mu"), default=1.0
-        )
-        f = LevelFunction.from_mapping(
-            tree, _vertex_map(data.get("f", {}), "f"), default=1.0
-        )
+        (mu,) = _vertex_values(data.get("mu", {}), "mu", tree, tree.depth)
+        weights = WeightAssignment(tree, mu)
+        f = LevelFunction(tree, _vertex_values(data.get("f", {}), "f", tree, 0))
         p_list = [float(x) for x in _field(data, "p", list)]
         slot_map = data.get("slot_assignment")
         exponents = _apply_slot_assignment(p_list, slot_map)
@@ -156,7 +153,7 @@ class Instance:
         regime, explicit_k = parse_regime(
             data.get("regime", "general"), data.get("K")
         )
-        seed = data.get("seed")
+        seed = None if data.get("seed") is None else _field(data, "seed", _integer)
         return cls(
             config=config,
             weights=weights,
@@ -164,7 +161,7 @@ class Instance:
             exponents=ExponentAssignment(tuple(exponents), coexponent),
             regime=regime,
             explicit_k=explicit_k,
-            seed=int(seed) if seed is not None else None,
+            seed=seed,
         )
 
 
@@ -186,16 +183,31 @@ def _vertex_field(raw: Any, where: str) -> Vertex:
         raise ConfigurationError(f"instance field {where!r}: {exc}") from exc
 
 
-def _vertex_map(raw: Any, where: str) -> dict[Vertex, float]:
+def _integer(value: Any) -> int:
+    """A JSON integer; a fraction or a boolean is refused, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _vertex_values(
+    raw: Any, where: str, tree: TreeParams, first_level: int
+) -> list[np.ndarray]:
+    """Level arrays ``first_level..k`` from an object keyed by dotted words.
+
+    Unmentioned vertices hold 1.0.  Values are checked where the arrays are
+    held.
+    """
     if not isinstance(raw, dict):
         raise ConfigurationError(f"instance field {where!r} must be an object")
-    out: dict[Vertex, float] = {}
-    for key, value in raw.items():
-        try:
-            out[Vertex.from_text(key)] = float(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"instance field {where!r}[{key!r}]: {exc}") from exc
-    return out
+    try:
+        return fill_levels(
+            tree, first_level, ((parse_word(key), value) for key, value in raw.items()), 1.0
+        )
+    except ConfigurationError:
+        raise
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"instance field {where!r}: {exc}") from exc
 
 
 def _apply_slot_assignment(p_list: list[float], slot_map: Any) -> list[float]:
@@ -207,12 +219,17 @@ def _apply_slot_assignment(p_list: list[float], slot_map: Any) -> list[float]:
     for slot_key, p_index in slot_map.items():
         try:
             slot = int(slot_key)
-            idx = int(p_index)
-            out[slot] = p_list[idx]
-        except (TypeError, ValueError, IndexError) as exc:
+            idx = _integer(p_index)
+        except (TypeError, ValueError) as exc:
             raise ConfigurationError(
                 f"instance field 'slot_assignment'[{slot_key!r}]: {exc}"
             ) from exc
+        if not (0 <= slot < len(out) and 0 <= idx < len(p_list)):
+            raise ConfigurationError(
+                f"instance field 'slot_assignment'[{slot_key!r}]: slot and p index "
+                f"must lie in 0..{len(p_list) - 1}, got {slot} -> {idx}"
+            )
+        out[slot] = p_list[idx]
     return out
 
 
@@ -605,19 +622,21 @@ def random_instance(seed: int, ranges: InstanceRanges = InstanceRanges()) -> Ins
             chosen.append(Vertex(word))
     config = Configuration(tree, ROOT, tuple(chosen))
 
+    # one draw after another in rank order, with Python's float power
+    # (numpy's differs in the last bit on some values)
     w_lo, w_hi = math.log10(ranges.weight_low), math.log10(ranges.weight_high)
-    mu: dict[Vertex, float] = {}
-    for leaf in tree.leaves():
-        if rng.random() < ranges.zero_weight_prob:
-            mu[leaf] = 0.0
-        else:
-            mu[leaf] = float(10.0 ** rng.uniform(w_lo, w_hi))
+    (mu,) = level_arrays(tree, k, 0.0)
+    mu[:] = [
+        0.0 if rng.random() < ranges.zero_weight_prob else 10.0 ** rng.uniform(w_lo, w_hi)
+        for _ in range(mu.size)
+    ]
     weights = WeightAssignment(tree, mu)
 
     f_lo, f_hi = math.log10(ranges.f_low), math.log10(ranges.f_high)
-    f = LevelFunction(
-        tree, {v: float(10.0 ** rng.uniform(f_lo, f_hi)) for v in tree.vertices()}
-    )
+    f_levels = level_arrays(tree, 0, 0.0)
+    for values in f_levels:
+        values[:] = [10.0 ** rng.uniform(f_lo, f_hi) for _ in range(values.size)]
+    f = LevelFunction(tree, f_levels)
 
     if ranges.regime == "binary_optimal":
         exponents = _binary_optimal_exponents(extract_shape(config), rng)
@@ -723,7 +742,7 @@ def _evaluate_seed(args: tuple[int, InstanceRanges, float]) -> tuple[SeedResult,
     seed, ranges, rel_tol = args
     inst = random_instance(seed, ranges)
     report = check_inequality(inst, rel_tol=rel_tol)
-    positive = all(w > 0.0 for w in inst.weights.leaf_weights.values())
+    positive = bool((inst.weights.leaf_array > 0.0).all())
     violation = None
     if not report.passed:
         violation = {

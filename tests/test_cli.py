@@ -6,6 +6,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -14,6 +15,7 @@ from joinforge import (
     Instance,
     LevelFunction,
     WeightAssignment,
+    random_instance,
     worked_example_configuration,
 )
 from joinforge.cli import main
@@ -183,6 +185,54 @@ class TestCliContract:
         assert code == 2 and captured.out == ""
         assert "unexpected" in captured.err
 
+    def test_oversized_tree_exit_two_fast(self, capsys, tmp_path):
+        doc = {"m": 10, "k": 10, "config": [[1] * 10, [2] * 10], "p": [1.0]}
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code = main(["verify", str(bad)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "limit" in captured.err and elapsed < 1.0
+
+    def test_fuzz_oversized_tree_exit_two(self, capsys):
+        # seed 0 draws k = 35 of 1..40
+        code = main(["fuzz", "--seeds", "0..1", "--m", "10", "--k", "40"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and "limit" in captured.err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("m", 2.7), ("k", 2.5), ("seed", 1.9), ("seed", True)],
+        ids=["m-fraction", "k-fraction", "seed-fraction", "seed-boolean"],
+    )
+    def test_non_integer_field_exit_two(self, capsys, tmp_path, field, value):
+        doc = {"m": 2, "k": 2, "config": [[1, 1], [2, 1]], "p": [1.0], field: value}
+        bad = tmp_path / "fraction.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["verify", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert repr(field) in captured.err
+
+    @pytest.mark.parametrize(
+        "slot_map",
+        [{"-1": 0}, {"0": -1}, {"3": 0}, {"0": 3}],
+        ids=["negative-slot", "negative-p", "slot-out-of-range", "p-out-of-range"],
+    )
+    def test_slot_assignment_index_exit_two(self, capsys, tmp_path, slot_map):
+        doc = {
+            "m": 2, "k": 3, "config": [[1, 1, 1], [1, 2, 1], [2, 1, 1], [2, 1, 2]],
+            "p": [2.0, 3.0, 6.0], "slot_assignment": slot_map,
+        }
+        bad = tmp_path / "slots.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["verify", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "slot_assignment" in captured.err
+
     def test_usage_error_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["orbit", "nonsense", "whatever.json"])
@@ -207,3 +257,18 @@ class TestCliContract:
             )
         assert result.returncode == 0
         assert json.loads(result.stdout) == {"size": 64}
+
+
+class TestBruteForceScan:
+    def test_pruned_scan_finishes_and_agrees(self, capsys, tmp_path):
+        # m=3, k=3, n=5: 9,687,600 ordered tuples hold an orbit of 52,488
+        path = tmp_path / "seed15.json"
+        path.write_text(json.dumps(random_instance(15).to_json_dict()))
+        start = time.process_time()
+        code, brute = run_cli(capsys, "verify", str(path), "--method", "brute")
+        elapsed = time.process_time() - start
+        assert code == 0 and brute["metadata"]["method"] == "bruteforce"
+        assert brute["metadata"]["orbit_terms"] == 52488
+        assert elapsed < 10.0
+        _, factorized = run_cli(capsys, "verify", str(path))
+        assert abs(brute["lhs"] - factorized["lhs"]) <= 1e-12 * factorized["lhs"]

@@ -4,19 +4,22 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from joinforge import (
     Configuration,
     LevelFunction,
     ROOT,
     TreeParams,
+    Vertex,
     WeightAssignment,
     interaction_value,
     orbit_enumerate,
     orbit_energy_bruteforce,
     orbit_energy_factorized,
+    orbit_size,
 )
 
 from conftest import unit_data, vx
@@ -181,3 +184,37 @@ class TestEnergyProperties:
                 binary3, {**weights.leaf_weights, leaf: weights.weight(leaf) + 1.0}
             )
             assert orbit_energy_factorized(config, bump_w, f).value >= base
+
+
+@st.composite
+def small_instances(draw):
+    """Configuration, weights (some exactly zero) and f on a small tree."""
+    m = draw(st.sampled_from([2, 3, 4]))
+    tree = TreeParams(m, draw(st.integers(1, 3)))
+    base = Vertex(tuple(draw(st.lists(st.integers(1, m), max_size=min(1, tree.depth)))))
+    below = list(tree.leaves_below(base))
+    n = draw(st.integers(1, min(4, len(below))))
+    particles = draw(st.lists(st.sampled_from(below), min_size=n, max_size=n, unique=True))
+    config = Configuration(tree, base, tuple(particles))
+    assume(orbit_size(config) <= 3000)  # keeps the brute-force sum short
+    weight = st.one_of(st.just(0.0), st.floats(0.01, 100.0))
+    leaf_array = np.array(draw(st.lists(weight, min_size=m**tree.depth, max_size=m**tree.depth)))
+    levels = [
+        np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=m**level, max_size=m**level)))
+        for level in range(tree.depth + 1)
+    ]
+    return config, WeightAssignment(tree, leaf_array), LevelFunction(tree, levels)
+
+
+@given(instance=small_instances())
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+def test_factorized_matches_bruteforce_property(instance):
+    config, weights, f = instance
+    brute = orbit_energy_bruteforce(config, weights, f, guard=10**8)
+    fact = orbit_energy_factorized(config, weights, f)
+    assert fact.terms == brute.terms
+    assert abs(fact.value - brute.value) <= 1e-12 * brute.value

@@ -229,6 +229,30 @@ class TestOrbitEnumerate:
             assert len(members) == len(set(members)) == orbit_size(config)
 
 
+    @pytest.mark.parametrize(
+        "arity, depth, base, particles",
+        [
+            (3, 3, ROOT, (vx(1, 1, 1), vx(1, 2, 1), vx(3, 1, 1))),
+            (3, 2, ROOT, (vx(2, 2), vx(2, 3), vx(1, 3), vx(3, 1))),
+            (3, 3, vx(3), (vx(3, 1, 2), vx(3, 3, 2), vx(3, 1, 1))),
+        ],
+        ids=["root-three", "root-four", "off-root"],
+    )
+    def test_pruned_scan_yields_the_filtered_permutations(
+        self, arity, depth, base, particles
+    ):
+        tree = TreeParams(arity, depth)
+        config = Configuration(tree, base, particles)
+        target = extract_shape(config)
+        pool = list(tree.leaves_below(base))
+        reference = [
+            tup
+            for tup in itertools.permutations(pool, config.n)
+            if extract_shape(Configuration(tree, base, tup)) == target
+        ]
+        assert [m.particles for m in orbit_enumerate(config)] == reference
+
+
 class TestRealizeShape:
     def test_round_trip(self, binary3, ternary2):
         rng = random.Random(17)

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from joinforge import (
     ConfigurationError,
+    LevelFunction,
     ROOT,
     TreeParams,
     Vertex,
@@ -16,6 +20,7 @@ from joinforge import (
     join,
     join_multiset,
 )
+from joinforge.tree import MAX_TREE_VERTICES, level_arrays
 
 from conftest import vx
 
@@ -64,6 +69,25 @@ class TestTreeParams:
         assert list(tree.descendants_at(vx(2, 1), 2)) == [vx(2, 1)]
         with pytest.raises(ConfigurationError):
             list(tree.descendants_at(vx(2, 1), 1))
+
+    def test_rank_is_the_lexicographic_index(self, ternary2):
+        for level in range(ternary2.depth + 1):
+            ranks = [ternary2.rank(v.word) for v in ternary2.vertices_at(level)]
+            assert ranks == list(range(3**level))
+
+    def test_ranks_below_are_the_descendants(self, binary3):
+        for v in binary3.vertices():
+            for level in range(v.level, binary3.depth + 1):
+                block = binary3.ranks_below(v, level)
+                below = [binary3.rank(w.word) for w in binary3.descendants_at(v, level)]
+                assert below == list(range(block.start, block.stop))
+        with pytest.raises(ConfigurationError):
+            binary3.ranks_below(vx(2, 1), 1)
+
+    def test_rank_refuses_foreign_words(self, binary3):
+        for word in [(3,), (0, 1), (1, 1, 1, 1)]:
+            with pytest.raises(ConfigurationError):
+                binary3.rank(word)
 
 
 class TestJoin:
@@ -152,17 +176,21 @@ class TestJoinMultiset:
             common_join([])
 
 
+def mass(tree, masses, v):
+    return masses[v.level][tree.rank(v.word)]
+
+
 class TestCylinderMasses:
     def test_unit_weights_binary(self, binary3):
         masses = cylinder_masses(binary3, WeightAssignment.constant(binary3, 1.0))
-        assert masses.mass(vx(2, 1)) == 2.0
-        assert masses.mass(vx(1)) == 4.0
-        assert masses.mass(ROOT) == 8.0
-        assert masses.mass(vx(2, 1, 1)) == 1.0
+        assert mass(binary3, masses, vx(2, 1)) == 2.0
+        assert mass(binary3, masses, vx(1)) == 4.0
+        assert mass(binary3, masses, ROOT) == 8.0
+        assert mass(binary3, masses, vx(2, 1, 1)) == 1.0
 
     def test_zero_weights(self, binary3):
         masses = cylinder_masses(binary3, WeightAssignment.constant(binary3, 0.0))
-        assert all(masses.mass(v) == 0.0 for v in binary3.vertices())
+        assert all(mass(binary3, masses, v) == 0.0 for v in binary3.vertices())
 
     def test_point_mass(self, binary3):
         weights = WeightAssignment.from_mapping(
@@ -171,7 +199,7 @@ class TestCylinderMasses:
         masses = cylinder_masses(binary3, weights)
         on_path = {ROOT, vx(2), vx(2, 1), vx(2, 1, 2)}
         for v in binary3.vertices():
-            assert masses.mass(v) == (5.0 if v in on_path else 0.0)
+            assert mass(binary3, masses, v) == (5.0 if v in on_path else 0.0)
 
     @given(scale=st.floats(min_value=0.01, max_value=100.0))
     def test_mass_scales_linearly(self, scale):
@@ -182,7 +210,21 @@ class TestCylinderMasses:
         one = cylinder_masses(tree, base_weights)
         two = cylinder_masses(tree, base_weights.scaled(scale))
         for v in tree.vertices():
-            assert two.mass(v) == pytest.approx(scale * one.mass(v), rel=1e-12)
+            assert mass(tree, two, v) == pytest.approx(scale * mass(tree, one, v), rel=1e-12)
+
+    def test_bit_identical_to_child_sums(self):
+        tree = TreeParams(3, 3)
+        rng = random.Random(5)
+        weights = WeightAssignment(
+            tree,
+            {leaf: 0.0 if rng.random() < 0.2 else rng.uniform(0.0, 9.0) for leaf in tree.leaves()},
+        )
+        reference = dict(weights.leaf_weights)
+        for level in range(tree.depth - 1, -1, -1):
+            for v in tree.vertices_at(level):
+                reference[v] = sum(reference[v.child(s)] for s in tree.symbols())
+        masses = cylinder_masses(tree, weights)
+        assert all(mass(tree, masses, v) == reference[v] for v in tree.vertices())
 
     def test_missing_leaf_weight(self, binary3):
         partial = {leaf: 1.0 for leaf in list(binary3.leaves())[:-1]}
@@ -192,3 +234,49 @@ class TestCylinderMasses:
     def test_negative_weight_rejected(self, binary3):
         with pytest.raises(ConfigurationError):
             WeightAssignment.from_mapping(binary3, {vx(1, 1, 1): -1.0})
+
+
+class TestLevelArrays:
+    def test_views_read_the_arrays(self, binary3):
+        weights = WeightAssignment.from_mapping(binary3, {vx(2, 1, 2): 5.5}, default=1)
+        assert weights.weight(vx(2, 1, 2)) == weights.leaf_weights[vx(2, 1, 2)] == 5.5
+        assert weights.leaf_array[binary3.rank((2, 1, 2))] == 5.5
+        assert list(weights.leaf_weights) == list(binary3.leaves())
+        f = LevelFunction.by_level(binary3, [1.0, 2.0, 3.0, 4.0])
+        assert dict(f.values) == {v: float(v.level + 1) for v in binary3.vertices()}
+        for foreign in (vx(1), vx(3, 1, 1), vx(1, 1, 1, 1)):
+            with pytest.raises(KeyError):
+                weights.weight(foreign)
+        with pytest.raises(KeyError):
+            f(vx(1, 1, 1, 1))
+
+    def test_arrays_are_read_only(self, binary3):
+        weights = WeightAssignment.constant(binary3)
+        masses = cylinder_masses(binary3, weights)
+        for array in (weights.leaf_array, LevelFunction.constant(binary3).levels[1], masses[0]):
+            with pytest.raises(ValueError):
+                array[0] = 2.0
+
+    def test_array_constructors_check_every_value(self, binary3):
+        leaf_array = np.ones(8)
+        leaf_array[5] = -1.0  # rank 5 at depth 3 is the word 2.1.2
+        with pytest.raises(ConfigurationError, match="2.1.2"):
+            WeightAssignment(binary3, leaf_array)
+        with pytest.raises(ConfigurationError):
+            WeightAssignment(binary3, np.ones(4))
+        levels = [np.ones(2**level) for level in range(4)]
+        with pytest.raises(ConfigurationError):
+            LevelFunction(binary3, levels[2:])
+        levels[2][3] = 0.0
+        with pytest.raises(ConfigurationError, match="2.2"):
+            LevelFunction(binary3, levels)
+
+    def test_oversized_tree_refused_before_allocation(self):
+        assert TreeParams(2, 21).vertex_count <= MAX_TREE_VERTICES
+        for tree in (TreeParams(2, 22), TreeParams(10, 10)):
+            with pytest.raises(ConfigurationError, match="limit"):
+                level_arrays(tree, tree.depth, 0.0)
+        with pytest.raises(ConfigurationError, match="limit"):
+            WeightAssignment.constant(TreeParams(10, 10))
+        with pytest.raises(ConfigurationError, match="limit"):
+            LevelFunction.constant(TreeParams(10, 10))

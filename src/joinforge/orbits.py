@@ -28,7 +28,6 @@ from .tree import (
     ConfigurationError,
     TreeParams,
     Vertex,
-    Word,
     common_join,
     join,
     join_multiset,
@@ -115,11 +114,11 @@ class ShapeLeaf:
     def indices(self) -> frozenset[int]:
         return frozenset((self.index,))
 
-    @property
+    @cached_property
     def skeleton(self) -> str:
         return f"{self.gap}#"
 
-    @property
+    @cached_property
     def serialized(self) -> str:
         return f"{self.gap}#{self.index}"
 
@@ -194,28 +193,27 @@ def _branch_key(shape: JoinShape) -> tuple[str, int]:
 
 def extract_shape(config: Configuration) -> JoinShape:
     """Canonical join shape of a configuration; equal across exactly one orbit."""
-    items = [(index, p.word) for index, p in enumerate(config.particles)]
+    items = list(enumerate(config.particles))
     return _shape_of(items, config.base.level, config.tree.depth)
 
 
-def _shape_of(items: list[tuple[int, Word]], parent_level: int, depth: int) -> JoinShape:
+def _shape_of(
+    items: list[tuple[int, Vertex]], parent_level: int, depth: int
+) -> JoinShape:
     if len(items) == 1:
-        return ShapeLeaf(gap=depth - parent_level, index=items[0][0])
-    # the least and greatest words share exactly the prefix common to all
-    first, last = min(w for _, w in items), max(w for _, w in items)
-    level = 0
-    while first[level] == last[level]:
-        level += 1
-    parts: dict[int, list[tuple[int, Word]]] = {}
-    for index, word in items:
-        parts.setdefault(word[level], []).append((index, word))
+        index, _ = items[0]
+        return ShapeLeaf(gap=depth - parent_level, index=index)
+    w = common_join([v for _, v in items])
+    parts: dict[int, list[tuple[int, Vertex]]] = {}
+    for index, v in items:
+        parts.setdefault(v.word[w.level], []).append((index, v))
     branches = tuple(
         sorted(
-            (_shape_of(part, level, depth) for part in parts.values()),
+            (_shape_of(part, w.level, depth) for part in parts.values()),
             key=_branch_key,
         )
     )
-    return ShapeNode(gap=level - parent_level, branches=branches)
+    return ShapeNode(gap=w.level - parent_level, branches=branches)
 
 
 @dataclass(frozen=True)

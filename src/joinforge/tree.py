@@ -21,7 +21,6 @@ or processes.
 from __future__ import annotations
 
 import itertools
-import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -125,10 +124,7 @@ class TreeParams:
         return range(1, self.arity + 1)
 
     def validate_vertex(self, v: Vertex) -> Vertex:
-        if v.level > self.depth:
-            raise ConfigurationError(f"{v!r} lies below depth {self.depth}")
-        if any(s < 1 or s > self.arity for s in v.word):
-            raise ConfigurationError(f"{v!r} uses symbols outside 1..{self.arity}")
+        self.rank(v.word)
         return v
 
     def is_leaf(self, v: Vertex) -> bool:
@@ -259,30 +255,37 @@ def fill_levels(
     tree: TreeParams,
     first_level: int,
     items: Iterable[tuple[Sequence[int], float]],
-    fill: float = math.nan,
+    fill: float,
 ) -> list[np.ndarray]:
     """Level arrays ``first_level..depth`` holding ``(word, value)`` pairs.
 
-    Each word is checked once.  Vertices the pairs leave out hold ``fill``;
-    with the default NaN, every vertex on those levels must be given.
+    Each word is checked once; vertices the pairs leave out hold ``fill``.
     """
     arrays = level_arrays(tree, first_level, fill)
     for word, value in items:
+        rank = tree.rank(word)
         if len(word) < first_level:
             raise ConfigurationError(
                 f"unexpected word {'.'.join(map(str, word))!r} above level {first_level}"
             )
-        arrays[len(word) - first_level][tree.rank(word)] = value
-    missing = sum(int(np.isnan(a).sum()) for a in arrays) if math.isnan(fill) else 0
-    if missing:
+        arrays[len(word) - first_level][rank] = value
+    return arrays
+
+
+def _mapping_levels(
+    tree: TreeParams, first_level: int, mapping: Mapping[Vertex, float], default: float | None
+) -> list[np.ndarray]:
+    """Level arrays from a Vertex-keyed mapping; unmentioned vertices hold
+    ``default``, and with no default every vertex on those levels must be named."""
+    items = ((v.word, x) for v, x in mapping.items())
+    arrays = fill_levels(tree, first_level, items, 0.0 if default is None else default)
+    # distinct keys that all passed the checks name distinct vertices
+    missing = sum(a.size for a in arrays) - len(mapping)
+    if default is None and missing:
         raise ConfigurationError(
             f"{missing} vertices at levels {first_level}..{tree.depth} have no value"
         )
     return arrays
-
-
-def _word_items(mapping: Mapping[Vertex, float]) -> Iterator[tuple[Word, float]]:
-    return ((v.word, x) for v, x in mapping.items())
 
 
 def _held(
@@ -292,15 +295,19 @@ def _held(
     what: str,
     positive: bool,
 ) -> tuple[np.ndarray, ...]:
-    """Read-only copies of level arrays ``first_level..depth``, every value
-    checked: ``> 0`` when ``positive``, else ``>= 0`` (NaN never passes)."""
-    held = level_arrays(tree, first_level, math.nan)
-    if [np.shape(a) for a in arrays] != [a.shape for a in held]:
+    """Level arrays ``first_level..depth``, every value checked (``> 0`` when
+    ``positive``, else ``>= 0``; NaN never passes), then made read-only.
+
+    An array that owns its float64 data is taken over as it is; anything
+    else is copied first, a view included, since its base stays writable.
+    """
+    held = tuple(np.asarray(a, dtype=np.float64) for a in arrays)
+    held = tuple(a if a.base is None else a.copy() for a in held)
+    if [a.shape for a in held] != [(tree.arity**l,) for l in range(first_level, tree.depth + 1)]:
         raise ConfigurationError(
             f"{what}s need one array of m**level values per level {first_level}..{tree.depth}"
         )
-    for level, (out, given) in enumerate(zip(held, arrays), first_level):
-        out[:] = given
+    for level, out in enumerate(held, first_level):
         bad = np.flatnonzero(~(out > 0.0 if positive else out >= 0.0))
         if bad.size:
             v = next(itertools.islice(tree.vertices_at(level), int(bad[0]), None))
@@ -308,8 +315,9 @@ def _held(
                 f"{what} at {v!r} must be {'>' if positive else '>='} 0, "
                 f"got {float(out[bad[0]])!r}"
             )
+    for out in held:
         out.flags.writeable = False
-    return tuple(held)
+    return held
 
 
 class _VertexView(Mapping[Vertex, float]):
@@ -345,11 +353,13 @@ class WeightAssignment:
     leaf_array: np.ndarray
 
     def __init__(
-        self, tree: TreeParams, leaf_weights: Mapping[Vertex, float] | np.ndarray
+        self,
+        tree: TreeParams,
+        leaf_weights: Mapping[Vertex, float] | np.ndarray,
     ) -> None:
         """From a mapping that names every leaf once, or from the leaf array."""
         if isinstance(leaf_weights, Mapping):
-            leaf_weights = fill_levels(tree, tree.depth, _word_items(leaf_weights))[0]
+            (leaf_weights,) = _mapping_levels(tree, tree.depth, leaf_weights, None)
         (array,) = _held(tree, tree.depth, [leaf_weights], "weight", positive=False)
         object.__setattr__(self, "tree", tree)
         object.__setattr__(self, "leaf_array", array)
@@ -366,7 +376,8 @@ class WeightAssignment:
         default: float = 1.0,
     ) -> "WeightAssignment":
         """Fill unmentioned leaves with ``default``; other keys are refused."""
-        return cls(tree, fill_levels(tree, tree.depth, _word_items(mapping), default)[0])
+        (array,) = _mapping_levels(tree, tree.depth, mapping, default)
+        return cls(tree, array)
 
     @cached_property
     def leaf_weights(self) -> Mapping[Vertex, float]:
@@ -411,11 +422,13 @@ class LevelFunction:
     levels: tuple[np.ndarray, ...]
 
     def __init__(
-        self, tree: TreeParams, values: Mapping[Vertex, float] | Sequence[np.ndarray]
+        self,
+        tree: TreeParams,
+        values: Mapping[Vertex, float] | Sequence[np.ndarray],
     ) -> None:
         """From a mapping that names every vertex once, or from the k+1 level arrays."""
         if isinstance(values, Mapping):
-            values = fill_levels(tree, 0, _word_items(values))
+            values = _mapping_levels(tree, 0, values, None)
         object.__setattr__(self, "tree", tree)
         object.__setattr__(self, "levels", _held(tree, 0, values, "vertex value", positive=True))
 
@@ -431,7 +444,7 @@ class LevelFunction:
         default: float = 1.0,
     ) -> "LevelFunction":
         """Fill unmentioned vertices with ``default``; other keys are refused."""
-        return cls(tree, fill_levels(tree, 0, _word_items(mapping), default))
+        return cls(tree, _mapping_levels(tree, 0, mapping, default))
 
     @classmethod
     def by_level(cls, tree: TreeParams, level_values: Sequence[float]) -> "LevelFunction":

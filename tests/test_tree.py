@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -270,6 +271,28 @@ class TestLevelArrays:
         levels[2][3] = 0.0
         with pytest.raises(ConfigurationError, match="2.2"):
             LevelFunction(binary3, levels)
+
+    def test_mapping_constructors_refuse_words_below_the_leaves(self, binary3):
+        deep = vx(1, 1, 1, 1)
+        with pytest.raises(ConfigurationError, match="no such vertex"):
+            WeightAssignment.from_mapping(binary3, {deep: 1.0})
+        with pytest.raises(ConfigurationError, match="no such vertex"):
+            LevelFunction.from_mapping(binary3, {deep: 1.0})
+
+    def test_nan_in_a_full_mapping_is_a_bad_value(self, binary3):
+        weights = {leaf: 1.0 for leaf in binary3.leaves()}
+        weights[vx(2, 2, 1)] = math.nan
+        with pytest.raises(ConfigurationError, match="2.2.1"):
+            WeightAssignment(binary3, weights)
+
+    def test_owned_arrays_are_taken_over_and_views_copied(self, binary3):
+        given = np.ones(8)
+        assert WeightAssignment(binary3, given).leaf_array is given
+        assert not given.flags.writeable
+        base = np.ones(16)
+        weights = WeightAssignment(binary3, base[:8])
+        base[0] = 3.0
+        assert weights.weight(vx(1, 1, 1)) == 1.0
 
     def test_oversized_tree_refused_before_allocation(self):
         assert TreeParams(2, 21).vertex_count <= MAX_TREE_VERTICES

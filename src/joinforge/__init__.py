@@ -45,6 +45,7 @@ from .orbits import (
     Slot,
     equivalent,
     extract_shape,
+    injective_sum,
     orbit_enumerate,
     orbit_size,
     realize_shape,

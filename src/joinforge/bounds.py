@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .orbits import JoinShape, ShapeLeaf, Slot, shape_slots
+from .orbits import JoinShape, ShapeLeaf, Slot, injective_sum, shape_slots
 from .tree import ConfigurationError, LevelFunction, TreeParams, Vertex
 
 CONJUGACY_RTOL = 1e-12
@@ -239,28 +239,25 @@ def k_general(shape: JoinShape, arity: int) -> KGeneralResult:
 
 @dataclass(frozen=True)
 class KBinaryResult:
-    """Sharp binary constant and both readings of the halves condition."""
+    """Sharp binary constant and the halves condition at every join node."""
 
     value: float
-    condition_met: bool  # at every join node
-    top_condition_met: bool  # at the top join node only
+    condition_met: bool
     failing_nodes: tuple[tuple[int, ...], ...]
 
 
 def k_binary(shape: JoinShape, pa: ExponentAssignment) -> KBinaryResult:
     """``2**-(n-1)`` when every branch reciprocal sum is at most one half.
 
-    The condition is checked at every join node, not only the top one; for
-    positive exponents the deeper checks follow from the top one, but both
-    are reported.  When the condition fails the value falls back to the
-    general binary constant 1.
+    The condition is checked at every join node; for positive exponents the
+    deeper checks follow from the top one.  When the condition fails the
+    value falls back to the general binary constant 1.
     """
     for node in _iter_nodes(shape):
         if node.degree != 2:
             raise ConfigurationError("the sharp binary constant needs a binary shape")
     own_sums = _node_reciprocal_sums(shape, pa)
     failing: list[tuple[int, ...]] = []
-    top_sums: list[float] = []
 
     def subtree_sum(node: JoinShape, path: tuple[int, ...]) -> float:
         if isinstance(node, ShapeLeaf):
@@ -268,18 +265,15 @@ def k_binary(shape: JoinShape, pa: ExponentAssignment) -> KBinaryResult:
         branch_sums = [
             subtree_sum(branch, path + (j,)) for j, branch in enumerate(node.branches)
         ]
-        if not path:
-            top_sums.extend(branch_sums)
         if any(s > 0.5 + HALF_TOL for s in branch_sums):
             failing.append(path)
         return own_sums[path] + sum(branch_sums)
 
     subtree_sum(shape, ())
     condition_met = not failing
-    top_condition_met = all(s <= 0.5 + HALF_TOL for s in top_sums)
     n_slots = shape.n_particles - 1
     value = 2.0 ** (-n_slots) if condition_met else 1.0
-    return KBinaryResult(value, condition_met, top_condition_met, tuple(failing))
+    return KBinaryResult(value, condition_met, tuple(failing))
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +390,9 @@ def muirhead_numeric(spec: MuirheadSpec, resolution: int | None = None) -> Muirh
     if m == 1:
         return MuirheadEstimate(1.0, (1.0,), 0.0, n_grid)
 
-    points = np.array(list(_compositions(n_grid, m)), dtype=float) / n_grid
+    # compositions of n_grid into m parts, by stars and bars, in lexicographic order
+    bars = np.array(list(itertools.combinations(range(n_grid + m - 1), m - 1)))
+    points = (np.diff(bars, axis=1, prepend=-1, append=n_grid + m - 1) - 1) / n_grid
     extras = [np.full(m, 1.0 / m)]
     extras.extend(np.eye(m)[i] for i in range(m))
     for i, j in itertools.combinations(range(m), 2):
@@ -422,25 +418,9 @@ def muirhead_numeric(spec: MuirheadSpec, resolution: int | None = None) -> Muirh
     )
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def _symmetric_sum_grid(points: np.ndarray, a: tuple[float, ...]) -> np.ndarray:
-    m = len(a)
-    total = np.zeros(len(points))
-    for sigma in itertools.permutations(range(m)):
-        term = np.ones(len(points))
-        for i, j in enumerate(sigma):
-            if a[i] != 0.0:
-                term = term * np.power(points[:, j], a[i])
-        total += term
-    return total
+    # numpy's 0**0 is 1, the symmetric sum's convention
+    return injective_sum(points.T[None] ** np.array(a)[:, None, None])
 
 
 def _compass_refine(

@@ -20,7 +20,12 @@ from .bounds import (
     validate_exponents,
 )
 from .energy import orbit_energy_bruteforce, orbit_energy_factorized
-from .orbits import EnumerationGuardError, orbit_enumerate, orbit_size
+from .orbits import (
+    DEFAULT_ENUMERATION_GUARD,
+    EnumerationGuardError,
+    orbit_enumerate,
+    orbit_size,
+)
 from .tree import ConfigurationError
 from .verify import (
     CampaignSpec,
@@ -57,13 +62,12 @@ def _build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("orbit", help="orbit size or full enumeration")
     ps.add_argument("action", choices=["size", "enumerate"])
     ps.add_argument("instance")
-    ps.add_argument("--guard", type=int, default=None)
+    ps.add_argument("--guard", type=int, default=DEFAULT_ENUMERATION_GUARD)
 
     ps = sub.add_parser("energy", help="orbit energy of an instance")
     ps.add_argument("instance")
     ps.add_argument("--method", choices=["brute", "factorized"], default="factorized")
-    ps.add_argument("--guard", type=int, default=None)
-    ps.add_argument("--pairwise", action="store_true")
+    ps.add_argument("--guard", type=int, default=DEFAULT_ENUMERATION_GUARD)
 
     ps = sub.add_parser("bound", help="constant and right-hand side for a regime")
     ps.add_argument("instance")
@@ -79,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("instance")
     ps.add_argument("--method", choices=["brute", "factorized"], default="factorized")
     ps.add_argument("--rel-tol", type=float, default=1e-9)
-    ps.add_argument("--guard", type=int, default=None)
+    ps.add_argument("--guard", type=int, default=DEFAULT_ENUMERATION_GUARD)
 
     ps = sub.add_parser("equality-check", help="equality case for a binary instance's shape")
     ps.add_argument("instance")
@@ -141,9 +145,7 @@ def _cmd_orbit(args) -> int:
 def _cmd_energy(args) -> int:
     inst = load_instance(args.instance)
     if args.method == "brute":
-        result = orbit_energy_bruteforce(
-            inst.config, inst.weights, inst.f, guard=args.guard, pairwise=args.pairwise
-        )
+        result = orbit_energy_bruteforce(inst.config, inst.weights, inst.f, guard=args.guard)
     else:
         result = orbit_energy_factorized(inst.config, inst.weights, inst.f)
     _emit({"value": result.value, "method": result.method, "terms": result.terms})

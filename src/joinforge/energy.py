@@ -10,14 +10,14 @@ Two evaluators are provided.  The brute-force one literally enumerates the
 orbit and adds terms; it is the oracle.  The factorized one recurses over
 the canonical join shape: a join node with ``d`` branches contributes the
 vertex value to the power ``d - 1`` and a sum over injective assignments of
-branches to children, a descent segment sums the branch value over all
+branches to children (``orbits.injective_sum``, once for all join vertices
+at a level), a descent segment sums the branch value over all
 same-level descendants, and a lone particle contributes the cylinder mass
 below its anchor.  Both agree to floating-point reassociation.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -25,11 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .orbits import (
+    DEFAULT_ENUMERATION_GUARD,
     Configuration,
     JoinShape,
     ShapeLeaf,
     ShapeNode,
     extract_shape,
+    injective_sum,
     orbit_enumerate,
     shape_orbit_size,
 )
@@ -63,40 +65,20 @@ def orbit_energy_bruteforce(
     config: Configuration,
     weights: WeightAssignment,
     f: LevelFunction,
-    guard: int | None = None,
-    pairwise: bool = False,
+    guard: int = DEFAULT_ENUMERATION_GUARD,
 ) -> EnergyResult:
     """Sum weight products times interaction values over the enumerated orbit.
 
-    Terms are added in enumeration order; ``pairwise=True`` switches to
-    pairwise summation for rounding stress tests.  Propagates the
-    enumeration guard refusal unchanged.
+    Terms are added in enumeration order.  Propagates the enumeration guard
+    refusal unchanged.
     """
-    terms: list[float] = []
     total = 0.0
     count = 0
     for member in orbit_enumerate(config, guard=guard):
         term = math.prod(weights.weight(p) for p in member.particles)
-        term *= interaction_value(f, member)
+        total += term * interaction_value(f, member)
         count += 1
-        if pairwise:
-            terms.append(term)
-        else:
-            total += term
-    if pairwise:
-        total = _pairwise_sum(terms)
     return EnergyResult(total, "bruteforce", count)
-
-
-def _pairwise_sum(xs: list[float]) -> float:
-    if not xs:
-        return 0.0
-    while len(xs) > 1:
-        paired = [xs[i] + xs[i + 1] for i in range(0, len(xs) - 1, 2)]
-        if len(xs) % 2:
-            paired.append(xs[-1])
-        xs = paired
-    return xs[0]
 
 
 def orbit_energy_factorized(
@@ -137,24 +119,18 @@ def factorized_from_shape(
         return joins.reshape(-1, width).sum(axis=1)
 
     def at_join(node: ShapeNode, level: int, lo: int, hi: int) -> np.ndarray:
-        rows = [
-            over_descents(branch, level + 1, branch.gap - 1, lo * m, hi * m)
-            .reshape(-1, m)
-            .tolist()
-            for branch in node.branches
-        ]
+        table = np.array(
+            [
+                over_descents(branch, level + 1, branch.gap - 1, lo * m, hi * m)
+                .reshape(-1, m)
+                .T
+                for branch in node.branches
+            ]
+        )
+        # Python's float power: numpy's differs in the last bit on some values
         d = node.degree
-        values = []
-        for i, fw in enumerate(f.levels[level][lo:hi].tolist()):
-            table = [row[i] for row in rows]
-            assignments = 0.0
-            for chosen in itertools.permutations(range(m), d):
-                product = 1.0
-                for bi, ci in enumerate(chosen):
-                    product *= table[bi][ci]
-                assignments += product
-            values.append(fw ** (d - 1) * assignments)
-        return np.array(values)
+        powers = [fw ** (d - 1) for fw in f.levels[level][lo:hi].tolist()]
+        return np.array(powers) * injective_sum(table)
 
     lo = tree.rank(base.word)
     return float(over_descents(shape, base.level, shape.gap, lo, lo + 1)[0])

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+
+import numpy as np
 
 from .tree import (
     ConfigurationError,
@@ -34,7 +35,10 @@ from .tree import (
 )
 
 DEFAULT_ENUMERATION_GUARD = 10_000_000
-GUARD_ENV_VAR = "JOINFORGE_GUARD"
+# injective_sum adds 1-5 * 10**7 terms per second; refuse sums of over ~10 s
+MAX_INJECTIVE_TERMS = 10**8
+# values per block of maps evaluated at once by injective_sum
+_BLOCK_VALUES = 2**14
 
 
 class EnumerationGuardError(RuntimeError):
@@ -43,19 +47,6 @@ class EnumerationGuardError(RuntimeError):
     def __init__(self, message: str, estimate: int):
         super().__init__(message)
         self.estimate = estimate
-
-
-def resolve_guard(guard: int | None = None) -> int:
-    """Explicit argument wins, then the JOINFORGE_GUARD variable, then the default."""
-    if guard is not None:
-        return int(guard)
-    env = os.environ.get(GUARD_ENV_VAR)
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigurationError(f"{GUARD_ENV_VAR}={env!r} is not an integer") from exc
-    return DEFAULT_ENUMERATION_GUARD
 
 
 @dataclass(frozen=True)
@@ -310,34 +301,87 @@ def _count(shape: JoinShape, m: int, top: bool) -> int:
     return descents * math.perm(m, shape.degree) * inner
 
 
+def injective_sum(table: np.ndarray) -> np.ndarray:
+    """Per column, the sum over injective maps ``c`` of ``prod_b table[b, c(b)]``.
+
+    ``table`` has shape ``(d, m, N)``: row ``b`` holds branch ``b``'s value
+    on each of ``m`` children, for ``N`` independent columns.  This is the
+    join-point sum of the factorized energy and, with ``d = m``, the
+    symmetric sum of the constant estimator.
+
+    Factors multiply in branch order and terms add one at a time in
+    ``itertools.permutations(range(m), d)`` order, so the result rounds
+    exactly as a plain loop over the maps.  The maps run in blocks: a loop
+    over prefixes of ``d - s`` children, each vectorized over the orders of
+    ``s`` of its unused children, with the largest ``s`` whose block holds
+    at most ``_BLOCK_VALUES`` values (but ``s >= 1``).  More than
+    ``MAX_INJECTIVE_TERMS`` terms are refused.
+    """
+    d, m, n = table.shape
+    terms = math.perm(m, d) * n
+    if terms > MAX_INJECTIVE_TERMS:
+        raise ConfigurationError(
+            f"summing {terms} injective assignments ({d} branches on {m} children, "
+            f"{n} join vertices) exceeds the limit of {MAX_INJECTIVE_TERMS} terms"
+        )
+    # s >= 1: a block of one suffix child holds at most m*N values, one table row
+    s = d
+    while s > 1 and math.perm(m - d + s, s) * n > _BLOCK_VALUES:
+        s -= 1
+    orders = _suffix_orders(m - d + s, s)
+    rows = np.arange(s)[:, None]
+    total = np.zeros(n)
+    for prefix in itertools.permutations(range(m), d - s):
+        if prefix:
+            # unused children ascending, so the maps stay in lexicographic order
+            unused = [c for c in range(m) if c not in prefix]
+            factors = table[d - s :, unused][rows, orders]
+            # the prefix factors come first: their product scales the first suffix factor
+            factors[0] *= math.prod(table[b, c] for b, c in enumerate(prefix))
+        else:
+            factors = table[rows, orders]
+        block = np.multiply.reduce(factors, axis=0)
+        total = np.add.accumulate(np.concatenate((total[None], block)))[-1]
+    return total
+
+
+@cache
+def _suffix_orders(k: int, s: int) -> np.ndarray:
+    """``itertools.permutations(range(k), s)`` as a read-only ``(s, count)`` array."""
+    count = math.perm(k, s)
+    flat = itertools.chain.from_iterable(itertools.permutations(range(k), s))
+    orders = np.fromiter(flat, dtype=np.intp, count=count * s).reshape(count, s).T.copy()
+    orders.setflags(write=False)
+    return orders
+
+
 def orbit_size(config: Configuration) -> int:
     return shape_orbit_size(extract_shape(config), config.tree.arity)
 
 
 def orbit_enumerate(
-    config: Configuration, guard: int | None = None
+    config: Configuration, guard: int = DEFAULT_ENUMERATION_GUARD
 ) -> Iterator[Configuration]:
     """Yield every ordered tuple in the orbit exactly once.
 
     Works by scanning ordered tuples of distinct leaves below the base and
     keeping those with the same canonical shape.  Refuses up front when
     either the orbit size estimate or the count of all ordered tuples
-    exceeds the guard (default 10**7, overridable via the JOINFORGE_GUARD
-    variable), since a filter scan must not silently hang.
+    exceeds the guard (default 10**7), since a filter scan must not
+    silently hang.
     """
-    limit = resolve_guard(guard)
     estimate = orbit_size(config)
-    if estimate > limit:
+    if estimate > guard:
         raise EnumerationGuardError(
-            f"estimated orbit size {estimate} exceeds the enumeration guard {limit}; "
+            f"estimated orbit size {estimate} exceeds the enumeration guard {guard}; "
             "use the factorized evaluator instead",
             estimate,
         )
     pool = list(config.tree.leaves_below(config.base))
     scan = math.perm(len(pool), config.n)
-    if scan > limit:
+    if scan > guard:
         raise EnumerationGuardError(
-            f"scanning {scan} ordered tuples exceeds the enumeration guard {limit}; "
+            f"scanning {scan} ordered tuples exceeds the enumeration guard {guard}; "
             "use the factorized evaluator instead",
             scan,
         )

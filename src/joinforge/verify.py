@@ -41,6 +41,7 @@ from .energy import (
     orbit_energy_bruteforce,
 )
 from .orbits import (
+    DEFAULT_ENUMERATION_GUARD,
     Configuration,
     EnumerationGuardError,
     JoinShape,
@@ -69,7 +70,6 @@ DEFAULT_REL_TOL = 1e-9
 FLAG_ESTIMATED_K = "estimated-K"
 FLAG_BRACKET_K = "bracket-upper-K"
 FLAG_CONDITION_RECURSIVE = "halves-condition-failure"
-FLAG_CONDITION_TOP_ONLY = "halves-condition-top-only"
 FLAG_ENUMERATION_GUARD = "enumeration-guard"
 FLAG_INVALID_EXPONENTS = "invalid-exponents"
 FLAG_SKIPPED = "skipped-condition-not-met"
@@ -332,8 +332,6 @@ def resolve_constant(inst: Instance) -> tuple[float, tuple[str, ...]]:
         k = kb.value
         if not kb.condition_met:
             flags.append(FLAG_CONDITION_RECURSIVE)
-            if kb.top_condition_met:
-                flags.append(FLAG_CONDITION_TOP_ONLY)
     elif inst.regime == "inductive":
         ki = k_inductive(inst.shape, inst.exponents, inst.tree.arity)
         k = ki.value
@@ -356,7 +354,7 @@ def check_inequality(
     inst: Instance,
     rel_tol: float = DEFAULT_REL_TOL,
     method: str = "factorized",
-    guard: int | None = None,
+    guard: int = DEFAULT_ENUMERATION_GUARD,
 ) -> Report:
     """Evaluate both sides of the bound and report the outcome.
 
@@ -561,6 +559,12 @@ def reproduce_example(
 # ---------------------------------------------------------------------------
 
 
+# random instances: log-uniform weight and f ranges, and the share of zero weights
+WEIGHT_LOW, WEIGHT_HIGH = 1e-3, 1e3
+ZERO_WEIGHT_PROB = 0.05
+F_LOW, F_HIGH = 1e-3, 1e3
+
+
 @dataclass(frozen=True)
 class InstanceRanges:
     """Sampling ranges for seeded random instances."""
@@ -568,11 +572,6 @@ class InstanceRanges:
     arities: tuple[int, ...] = (2, 3)
     max_depth: int = 4
     max_particles: int = 6
-    weight_low: float = 1e-3
-    weight_high: float = 1e3
-    zero_weight_prob: float = 0.05
-    f_low: float = 1e-3
-    f_high: float = 1e3
     regime: str = "general"
 
     def __post_init__(self) -> None:
@@ -589,10 +588,6 @@ class InstanceRanges:
             )
         if self.regime == "binary_optimal" and set(self.arities) != {2}:
             raise ConfigurationError("the binary-optimal regime samples binary trees only")
-        if not (0.0 < self.weight_low <= self.weight_high):
-            raise ConfigurationError("weight range must satisfy 0 < low <= high")
-        if not (0.0 < self.f_low <= self.f_high):
-            raise ConfigurationError("f range must satisfy 0 < low <= high")
 
 
 def random_instance(seed: int, ranges: InstanceRanges = InstanceRanges()) -> Instance:
@@ -624,15 +619,15 @@ def random_instance(seed: int, ranges: InstanceRanges = InstanceRanges()) -> Ins
 
     # one draw after another in rank order, with Python's float power
     # (numpy's differs in the last bit on some values)
-    w_lo, w_hi = math.log10(ranges.weight_low), math.log10(ranges.weight_high)
+    w_lo, w_hi = math.log10(WEIGHT_LOW), math.log10(WEIGHT_HIGH)
     (mu,) = level_arrays(tree, k, 0.0)
     mu[:] = [
-        0.0 if rng.random() < ranges.zero_weight_prob else 10.0 ** rng.uniform(w_lo, w_hi)
+        0.0 if rng.random() < ZERO_WEIGHT_PROB else 10.0 ** rng.uniform(w_lo, w_hi)
         for _ in range(mu.size)
     ]
     weights = WeightAssignment(tree, mu)
 
-    f_lo, f_hi = math.log10(ranges.f_low), math.log10(ranges.f_high)
+    f_lo, f_hi = math.log10(F_LOW), math.log10(F_HIGH)
     f_levels = level_arrays(tree, 0, 0.0)
     for values in f_levels:
         values[:] = [10.0 ** rng.uniform(f_lo, f_hi) for _ in range(values.size)]

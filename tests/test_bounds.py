@@ -33,6 +33,8 @@ from joinforge import (
     validate_exponents,
 )
 
+from joinforge.bounds import _symmetric_sum_grid
+
 from conftest import vx
 
 
@@ -200,7 +202,7 @@ class TestKGeneral:
 class TestKBinary:
     def test_worked_example_met(self, worked_shape):
         result = k_binary(worked_shape, ExponentAssignment((3.0, 3.0, 3.0)))
-        assert result.condition_met and result.top_condition_met
+        assert result.condition_met
         assert result.value == 0.125
 
     def test_two_particles_vacuous(self, binary3):
@@ -216,7 +218,6 @@ class TestKBinary:
     def test_condition_violation_falls_back_to_one(self, worked_shape):
         result = k_binary(worked_shape, ExponentAssignment((6.0, 1.5, 6.0)))
         assert not result.condition_met
-        assert not result.top_condition_met
         assert result.value == 1.0
         assert result.failing_nodes == ((),)
 
@@ -225,23 +226,6 @@ class TestKBinary:
         config = Configuration(tree, ROOT, (vx(1), vx(2), vx(3)))
         with pytest.raises(ConfigurationError):
             k_binary(extract_shape(config), ExponentAssignment((2.0, 2.0)))
-
-    def test_top_implies_recursive_for_positive_exponents(self, binary3):
-        # deeper branch sums are strict sub-sums of the top ones, so a top
-        # pass can never hide a deeper failure
-        rng = random.Random(40)
-        leaves = list(binary3.leaves())
-        for _ in range(50):
-            config = Configuration(binary3, ROOT, tuple(rng.sample(leaves, rng.randint(2, 6))))
-            shape = extract_shape(config)
-            q = np.clip(rng.random(), 1e-9, None)
-            reciprocals = np.random.default_rng(rng.randint(0, 10**6)).dirichlet(
-                np.ones(config.n - 1)
-            )
-            pa = ExponentAssignment(tuple(1.0 / np.clip(reciprocals, 1e-9, None)))
-            result = k_binary(shape, pa)
-            if result.top_condition_met:
-                assert result.condition_met
 
 
 class TestSymmetricSum:
@@ -263,6 +247,23 @@ class TestSymmetricSum:
     def test_zero_to_the_zero(self):
         got = symmetric_sum((0.0, 1.0), MuirheadSpec((2.0, 0.0)))
         assert got == pytest.approx(1.0)  # 0^2*1^0 + 1^2*0^0 = 0 + 1
+
+
+class TestSymmetricSumGrid:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_matches_symmetric_sum(self, m):
+        rng = np.random.default_rng(m)
+        points = rng.dirichlet(np.ones(m), 30)
+        points[rng.random(points.shape) < 0.3] = 0.0
+        points[0] = 0.0
+        points[1] = np.eye(m)[0]
+        for _ in range(6):
+            a = rng.uniform(0.0, 3.0, m)
+            a[rng.random(m) < 0.4] = 0.0
+            spec = MuirheadSpec(tuple(a))
+            got = _symmetric_sum_grid(points, spec.a)
+            want = [symmetric_sum(x, spec) for x in points]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 class TestMuirheadClosedForm:

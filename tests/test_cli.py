@@ -197,6 +197,19 @@ class TestCliContract:
         assert code == 2 and captured.out == ""
         assert "limit" in captured.err and elapsed < 1.0
 
+    def test_oversized_join_sum_exit_two_fast(self, capsys, tmp_path):
+        # a full star on 12 children sums 12! = 479,001,600 assignments
+        doc = {"m": 12, "k": 1, "config": [[c] for c in range(1, 13)], "p": [11.0] * 11}
+        bad = tmp_path / "star.json"
+        bad.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code = main(["verify", str(bad)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "479001600" in captured.err and str(orbits.MAX_INJECTIVE_TERMS) in captured.err
+        assert elapsed < 1.0
+
     def test_fuzz_oversized_tree_exit_two(self, capsys):
         # seed 0 draws k = 35 of 1..40
         code = main(["fuzz", "--seeds", "0..1", "--m", "10", "--k", "40"])
@@ -239,9 +252,8 @@ class TestCliContract:
             main(["orbit", "nonsense", "whatever.json"])
         assert exc.value.code == 2
 
-    def test_guard_refusal(self, capsys, worked_file, monkeypatch):
-        monkeypatch.setenv("JOINFORGE_GUARD", "3")
-        code, payload = run_cli(capsys, "orbit", "enumerate", worked_file)
+    def test_guard_refusal(self, capsys, worked_file):
+        code, payload = run_cli(capsys, "orbit", "enumerate", worked_file, "--guard", "3")
         assert code == 1
         assert payload["estimate"] == 64
 

@@ -73,13 +73,6 @@ class TestBruteForce:
         result = orbit_energy_bruteforce(worked_config, weights, f)
         assert result.value == pytest.approx(64 * 2.0 * 3.0 * 5.0, rel=1e-12)
 
-    def test_pairwise_summation_agrees(self, worked_config):
-        rng = random.Random(5)
-        weights, f = random_data(worked_config.tree, rng)
-        plain = orbit_energy_bruteforce(worked_config, weights, f)
-        paired = orbit_energy_bruteforce(worked_config, weights, f, pairwise=True)
-        assert paired.value == pytest.approx(plain.value, rel=1e-12)
-
 
 class TestFactorized:
     def test_worked_example_units(self, worked_config):

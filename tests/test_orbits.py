@@ -16,8 +16,10 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
+from joinforge import orbits
 from joinforge import (
     Configuration,
     ConfigurationError,
@@ -29,6 +31,7 @@ from joinforge import (
     Vertex,
     equivalent,
     extract_shape,
+    injective_sum,
     join_multiset,
     orbit_enumerate,
     orbit_size,
@@ -212,13 +215,6 @@ class TestOrbitEnumerate:
             orbit_enumerate(worked_config, guard=10)
         assert err.value.estimate == 64
 
-    def test_guard_env_override(self, worked_config, monkeypatch):
-        monkeypatch.setenv("JOINFORGE_GUARD", "10")
-        with pytest.raises(EnumerationGuardError):
-            orbit_enumerate(worked_config)
-        monkeypatch.setenv("JOINFORGE_GUARD", "100000")
-        assert len(list(orbit_enumerate(worked_config))) == 64
-
     def test_duplicate_free_on_random_configs(self, ternary2):
         rng = random.Random(31)
         leaves = list(ternary2.leaves())
@@ -271,3 +267,51 @@ class TestRealizeShape:
         rebuilt = realize_shape(binary3, vx(2), shape)
         assert extract_shape(rebuilt) == shape
         assert all(vx(2).ancestor_of(p) for p in rebuilt.particles)
+
+
+def injective_sum_loop(table: np.ndarray) -> np.ndarray:
+    """One join vertex at a time, one map at a time, in permutations order."""
+    d, m, n = table.shape
+    rows = table.tolist()
+    values = []
+    for i in range(n):
+        total = 0.0
+        for chosen in itertools.permutations(range(m), d):
+            product = 1.0
+            for b, c in enumerate(chosen):
+                product *= rows[b][c][i]
+            total += product
+        values.append(total)
+    return np.array(values)
+
+
+class TestInjectiveSum:
+    @pytest.mark.parametrize(
+        "m, d, n",
+        [(m, d, n) for m in range(1, 6) for d in range(1, m + 1) for n in (1, 4)]
+        + [(6, 3, 4), (7, 4, 4), (7, 7, 1), (7, 7, 4), (3, 2, 5000), (4, 4, 5000), (5, 2, 5000)],
+    )
+    @pytest.mark.parametrize("block", [orbits._BLOCK_VALUES, 1, 7], ids=["default", "1", "7"])
+    def test_equals_plain_loop(self, monkeypatch, m, d, n, block):
+        # smaller blocks split prefixes at every suffix length, down to s = 1;
+        # at the default size, m = d = 7 with n = 4 and the n = 5000 cases
+        # split too, and (5, 2, 5000) has s = 1
+        monkeypatch.setattr(orbits, "_BLOCK_VALUES", block)
+        rng = np.random.default_rng(1000 * m + 10 * d + n)
+        table = rng.uniform(0.0, 3.0, (d, m, n))
+        table[rng.random(table.shape) < 0.2] = 0.0
+        got = injective_sum(table)
+        assert got.shape == (n,)
+        assert np.array_equal(got, injective_sum_loop(table))
+
+    def test_counts_injective_maps(self):
+        # more branches than children leave no injective map
+        for m in range(1, 7):
+            for d in range(1, m + 2):
+                assert injective_sum(np.ones((d, m, 3))).tolist() == [math.perm(m, d)] * 3
+
+    def test_term_limit(self, monkeypatch):
+        monkeypatch.setattr(orbits, "MAX_INJECTIVE_TERMS", 6)
+        assert injective_sum(np.ones((2, 3, 1))).tolist() == [6.0]
+        with pytest.raises(ConfigurationError, match="12 injective assignments.*limit of 6"):
+            injective_sum(np.ones((2, 3, 2)))

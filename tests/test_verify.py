@@ -133,9 +133,8 @@ class TestCheckInequality:
         assert report.metadata["orbit_terms"] == 64
         assert report.passed
 
-    def test_guard_falls_back_to_factorized(self, monkeypatch):
-        monkeypatch.setenv("JOINFORGE_GUARD", "5")
-        report = check_inequality(worked_instance(), method="brute")
+    def test_guard_falls_back_to_factorized(self):
+        report = check_inequality(worked_instance(), method="brute", guard=5)
         assert "enumeration-guard" in report.flags
         assert report.metadata["method"] == "factorized"
         assert report.passed
@@ -151,8 +150,8 @@ class TestCheckInequality:
                     return _original(*args)
 
                 monkeypatch.setattr(module, name, counted)
-        monkeypatch.setenv("JOINFORGE_GUARD", "5")  # brute falls back to factorized
-        report = check_inequality(worked_instance(), method=method)
+        # with guard 5, brute falls back to factorized
+        report = check_inequality(worked_instance(), method=method, guard=5)
         assert report.passed and report.metadata["method"] == "factorized"
         assert counts == {"extract_shape": 1, "cylinder_masses": 1}
 

@@ -37,6 +37,7 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -135,11 +136,6 @@ def _node_reciprocal_sums(
 # ---------------------------------------------------------------------------
 # Level power sums and the product bound
 # ---------------------------------------------------------------------------
-
-
-def _pow(x: float, e: float) -> float:
-    # 0**0 := 1, applied wherever powers of possibly-zero masses appear
-    return 1.0 if e == 0.0 else x**e
 
 
 def level_power_sum(
@@ -309,17 +305,24 @@ class MuirheadSpec:
 
 
 def symmetric_sum(x: Sequence[float], spec: MuirheadSpec) -> float:
-    """Exact sum over all ``m!`` permutations, with the ``0**0 = 1`` convention."""
-    if len(x) != spec.m:
-        raise ConfigurationError(f"need {spec.m} variables, got {len(x)}")
+    """Exact sum over all ``m!`` permutations, with the ``0**0 = 1`` convention.
+
+    Each power ``x_j**a_i`` is taken once.  A zero exponent's factor is
+    exactly 1.0, so it is left out; the other factors multiply in row order
+    and the terms add in ``itertools.permutations`` order.
+    """
+    a = spec.a
+    if len(x) != len(a):
+        raise ConfigurationError(f"need {len(a)} variables, got {len(x)}")
     xs = [float(v) for v in x]
     if any(not v >= 0.0 for v in xs):
         raise ConfigurationError(f"variables must be >= 0, got {xs}")
+    rows = [(i, [v**ai for v in xs]) for i, ai in enumerate(a) if ai != 0.0]
     total = 0.0
-    for sigma in itertools.permutations(range(spec.m)):
+    for sigma in itertools.permutations(range(len(a))):
         term = 1.0
-        for i, j in enumerate(sigma):
-            term *= _pow(xs[j], spec.a[i])
+        for i, powers in rows:
+            term *= powers[sigma[i]]
         total += term
     return total
 
@@ -354,6 +357,7 @@ def muirhead_closed_form(spec: MuirheadSpec) -> MuirheadValue:
 
 
 _DEFAULT_RESOLUTION = {1: 1, 2: 512, 3: 96, 4: 40, 5: 24}
+MAX_GRID_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -390,17 +394,7 @@ def muirhead_numeric(spec: MuirheadSpec, resolution: int | None = None) -> Muirh
     if m == 1:
         return MuirheadEstimate(1.0, (1.0,), 0.0, n_grid)
 
-    # compositions of n_grid into m parts, by stars and bars, in lexicographic order
-    bars = np.array(list(itertools.combinations(range(n_grid + m - 1), m - 1)))
-    points = (np.diff(bars, axis=1, prepend=-1, append=n_grid + m - 1) - 1) / n_grid
-    extras = [np.full(m, 1.0 / m)]
-    extras.extend(np.eye(m)[i] for i in range(m))
-    for i, j in itertools.combinations(range(m), 2):
-        x = np.zeros(m)
-        x[i] = x[j] = 0.5
-        extras.append(x)
-    points = np.vstack([points, np.array(extras)])
-
+    points = _simplex_grid(m, n_grid)
     values = _symmetric_sum_grid(points, spec.a)
     order = np.argsort(values)[::-1]
     best_value = -math.inf
@@ -418,20 +412,60 @@ def muirhead_numeric(spec: MuirheadSpec, resolution: int | None = None) -> Muirh
     )
 
 
+@lru_cache(maxsize=4)
+def _simplex_grid(m: int, n_grid: int) -> np.ndarray:
+    """The estimator's start points on the simplex, a read-only ``(count, m)`` array.
+
+    The compositions of ``n_grid`` into ``m`` parts over ``n_grid``, in
+    lexicographic order (by stars and bars), then the barycentre, the
+    vertices and the edge midpoints.  A grid of more than
+    ``MAX_GRID_POINTS`` compositions is refused before it is built.  The
+    cache holds the four default grids (m = 2..5); a resolution is user
+    input, so it holds no more.
+    """
+    count = math.comb(n_grid + m - 1, m - 1)
+    if count > MAX_GRID_POINTS:
+        raise ConfigurationError(
+            f"a resolution-{n_grid} grid on {m} variables has {count} points, "
+            f"over the limit of {MAX_GRID_POINTS}"
+        )
+    flat = itertools.chain.from_iterable(
+        itertools.combinations(range(n_grid + m - 1), m - 1)
+    )
+    bars = np.fromiter(flat, dtype=np.intp, count=count * (m - 1)).reshape(count, m - 1)
+    points = (np.diff(bars, axis=1, prepend=-1, append=n_grid + m - 1) - 1) / n_grid
+    extras = [np.full(m, 1.0 / m)]
+    extras.extend(np.eye(m)[i] for i in range(m))
+    for i, j in itertools.combinations(range(m), 2):
+        x = np.zeros(m)
+        x[i] = x[j] = 0.5
+        extras.append(x)
+    points = np.vstack([points, np.array(extras)])
+    points.setflags(write=False)
+    return points
+
+
 def _symmetric_sum_grid(points: np.ndarray, a: tuple[float, ...]) -> np.ndarray:
     # numpy's 0**0 is 1, the symmetric sum's convention
     return injective_sum(points.T[None] ** np.array(a)[:, None, None])
 
 
 def _compass_refine(
-    x0: np.ndarray, spec: MuirheadSpec, step: float, min_step: float = 1e-10
-) -> tuple[np.ndarray, float]:
-    """Pattern search along simplex edge directions with geometric step decay."""
+    x0: Sequence[float], spec: MuirheadSpec, step: float, min_step: float = 1e-10
+) -> tuple[list[float], float]:
+    """Pattern search along simplex edge directions with geometric step decay.
+
+    A move shifts ``step`` from coordinate ``j`` to ``i`` and is kept when it
+    raises the sum.  ``tried`` holds the sums at the current point and at the
+    points tried at the current step, so a point reached twice before the
+    step halves is evaluated once.  The cap of 20000 counts every move.
+    """
     m = spec.m
-    x = np.asarray(x0, dtype=float).copy()
+    x = [float(v) for v in x0]
     fx = symmetric_sum(x, spec)
-    evals = 0
-    while step > min_step and evals < 20000:
+    tried = {tuple(x): fx}
+    moves = 0
+    while step > min_step and moves < 20000:
         improved = False
         for i, j in itertools.permutations(range(m), 2):
             if x[j] < step - 1e-15:
@@ -439,13 +473,17 @@ def _compass_refine(
             y = x.copy()
             y[i] += step
             y[j] = max(y[j] - step, 0.0)
-            fy = symmetric_sum(y, spec)
-            evals += 1
+            key = tuple(y)
+            fy = tried.get(key)
+            if fy is None:
+                fy = tried[key] = symmetric_sum(y, spec)
+            moves += 1
             if fy > fx:
                 x, fx = y, fy
                 improved = True
         if not improved:
             step *= 0.5
+            tried = {tuple(x): fx}
     return x, fx
 
 

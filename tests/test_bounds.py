@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -33,9 +34,98 @@ from joinforge import (
     validate_exponents,
 )
 
-from joinforge.bounds import _symmetric_sum_grid
+from joinforge import bounds
+from joinforge.bounds import _simplex_grid, _symmetric_sum_grid
 
 from conftest import vx
+
+
+def reference_symmetric_sum(x, a):
+    """The permutation loop as first written: every factor, ``0**0 = 1``."""
+    total = 0.0
+    for sigma in itertools.permutations(range(len(a))):
+        term = 1.0
+        for i, j in enumerate(sigma):
+            term *= 1.0 if a[i] == 0.0 else float(x[j]) ** a[i]
+        total += term
+    return total
+
+
+def reference_grid(m, n_grid):
+    """Stars-and-bars compositions plus centre, vertices and edge midpoints."""
+    bars = np.array(list(itertools.combinations(range(n_grid + m - 1), m - 1)))
+    points = (np.diff(bars, axis=1, prepend=-1, append=n_grid + m - 1) - 1) / n_grid
+    extras = [np.full(m, 1.0 / m)]
+    extras.extend(np.eye(m)[i] for i in range(m))
+    for i, j in itertools.combinations(range(m), 2):
+        x = np.zeros(m)
+        x[i] = x[j] = 0.5
+        extras.append(x)
+    return np.vstack([points, np.array(extras)])
+
+
+def reference_refine(x0, a, step, log=None):
+    """Pattern search on numpy copies, one evaluation per move.
+
+    ``log`` collects ``(step, point)`` per move and ``("start", step, point)``
+    when a step length begins.
+    """
+    m = len(a)
+    x = np.asarray(x0, dtype=float).copy()
+    fx = reference_symmetric_sum(x, a)
+    evals = 0
+    if log is not None:
+        log.append(("start", step, tuple(x)))
+    while step > 1e-10 and evals < 20000:
+        improved = False
+        for i, j in itertools.permutations(range(m), 2):
+            if x[j] < step - 1e-15:
+                continue
+            y = x.copy()
+            y[i] += step
+            y[j] = max(y[j] - step, 0.0)
+            fy = reference_symmetric_sum(y, a)
+            evals += 1
+            if log is not None:
+                log.append((step, tuple(y)))
+            if fy > fx:
+                x, fx = y, fy
+                improved = True
+        if not improved:
+            step *= 0.5
+            if log is not None and step > 1e-10 and evals < 20000:
+                log.append(("start", step, tuple(x)))
+    return x, fx
+
+
+def reference_numeric(a, n_grid):
+    """``(value, maximizer, uncertainty)`` by the uncached grid and the plain refine."""
+    m = len(a)
+    points = reference_grid(m, n_grid)
+    values = _symmetric_sum_grid(points, a)
+    order = np.argsort(values)[::-1]
+    best_value = -math.inf
+    best_x = points[order[0]]
+    for idx in order[:3]:
+        x, v = reference_refine(points[idx], a, 1.0 / n_grid)
+        if v > best_value:
+            best_value, best_x = v, x
+    uncertainty = math.factorial(m) * sum(
+        bounds._continuity_step(1.0 / n_grid, ai) for ai in a
+    )
+    return float(best_value), tuple(float(v) for v in best_x), uncertainty
+
+
+def case_ii_specs(m, zeros, count, seed):
+    """Random bracket-only exponent vectors with ``zeros`` trailing zeros."""
+    rng = random.Random(seed)
+    specs = []
+    while len(specs) < count:
+        live = [rng.uniform(0.0, 3.0) for _ in range(m - zeros)]
+        spec = MuirheadSpec(tuple(live) + (0.0,) * zeros)
+        if spec.s > 0.0 and muirhead_closed_form(spec).case == "ii":
+            specs.append(spec)
+    return specs
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +338,23 @@ class TestSymmetricSum:
         got = symmetric_sum((0.0, 1.0), MuirheadSpec((2.0, 0.0)))
         assert got == pytest.approx(1.0)  # 0^2*1^0 + 1^2*0^0 = 0 + 1
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_bit_identical_to_permutation_loop(self, m):
+        rng = random.Random(100 + m)
+        for _ in range(300):
+            x = [rng.uniform(0.0, 2.0) if rng.random() > 0.3 else 0.0 for _ in range(m)]
+            a = [rng.uniform(0.0, 3.0) if rng.random() > 0.4 else 0.0 for _ in range(m)]
+            got = symmetric_sum(x, MuirheadSpec(tuple(a)))
+            assert got == reference_symmetric_sum(x, a)
+
+    def test_refuses_bad_variables(self):
+        spec = MuirheadSpec((2.0, 0.0))
+        with pytest.raises(ConfigurationError, match="need 2 variables"):
+            symmetric_sum((1.0,), spec)
+        for bad in (-0.5, math.nan):
+            with pytest.raises(ConfigurationError, match=">= 0"):
+                symmetric_sum((bad, 1.0), spec)
+
 
 class TestSymmetricSumGrid:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -340,6 +447,61 @@ class TestMuirheadNumeric:
             estimate = muirhead_numeric(spec)
             if closed.exact:
                 assert closed.value <= estimate.value + estimate.uncertainty
+
+    @pytest.mark.parametrize(
+        "m, zeros, n_grid, count",
+        [(2, 0, 512, 8), (3, 0, 96, 6), (3, 1, 96, 6), (4, 2, 10, 6), (4, 1, 6, 4),
+         (5, 3, 8, 4), (5, 0, 5, 4)],
+    )
+    def test_bit_identical_to_reference_search(self, m, zeros, n_grid, count):
+        for spec in case_ii_specs(m, zeros, count, seed=10 * m + zeros):
+            got = muirhead_numeric(spec, n_grid)
+            want = reference_numeric(spec.a, n_grid)
+            assert (got.value, got.maximizer, got.uncertainty) == want
+
+    def test_grid_cached_read_only(self):
+        grid = _simplex_grid(3, 96)
+        assert _simplex_grid(3, 96) is grid
+        assert np.array_equal(grid, reference_grid(3, 96))
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0, 0] = 1.0
+
+    def test_grid_limit(self, monkeypatch):
+        _simplex_grid.cache_clear()
+        monkeypatch.setattr(bounds, "MAX_GRID_POINTS", math.comb(12, 2))
+        spec = MuirheadSpec((3.0, 0.0, 0.0))
+        assert muirhead_numeric(spec, 10).resolution == 10  # 66 points, at the limit
+        with pytest.raises(ConfigurationError, match="78 points, over the limit of 66"):
+            muirhead_numeric(spec, 11)
+
+    @pytest.mark.parametrize(
+        "a, x0, step",
+        [((2.5, 0.3, 0.0), (0.5, 0.25, 0.25), 1.0 / 8),
+         # a step too short to reach the maximum: the search stops at the cap
+         ((0.5, 0.0, 0.0), (0.8, 0.1, 0.1), 1e-5)],
+        ids=["floor", "cap"],
+    )
+    def test_each_point_evaluated_once_per_step(self, monkeypatch, a, x0, step):
+        spec = MuirheadSpec(a)
+        log = []
+        want_x, want_fx = reference_refine(x0, a, step, log)
+        moves = [entry for entry in log if entry[0] != "start"]
+        known = {(step, x) for _, step, x in (e for e in log if e[0] == "start")}
+        needed = {move for move in moves if move not in known}
+        assert step > 1e-3 or len(moves) >= 20000
+
+        evaluated = []
+
+        def counting(x, spec):
+            evaluated.append(tuple(x))
+            return symmetric_sum(x, spec)
+
+        monkeypatch.setattr(bounds, "symmetric_sum", counting)
+        x, fx = bounds._compass_refine(x0, spec, step)
+        assert (tuple(x), fx) == (tuple(want_x), want_fx)
+        assert len(evaluated) == 1 + len(needed) < len(moves)
+        assert set(evaluated[1:]) == {x for _, x in needed}
 
     def test_coarse_resolution_widens_uncertainty(self):
         spec = MuirheadSpec((1.0, 1.0))

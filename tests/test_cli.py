@@ -18,7 +18,7 @@ from joinforge import (
     random_instance,
     worked_example_configuration,
 )
-from joinforge import orbits
+from joinforge import bounds, orbits
 from joinforge.cli import main
 
 
@@ -208,6 +208,16 @@ class TestCliContract:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "479001600" in captured.err and str(orbits.MAX_INJECTIVE_TERMS) in captured.err
+        assert elapsed < 1.0
+
+    def test_oversized_numeric_grid_exit_two_fast(self, capsys):
+        # comb(100002, 2) = 5,000,150,001 grid points at resolution 100000
+        start = time.perf_counter()
+        code = main(["kconst", "--m", "3", "--a", "3", "0", "0", "--numeric", "100000"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "5000150001" in captured.err and str(bounds.MAX_GRID_POINTS) in captured.err
         assert elapsed < 1.0
 
     def test_fuzz_oversized_tree_exit_two(self, capsys):

@@ -31,7 +31,7 @@ tree = config.tree
 print("configuration:", config.to_text())
 print("join multiset:", {v.to_text() or "root": r for v, r in config.join_multiset().items()})
 print("orbit size   :", orbit_size(config))
-print("canonical shape:", extract_shape(config).serialize())
+print("canonical shape:", extract_shape(config).serialized)
 
 # the interaction value multiplies f over the join points
 f_example = LevelFunction.by_level(tree, [2.0, 3.0, 5.0, 1.0])

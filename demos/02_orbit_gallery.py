@@ -34,7 +34,7 @@ for n in (2, 3):
     for shape, members in sorted(groups.items(), key=lambda kv: kv[0].serialized):
         predicted = shape_orbit_size(shape, tree.arity)
         print(
-            f"  shape {shape.serialize():24s}  size {len(members):4d}"
+            f"  shape {shape.serialized:24s}  size {len(members):4d}"
             f"  (formula {predicted})  e.g. {members[0].to_text()}"
         )
         assert predicted == len(members)

@@ -35,7 +35,7 @@ for seed in range(8):
 print("\n=== recursion ledger for one binary-optimal instance ===")
 inst = random_instance(3, InstanceRanges(arities=(2,), regime="binary_optimal"))
 result = k_inductive(inst.shape, inst.exponents, 2)
-print("shape:", inst.shape.serialize())
+print("shape:", inst.shape.serialized)
 print("accumulated K:", result.value, " (2^-(n-1) =", 2.0 ** (-(inst.config.n - 1)), ")")
 for entry in result.ledger.entries:
     print(

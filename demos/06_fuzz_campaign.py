@@ -9,6 +9,7 @@ Run:  python3 demos/06_fuzz_campaign.py
 """
 
 import json
+import os
 import tempfile
 
 from joinforge import CampaignSpec, InstanceRanges, fuzz_campaign
@@ -27,7 +28,9 @@ summary = fuzz_campaign(spec)
 print("pass:", summary.passed, " count:", summary.count,
       " min ratio:", summary.min_ratio, " median:", round(summary.median_ratio, 6))
 
-with tempfile.NamedTemporaryFile("r", suffix=".csv", delete=False) as handle:
-    summary.write_ratio_csv(handle.name)
-    lines = open(handle.name).read().splitlines()
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "ratios.csv")
+    summary.write_ratio_csv(path)
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
 print("per-seed CSV header + first rows:", lines[:4])

@@ -39,10 +39,10 @@ from .energy import (
 from .orbits import (
     Configuration,
     EnumerationGuardError,
+    JoinNode,
     JoinShape,
     ShapeLeaf,
     ShapeNode,
-    Slot,
     equivalent,
     extract_shape,
     injective_sum,
@@ -51,7 +51,6 @@ from .orbits import (
     realize_shape,
     shape_join_levels,
     shape_orbit_size,
-    shape_slots,
 )
 from .tree import (
     ROOT,

@@ -42,7 +42,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .orbits import JoinShape, ShapeLeaf, Slot, injective_sum, shape_slots
+from .orbits import (
+    JoinNode,
+    JoinShape,
+    checked_join_nodes,
+    injective_sum,
+    shape_join_levels,
+)
 from .tree import ConfigurationError, LevelFunction, TreeParams, Vertex
 
 CONJUGACY_RTOL = 1e-12
@@ -111,26 +117,33 @@ def validate_exponents(
     return None
 
 
-def _bind_slots(
-    shape: JoinShape, pa: ExponentAssignment, base_level: int = 0
-) -> tuple[Slot, ...]:
-    """The shape's slots, refusing an assignment with the wrong slot count."""
-    slots = shape_slots(shape, base_level)
-    if len(slots) != pa.n_slots:
+def _require_slot_count(shape: JoinShape, pa: ExponentAssignment) -> None:
+    n_slots = shape.n_particles - 1
+    if pa.n_slots != n_slots:
         raise ConfigurationError(
-            f"exponent assignment has {pa.n_slots} slots, shape needs {len(slots)}"
+            f"exponent assignment has {pa.n_slots} slots, shape needs {n_slots}"
         )
-    return slots
 
 
-def _node_reciprocal_sums(
+def _reciprocal_sums(
     shape: JoinShape, pa: ExponentAssignment
-) -> dict[tuple[int, ...], float]:
-    """Sum of the exponent reciprocals each join node owns, keyed by node path."""
-    owned: dict[tuple[int, ...], list[float]] = {}
-    for slot, q in zip(_bind_slots(shape, pa), pa.reciprocals()):
-        owned.setdefault(slot.node_path, []).append(q)
-    return {path: sum(qs) for path, qs in owned.items()}
+) -> list[tuple[JoinNode, float, list[float]]]:
+    """Per join node, children first: its own reciprocal sum and each branch's.
+
+    A node's own sum adds its slot reciprocals in slot order; a branch's sum
+    covers every slot in the branch's subtree, and is 0.0 for a leaf.
+    """
+    _require_slot_count(shape, pa)
+    q = pa.reciprocals()
+    subtree: dict[tuple[int, ...], float] = {}
+    sums = []
+    for record in shape.join_nodes:
+        own = sum(q[slot] for slot in record.slots)
+        paths = (record.path + (j,) for j in range(record.node.degree))
+        branch_sums = [subtree.get(path, 0.0) for path in paths]
+        subtree[record.path] = own + sum(branch_sums)
+        sums.append((record, own, branch_sums))
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +197,10 @@ def rhs_product(
     Factors are combined in the log domain so large sampled exponents cannot
     overflow intermediate sums.
     """
+    _require_slot_count(shape, pa)
     log_total = 0.0
-    for slot, p in zip(_bind_slots(shape, pa, base.level), pa.exponents):
-        log_sum = _log_level_power_sum(tree, masses, f, base, slot.level, p)
+    for level, p in zip(shape_join_levels(shape, base.level), pa.exponents):
+        log_sum = _log_level_power_sum(tree, masses, f, base, level, p)
         if log_sum == -math.inf:
             return 0.0
         log_total += log_sum / p
@@ -208,29 +222,16 @@ class KGeneralResult(NamedTuple):
     crude_bound: int
 
 
-def _iter_nodes(shape: JoinShape):
-    if isinstance(shape, ShapeLeaf):
-        return
-    yield shape
-    for b in shape.branches:
-        yield from _iter_nodes(b)
-
-
 def k_general(shape: JoinShape, arity: int) -> KGeneralResult:
     """Product over distinct join nodes of ``(m-1)!/(m-d)!``; exact integers.
 
     Also returns the cruder bound ``(m-1)**(n-1)``.  Binary shapes give 1.
     """
-    value = 1
-    total_multiplicity = 0
-    for node in _iter_nodes(shape):
-        if node.degree > arity:
-            raise ConfigurationError(
-                f"join node with {node.degree} branches exceeds arity {arity}"
-            )
-        value *= math.factorial(arity - 1) // math.factorial(arity - node.degree)
-        total_multiplicity += node.multiplicity
-    return KGeneralResult(value, (arity - 1) ** total_multiplicity)
+    value = math.prod(
+        math.factorial(arity - 1) // math.factorial(arity - record.node.degree)
+        for record in checked_join_nodes(shape, arity)
+    )
+    return KGeneralResult(value, (arity - 1) ** (shape.n_particles - 1))
 
 
 @dataclass(frozen=True)
@@ -249,27 +250,17 @@ def k_binary(shape: JoinShape, pa: ExponentAssignment) -> KBinaryResult:
     deeper checks follow from the top one.  When the condition fails the
     value falls back to the general binary constant 1.
     """
-    for node in _iter_nodes(shape):
-        if node.degree != 2:
-            raise ConfigurationError("the sharp binary constant needs a binary shape")
-    own_sums = _node_reciprocal_sums(shape, pa)
-    failing: list[tuple[int, ...]] = []
-
-    def subtree_sum(node: JoinShape, path: tuple[int, ...]) -> float:
-        if isinstance(node, ShapeLeaf):
-            return 0.0
-        branch_sums = [
-            subtree_sum(branch, path + (j,)) for j, branch in enumerate(node.branches)
-        ]
-        if any(s > 0.5 + HALF_TOL for s in branch_sums):
-            failing.append(path)
-        return own_sums[path] + sum(branch_sums)
-
-    subtree_sum(shape, ())
+    if any(record.node.degree != 2 for record in shape.join_nodes):
+        raise ConfigurationError("the sharp binary constant needs a binary shape")
+    failing = tuple(
+        record.path
+        for record, _, branch_sums in _reciprocal_sums(shape, pa)
+        if any(s > 0.5 + HALF_TOL for s in branch_sums)
+    )
     condition_met = not failing
     n_slots = shape.n_particles - 1
     value = 2.0 ** (-n_slots) if condition_met else 1.0
-    return KBinaryResult(value, condition_met, tuple(failing))
+    return KBinaryResult(value, condition_met, failing)
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +349,8 @@ def muirhead_closed_form(spec: MuirheadSpec) -> MuirheadValue:
 
 _DEFAULT_RESOLUTION = {1: 1, 2: 512, 3: 96, 4: 40, 5: 24}
 MAX_GRID_POINTS = 10**6
+_GRID_BLOCK = 4096  # grid points per power table: 25 * 4096 floats at m = 5
+_MIN_STEP = 1e-10  # the compass search stops once its step falls to this length
 
 
 @dataclass(frozen=True)
@@ -446,12 +439,15 @@ def _simplex_grid(m: int, n_grid: int) -> np.ndarray:
 
 
 def _symmetric_sum_grid(points: np.ndarray, a: tuple[float, ...]) -> np.ndarray:
-    # numpy's 0**0 is 1, the symmetric sum's convention
-    return injective_sum(points.T[None] ** np.array(a)[:, None, None])
+    # each point is its own column of the injective sum, so blocks of points bound
+    # the power table without changing a value; numpy's 0**0 is 1, the sum's convention
+    exponents = np.array(a)[:, None, None]
+    blocks = (points[i : i + _GRID_BLOCK] for i in range(0, len(points), _GRID_BLOCK))
+    return np.concatenate([injective_sum(block.T[None] ** exponents) for block in blocks])
 
 
 def _compass_refine(
-    x0: Sequence[float], spec: MuirheadSpec, step: float, min_step: float = 1e-10
+    x0: Sequence[float], spec: MuirheadSpec, step: float
 ) -> tuple[list[float], float]:
     """Pattern search along simplex edge directions with geometric step decay.
 
@@ -465,7 +461,7 @@ def _compass_refine(
     fx = symmetric_sum(x, spec)
     tried = {tuple(x): fx}
     moves = 0
-    while step > min_step and moves < 20000:
+    while step > _MIN_STEP and moves < 20000:
         improved = False
         for i, j in itertools.permutations(range(m), 2):
             if x[j] < step - 1e-15:
@@ -537,12 +533,7 @@ class KInductiveResult:
     estimated: bool  # some node factor rests on the numeric estimator
 
 
-def k_inductive(
-    shape: JoinShape,
-    pa: ExponentAssignment,
-    arity: int,
-    resolution: int | None = None,
-) -> KInductiveResult:
+def k_inductive(shape: JoinShape, pa: ExponentAssignment, arity: int) -> KInductiveResult:
     """Accumulate the recursion constant bottom-up over the shape.
 
     Each branch carries ``1/alpha = 1 - (reciprocal sum over its subtree
@@ -560,30 +551,17 @@ def k_inductive(
     ``(m-1)!`` instead and are not estimated (see ``NodeAccount.bracket_upper``).
     """
     m = arity
-    own_sums = _node_reciprocal_sums(shape, pa)
+    checked_join_nodes(shape, m)
     entries: list[NodeAccount] = []
-
-    def walk(node: JoinShape, path: tuple[int, ...], level_offset: int) -> float:
-        """Return the reciprocal sum over the subtree's slots."""
-        if isinstance(node, ShapeLeaf):
-            return 0.0
-        if node.degree > m:
-            raise ConfigurationError(
-                f"join node with {node.degree} branches exceeds arity {m}"
-            )
-        level = level_offset + node.gap
-        own = own_sums[path]
-        branch_sums = [
-            walk(branch, path + (j,), level) for j, branch in enumerate(node.branches)
-        ]
+    for record, own, branch_sums in _reciprocal_sums(shape, pa):
         alpha_inv = tuple(1.0 - s for s in branch_sums)
         subtree = own + sum(branch_sums)
         beta_inv = own + (1.0 - subtree)
         if not beta_inv > 0.0:
             raise ConfigurationError(
-                f"nonpositive 1/beta at node {path}: exponents are not conjugate"
+                f"nonpositive 1/beta at node {record.path}: exponents are not conjugate"
             )
-        d = node.degree
+        d = record.node.degree
         a_vec = tuple(ai / beta_inv for ai in alpha_inv) + (0.0,) * (m - d)
         mspec = MuirheadSpec(a_vec)
         closed = muirhead_closed_form(mspec)
@@ -595,7 +573,7 @@ def k_inductive(
             log_k = log_upper
         else:
             log_lower = _log_uniform_constant(m, mspec.s)
-            est = muirhead_numeric(mspec, resolution)
+            est = muirhead_numeric(mspec)
             log_est = math.log(est.value) if est.value > 0.0 else log_lower
             log_k = min(max(log_est, log_lower), log_upper)
         log_factor = (
@@ -605,8 +583,8 @@ def k_inductive(
         )
         entries.append(
             NodeAccount(
-                node_path=path,
-                level_offset=level,
+                node_path=record.path,
+                level_offset=record.offset,
                 degree=d,
                 alpha_inv=alpha_inv,
                 beta_inv=beta_inv,
@@ -616,12 +594,7 @@ def k_inductive(
                 log_factor=log_factor,
             )
         )
-        return subtree
-
-    if isinstance(shape, ShapeLeaf):
-        return KInductiveResult(1.0, AlphaBetaLedger(()), False)
-    walk(shape, (), 0)
-    entries.reverse()  # ledger reads top-down; the walk appends children first
+    entries.reverse()  # ledger reads top-down; join nodes come children first
     total_log = sum(e.log_factor for e in entries)
     return KInductiveResult(
         math.exp(total_log),

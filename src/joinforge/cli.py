@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .bounds import (
     MuirheadSpec,
@@ -24,7 +25,7 @@ from .orbits import (
     DEFAULT_ENUMERATION_GUARD,
     EnumerationGuardError,
     orbit_enumerate,
-    orbit_size,
+    shape_orbit_size,
 )
 from .tree import ConfigurationError
 from .verify import (
@@ -121,10 +122,9 @@ def _seed_range(text: str) -> tuple[int, int]:
 
 def _cmd_join_set(args) -> int:
     inst = load_instance(args.instance)
-    joins = {v.to_text(): r for v, r in sorted(inst.config.join_multiset().items())}
-    levels = sorted(
-        level for v, r in inst.config.join_multiset().items() for level in [v.level] * r
-    )
+    multiset = sorted(inst.config.join_multiset().items())
+    joins = {v.to_text(): r for v, r in multiset}
+    levels = sorted(level for v, r in multiset for level in [v.level] * r)
     _emit({"joins": joins, "levels": levels, "total_multiplicity": sum(joins.values())})
     return EXIT_OK
 
@@ -132,7 +132,7 @@ def _cmd_join_set(args) -> int:
 def _cmd_orbit(args) -> int:
     inst = load_instance(args.instance)
     if args.action == "size":
-        _emit({"size": orbit_size(inst.config)})
+        _emit({"size": shape_orbit_size(inst.shape, inst.tree.arity)})
         return EXIT_OK
     members = [
         [p.to_text() for p in member.particles]
@@ -156,14 +156,10 @@ def _cmd_bound(args) -> int:
     inst = load_instance(args.instance)
     if args.regime is not None:
         regime, explicit = parse_regime(args.regime)
-        inst = type(inst)(
-            config=inst.config,
-            weights=inst.weights,
-            f=inst.f,
-            exponents=inst.exponents,
+        inst = replace(
+            inst,
             regime=regime,
             explicit_k=explicit if explicit is not None else inst.explicit_k,
-            seed=inst.seed,
         )
     violation = validate_exponents(inst.shape, inst.exponents)
     if violation is not None:

@@ -113,8 +113,9 @@ class ShapeLeaf:
     def serialized(self) -> str:
         return f"{self.gap}#{self.index}"
 
-    def serialize(self, with_indices: bool = True) -> str:
-        return self.serialized if with_indices else self.skeleton
+    @property
+    def join_nodes(self) -> tuple["JoinNode", ...]:
+        return ()
 
 
 @dataclass(frozen=True)
@@ -171,8 +172,10 @@ class ShapeNode:
     def serialized(self) -> str:
         return f"{self.gap}(" + ",".join(b.serialized for b in self.branches) + ")"
 
-    def serialize(self, with_indices: bool = True) -> str:
-        return self.serialized if with_indices else self.skeleton
+    @cached_property
+    def join_nodes(self) -> tuple["JoinNode", ...]:
+        """Every join node of the shape with its slots, children first (post-order)."""
+        return _join_nodes(self)
 
 
 JoinShape = ShapeLeaf | ShapeNode
@@ -208,34 +211,54 @@ def _shape_of(
 
 
 @dataclass(frozen=True)
-class Slot:
-    """One exponent slot: a join node owns one slot per unit of multiplicity."""
+class JoinNode:
+    """A join node, its branch ``path`` from the top node, its depth ``offset``
+    in levels below the base, and the ``multiplicity`` exponent slots it owns.
 
-    slot_id: int
-    level: int
-    node_path: tuple[int, ...]  # branch indices from the top node
+    Slots are numbered in preorder over join nodes, a node's before its branches'.
+    """
+
+    node: ShapeNode
+    path: tuple[int, ...]
+    offset: int
+    slots: range
 
 
-def shape_slots(shape: JoinShape, base_level: int) -> tuple[Slot, ...]:
-    """Slots in canonical order: preorder over nodes, node slots before branches."""
-    slots: list[Slot] = []
+def _join_nodes(top: ShapeNode) -> tuple[JoinNode, ...]:
+    records: list[JoinNode] = []
+    next_slot = 0
 
-    def walk(node: JoinShape, parent_level: int, path: tuple[int, ...]) -> None:
-        if isinstance(node, ShapeLeaf):
-            return
-        level = parent_level + node.gap
-        for _ in range(node.multiplicity):
-            slots.append(Slot(len(slots), level, path))
+    def walk(node: ShapeNode, path: tuple[int, ...], offset: int) -> None:
+        nonlocal next_slot
+        offset += node.gap
+        slots = range(next_slot, next_slot + node.multiplicity)
+        next_slot = slots.stop
         for j, branch in enumerate(node.branches):
-            walk(branch, level, path + (j,))
+            if isinstance(branch, ShapeNode):
+                walk(branch, path + (j,), offset)
+        records.append(JoinNode(node, path, offset, slots))
 
-    walk(shape, base_level, ())
-    return tuple(slots)
+    walk(top, (), 0)
+    return tuple(records)
+
+
+def checked_join_nodes(shape: JoinShape, arity: int) -> tuple[JoinNode, ...]:
+    """The shape's join nodes, refusing a node with more branches than ``arity``."""
+    for record in shape.join_nodes:
+        if record.node.degree > arity:
+            raise ConfigurationError(
+                f"join node with {record.node.degree} branches exceeds arity {arity}"
+            )
+    return shape.join_nodes
 
 
 def shape_join_levels(shape: JoinShape, base_level: int) -> list[int]:
     """Join levels with multiplicity, one per slot, in canonical slot order."""
-    return [s.level for s in shape_slots(shape, base_level)]
+    levels = [0] * (shape.n_particles - 1)
+    for record in shape.join_nodes:
+        for slot in record.slots:
+            levels[slot] = base_level + record.offset
+    return levels
 
 
 def equivalent(a: Configuration, b: Configuration) -> bool:
@@ -284,21 +307,19 @@ def shape_orbit_size(shape: JoinShape, arity: int) -> int:
     Descents contribute one arity factor per free level (the count of
     candidate vertices at the join level); each join node contributes the
     number of injective branch-to-child assignments times its branch counts.
+    A branch's gap includes the level of the child it enters, which is not
+    free; the top's gap starts at the base and has no such level.
     """
-    return _count(shape, arity, top=True)
-
-
-def _count(shape: JoinShape, m: int, top: bool) -> int:
-    free_levels = shape.gap if top else shape.gap - 1
-    descents = m**free_levels
+    m = arity
     if isinstance(shape, ShapeLeaf):
-        return descents
-    if shape.degree > m:
-        raise ConfigurationError(
-            f"join node with {shape.degree} branches exceeds arity {m}"
-        )
-    inner = math.prod(_count(b, m, top=False) for b in shape.branches)
-    return descents * math.perm(m, shape.degree) * inner
+        return m**shape.gap
+    free_levels, assignments = 1, 1
+    for record in checked_join_nodes(shape, m):
+        node = record.node
+        assignments *= math.perm(m, node.degree)
+        free_levels += node.gap - 1
+        free_levels += sum(b.gap - 1 for b in node.branches if isinstance(b, ShapeLeaf))
+    return m**free_levels * assignments
 
 
 def injective_sum(table: np.ndarray) -> np.ndarray:
@@ -452,6 +473,7 @@ def realize_shape(tree: TreeParams, base: Vertex, shape: JoinShape) -> Configura
     all-1 paths, so the result is deterministic.
     """
     tree.validate_vertex(base)
+    checked_join_nodes(shape, tree.arity)
     placed: dict[int, Vertex] = {}
 
     def place(node: JoinShape, start: Vertex, top: bool) -> None:
@@ -466,10 +488,6 @@ def realize_shape(tree: TreeParams, base: Vertex, shape: JoinShape) -> Configura
                 )
             placed[node.index] = at
             return
-        if node.degree > tree.arity:
-            raise ConfigurationError(
-                f"join node with {node.degree} branches exceeds arity {tree.arity}"
-            )
         for j, branch in enumerate(node.branches):
             place(branch, at.child(j + 1), top=False)
 

@@ -366,7 +366,7 @@ def check_inequality(
     violation = validate_exponents(inst.shape, inst.exponents)
     metadata: dict[str, Any] = {
         "seed": inst.seed,
-        "shape": inst.shape.serialize(),
+        "shape": inst.shape.serialized,
         "join_levels": shape_join_levels(inst.shape, inst.base.level),
         "regime": inst.regime,
     }
@@ -435,7 +435,7 @@ def check_equality_case(
     kb = k_binary(shape, pa)
     metadata: dict[str, Any] = {
         "seed": seed,
-        "shape": shape.serialize(),
+        "shape": shape.serialized,
         "join_levels": shape_join_levels(shape, 0),
     }
     if not kb.condition_met:
@@ -507,10 +507,7 @@ def worked_example_configuration() -> Configuration:
     return Configuration(tree, ROOT, particles)
 
 
-def reproduce_example(
-    p: tuple[float, float, float] = (3.0, 3.0, 3.0),
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> ExampleReport:
+def reproduce_example(p: tuple[float, float, float] = (3.0, 3.0, 3.0)) -> ExampleReport:
     """Check the four-particle example under both published constants.
 
     With unit weights and a unit vertex function the sharp constant 1/8
@@ -531,16 +528,13 @@ def reproduce_example(
     weights = WeightAssignment.constant(tree, 1.0)
     f = LevelFunction.constant(tree, 1.0)
     report_displayed = check_inequality(
-        Instance(config, weights, f, pa, regime="explicit", explicit_k=displayed),
-        rel_tol=rel_tol,
+        Instance(config, weights, f, pa, regime="explicit", explicit_k=displayed)
     )
-    report_binary = check_inequality(
-        Instance(config, weights, f, pa, regime="binary_optimal"), rel_tol=rel_tol
-    )
+    report_binary = check_inequality(Instance(config, weights, f, pa, regime="binary_optimal"))
     flags: list[str] = []
-    if report_displayed.ratio < 1.0 - rel_tol:
+    if report_displayed.ratio < 1.0 - DEFAULT_REL_TOL:
         flags.append(FLAG_DISPLAYED_NOT_TIGHT)
-    binary_tight = abs(report_binary.ratio - 1.0) <= rel_tol
+    binary_tight = abs(report_binary.ratio - 1.0) <= DEFAULT_REL_TOL
     if binary_tight:
         flags.append(FLAG_BINARY_OPTIMAL_TIGHT)
     return ExampleReport(
@@ -633,14 +627,15 @@ def random_instance(seed: int, ranges: InstanceRanges = InstanceRanges()) -> Ins
         values[:] = [10.0 ** rng.uniform(f_lo, f_hi) for _ in range(values.size)]
     f = LevelFunction(tree, f_levels)
 
+    shape = extract_shape(config)
     if ranges.regime == "binary_optimal":
-        exponents = _binary_optimal_exponents(extract_shape(config), rng)
+        exponents = _binary_optimal_exponents(shape, rng)
     else:
         reciprocals = np.clip(rng.dirichlet(np.ones(n - 1)), 1e-12, None)
         reciprocals = reciprocals / reciprocals.sum()
         exponents = ExponentAssignment(tuple(float(1.0 / q) for q in reciprocals))
 
-    return Instance(
+    inst = Instance(
         config=config,
         weights=weights,
         f=f,
@@ -648,6 +643,8 @@ def random_instance(seed: int, ranges: InstanceRanges = InstanceRanges()) -> Ins
         regime=ranges.regime,
         seed=seed,
     )
+    inst.__dict__["shape"] = shape  # the value Instance.shape would cache
+    return inst
 
 
 def _binary_optimal_exponents(

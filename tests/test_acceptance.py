@@ -132,7 +132,7 @@ def _orbit_oracle_family(arity: int, depth: int, max_n: int, draws: int, seed: i
                 )
                 fact = factorized_from_shape(tree, ROOT, shape, masses, f)
                 assert abs(fact - brute) <= 1e-12 * brute, (
-                    arity, depth, shape.serialize(), fact, brute,
+                    arity, depth, shape.serialized, fact, brute,
                 )
                 comparisons += 1
     return configs_checked, comparisons

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -15,12 +16,16 @@ from joinforge import (
     ExponentAssignment,
     LevelFunction,
     MuirheadSpec,
+    NodeAccount,
     ROOT,
+    ShapeLeaf,
     TreeParams,
+    Vertex,
     WeightAssignment,
     cosh_ratio,
     cylinder_masses,
     extract_shape,
+    injective_sum,
     k_binary,
     k_general,
     k_inductive,
@@ -29,7 +34,8 @@ from joinforge import (
     muirhead_numeric,
     orbit_enumerate,
     rhs_product,
-    shape_slots,
+    shape_join_levels,
+    shape_orbit_size,
     symmetric_sum,
     validate_exponents,
 )
@@ -144,15 +150,26 @@ def eight_particle_ternary_config():
 
 class TestSlots:
     def test_worked_example_slots(self, worked_shape):
-        slots = shape_slots(worked_shape, 0)
-        assert [s.slot_id for s in slots] == [0, 1, 2]
-        assert [s.level for s in slots] == [0, 1, 2]
-        assert [s.node_path for s in slots] == [(), (0,), (1,)]
+        # children first; slots in preorder, the top node's before its branches'
+        records = worked_shape.join_nodes
+        assert [r.path for r in records] == [(0,), (1,), ()]
+        assert [r.slots for r in records] == [range(1, 2), range(2, 3), range(0, 1)]
+        assert [r.offset for r in records] == [1, 2, 0]
+        assert shape_join_levels(worked_shape, 0) == [0, 1, 2]
 
     def test_multiplicity_two_owns_two_slots(self):
         config = eight_particle_ternary_config()
-        slots = shape_slots(extract_shape(config), 0)
-        assert len(slots) == config.n - 1 == 7
+        shape = extract_shape(config)
+        records = shape.join_nodes
+        assert sum(len(r.slots) for r in records) == config.n - 1 == 7
+        assert [len(r.slots) for r in records if r.node.degree == 3] == [2, 2]
+        slots = sorted(slot for r in records for slot in r.slots)
+        assert slots == list(range(7))
+
+    def test_a_leaf_has_no_join_nodes(self):
+        shape = extract_shape(Configuration(TreeParams(2, 2), ROOT, (vx(1, 1),)))
+        assert shape.join_nodes == ()
+        assert shape_join_levels(shape, 0) == []
 
 
 class TestValidateExponents:
@@ -371,6 +388,15 @@ class TestSymmetricSumGrid:
             got = _symmetric_sum_grid(points, spec.a)
             want = [symmetric_sum(x, spec) for x in points]
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_blocks_match_one_table(self, monkeypatch):
+        points = _simplex_grid(4, 12)  # 455 compositions and 11 extra points
+        a = (2.5, 0.4, 0.0, 1.1)
+        whole = injective_sum(points.T[None] ** np.array(a)[:, None, None])
+        monkeypatch.setattr(bounds, "_GRID_BLOCK", 50)
+        blocked = _symmetric_sum_grid(points, a)
+        assert len(points) > 9 * 50
+        assert np.array_equal(blocked, whole)
 
 
 class TestMuirheadClosedForm:
@@ -645,3 +671,160 @@ class TestRhsShapeInvariance:
             shape = extract_shape(member)
             values.add(rhs_product(binary3, masses, f, ROOT, shape, pa, 1.0))
         assert len(values) == 1
+
+
+# The recursive walks that the join-node records replaced, transcribed as
+# references: slots, the general and binary constants, the proof-recursion
+# ledger and the orbit count must come out bit-identical.
+
+
+def ref_slots(shape, base_level):
+    slots = []
+
+    def walk(node, parent_level, path):
+        if isinstance(node, ShapeLeaf):
+            return
+        level = parent_level + node.gap
+        for _ in range(node.multiplicity):
+            slots.append((level, path))
+        for j, branch in enumerate(node.branches):
+            walk(branch, level, path + (j,))
+
+    walk(shape, base_level, ())
+    return slots
+
+
+def ref_nodes(shape):
+    if isinstance(shape, ShapeLeaf):
+        return
+    yield shape
+    for b in shape.branches:
+        yield from ref_nodes(b)
+
+
+def ref_own_sums(shape, pa):
+    owned = {}
+    for (_, path), q in zip(ref_slots(shape, 0), pa.reciprocals()):
+        owned.setdefault(path, []).append(q)
+    return {path: sum(qs) for path, qs in owned.items()}
+
+
+def ref_k_general(shape, m):
+    value, multiplicity = 1, 0
+    for node in ref_nodes(shape):
+        value *= math.factorial(m - 1) // math.factorial(m - node.degree)
+        multiplicity += node.multiplicity
+    return value, (m - 1) ** multiplicity
+
+
+def ref_k_binary(shape, pa):
+    own_sums = ref_own_sums(shape, pa)
+    failing = []
+
+    def subtree_sum(node, path):
+        if isinstance(node, ShapeLeaf):
+            return 0.0
+        branch_sums = [subtree_sum(b, path + (j,)) for j, b in enumerate(node.branches)]
+        if any(s > 0.5 + bounds.HALF_TOL for s in branch_sums):
+            failing.append(path)
+        return own_sums[path] + sum(branch_sums)
+
+    subtree_sum(shape, ())
+    value = 2.0 ** (-(shape.n_particles - 1)) if not failing else 1.0
+    return value, not failing, tuple(failing)
+
+
+def ref_k_inductive(shape, pa, m):
+    own_sums = ref_own_sums(shape, pa)
+    entries = []
+
+    def walk(node, path, level_offset):
+        if isinstance(node, ShapeLeaf):
+            return 0.0
+        level = level_offset + node.gap
+        own = own_sums[path]
+        branch_sums = [walk(b, path + (j,), level) for j, b in enumerate(node.branches)]
+        alpha_inv = tuple(1.0 - s for s in branch_sums)
+        subtree = own + sum(branch_sums)
+        beta_inv = own + (1.0 - subtree)
+        d = node.degree
+        mspec = MuirheadSpec(tuple(ai / beta_inv for ai in alpha_inv) + (0.0,) * (m - d))
+        closed = muirhead_closed_form(mspec)
+        estimated = not closed.exact and m in bounds._DEFAULT_RESOLUTION
+        log_upper = math.lgamma(m)
+        if closed.exact:
+            log_k = bounds._log_closed_form(closed.case, m, mspec.s)
+        elif not estimated:
+            log_k = log_upper
+        else:
+            log_lower = bounds._log_uniform_constant(m, mspec.s)
+            est = bounds.muirhead_numeric(mspec)
+            log_est = math.log(est.value) if est.value > 0.0 else log_lower
+            log_k = min(max(log_est, log_lower), log_upper)
+        log_factor = beta_inv * log_k + (1.0 - beta_inv) * log_upper - math.lgamma(m - d + 1)
+        entries.append(
+            NodeAccount(path, level, d, alpha_inv, beta_inv, closed.case, log_k, estimated,
+                        log_factor)
+        )
+        return subtree
+
+    if isinstance(shape, ShapeLeaf):
+        return 1.0, ()
+    walk(shape, (), 0)
+    entries.reverse()
+    return math.exp(sum(e.log_factor for e in entries)), tuple(entries)
+
+
+def ref_orbit_size(shape, m, top=True):
+    descents = m ** (shape.gap if top else shape.gap - 1)
+    if isinstance(shape, ShapeLeaf):
+        return descents
+    inner = math.prod(ref_orbit_size(b, m, top=False) for b in shape.branches)
+    return descents * math.perm(m, shape.degree) * inner
+
+
+def random_shape_case(rng):
+    """A configuration on m 2..7, k <= 3, n <= 7, below a base at level 0 or 1."""
+    m, k = rng.randint(2, 7), rng.randint(1, 3)
+    base = Vertex(tuple(rng.randint(1, m) for _ in range(rng.randint(0, min(1, k - 1)))))
+    free = k - base.level
+    n = rng.randint(2, min(7, m**free))
+    particles = []
+    for rank in rng.sample(range(m**free), n):
+        digits = [rank // m**i % m + 1 for i in reversed(range(free))]
+        particles.append(Vertex(base.word + tuple(digits)))
+    weights = [rng.random() + 1e-3 for _ in range(n - 1)]
+    pa = ExponentAssignment(tuple(sum(weights) / w for w in weights))
+    return m, Configuration(TreeParams(m, k), base, tuple(particles)), pa
+
+
+class TestJoinNodeWalk:
+    def test_matches_recursive_walks(self, monkeypatch):
+        # both sides ask for the same estimates; take each once
+        monkeypatch.setattr(bounds, "muirhead_numeric", functools.cache(bounds.muirhead_numeric))
+        rng = random.Random(2024)
+        seen = {"base 1": 0, "multiplicity >= 2": 0, "m >= 6": 0, "binary": 0, "halves fail": 0}
+        for _ in range(400):
+            m, config, pa = random_shape_case(rng)
+            shape = extract_shape(config)
+            base_level = config.base.level
+            assert shape_join_levels(shape, base_level) == [
+                level for level, _ in ref_slots(shape, base_level)
+            ]
+            assert shape_orbit_size(shape, m) == ref_orbit_size(shape, m)
+            assert tuple(k_general(shape, m)) == ref_k_general(shape, m)
+            value, ledger = ref_k_inductive(shape, pa, m)
+            result = k_inductive(shape, pa, m)
+            assert result.value == value and result.ledger.entries == ledger
+            if all(node.degree == 2 for node in ref_nodes(shape)):
+                kb = k_binary(shape, pa)
+                assert (kb.value, kb.condition_met, kb.failing_nodes) == ref_k_binary(shape, pa)
+                seen["binary"] += 1
+                seen["halves fail"] += not kb.condition_met
+            else:
+                with pytest.raises(ConfigurationError, match="binary shape"):
+                    k_binary(shape, pa)
+            seen["base 1"] += base_level == 1
+            seen["multiplicity >= 2"] += any(n.multiplicity >= 2 for n in ref_nodes(shape))
+            seen["m >= 6"] += m >= 6
+        assert min(seen.values()) >= 10, seen

@@ -63,8 +63,8 @@ class TestExtractShape:
         left, right = shape.branches
         assert left.gap == 1 and left.indices() == frozenset({0, 1})
         assert right.gap == 2 and right.indices() == frozenset({2, 3})
-        assert shape.serialize() == "0(1(2#0,2#1),2(1#2,1#3))"
-        assert shape.serialize(with_indices=False) == "0(1(2#,2#),2(1#,1#))"
+        assert shape.serialized == "0(1(2#0,2#1),2(1#2,1#3))"
+        assert shape.skeleton == "0(1(2#,2#),2(1#,1#))"
 
     def test_single_particle(self, binary3):
         config = Configuration(binary3, vx(2), (vx(2, 1, 2),))
@@ -85,7 +85,7 @@ class TestExtractShape:
             binary3, ROOT, (vx(1, 2, 1), vx(1, 1, 1), vx(2, 1, 1), vx(2, 1, 2))
         )
         a, b = extract_shape(config), extract_shape(swapped)
-        assert a.serialize(with_indices=False) == b.serialize(with_indices=False)
+        assert a.skeleton == b.skeleton
         assert orbit_size(config) == orbit_size(swapped)
 
     def test_join_levels_match_multiset(self, ternary2):

@@ -29,6 +29,7 @@ from joinforge import (
     worked_example_configuration,
 )
 import joinforge.energy as energy_mod
+import joinforge.orbits as orbits_mod
 import joinforge.verify as verify_mod
 
 from conftest import vx
@@ -154,6 +155,24 @@ class TestCheckInequality:
         report = check_inequality(worked_instance(), method=method, guard=5)
         assert report.passed and report.metadata["method"] == "factorized"
         assert counts == {"extract_shape": 1, "cylinder_masses": 1}
+
+    @pytest.mark.parametrize("regime", ["general", "binary_optimal", "inductive"])
+    def test_random_instance_shape_extracted_and_walked_once(self, monkeypatch, regime):
+        counts = {}
+        for module, name in ((verify_mod, "extract_shape"), (orbits_mod, "_join_nodes")):
+
+            def counted(*args, _name=name, _original=getattr(module, name)):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        arities = (2,) if regime == "binary_optimal" else (2, 3)
+        ranges = InstanceRanges(arities=arities, max_particles=7, regime=regime)
+        for seed in range(30):
+            counts.update(extract_shape=0, _join_nodes=0)
+            report = check_inequality(random_instance(seed, ranges))
+            assert report.passed
+            assert counts == {"extract_shape": 1, "_join_nodes": 1}
 
     def test_condition_failure_flag_and_fallback(self):
         inst = worked_instance(p=(6.0, 1.5, 6.0))

@@ -3,8 +3,9 @@
 K(m; a) is the least constant bounding the permutation sum of monomials
 x_sigma(1)^a_1 ... by (sum x)^s.  Closed forms exist when s <= 1, when the
 exponents are well spread, and for two variables with (a1-a2)^2 <= s; the
-rest only bracket the constant, and a simplex grid search plus compass
-refinement estimates it.  This demo prints all regimes and sketches the
+rest only bracket the constant, and one pass over a simplex grid narrows it
+to an interval: the grid maximum below, and a certified upper end from the
+grid's modulus of continuity above.  This demo prints all regimes and sketches the
 two-variable landscape where the maximizer jumps off the symmetric point.
 
 Run:  python3 demos/05_muirhead_constants.py
@@ -25,7 +26,7 @@ cases = [
     (1.4, 0.7, 0.0),
 ]
 
-print(f"{'a':>28} {'case':>5} {'closed / bracket':>22} {'numeric':>12} {'at':>22}")
+print(f"{'a':>28} {'case':>5} {'closed / bracket':>22} {'grid max':>12} {'certified':>12} {'at':>22}")
 for a in cases:
     spec = MuirheadSpec(a)
     closed = muirhead_closed_form(spec)
@@ -35,7 +36,10 @@ for a in cases:
     else:
         closed_text = f"[{closed.lower:.4f}, {closed.upper:.4f}]"
     at = tuple(round(x, 4) for x in estimate.maximizer)
-    print(f"{str(a):>28} {closed.case:>5} {closed_text:>22} {estimate.value:>12.9f} {str(at):>22}")
+    print(
+        f"{str(a):>28} {closed.case:>5} {closed_text:>22} {estimate.value:>12.9f} "
+        f"{estimate.upper:>12.9f} {str(at):>22}"
+    )
 
 print("""
 Two-variable landscape: fix s = a1 + a2 = 3 and sweep the imbalance
@@ -44,16 +48,19 @@ constant is 2^(1-s) = 0.25; past that threshold the maximizer migrates
 toward a corner and the constant climbs to the bracket's ceiling.
 """)
 s = 3.0
-print(f"{'delta':>7} {'K estimate':>12} {'maximizer x1':>13}")
+print(f"{'delta':>7} {'grid max':>12} {'certified':>12} {'maximizer x1':>13}")
 for delta in np.linspace(0.0, 3.0, 13):
     spec = MuirheadSpec(((s + delta) / 2.0, (s - delta) / 2.0))
     estimate = muirhead_numeric(spec)
-    print(f"{delta:>7.2f} {estimate.value:>12.6f} {max(estimate.maximizer):>13.4f}")
+    print(
+        f"{delta:>7.2f} {estimate.value:>12.6f} {estimate.upper:>12.6f} "
+        f"{max(estimate.maximizer):>13.4f}"
+    )
 
-# the defining inequality, spot-checked at random points
+# the defining inequality with the certified constant, spot-checked at random points
 rng = np.random.default_rng(0)
 spec = MuirheadSpec((2.5, 0.3))
-k = muirhead_numeric(spec).value
+k = muirhead_numeric(spec).upper
 worst = 0.0
 for _ in range(2000):
     x = rng.uniform(0.0, 4.0, size=2)

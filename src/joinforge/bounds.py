@@ -18,17 +18,18 @@ Constant regimes:
 * ``k_inductive`` — the constant accumulated by the proof recursion: one
   factor per join node built from the symmetric-sum constants ``K(m; a)``
   together with branch conjugacy bookkeeping.  Nodes whose symmetric-sum
-  constant has no closed form are estimated numerically and flagged, since
-  a numeric maximum is a lower bound for the true constant rather than a
-  certified upper bound; beyond the estimator's arities (``m > 5``) they
-  take the bracket's upper end ``(m-1)!``, certified but loose.
+  constant has no closed form take the numeric estimator's certified upper
+  end, capped at the bracket's upper end ``(m-1)!``, and are flagged, since
+  that end is certified but possibly loose; beyond the estimator's arities
+  (``m > 5``) they take ``(m-1)!`` itself.
 
 The symmetric-sum constant ``K(m; a)`` is the least ``C`` with
 ``sum over permutations of x_sigma(1)**a_1 ... <= C * (sum x_i)**s`` for
 all nonnegative ``x`` (``0**0 = 1``), where ``s = sum(a)``.  Closed forms
 cover ``s <= 1``, the well-spread case ``a_i >= (s-1)/m``, and the two-
 variable case ``(a_1-a_2)**2 <= s``; otherwise only the bracket
-``[m! m**-s, (m-1)!]`` is known and a simplex maximizer estimates the rest.
+``[m! m**-s, (m-1)!]`` is known, and a simplex grid narrows it to a certified
+interval.
 """
 
 from __future__ import annotations
@@ -350,18 +351,22 @@ def muirhead_closed_form(spec: MuirheadSpec) -> MuirheadValue:
 _DEFAULT_RESOLUTION = {1: 1, 2: 512, 3: 96, 4: 40, 5: 24}
 MAX_GRID_POINTS = 10**6
 _GRID_BLOCK = 4096  # grid points per power table: 25 * 4096 floats at m = 5
-_MIN_STEP = 1e-10  # the compass search stops once its step falls to this length
+ROUNDING_ALLOWANCE = 1e-12  # relative widening of the certified upper end
 
 
 @dataclass(frozen=True)
 class MuirheadEstimate:
-    """Numeric estimate of the symmetric-sum constant.
+    """Numeric interval for the symmetric-sum constant.
 
-    ``value`` is the refined maximum over the probability simplex and is a
-    rigorous lower bound for the true constant.  ``uncertainty`` is a
-    certified radius from the grid's modulus of continuity: the true
-    constant is at most ``value + uncertainty``.  A coarse resolution
-    widens the radius; it never produces a silently wrong answer.
+    ``value`` is the maximum of the symmetric sum over the estimator's grid,
+    attained at ``maximizer``, so it is a lower bound for the true constant.
+    ``uncertainty`` is the radius ``m! * sum_i w(1/n, a_i)`` from the modulus
+    of continuity ``w`` of ``x**a`` on [0, 1]: every simplex point lies within
+    ``1/n`` per coordinate of a composition, whose sum the grid holds.
+    ``upper`` is the certified upper end, ``value + uncertainty`` widened by
+    the relative ``ROUNDING_ALLOWANCE``, since computed grid sums can sit a
+    few ulps below the true ones.  A coarse resolution widens the interval;
+    it never produces a silently wrong answer.
     """
 
     value: float
@@ -369,9 +374,13 @@ class MuirheadEstimate:
     uncertainty: float
     resolution: int
 
+    @property
+    def upper(self) -> float:
+        return (self.value + self.uncertainty) * (1.0 + ROUNDING_ALLOWANCE)
+
 
 def muirhead_numeric(spec: MuirheadSpec, resolution: int | None = None) -> MuirheadEstimate:
-    """Maximize the symmetric sum over the simplex by grid search plus refinement.
+    """Bound the symmetric-sum constant by one pass over a simplex grid.
 
     Normalizing to the simplex is justified by degree-``s`` homogeneity:
     both sides of the defining inequality scale identically.
@@ -389,32 +398,28 @@ def muirhead_numeric(spec: MuirheadSpec, resolution: int | None = None) -> Muirh
 
     points = _simplex_grid(m, n_grid)
     values = _symmetric_sum_grid(points, spec.a)
-    order = np.argsort(values)[::-1]
-    best_value = -math.inf
-    best_x = points[order[0]]
-    for idx in order[:3]:
-        x, v = _compass_refine(points[idx], spec, 1.0 / n_grid)
-        if v > best_value:
-            best_value, best_x = v, x
-
+    best = int(np.argmax(values))
     uncertainty = math.factorial(m) * sum(
         _continuity_step(1.0 / n_grid, ai) for ai in spec.a
     )
     return MuirheadEstimate(
-        float(best_value), tuple(float(v) for v in best_x), uncertainty, n_grid
+        float(values[best]), tuple(float(v) for v in points[best]), uncertainty, n_grid
     )
 
 
 @lru_cache(maxsize=4)
 def _simplex_grid(m: int, n_grid: int) -> np.ndarray:
-    """The estimator's start points on the simplex, a read-only ``(count, m)`` array.
+    """The estimator's simplex points, a read-only ``(count, m)`` array.
 
-    The compositions of ``n_grid`` into ``m`` parts over ``n_grid``, in
-    lexicographic order (by stars and bars), then the barycentre, the
-    vertices and the edge midpoints.  A grid of more than
-    ``MAX_GRID_POINTS`` compositions is refused before it is built.  The
-    cache holds the four default grids (m = 2..5); a resolution is user
-    input, so it holds no more.
+    The symmetric sum is invariant under permuting ``x``, so the grid is its
+    sorted chamber: the compositions of ``n_grid`` into ``m`` parts over
+    ``n_grid`` with ``x_1 >= x_2 >= ... >= x_m``, in lexicographic order,
+    then the barycentre, ``e_1`` and ``(1/2, 1/2, 0, ...)``.  Every
+    composition sorts into the chamber, so its maximum is that of all
+    compositions.  A resolution whose compositions number more than
+    ``MAX_GRID_POINTS`` is refused before any is built.  The cache holds the
+    four default grids (m = 2..5); a resolution is user input, so it holds
+    no more.
     """
     count = math.comb(n_grid + m - 1, m - 1)
     if count > MAX_GRID_POINTS:
@@ -426,14 +431,13 @@ def _simplex_grid(m: int, n_grid: int) -> np.ndarray:
         itertools.combinations(range(n_grid + m - 1), m - 1)
     )
     bars = np.fromiter(flat, dtype=np.intp, count=count * (m - 1)).reshape(count, m - 1)
-    points = (np.diff(bars, axis=1, prepend=-1, append=n_grid + m - 1) - 1) / n_grid
-    extras = [np.full(m, 1.0 / m)]
-    extras.extend(np.eye(m)[i] for i in range(m))
-    for i, j in itertools.combinations(range(m), 2):
-        x = np.zeros(m)
-        x[i] = x[j] = 0.5
-        extras.append(x)
-    points = np.vstack([points, np.array(extras)])
+    parts = np.diff(bars, axis=1, prepend=-1, append=n_grid + m - 1) - 1
+    chamber = parts[(np.diff(parts, axis=1) <= 0).all(axis=1)] / n_grid
+    extras = np.zeros((3, m))
+    extras[0] = 1.0 / m
+    extras[1, 0] = 1.0
+    extras[2, :2] = 0.5
+    points = np.vstack([chamber, extras])
     points.setflags(write=False)
     return points
 
@@ -444,43 +448,6 @@ def _symmetric_sum_grid(points: np.ndarray, a: tuple[float, ...]) -> np.ndarray:
     exponents = np.array(a)[:, None, None]
     blocks = (points[i : i + _GRID_BLOCK] for i in range(0, len(points), _GRID_BLOCK))
     return np.concatenate([injective_sum(block.T[None] ** exponents) for block in blocks])
-
-
-def _compass_refine(
-    x0: Sequence[float], spec: MuirheadSpec, step: float
-) -> tuple[list[float], float]:
-    """Pattern search along simplex edge directions with geometric step decay.
-
-    A move shifts ``step`` from coordinate ``j`` to ``i`` and is kept when it
-    raises the sum.  ``tried`` holds the sums at the current point and at the
-    points tried at the current step, so a point reached twice before the
-    step halves is evaluated once.  The cap of 20000 counts every move.
-    """
-    m = spec.m
-    x = [float(v) for v in x0]
-    fx = symmetric_sum(x, spec)
-    tried = {tuple(x): fx}
-    moves = 0
-    while step > _MIN_STEP and moves < 20000:
-        improved = False
-        for i, j in itertools.permutations(range(m), 2):
-            if x[j] < step - 1e-15:
-                continue
-            y = x.copy()
-            y[i] += step
-            y[j] = max(y[j] - step, 0.0)
-            key = tuple(y)
-            fy = tried.get(key)
-            if fy is None:
-                fy = tried[key] = symmetric_sum(y, spec)
-            moves += 1
-            if fy > fx:
-                x, fx = y, fy
-                improved = True
-        if not improved:
-            step *= 0.5
-            tried = {tuple(x): fx}
-    return x, fx
 
 
 def _continuity_step(delta: float, a: float) -> float:
@@ -544,11 +511,12 @@ def k_inductive(shape: JoinShape, pa: ExponentAssignment, arity: int) -> KInduct
         K(m; beta/alpha_1, ..., beta/alpha_d, 0, ..., 0)**(1/beta)
             * (m-1)!**(1 - 1/beta) / (m-d)!
 
-    computed in the log domain.  Nodes falling in the bracket-only case use
-    the numeric estimator clamped into the bracket and mark the result as
-    estimated (not certified as an upper-bound constant).  Beyond the
-    estimator's range of arities they take the bracket's certified upper end
-    ``(m-1)!`` instead and are not estimated (see ``NodeAccount.bracket_upper``).
+    computed in the log domain.  Nodes falling in the bracket-only case take
+    the numeric estimator's certified upper end ``MuirheadEstimate.upper``,
+    capped at the bracket's upper end ``(m-1)!``, and mark the result as
+    estimated: certified, but possibly loose.  Beyond the estimator's range
+    of arities they take ``(m-1)!`` itself and are not estimated (see
+    ``NodeAccount.bracket_upper``).
     """
     m = arity
     checked_join_nodes(shape, m)
@@ -572,10 +540,7 @@ def k_inductive(shape: JoinShape, pa: ExponentAssignment, arity: int) -> KInduct
         elif not estimated:
             log_k = log_upper
         else:
-            log_lower = _log_uniform_constant(m, mspec.s)
-            est = muirhead_numeric(mspec)
-            log_est = math.log(est.value) if est.value > 0.0 else log_lower
-            log_k = min(max(log_est, log_lower), log_upper)
+            log_k = min(math.log(muirhead_numeric(mspec).upper), log_upper)
         log_factor = (
             beta_inv * log_k
             + (1.0 - beta_inv) * log_upper

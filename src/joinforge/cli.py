@@ -78,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--m", type=int, required=True)
     ps.add_argument("--a", type=float, nargs="+", required=True)
     ps.add_argument("--numeric", type=int, nargs="?", const=-1, default=None,
-                    help="numeric estimate, optionally at a given grid resolution")
+                    help="numeric interval, optionally at a given grid resolution")
 
     ps = sub.add_parser("verify", help="check the inequality for an instance")
     ps.add_argument("instance")
@@ -196,6 +196,7 @@ def _cmd_kconst(args) -> int:
             "value": estimate.value,
             "maximizer": list(estimate.maximizer),
             "uncertainty": estimate.uncertainty,
+            "upper": estimate.upper,
             "resolution": estimate.resolution,
         }
     _emit(payload)

@@ -254,6 +254,8 @@ def test_acceptance_6_muirhead_constants():
         seen[closed.case] += 1
         estimate = muirhead_numeric(spec)
         assert abs(estimate.value - closed.value) <= 1e-6, (spec.a, closed.case)
+        # the sharp constant lies in the certified interval, up to the grid's rounding
+        assert estimate.value <= closed.value * (1.0 + 1e-15) <= estimate.upper, spec.a
     assert min(seen.values()) >= 10
 
     named = muirhead_closed_form(MuirheadSpec((1.0, 1.0)))

@@ -9,6 +9,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from joinforge import (
     Configuration,
@@ -58,7 +59,10 @@ def reference_symmetric_sum(x, a):
 
 
 def reference_grid(m, n_grid):
-    """Stars-and-bars compositions plus centre, vertices and edge midpoints."""
+    """Stars-and-bars compositions plus centre, vertices and edge midpoints.
+
+    Every composition in every order; the estimator keeps the sorted ones.
+    """
     bars = np.array(list(itertools.combinations(range(n_grid + m - 1), m - 1)))
     points = (np.diff(bars, axis=1, prepend=-1, append=n_grid + m - 1) - 1) / n_grid
     extras = [np.full(m, 1.0 / m)]
@@ -70,56 +74,26 @@ def reference_grid(m, n_grid):
     return np.vstack([points, np.array(extras)])
 
 
-def reference_refine(x0, a, step, log=None):
-    """Pattern search on numpy copies, one evaluation per move.
+@functools.cache
+def reference_chamber(m, n_grid):
+    """Compositions of ``n_grid`` into ``m`` nonincreasing parts, over ``n_grid``.
 
-    ``log`` collects ``(step, point)`` per move and ``("start", step, point)``
-    when a step length begins.
+    The full grid up to permutation, which leaves a symmetric sum unchanged,
+    built by recursion rather than by filtering stars and bars.
     """
-    m = len(a)
-    x = np.asarray(x0, dtype=float).copy()
-    fx = reference_symmetric_sum(x, a)
-    evals = 0
-    if log is not None:
-        log.append(("start", step, tuple(x)))
-    while step > 1e-10 and evals < 20000:
-        improved = False
-        for i, j in itertools.permutations(range(m), 2):
-            if x[j] < step - 1e-15:
-                continue
-            y = x.copy()
-            y[i] += step
-            y[j] = max(y[j] - step, 0.0)
-            fy = reference_symmetric_sum(y, a)
-            evals += 1
-            if log is not None:
-                log.append((step, tuple(y)))
-            if fy > fx:
-                x, fx = y, fy
-                improved = True
-        if not improved:
-            step *= 0.5
-            if log is not None and step > 1e-10 and evals < 20000:
-                log.append(("start", step, tuple(x)))
-    return x, fx
 
+    def parts(total, slots, cap):
+        if slots == 1:
+            if total <= cap:
+                yield (total,)
+            return
+        for first in range(min(total, cap), -1, -1):
+            if first * slots < total:
+                break
+            for rest in parts(total - first, slots - 1, first):
+                yield (first,) + rest
 
-def reference_numeric(a, n_grid):
-    """``(value, maximizer, uncertainty)`` by the uncached grid and the plain refine."""
-    m = len(a)
-    points = reference_grid(m, n_grid)
-    values = _symmetric_sum_grid(points, a)
-    order = np.argsort(values)[::-1]
-    best_value = -math.inf
-    best_x = points[order[0]]
-    for idx in order[:3]:
-        x, v = reference_refine(points[idx], a, 1.0 / n_grid)
-        if v > best_value:
-            best_value, best_x = v, x
-    uncertainty = math.factorial(m) * sum(
-        bounds._continuity_step(1.0 / n_grid, ai) for ai in a
-    )
-    return float(best_value), tuple(float(v) for v in best_x), uncertainty
+    return np.array(list(parts(n_grid, m, n_grid)), dtype=float) / n_grid
 
 
 def case_ii_specs(m, zeros, count, seed):
@@ -390,7 +364,7 @@ class TestSymmetricSumGrid:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_blocks_match_one_table(self, monkeypatch):
-        points = _simplex_grid(4, 12)  # 455 compositions and 11 extra points
+        points = _simplex_grid(4, 40)  # 632 compositions in the chamber and 3 extra points
         a = (2.5, 0.4, 0.0, 1.1)
         whole = injective_sum(points.T[None] ** np.array(a)[:, None, None])
         monkeypatch.setattr(bounds, "_GRID_BLOCK", 50)
@@ -479,16 +453,18 @@ class TestMuirheadNumeric:
         [(2, 0, 512, 8), (3, 0, 96, 6), (3, 1, 96, 6), (4, 2, 10, 6), (4, 1, 6, 4),
          (5, 3, 8, 4), (5, 0, 5, 4)],
     )
-    def test_bit_identical_to_reference_search(self, m, zeros, n_grid, count):
+    def test_chamber_max_equals_full_grid_max(self, m, zeros, n_grid, count):
         for spec in case_ii_specs(m, zeros, count, seed=10 * m + zeros):
             got = muirhead_numeric(spec, n_grid)
-            want = reference_numeric(spec.a, n_grid)
-            assert (got.value, got.maximizer, got.uncertainty) == want
+            full = _symmetric_sum_grid(reference_grid(m, n_grid), spec.a)
+            assert got.value == pytest.approx(full.max(), rel=1e-15, abs=0.0)
+            assert list(got.maximizer) == sorted(got.maximizer, reverse=True)
 
     def test_grid_cached_read_only(self):
         grid = _simplex_grid(3, 96)
         assert _simplex_grid(3, 96) is grid
-        assert np.array_equal(grid, reference_grid(3, 96))
+        full = reference_grid(3, 96)
+        assert np.array_equal(grid, full[(np.diff(full, axis=1) <= 0).all(axis=1)])
         assert not grid.flags.writeable
         with pytest.raises(ValueError):
             grid[0, 0] = 1.0
@@ -500,34 +476,6 @@ class TestMuirheadNumeric:
         assert muirhead_numeric(spec, 10).resolution == 10  # 66 points, at the limit
         with pytest.raises(ConfigurationError, match="78 points, over the limit of 66"):
             muirhead_numeric(spec, 11)
-
-    @pytest.mark.parametrize(
-        "a, x0, step",
-        [((2.5, 0.3, 0.0), (0.5, 0.25, 0.25), 1.0 / 8),
-         # a step too short to reach the maximum: the search stops at the cap
-         ((0.5, 0.0, 0.0), (0.8, 0.1, 0.1), 1e-5)],
-        ids=["floor", "cap"],
-    )
-    def test_each_point_evaluated_once_per_step(self, monkeypatch, a, x0, step):
-        spec = MuirheadSpec(a)
-        log = []
-        want_x, want_fx = reference_refine(x0, a, step, log)
-        moves = [entry for entry in log if entry[0] != "start"]
-        known = {(step, x) for _, step, x in (e for e in log if e[0] == "start")}
-        needed = {move for move in moves if move not in known}
-        assert step > 1e-3 or len(moves) >= 20000
-
-        evaluated = []
-
-        def counting(x, spec):
-            evaluated.append(tuple(x))
-            return symmetric_sum(x, spec)
-
-        monkeypatch.setattr(bounds, "symmetric_sum", counting)
-        x, fx = bounds._compass_refine(x0, spec, step)
-        assert (tuple(x), fx) == (tuple(want_x), want_fx)
-        assert len(evaluated) == 1 + len(needed) < len(moves)
-        assert set(evaluated[1:]) == {x for _, x in needed}
 
     def test_coarse_resolution_widens_uncertainty(self):
         spec = MuirheadSpec((1.0, 1.0))
@@ -544,11 +492,23 @@ class TestMuirheadNumeric:
                 continue
             spec = MuirheadSpec(a)
             closed = muirhead_closed_form(spec)
-            k = closed.value if closed.exact else muirhead_numeric(spec).value
+            k = closed.value if closed.exact else muirhead_numeric(spec).upper
             x = tuple(float(v) for v in rng.uniform(0.0, 5.0, size=m))
             lhs = symmetric_sum(x, spec)
             rhs = k * sum(x) ** spec.s
             assert lhs <= rhs * (1.0 + 1e-9) + 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), m=st.integers(2, 5))
+    def test_upper_end_bounds_every_point(self, data, m):
+        entry = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
+        a = data.draw(st.lists(entry, min_size=m, max_size=m))
+        assume(sum(a) > 0.0)
+        spec = MuirheadSpec(tuple(a))
+        upper = muirhead_numeric(spec).upper
+        x = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+                               min_size=m, max_size=m))
+        assert symmetric_sum(x, spec) <= upper * sum(x) ** spec.s
 
 
 class TestKInductive:
@@ -604,8 +564,13 @@ class TestKInductive:
         assert result.estimated
         (entry,) = result.ledger.entries
         assert entry.muirhead_case == "ii"
-        # the sharp constant for two particles at a ternary root is 2/3
-        assert result.value == pytest.approx(2.0 / 3.0, abs=1e-5)
+        # the sharp constant for two particles at a ternary root is 2/3; the
+        # certified constant lies above it by at most the grid's radius
+        estimate = muirhead_numeric(MuirheadSpec((1.0, 1.0, 0.0)))
+        assert entry.log_muirhead == math.log(estimate.upper)
+        widened = (2.0 / 3.0 + estimate.uncertainty) * (1.0 + bounds.ROUNDING_ALLOWANCE)
+        # exp(log(upper)) may round one ulp above upper
+        assert 2.0 / 3.0 <= estimate.value <= result.value <= widened * (1.0 + 1e-15)
 
     def test_beyond_estimator_takes_bracket_upper_end(self):
         # a 7-ary star of degree 5: the zero-padded vector has no closed form
@@ -734,7 +699,12 @@ def ref_k_binary(shape, pa):
     return value, not failing, tuple(failing)
 
 
-def ref_k_inductive(shape, pa, m):
+def certified_log_k(mspec):
+    """The rule ``k_inductive`` applies to a node that rests on the estimator."""
+    return min(math.log(bounds.muirhead_numeric(mspec).upper), math.lgamma(mspec.m))
+
+
+def ref_k_inductive(shape, pa, m, estimated_log_k=certified_log_k):
     own_sums = ref_own_sums(shape, pa)
     entries = []
 
@@ -757,10 +727,7 @@ def ref_k_inductive(shape, pa, m):
         elif not estimated:
             log_k = log_upper
         else:
-            log_lower = bounds._log_uniform_constant(m, mspec.s)
-            est = bounds.muirhead_numeric(mspec)
-            log_est = math.log(est.value) if est.value > 0.0 else log_lower
-            log_k = min(max(log_est, log_lower), log_upper)
+            log_k = estimated_log_k(mspec)
         log_factor = beta_inv * log_k + (1.0 - beta_inv) * log_upper - math.lgamma(m - d + 1)
         entries.append(
             NodeAccount(path, level, d, alpha_inv, beta_inv, closed.case, log_k, estimated,
@@ -828,3 +795,26 @@ class TestJoinNodeWalk:
             seen["multiplicity >= 2"] += any(n.multiplicity >= 2 for n in ref_nodes(shape))
             seen["m >= 6"] += m >= 6
         assert min(seen.values()) >= 10, seen
+
+    def test_certified_above_finer_lower_estimate(self, monkeypatch):
+        # a grid maximum clamped into the bracket is a lower bound for a node's
+        # constant; at 4x the default resolution it must not pass the certified one
+        monkeypatch.setattr(bounds, "muirhead_numeric", functools.cache(bounds.muirhead_numeric))
+
+        @functools.cache
+        def finer_lower_log_k(mspec):
+            points = reference_chamber(mspec.m, 4 * bounds._DEFAULT_RESOLUTION[mspec.m])
+            lower = float(_symmetric_sum_grid(points, mspec.a).max())
+            log_bracket = math.lgamma(mspec.m + 1) - mspec.s * math.log(mspec.m)
+            return min(max(math.log(lower), log_bracket), math.lgamma(mspec.m))
+
+        rng = random.Random(2024)
+        estimated = 0
+        for _ in range(400):
+            m, config, pa = random_shape_case(rng)
+            shape = extract_shape(config)
+            result = k_inductive(shape, pa, m)
+            value, _ = ref_k_inductive(shape, pa, m, finer_lower_log_k)
+            assert result.value >= value
+            estimated += result.estimated
+        assert estimated >= 100

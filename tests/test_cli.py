@@ -87,6 +87,7 @@ class TestSubcommands:
         assert payload["case"] == "ii"
         assert payload["lower"] == 0.25 and payload["upper"] == 1.0
         assert abs(payload["numeric"]["value"] - 1.0) < 1e-6
+        assert payload["numeric"]["value"] <= 1.0 <= payload["numeric"]["upper"]
 
     def test_verify_pass(self, capsys, worked_file):
         code, payload = run_cli(capsys, "verify", worked_file)

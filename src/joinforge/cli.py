@@ -18,13 +18,14 @@ from .bounds import (
     MuirheadSpec,
     muirhead_closed_form,
     muirhead_numeric,
+    rhs_product,
     validate_exponents,
 )
 from .energy import orbit_energy_bruteforce, orbit_energy_factorized
 from .orbits import (
-    DEFAULT_ENUMERATION_GUARD,
     EnumerationGuardError,
     orbit_enumerate,
+    shape_join_levels,
     shape_orbit_size,
 )
 from .tree import ConfigurationError
@@ -37,6 +38,7 @@ from .verify import (
     load_instance,
     parse_regime,
     reproduce_example,
+    resolve_constant,
 )
 
 EXIT_OK = 0
@@ -63,12 +65,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("orbit", help="orbit size or full enumeration")
     ps.add_argument("action", choices=["size", "enumerate"])
     ps.add_argument("instance")
-    ps.add_argument("--guard", type=int, default=DEFAULT_ENUMERATION_GUARD)
 
     ps = sub.add_parser("energy", help="orbit energy of an instance")
     ps.add_argument("instance")
     ps.add_argument("--method", choices=["brute", "factorized"], default="factorized")
-    ps.add_argument("--guard", type=int, default=DEFAULT_ENUMERATION_GUARD)
 
     ps = sub.add_parser("bound", help="constant and right-hand side for a regime")
     ps.add_argument("instance")
@@ -83,13 +83,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("verify", help="check the inequality for an instance")
     ps.add_argument("instance")
     ps.add_argument("--method", choices=["brute", "factorized"], default="factorized")
-    ps.add_argument("--rel-tol", type=float, default=1e-9)
-    ps.add_argument("--guard", type=int, default=DEFAULT_ENUMERATION_GUARD)
 
     ps = sub.add_parser("equality-check", help="equality case for a binary instance's shape")
     ps.add_argument("instance")
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--rel-tol", type=float, default=1e-9)
 
     ps = sub.add_parser("example", help="reproduce the worked four-particle example")
     ps.add_argument("--p", type=float, nargs=3, default=[3.0, 3.0, 3.0])
@@ -100,7 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--k", type=int, default=4)
     ps.add_argument("--n", type=int, default=6)
     ps.add_argument("--regime", default="general")
-    ps.add_argument("--rel-tol", type=float, default=1e-9)
     ps.add_argument("--jobs", type=int, default=1)
     ps.add_argument("--csv", default=None, help="write per-seed ratios to this CSV path")
 
@@ -136,7 +132,7 @@ def _cmd_orbit(args) -> int:
         return EXIT_OK
     members = [
         [p.to_text() for p in member.particles]
-        for member in orbit_enumerate(inst.config, guard=args.guard)
+        for member in orbit_enumerate(inst.config)
     ]
     _emit({"count": len(members), "tuples": members})
     return EXIT_OK
@@ -145,7 +141,7 @@ def _cmd_orbit(args) -> int:
 def _cmd_energy(args) -> int:
     inst = load_instance(args.instance)
     if args.method == "brute":
-        result = orbit_energy_bruteforce(inst.config, inst.weights, inst.f, guard=args.guard)
+        result = orbit_energy_bruteforce(inst.config, inst.weights, inst.f)
     else:
         result = orbit_energy_factorized(inst.config, inst.weights, inst.f)
     _emit({"value": result.value, "method": result.method, "terms": result.terms})
@@ -165,14 +161,17 @@ def _cmd_bound(args) -> int:
     if violation is not None:
         _emit({"error": violation.message, "constraint": violation.constraint})
         return EXIT_VIOLATION
-    report = check_inequality(inst)
+    k_constant, flags = resolve_constant(inst)
+    rhs = rhs_product(
+        inst.tree, inst.masses, inst.f, inst.base, inst.shape, inst.exponents, k_constant
+    )
     _emit(
         {
-            "K": report.k_constant,
+            "K": k_constant,
             "regime": inst.regime,
-            "rhs": report.rhs,
-            "flags": list(report.flags),
-            "join_levels": report.metadata["join_levels"],
+            "rhs": rhs,
+            "flags": list(flags),
+            "join_levels": shape_join_levels(inst.shape, inst.base.level),
         }
     )
     return EXIT_OK
@@ -205,9 +204,7 @@ def _cmd_kconst(args) -> int:
 
 def _cmd_verify(args) -> int:
     inst = load_instance(args.instance)
-    report = check_inequality(
-        inst, rel_tol=args.rel_tol, method=args.method, guard=args.guard
-    )
+    report = check_inequality(inst, method=args.method)
     _emit(report.to_json_dict(), note=f"ratio {report.ratio:.6g} pass={report.passed}")
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
@@ -215,11 +212,7 @@ def _cmd_verify(args) -> int:
 def _cmd_equality_check(args) -> int:
     inst = load_instance(args.instance)
     report = check_equality_case(
-        inst.tree,
-        inst.shape,
-        inst.exponents.exponents,
-        seed=args.seed,
-        rel_tol=args.rel_tol,
+        inst.tree, inst.shape, inst.exponents.exponents, seed=args.seed
     )
     _emit(report.to_json_dict())
     return EXIT_OK if report.passed else EXIT_VIOLATION
@@ -246,7 +239,6 @@ def _cmd_fuzz(args) -> int:
             seed_start=start,
             seed_count=count,
             ranges=ranges,
-            rel_tol=args.rel_tol,
             jobs=args.jobs,
         )
     )

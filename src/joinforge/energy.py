@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .orbits import (
-    DEFAULT_ENUMERATION_GUARD,
     Configuration,
     JoinShape,
     ShapeLeaf,
@@ -62,10 +61,7 @@ def interaction_value(f: LevelFunction, config: Configuration) -> float:
 
 
 def orbit_energy_bruteforce(
-    config: Configuration,
-    weights: WeightAssignment,
-    f: LevelFunction,
-    guard: int = DEFAULT_ENUMERATION_GUARD,
+    config: Configuration, weights: WeightAssignment, f: LevelFunction
 ) -> EnergyResult:
     """Sum weight products times interaction values over the enumerated orbit.
 
@@ -74,7 +70,7 @@ def orbit_energy_bruteforce(
     """
     total = 0.0
     count = 0
-    for member in orbit_enumerate(config, guard=guard):
+    for member in orbit_enumerate(config):
         term = math.prod(weights.weight(p) for p in member.particles)
         total += term * interaction_value(f, member)
         count += 1

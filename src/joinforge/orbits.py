@@ -380,17 +380,16 @@ def orbit_size(config: Configuration) -> int:
     return shape_orbit_size(extract_shape(config), config.tree.arity)
 
 
-def orbit_enumerate(
-    config: Configuration, guard: int = DEFAULT_ENUMERATION_GUARD
-) -> Iterator[Configuration]:
+def orbit_enumerate(config: Configuration) -> Iterator[Configuration]:
     """Yield every ordered tuple in the orbit exactly once.
 
     Works by scanning ordered tuples of distinct leaves below the base and
     keeping those with the same canonical shape.  Refuses up front when
     either the orbit size estimate or the count of all ordered tuples
-    exceeds the guard (default 10**7), since a filter scan must not
-    silently hang.
+    exceeds ``DEFAULT_ENUMERATION_GUARD`` (10**7), since a filter scan must
+    not silently hang.
     """
+    guard = DEFAULT_ENUMERATION_GUARD
     estimate = orbit_size(config)
     if estimate > guard:
         raise EnumerationGuardError(

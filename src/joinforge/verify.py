@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import statistics
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -41,7 +42,6 @@ from .energy import (
     orbit_energy_bruteforce,
 )
 from .orbits import (
-    DEFAULT_ENUMERATION_GUARD,
     Configuration,
     EnumerationGuardError,
     JoinShape,
@@ -350,18 +350,15 @@ def _factorized_energy(inst: Instance) -> EnergyResult:
     return EnergyResult(value, "factorized", shape_orbit_size(inst.shape, inst.tree.arity))
 
 
-def check_inequality(
-    inst: Instance,
-    rel_tol: float = DEFAULT_REL_TOL,
-    method: str = "factorized",
-    guard: int = DEFAULT_ENUMERATION_GUARD,
-) -> Report:
+def check_inequality(inst: Instance, method: str = "factorized") -> Report:
     """Evaluate both sides of the bound and report the outcome.
 
-    The left side uses the factorized evaluator unless brute force is
-    requested and its enumeration fits the guard; a guard refusal is flagged
-    and falls back to the factorized path.  Invalid exponents produce a
-    failing report carrying the violation instead of raising.
+    The report passes when the left side is at most the right side times
+    ``1 + DEFAULT_REL_TOL``.  The left side uses the factorized evaluator
+    unless brute force is requested and its enumeration fits
+    ``DEFAULT_ENUMERATION_GUARD``; a guard refusal is flagged and falls
+    back to the factorized path.  Invalid exponents produce a failing
+    report carrying the violation instead of raising.
     """
     violation = validate_exponents(inst.shape, inst.exponents)
     metadata: dict[str, Any] = {
@@ -387,7 +384,7 @@ def check_inequality(
     energy: EnergyResult
     if method == "brute":
         try:
-            energy = orbit_energy_bruteforce(inst.config, inst.weights, inst.f, guard=guard)
+            energy = orbit_energy_bruteforce(inst.config, inst.weights, inst.f)
         except EnumerationGuardError:
             flags.append(FLAG_ENUMERATION_GUARD)
             energy = _factorized_energy(inst)
@@ -407,7 +404,7 @@ def check_inequality(
         rhs=rhs,
         k_constant=k_constant,
         ratio=_ratio(lhs, rhs),
-        passed=lhs <= rhs * (1.0 + rel_tol),
+        passed=lhs <= rhs * (1.0 + DEFAULT_REL_TOL),
         flags=tuple(flags),
         metadata=metadata,
     )
@@ -418,18 +415,20 @@ def check_equality_case(
     shape: JoinShape,
     exponents: tuple[float, ...] | list[float],
     seed: int = 0,
-    rel_tol: float = DEFAULT_REL_TOL,
 ) -> Report:
     """Verify the equality case of the sharp binary constant.
 
     Builds the instance with constant leaf weights and a level-constant
-    vertex function (random positive level values from ``seed``), then
-    requires the two sides to agree to ``rel_tol``; ``passed`` means the
-    ratio equals 1 within tolerance.  When the halves condition fails the
-    check is skipped with a reason rather than reported as a failure.
+    vertex function (random positive level values from the non-negative
+    ``seed``), then requires the two sides to agree to ``DEFAULT_REL_TOL``;
+    ``passed`` means the ratio equals 1 within tolerance.  When the halves
+    condition fails the check is skipped with a reason rather than reported
+    as a failure.
     """
     if tree.arity != 2:
         raise ConfigurationError("the equality case is specific to binary trees")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be non-negative, got {seed}")
     pa = ExponentAssignment(tuple(exponents))
     config = realize_shape(tree, ROOT, shape)
     kb = k_binary(shape, pa)
@@ -458,8 +457,8 @@ def check_equality_case(
         regime="binary_optimal",
         seed=seed,
     )
-    report = check_inequality(inst, rel_tol=rel_tol)
-    equal = abs(report.ratio - 1.0) <= rel_tol
+    report = check_inequality(inst)
+    equal = abs(report.ratio - 1.0) <= DEFAULT_REL_TOL
     return replace(
         report,
         passed=equal,
@@ -674,7 +673,6 @@ class CampaignSpec:
     seed_start: int = 0
     seed_count: int = 10_000
     ranges: InstanceRanges = InstanceRanges()
-    rel_tol: float = DEFAULT_REL_TOL
     jobs: int = 1
 
 
@@ -730,10 +728,10 @@ class CampaignSummary:
                 writer.writerow([result.seed, repr(result.ratio)])
 
 
-def _evaluate_seed(args: tuple[int, InstanceRanges, float]) -> tuple[SeedResult, dict | None]:
-    seed, ranges, rel_tol = args
+def _evaluate_seed(args: tuple[int, InstanceRanges]) -> tuple[SeedResult, dict | None]:
+    seed, ranges = args
     inst = random_instance(seed, ranges)
-    report = check_inequality(inst, rel_tol=rel_tol)
+    report = check_inequality(inst)
     positive = bool((inst.weights.leaf_array > 0.0).all())
     violation = None
     if not report.passed:
@@ -750,9 +748,18 @@ def _evaluate_seed(args: tuple[int, InstanceRanges, float]) -> tuple[SeedResult,
 
 
 def fuzz_campaign(spec: CampaignSpec) -> CampaignSummary:
-    """Run the campaign over the seed range; workers share nothing."""
+    """Run the campaign over the seed range; workers share nothing.
+
+    Seeds must be non-negative and ``jobs`` must lie between 1 and the CPU
+    count; both are refused before any worker process starts.
+    """
+    if spec.seed_start < 0:
+        raise ConfigurationError(f"seeds must be non-negative, got {spec.seed_start}")
+    cpus = os.cpu_count() or 1
+    if not 1 <= spec.jobs <= cpus:
+        raise ConfigurationError(f"jobs must lie in 1..{cpus}, got {spec.jobs}")
     seeds = range(spec.seed_start, spec.seed_start + spec.seed_count)
-    tasks = [(seed, spec.ranges, spec.rel_tol) for seed in seeds]
+    tasks = [(seed, spec.ranges) for seed in seeds]
     if spec.jobs > 1:
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
             outcomes = list(pool.map(_evaluate_seed, tasks, chunksize=64))

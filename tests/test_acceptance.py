@@ -160,7 +160,6 @@ def test_acceptance_4_general_regime_fuzz():
             seed_start=0,
             seed_count=10_000,
             ranges=InstanceRanges(arities=(2, 3), max_depth=4, max_particles=6),
-            rel_tol=1e-9,
         )
     )
     elapsed = time.perf_counter() - start
@@ -180,7 +179,7 @@ def test_acceptance_5_binary_optimal_regime():
     ranges = InstanceRanges(arities=(2,), max_depth=4, max_particles=6,
                             regime="binary_optimal")
     summary = fuzz_campaign(
-        CampaignSpec(seed_start=0, seed_count=1_000, ranges=ranges, rel_tol=1e-9)
+        CampaignSpec(seed_start=0, seed_count=1_000, ranges=ranges)
     )
     assert summary.count == 1_000
     assert summary.passed, summary.violations[:3]

@@ -19,6 +19,8 @@ from joinforge import (
     worked_example_configuration,
 )
 from joinforge import bounds, orbits
+import joinforge.energy as energy_mod
+import joinforge.verify as verify_mod
 from joinforge.cli import main
 
 
@@ -94,9 +96,7 @@ class TestSubcommands:
         assert code == 0 and payload["pass"] is True
 
     def test_verify_violation_exit_one(self, capsys, worked_file):
-        code, payload = run_cli(
-            capsys, "verify", worked_file, "--method", "factorized", "--rel-tol", "1e-9"
-        )
+        code, payload = run_cli(capsys, "verify", worked_file, "--method", "factorized")
         assert code == 0
         code, payload = run_cli(capsys, "bound", worked_file, "--regime", "explicit=1e-9")
         assert code == 0  # bound only reports
@@ -126,6 +126,19 @@ class TestSubcommands:
         assert payload["orbit_count"] == 64
         assert payload["join_points"] == {"": 1, "1": 1, "2.1": 1}
         assert payload["tight_regime"] == "binary_optimal"
+
+    @pytest.mark.parametrize(
+        "regime", ["general", "binary-optimal", "inductive", "explicit=2.5"]
+    )
+    def test_bound_skips_the_energy(self, capsys, worked_file, monkeypatch, regime):
+        def no_energy(*args):
+            pytest.fail("bound evaluated the orbit energy")
+
+        for module in (energy_mod, verify_mod):
+            monkeypatch.setattr(module, "factorized_from_shape", no_energy)
+        code, payload = run_cli(capsys, "bound", worked_file, "--regime", regime)
+        assert code == 0 and payload["rhs"] > 0.0
+        assert payload["join_levels"] == [0, 1, 2]
 
     def test_fuzz(self, capsys, tmp_path):
         csv_path = tmp_path / "r.csv"
@@ -263,10 +276,48 @@ class TestCliContract:
             main(["orbit", "nonsense", "whatever.json"])
         assert exc.value.code == 2
 
-    def test_guard_refusal(self, capsys, worked_file):
-        code, payload = run_cli(capsys, "orbit", "enumerate", worked_file, "--guard", "3")
+    def test_guard_refusal(self, capsys, tmp_path):
+        # three leaves of the binary depth-16 tree: an orbit of 2**45 members
+        doc = {"m": 2, "k": 16, "config": [[1] * 16, [1, 2] + [1] * 14, [2] * 16],
+               "p": [2.0, 2.0]}
+        path = tmp_path / "huge_orbit.json"
+        path.write_text(json.dumps(doc))
+        code, payload = run_cli(capsys, "orbit", "enumerate", str(path))
         assert code == 1
-        assert payload["estimate"] == 64
+        assert payload["estimate"] == 2**45
+        assert "enumeration guard" in payload["error"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "WORKED", "--rel-tol", "1e9"],
+            ["verify", "WORKED", "--guard", "1000000000"],
+            ["orbit", "enumerate", "WORKED", "--guard", "1000000000"],
+            ["energy", "WORKED", "--method", "brute", "--guard", "1000000000"],
+            ["equality-check", "WORKED", "--rel-tol", "1"],
+            ["fuzz", "--seeds", "0..1", "--rel-tol", "-1"],
+        ],
+        ids=["verify-rel-tol", "verify-guard", "orbit-guard", "energy-guard",
+             "equality-rel-tol", "fuzz-rel-tol"],
+    )
+    def test_tolerance_and_guard_are_not_options(self, capsys, worked_file, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([worked_file if a == "WORKED" else a for a in argv])
+        assert exc.value.code == 2 and capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fuzz", "--seeds=-3..0"], "non-negative"),
+            (["equality-check", "WORKED", "--seed", "-1"], "non-negative"),
+            (["fuzz", "--seeds", "0..5", "--jobs", "0"], "jobs"),
+        ],
+        ids=["fuzz-negative-seed", "equality-check-negative-seed", "fuzz-zero-jobs"],
+    )
+    def test_out_of_range_setting_exit_two(self, capsys, worked_file, argv, message):
+        code = main([worked_file if a == "WORKED" else a for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and message in captured.err
 
     def test_console_entry_point(self, worked_file):
         exe = shutil.which("joinforge")

@@ -210,10 +210,23 @@ class TestOrbitEnumerate:
         members = list(orbit_enumerate(config))
         assert sorted(m.particles[0] for m in members) == sorted(tree.leaves())
 
-    def test_guard_refusal_carries_estimate(self, worked_config):
-        with pytest.raises(EnumerationGuardError) as err:
-            orbit_enumerate(worked_config, guard=10)
-        assert err.value.estimate == 64
+    def test_guard_refusal_carries_estimate(self):
+        # an orbit of 2**45 members is refused before the leaves are listed
+        tree = TreeParams(2, 16)
+        config = Configuration(tree, ROOT, (vx(*[1] * 16), vx(1, 2, *[1] * 14), vx(*[2] * 16)))
+        with pytest.raises(EnumerationGuardError, match="estimated orbit size") as err:
+            orbit_enumerate(config)
+        assert err.value.estimate == 2**45 > orbits.DEFAULT_ENUMERATION_GUARD
+
+    def test_scan_refusal_carries_scan_size(self):
+        # the orbit of 2**23 members fits the guard, but 4096 * 4095 ordered
+        # pairs of leaves would be scanned to find it
+        tree = TreeParams(2, 12)
+        config = Configuration(tree, ROOT, (vx(*[1] * 12), vx(*[2] * 12)))
+        assert orbit_size(config) == 2**23 <= orbits.DEFAULT_ENUMERATION_GUARD
+        with pytest.raises(EnumerationGuardError, match="scanning 16773120 ordered") as err:
+            orbit_enumerate(config)
+        assert err.value.estimate == 16_773_120
 
     def test_duplicate_free_on_random_configs(self, ternary2):
         rng = random.Random(31)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -33,6 +34,19 @@ import joinforge.orbits as orbits_mod
 import joinforge.verify as verify_mod
 
 from conftest import vx
+
+
+def refused_instance() -> Instance:
+    """Three leaves of the binary depth-16 tree: an orbit of 3.5e13 members,
+    refused by the enumeration guard before any tuple is scanned."""
+    tree = TreeParams(2, 16)
+    particles = (vx(*[1] * 16), vx(1, 2, *[1] * 14), vx(*[2] * 16))
+    return Instance(
+        config=Configuration(tree, ROOT, particles),
+        weights=WeightAssignment.constant(tree),
+        f=LevelFunction.constant(tree),
+        exponents=ExponentAssignment((2.0, 2.0)),
+    )
 
 
 def worked_instance(regime="binary_optimal", p=(3.0, 3.0, 3.0), **kwargs) -> Instance:
@@ -135,7 +149,7 @@ class TestCheckInequality:
         assert report.passed
 
     def test_guard_falls_back_to_factorized(self):
-        report = check_inequality(worked_instance(), method="brute", guard=5)
+        report = check_inequality(refused_instance(), method="brute")
         assert "enumeration-guard" in report.flags
         assert report.metadata["method"] == "factorized"
         assert report.passed
@@ -151,8 +165,8 @@ class TestCheckInequality:
                     return _original(*args)
 
                 monkeypatch.setattr(module, name, counted)
-        # with guard 5, brute falls back to factorized
-        report = check_inequality(worked_instance(), method=method, guard=5)
+        # the orbit exceeds the enumeration guard, so brute falls back to factorized
+        report = check_inequality(refused_instance(), method=method)
         assert report.passed and report.metadata["method"] == "factorized"
         assert counts == {"extract_shape": 1, "cylinder_masses": 1}
 
@@ -279,6 +293,11 @@ class TestEqualityCase:
         with pytest.raises(ConfigurationError):
             check_equality_case(tree, shape, (1.0,))
 
+    def test_negative_seed_rejected(self, worked_config):
+        shape = extract_shape(worked_config)
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            check_equality_case(worked_config.tree, shape, (3.0, 3.0, 3.0), seed=-1)
+
 
 class TestReproduceExample:
     def test_invariants(self):
@@ -367,6 +386,23 @@ class TestFuzzCampaign:
         assert one.to_json_dict() == two.to_json_dict()
         assert [r.ratio for r in one.results] == [r.ratio for r in two.results]
 
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"seed_start": -3}, "non-negative"),
+            ({"jobs": 0}, "jobs"),
+            ({"jobs": (os.cpu_count() or 1) + 1}, "jobs"),
+        ],
+        ids=["negative-seed", "zero-jobs", "jobs-above-cpu-count"],
+    )
+    def test_out_of_range_refused_before_any_pool(self, monkeypatch, settings, message):
+        def no_pool(*args, **kwargs):
+            pytest.fail("a process pool was constructed")
+
+        monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(ConfigurationError, match=message):
+            fuzz_campaign(CampaignSpec(seed_count=5, **settings))
+
     def test_csv_output(self, tmp_path):
         summary = fuzz_campaign(CampaignSpec(seed_start=0, seed_count=5))
         path = tmp_path / "ratios.csv"
@@ -380,8 +416,8 @@ class TestFuzzCampaign:
     def test_violation_reporting(self, monkeypatch):
         real = verify_mod.check_inequality
 
-        def rigged(inst, rel_tol=1e-9, **kwargs):
-            report = real(inst, rel_tol=rel_tol, **kwargs)
+        def rigged(inst, **kwargs):
+            report = real(inst, **kwargs)
             if inst.seed == 3:
                 return Report(
                     lhs=2.0, rhs=1.0, k_constant=1.0, ratio=2.0, passed=False,

@@ -21,15 +21,25 @@ or processes.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from typing import Any
 
 import numpy as np
 
 # Largest tree whose per-vertex arrays are built: k = 21 at m = 2, about
 # 32 MB per set of level arrays.
 MAX_TREE_VERTICES = 2**22
+
+# Keys of a word-keyed map are read this many at a time, so the temporaries
+# of one numpy pass stay small next to the map itself.
+KEY_CHUNK = 2048
+
+# Longest symbol a word may hold: its value must fit an int64, and no tree
+# that can be held has an arity of more digits.
+_MAX_SYMBOL_DIGITS = 18
 
 
 class ConfigurationError(ValueError):
@@ -39,15 +49,52 @@ class ConfigurationError(ValueError):
 Word = tuple[int, ...]
 
 
-def parse_word(text: str) -> Word:
-    """Symbols of a dot-separated word, as written in files and CLI arguments; '' is the root."""
-    text = text.strip()
-    if not text:
-        return ()
+def _scan_words(text: str, count: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Symbols and lengths of ``count`` words joined by '/', or None when a
+    word breaks the grammar.
+
+    This is the one definition of a word as written: ``""`` (the root) or
+    decimal symbols joined by '.', each of ASCII digits with no sign, space
+    or leading zero (so every symbol is at least 1), and of at most
+    ``_MAX_SYMBOL_DIGITS`` digits.  Returns every symbol in text order and
+    the number of symbols of each word.
+    """
     try:
-        return tuple(map(int, text.split(".")))
-    except ValueError as exc:
-        raise ConfigurationError(f"bad vertex encoding {text!r}") from exc
+        b = np.frombuffer(f"/{text}/".encode("ascii"), dtype=np.uint8)
+    except UnicodeEncodeError:
+        return None
+    # '.', '/' and '0'..'9' are the ASCII codes 46..57
+    if b.min() < ord(".") or b.max() > ord("9"):
+        return None
+    digit = b >= ord("0")
+    dot = b == ord(".")
+    cuts = (b == ord("/")).nonzero()[0]
+    if cuts.size != count + 1:
+        return None
+    if (dot[1:-1] > (digit[:-2] & digit[2:])).any():  # a dot sits between two digits
+        return None
+    starts = (digit[1:] > digit[:-1]).nonzero()[0] + 1
+    widths = (digit[:-1] > digit[1:]).nonzero()[0] + 1 - starts
+    symbols = b[starts].astype(np.int64) - ord("0")
+    if starts.size and (symbols.min() == 0 or widths.max() > _MAX_SYMBOL_DIGITS):
+        return None  # a leading zero, or too many digits
+    for j in range(1, int(widths.max(initial=0))):
+        more = widths > j
+        symbols[more] = symbols[more] * 10 + b[starts[more] + j] - ord("0")
+    before = np.searchsorted(starts, cuts)
+    return symbols, before[1:] - before[:-1]
+
+
+def parse_word(text: str) -> Word:
+    """Symbols of a dot-separated word, as written in files and CLI arguments; '' is the root.
+
+    The text must be exactly a word (see ``_scan_words``): ``"01.1"``,
+    ``" 1"``, ``"+1"`` and ``"1."`` are refused.
+    """
+    scanned = _scan_words(text, 1) if isinstance(text, str) else None
+    if scanned is None:
+        raise ConfigurationError(f"bad vertex encoding {text!r}")
+    return tuple(scanned[0].tolist())
 
 
 @dataclass(frozen=True, order=True)
@@ -272,6 +319,80 @@ def fill_levels(
     return arrays
 
 
+def keyed_levels(
+    tree: TreeParams, first_level: int, mapping: Mapping[str, Any], fill: float
+) -> list[np.ndarray]:
+    """Level arrays ``first_level..depth`` from values keyed by word text.
+
+    Keys are words as ``parse_word`` reads them, naming vertices at levels
+    ``first_level..depth``; values are JSON numbers (``int`` or ``float``,
+    never ``bool``).  Vertices the map leaves out hold ``fill``.  Keys are
+    read ``KEY_CHUNK`` at a time, each chunk in one numpy pass; a chunk that
+    does not read is read again key by key, only for the message that names
+    its first bad entry.
+    """
+    arrays = level_arrays(tree, first_level, fill)
+    keys, values = iter(mapping), iter(mapping.values())
+    while chunk := list(itertools.islice(keys, KEY_CHUNK)):
+        raw = list(itertools.islice(values, KEY_CHUNK))
+        read = _read_chunk(tree, first_level, chunk, raw)
+        if read is None:
+            raise _first_bad_entry(tree, first_level, chunk, raw)
+        lengths, ranks, numbers = read
+        for level in range(int(lengths.min()), int(lengths.max()) + 1):
+            at = lengths == level
+            arrays[level - first_level][ranks[at]] = numbers[at]
+    return arrays
+
+
+def _read_chunk(
+    tree: TreeParams, first_level: int, keys: list[str], values: list[Any]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Level, rank and value of each entry, or None when any entry is refused."""
+    if not set(map(type, values)) <= {int, float}:
+        return None
+    try:
+        numbers = np.array(values, dtype=np.float64)
+        scanned = _scan_words("/".join(keys), len(keys))
+    except (TypeError, OverflowError):
+        return None
+    if scanned is None:
+        return None
+    symbols, lengths = scanned
+    if symbols.max(initial=0) > tree.arity:
+        return None
+    if not first_level <= lengths.min() <= lengths.max() <= tree.depth:
+        return None
+    # one row of base-m digits per word, right-aligned so that a shorter
+    # word leads with zeros, read as a number
+    n, k = len(keys), tree.depth
+    digits = np.zeros(n * k, dtype=np.int64)
+    offsets = np.arange(1, n + 1) * k - np.cumsum(lengths)
+    digits[np.arange(symbols.size) + np.repeat(offsets, lengths)] = symbols - 1
+    ranks = digits.reshape(n, k) @ tree.arity ** np.arange(k - 1, -1, -1)
+    return lengths, ranks, numbers
+
+
+def _first_bad_entry(
+    tree: TreeParams, first_level: int, keys: list[Any], values: list[Any]
+) -> ConfigurationError:
+    """The refusal of the first entry that ``_read_chunk`` cannot take."""
+    for key, value in zip(keys, values):
+        try:
+            word = parse_word(key)
+            tree.rank(word)
+            if len(word) < first_level:
+                raise ConfigurationError(f"unexpected word {key!r} above level {first_level}")
+            if type(value) not in (int, float):
+                raise ConfigurationError(f"value at {key!r} must be a JSON number, got {value!r}")
+            float(value)
+        except ConfigurationError as exc:
+            return exc
+        except OverflowError:
+            return ConfigurationError(f"value at {key!r} is too large for a float")
+    return ConfigurationError(f"entries from {keys[0]!r} to {keys[-1]!r} could not be read")
+
+
 def _mapping_levels(
     tree: TreeParams, first_level: int, mapping: Mapping[Vertex, float], default: float | None
 ) -> list[np.ndarray]:
@@ -295,8 +416,8 @@ def _held(
     what: str,
     positive: bool,
 ) -> tuple[np.ndarray, ...]:
-    """Level arrays ``first_level..depth``, every value checked (``> 0`` when
-    ``positive``, else ``>= 0``; NaN never passes), then made read-only.
+    """Level arrays ``first_level..depth``, every value checked (finite, and
+    ``> 0`` when ``positive``, else ``>= 0``), then made read-only.
 
     An array that owns its float64 data is taken over as it is; anything
     else is copied first, a view included, since its base stays writable.
@@ -308,13 +429,16 @@ def _held(
             f"{what}s need one array of m**level values per level {first_level}..{tree.depth}"
         )
     for level, out in enumerate(held, first_level):
-        bad = np.flatnonzero(~(out > 0.0 if positive else out >= 0.0))
-        if bad.size:
-            v = next(itertools.islice(tree.vertices_at(level), int(bad[0]), None))
-            raise ConfigurationError(
-                f"{what} at {v!r} must be {'>' if positive else '>='} 0, "
-                f"got {float(out[bad[0]])!r}"
-            )
+        low = out.min()  # NaN if any value is NaN, and NaN fails both tests
+        if (low > 0.0 if positive else low >= 0.0) and out.max() < math.inf:
+            continue
+        ok = np.isfinite(out) & (out > 0.0 if positive else out >= 0.0)
+        bad = int(np.flatnonzero(~ok)[0])
+        v = next(itertools.islice(tree.vertices_at(level), bad, None))
+        raise ConfigurationError(
+            f"{what} at {v!r} must be finite and {'>' if positive else '>='} 0, "
+            f"got {float(out[bad])!r}"
+        )
     for out in held:
         out.flags.writeable = False
     return held

@@ -59,9 +59,8 @@ from .tree import (
     Vertex,
     WeightAssignment,
     cylinder_masses,
-    fill_levels,
+    keyed_levels,
     level_arrays,
-    parse_word,
 )
 
 REGIMES = ("general", "binary_optimal", "inductive", "explicit")
@@ -178,7 +177,7 @@ def _vertex_field(raw: Any, where: str) -> Vertex:
     try:
         if isinstance(raw, str):
             return Vertex.from_text(raw)
-        return Vertex.from_symbols(raw)
+        return Vertex(tuple(_integer(s) for s in raw))
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"instance field {where!r}: {exc}") from exc
 
@@ -201,12 +200,8 @@ def _vertex_values(
     if not isinstance(raw, dict):
         raise ConfigurationError(f"instance field {where!r} must be an object")
     try:
-        return fill_levels(
-            tree, first_level, ((parse_word(key), value) for key, value in raw.items()), 1.0
-        )
-    except ConfigurationError:
-        raise
-    except (AttributeError, TypeError, ValueError) as exc:
+        return keyed_levels(tree, first_level, raw, 1.0)
+    except ConfigurationError as exc:
         raise ConfigurationError(f"instance field {where!r}: {exc}") from exc
 
 

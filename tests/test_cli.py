@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import math
 import shutil
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -199,6 +201,70 @@ class TestCliContract:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "unexpected" in captured.err
+
+    @pytest.mark.parametrize(
+        "m, field, key, value",
+        [
+            (2, "f", "01.1", 2.0),
+            (2, "f", " 1.1", 2.0),
+            (2, "f", "+1", 2.0),
+            (2, "f", "1..1", 2.0),
+            (2, "f", "1.", 2.0),
+            (2, "f", ".1", 2.0),
+            (2, "f", "1.0", 2.0),
+            (2, "f", "\u0661", 2.0),
+            (9, "f", "10", 2.0),
+            (2, "f", "1.1.1.1", 2.0),
+            (2, "mu", "1.1", 2.0),
+            (2, "mu", "1.1.1", "2.5"),
+            (2, "mu", "1.1.1", True),
+        ],
+        ids=[
+            "leading-zero", "space", "sign", "empty-symbol", "trailing-dot", "leading-dot",
+            "zero-symbol", "non-ascii-digit", "two-digits-at-m9", "too-deep", "mu-non-leaf",
+            "string-value", "boolean-value",
+        ],
+    )
+    def test_malformed_entry_exit_two(self, capsys, tmp_path, m, field, key, value):
+        doc = {"m": m, "k": 3, "config": [[1, 1, 1], [2, 1, 1]], "p": [1.0], field: {key: value}}
+        bad = tmp_path / "malformed.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["verify", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert repr(key) in captured.err and repr(field) in captured.err
+
+    def test_two_spellings_of_one_leaf_exit_two(self, capsys, tmp_path):
+        doc = {
+            "m": 2, "k": 3, "config": [[1, 1, 1], [2, 1, 1]], "p": [1.0],
+            "mu": {"1.1.1": 1.0, "01.1.1": 2.0},
+        }
+        bad = tmp_path / "twice.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["verify", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and "'01.1.1'" in captured.err
+
+    @pytest.mark.parametrize("field, key", [("mu", "1.2.1"), ("f", "2")], ids=["mu", "f"])
+    def test_non_finite_value_exit_two(self, capsys, tmp_path, field, key):
+        doc = {"m": 2, "k": 3, "config": [[1, 1, 1], [2, 1, 1]], "p": [1.0], field: {key: math.inf}}
+        bad = tmp_path / "infinite.json"
+        bad.write_text(json.dumps(doc))  # written as Infinity, which json reads back
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["verify", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"Vertex({key!r})" in captured.err and "finite" in captured.err
+
+    @pytest.mark.parametrize("symbol", [1.9, "1", True], ids=["fraction", "string", "boolean"])
+    def test_non_integer_config_symbol_exit_two(self, capsys, tmp_path, symbol):
+        doc = {"m": 2, "k": 3, "config": [[symbol, 1, 1], [2, 1, 1]], "p": [1.0]}
+        bad = tmp_path / "symbol.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["verify", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and "'config[0]'" in captured.err
 
     def test_oversized_tree_exit_two_fast(self, capsys, tmp_path):
         doc = {"m": 10, "k": 10, "config": [[1] * 10, [2] * 10], "p": [1.0]}

@@ -7,7 +7,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from joinforge import (
     ConfigurationError,
@@ -21,7 +21,7 @@ from joinforge import (
     join,
     join_multiset,
 )
-from joinforge.tree import MAX_TREE_VERTICES, level_arrays
+from joinforge.tree import KEY_CHUNK, MAX_TREE_VERTICES, keyed_levels, level_arrays, parse_word
 
 from conftest import vx
 
@@ -303,3 +303,132 @@ class TestLevelArrays:
             WeightAssignment.constant(TreeParams(10, 10))
         with pytest.raises(ConfigurationError, match="limit"):
             LevelFunction.constant(TreeParams(10, 10))
+
+    def test_non_finite_values_are_refused(self, binary3):
+        leaf_array = np.ones(8)
+        leaf_array[5] = math.inf
+        with pytest.raises(ConfigurationError, match="2.1.2"):
+            WeightAssignment(binary3, leaf_array)
+        levels = [np.ones(2**level) for level in range(4)]
+        levels[1][0] = math.inf
+        with pytest.raises(ConfigurationError, match="finite"):
+            LevelFunction(binary3, levels)
+
+
+def reference_levels(tree, first_level, mapping, fill):
+    """Per-key reading of canonical keys: split on dots, rank symbol by symbol."""
+    arrays = [np.full(tree.arity**level, fill) for level in range(first_level, tree.depth + 1)]
+    for key, value in mapping.items():
+        word = tuple(int(s) for s in key.split(".")) if key else ()
+        rank = 0
+        for s in word:
+            rank = rank * tree.arity + s - 1
+        arrays[len(word) - first_level][rank] = value
+    return arrays
+
+
+def text(word) -> str:
+    return ".".join(map(str, word))
+
+
+# deepest tree per arity with at most about 40k vertices
+DEPTHS = {
+    m: max(k for k in range(1, 16) if TreeParams(m, k).vertex_count <= 40_000) for m in range(2, 13)
+}
+
+
+class TestKeyedLevels:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), m=st.integers(2, 12), leaves_only=st.booleans())
+    def test_matches_the_per_key_reading(self, data, m, leaves_only):
+        k = data.draw(st.integers(1, DEPTHS[m]), label="k")
+        tree = TreeParams(m, k)
+        first_level = k if leaves_only else 0
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="rng"))
+        words = [w for level in range(first_level, k + 1) for w in tree.vertices_at(level)]
+        keep = rng.random()
+        chosen = [w for w in words if rng.random() < keep]
+        if not leaves_only:
+            chosen.append(ROOT)
+        rng.shuffle(chosen)
+        mapping = {
+            v.to_text(): rng.choice([rng.uniform(0.0, 5.0), rng.randint(0, 9)]) for v in chosen
+        }
+        got = keyed_levels(tree, first_level, mapping, 1.0)
+        want = reference_levels(tree, first_level, mapping, 1.0)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_two_digit_symbols_over_many_chunks(self):
+        tree = TreeParams(11, 4)
+        mapping = {v.to_text(): float(i) for i, v in enumerate(tree.vertices())}
+        assert len(mapping) > 7 * KEY_CHUNK
+        got = keyed_levels(tree, 0, mapping, 1.0)
+        want = reference_levels(tree, 0, mapping, 1.0)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert got[2][tree.rank((11, 10))] == mapping["11.10"]
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "01.1", " 1.1", "1.1 ", "+1", "-1", "1..1", "1.", ".1", "1.0", "0", "\u0661",
+            "1/1", "1_1", "1.x",
+        ],
+    )
+    def test_malformed_key_is_named(self, key):
+        tree = TreeParams(12, 3)
+        with pytest.raises(ConfigurationError, match="bad vertex encoding") as info:
+            keyed_levels(tree, 0, {"1": 1.0, key: 1.0}, 1.0)
+        assert repr(key) in str(info.value)
+        with pytest.raises(ConfigurationError, match="bad vertex encoding"):
+            parse_word(key)
+
+    def test_a_bad_key_past_the_first_chunk_is_named(self):
+        tree = TreeParams(2, 13)
+        mapping = {v.to_text(): 1.0 for v in tree.vertices()}
+        mapping["1.01"] = 1.0
+        with pytest.raises(ConfigurationError, match="'1.01'"):
+            keyed_levels(tree, 0, mapping, 1.0)
+
+    @pytest.mark.parametrize(
+        "tree, first_level, key",
+        [
+            (TreeParams(9, 2), 0, "10"),
+            (TreeParams(12, 2), 0, "13.1"),
+            (TreeParams(2, 2), 0, "1.1.1"),
+            (TreeParams(2, 2), 2, "1"),
+            (TreeParams(2, 2), 2, ""),
+        ],
+        ids=[
+            "two-digit-at-m9", "symbol-over-m", "too-deep", "above-the-leaves", "root-of-leaf-map",
+        ],
+    )
+    def test_word_outside_the_levels_is_named(self, tree, first_level, key):
+        with pytest.raises(ConfigurationError, match="unexpected word") as info:
+            keyed_levels(tree, first_level, {key: 1.0}, 1.0)
+        assert repr(key) in str(info.value)
+
+    @pytest.mark.parametrize("value", ["2.5", True, None, [1.0], 10**400])
+    def test_value_that_is_not_a_float_is_named(self, value):
+        with pytest.raises(ConfigurationError, match="'1.2'"):
+            keyed_levels(TreeParams(2, 2), 0, {"1.1": 1.0, "1.2": value}, 1.0)
+
+    def test_parse_word_accepts_exactly_the_grammar(self):
+        assert parse_word("") == ()
+        assert parse_word("12.1.30") == (12, 1, 30)
+        assert parse_word("9" * 18) == (10**18 - 1,)
+        for bad in ("9" * 19, ".", "1.1.", None, 1):
+            with pytest.raises(ConfigurationError):
+                parse_word(bad)
+
+    @given(st.text(alphabet="0123456789./ +-", max_size=8))
+    def test_parse_word_and_keyed_levels_agree(self, key):
+        tree = TreeParams(12, 4)
+        try:
+            word = parse_word(key)
+            tree.rank(word)
+        except ConfigurationError:
+            with pytest.raises(ConfigurationError):
+                keyed_levels(tree, 0, {key: 2.0}, 1.0)
+        else:
+            arrays = keyed_levels(tree, 0, {key: 2.0}, 1.0)
+            assert arrays[len(word)][tree.rank(word)] == 2.0

@@ -38,7 +38,7 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -348,9 +348,7 @@ def muirhead_closed_form(spec: MuirheadSpec) -> MuirheadValue:
     return MuirheadValue("ii", False, uniform, float(math.factorial(m - 1)))
 
 
-_DEFAULT_RESOLUTION = {1: 1, 2: 512, 3: 96, 4: 40, 5: 24}
-MAX_GRID_POINTS = 10**6
-_GRID_BLOCK = 4096  # grid points per power table: 25 * 4096 floats at m = 5
+_RESOLUTION = {1: 1, 2: 512, 3: 96, 4: 40, 5: 24}  # the grid's n for each arity
 ROUNDING_ALLOWANCE = 1e-12  # relative widening of the certified upper end
 
 
@@ -365,8 +363,8 @@ class MuirheadEstimate:
     ``1/n`` per coordinate of a composition, whose sum the grid holds.
     ``upper`` is the certified upper end, ``value + uncertainty`` widened by
     the relative ``ROUNDING_ALLOWANCE``, since computed grid sums can sit a
-    few ulps below the true ones.  A coarse resolution widens the interval;
-    it never produces a silently wrong answer.
+    few ulps below the true ones.  ``resolution`` is the grid's ``n``, fixed
+    by the arity.
     """
 
     value: float
@@ -379,8 +377,8 @@ class MuirheadEstimate:
         return (self.value + self.uncertainty) * (1.0 + ROUNDING_ALLOWANCE)
 
 
-def muirhead_numeric(spec: MuirheadSpec, resolution: int | None = None) -> MuirheadEstimate:
-    """Bound the symmetric-sum constant by one pass over a simplex grid.
+def muirhead_numeric(spec: MuirheadSpec) -> MuirheadEstimate:
+    """Bound the symmetric-sum constant by one pass over its arity's simplex grid.
 
     Normalizing to the simplex is justified by degree-``s`` homogeneity:
     both sides of the defining inequality scale identically.
@@ -390,13 +388,11 @@ def muirhead_numeric(spec: MuirheadSpec, resolution: int | None = None) -> Muirh
         raise ConfigurationError("numeric estimation is limited to m <= 5")
     if not spec.s > 0.0:
         raise ConfigurationError("the constant needs a positive exponent sum")
-    n_grid = int(resolution) if resolution is not None else _DEFAULT_RESOLUTION[m]
-    if n_grid < 1:
-        raise ConfigurationError(f"resolution must be >= 1, got {n_grid}")
+    n_grid = _RESOLUTION[m]
     if m == 1:
         return MuirheadEstimate(1.0, (1.0,), 0.0, n_grid)
 
-    points = _simplex_grid(m, n_grid)
+    points = _simplex_grid(m)
     values = _symmetric_sum_grid(points, spec.a)
     best = int(np.argmax(values))
     uncertainty = math.factorial(m) * sum(
@@ -407,26 +403,19 @@ def muirhead_numeric(spec: MuirheadSpec, resolution: int | None = None) -> Muirh
     )
 
 
-@lru_cache(maxsize=4)
-def _simplex_grid(m: int, n_grid: int) -> np.ndarray:
-    """The estimator's simplex points, a read-only ``(count, m)`` array.
+@cache
+def _simplex_grid(m: int) -> np.ndarray:
+    """The estimator's simplex points on ``m`` variables, a read-only array.
 
     The symmetric sum is invariant under permuting ``x``, so the grid is its
-    sorted chamber: the compositions of ``n_grid`` into ``m`` parts over
-    ``n_grid`` with ``x_1 >= x_2 >= ... >= x_m``, in lexicographic order,
-    then the barycentre, ``e_1`` and ``(1/2, 1/2, 0, ...)``.  Every
+    sorted chamber: the compositions of ``n = _RESOLUTION[m]`` into ``m``
+    parts over ``n`` with ``x_1 >= x_2 >= ... >= x_m``, in lexicographic
+    order, then the barycentre, ``e_1`` and ``(1/2, 1/2, 0, ...)``.  Every
     composition sorts into the chamber, so its maximum is that of all
-    compositions.  A resolution whose compositions number more than
-    ``MAX_GRID_POINTS`` is refused before any is built.  The cache holds the
-    four default grids (m = 2..5); a resolution is user input, so it holds
-    no more.
+    compositions.  At most 820 points are kept (m = 3).
     """
+    n_grid = _RESOLUTION[m]
     count = math.comb(n_grid + m - 1, m - 1)
-    if count > MAX_GRID_POINTS:
-        raise ConfigurationError(
-            f"a resolution-{n_grid} grid on {m} variables has {count} points, "
-            f"over the limit of {MAX_GRID_POINTS}"
-        )
     flat = itertools.chain.from_iterable(
         itertools.combinations(range(n_grid + m - 1), m - 1)
     )
@@ -443,11 +432,8 @@ def _simplex_grid(m: int, n_grid: int) -> np.ndarray:
 
 
 def _symmetric_sum_grid(points: np.ndarray, a: tuple[float, ...]) -> np.ndarray:
-    # each point is its own column of the injective sum, so blocks of points bound
-    # the power table without changing a value; numpy's 0**0 is 1, the sum's convention
-    exponents = np.array(a)[:, None, None]
-    blocks = (points[i : i + _GRID_BLOCK] for i in range(0, len(points), _GRID_BLOCK))
-    return np.concatenate([injective_sum(block.T[None] ** exponents) for block in blocks])
+    # one injective-sum column per point; numpy's 0**0 is 1, the sum's convention
+    return injective_sum(points.T[None] ** np.array(a)[:, None, None])
 
 
 def _continuity_step(delta: float, a: float) -> float:
@@ -533,7 +519,7 @@ def k_inductive(shape: JoinShape, pa: ExponentAssignment, arity: int) -> KInduct
         a_vec = tuple(ai / beta_inv for ai in alpha_inv) + (0.0,) * (m - d)
         mspec = MuirheadSpec(a_vec)
         closed = muirhead_closed_form(mspec)
-        estimated = not closed.exact and m in _DEFAULT_RESOLUTION
+        estimated = not closed.exact and m in _RESOLUTION
         log_upper = math.lgamma(m)  # log (m-1)!
         if closed.exact:
             log_k = _log_closed_form(closed.case, m, mspec.s)

@@ -75,10 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--regime", default=None, help="general | binary-optimal | inductive | explicit=V")
 
     ps = sub.add_parser("kconst", help="symmetric-sum constant K(m; a)")
-    ps.add_argument("--m", type=int, required=True)
     ps.add_argument("--a", type=float, nargs="+", required=True)
-    ps.add_argument("--numeric", type=int, nargs="?", const=-1, default=None,
-                    help="numeric interval, optionally at a given grid resolution")
+    ps.add_argument("--numeric", action="store_true", help="add the grid's certified interval")
 
     ps = sub.add_parser("verify", help="check the inequality for an instance")
     ps.add_argument("instance")
@@ -179,8 +177,6 @@ def _cmd_bound(args) -> int:
 
 def _cmd_kconst(args) -> int:
     spec = MuirheadSpec(tuple(args.a))
-    if spec.m != args.m:
-        raise ConfigurationError(f"--m {args.m} does not match {len(args.a)} exponents")
     closed = muirhead_closed_form(spec)
     payload: dict = {"case": closed.case, "exact": closed.exact, "s": spec.s}
     if closed.exact:
@@ -188,9 +184,8 @@ def _cmd_kconst(args) -> int:
     else:
         payload["lower"] = closed.lower
         payload["upper"] = closed.upper
-    if args.numeric is not None:
-        resolution = None if args.numeric == -1 else args.numeric
-        estimate = muirhead_numeric(spec, resolution)
+    if args.numeric:
+        estimate = muirhead_numeric(spec)
         payload["numeric"] = {
             "value": estimate.value,
             "maximizer": list(estimate.maximizer),

@@ -112,10 +112,6 @@ class Vertex:
     def level(self) -> int:
         return len(self.word)
 
-    @property
-    def is_root(self) -> bool:
-        return not self.word
-
     def child(self, symbol: int) -> "Vertex":
         return Vertex(self.word + (symbol,))
 
@@ -130,10 +126,6 @@ class Vertex:
     @classmethod
     def from_text(cls, text: str) -> "Vertex":
         return cls(parse_word(text))
-
-    @classmethod
-    def from_symbols(cls, symbols: Sequence[int]) -> "Vertex":
-        return cls(tuple(int(s) for s in symbols))
 
     def __repr__(self) -> str:  # compact in test output
         return f"Vertex({self.to_text()!r})"

@@ -145,14 +145,14 @@ class Instance:
         (mu,) = _vertex_values(data.get("mu", {}), "mu", tree, tree.depth)
         weights = WeightAssignment(tree, mu)
         f = LevelFunction(tree, _vertex_values(data.get("f", {}), "f", tree, 0))
-        p_list = [float(x) for x in _field(data, "p", list)]
+        p_list = _field(data, "p", lambda raw: [_number(x) for x in raw])
         slot_map = data.get("slot_assignment")
         exponents = _apply_slot_assignment(p_list, slot_map)
-        coexponent = float(data.get("coexponent", 0.0))
+        coexponent = _optional_field(data, "coexponent", _number, 0.0)
         regime, explicit_k = parse_regime(
-            data.get("regime", "general"), data.get("K")
+            data.get("regime", "general"), _optional_field(data, "K", _number)
         )
-        seed = None if data.get("seed") is None else _field(data, "seed", _integer)
+        seed = _optional_field(data, "seed", _integer)
         return cls(
             config=config,
             weights=weights,
@@ -169,8 +169,13 @@ def _field(data: dict, name: str, caster) -> Any:
         raise ConfigurationError(f"instance field {name!r} is missing")
     try:
         return caster(data[name])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"instance field {name!r}: {exc}") from exc
+
+
+def _optional_field(data: dict, name: str, caster, default: Any = None) -> Any:
+    """Like ``_field``, but an absent or null field gives ``default``."""
+    return default if data.get(name) is None else _field(data, name, caster)
 
 
 def _vertex_field(raw: Any, where: str) -> Vertex:
@@ -187,6 +192,13 @@ def _integer(value: Any) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"expected an integer, got {value!r}")
     return value
+
+
+def _number(value: Any) -> float:
+    """A JSON number as a float; a string or a boolean is refused, never parsed."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def _vertex_values(
@@ -214,6 +226,8 @@ def _apply_slot_assignment(p_list: list[float], slot_map: Any) -> list[float]:
     for slot_key, p_index in slot_map.items():
         try:
             slot = int(slot_key)
+            if str(slot) != slot_key:
+                raise ValueError(f"a slot key is its decimal spelling, {str(slot)!r}")
             idx = _integer(p_index)
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(
@@ -495,9 +509,7 @@ class ExampleReport:
 
 def worked_example_configuration() -> Configuration:
     tree = TreeParams(2, 3)
-    particles = tuple(
-        Vertex.from_symbols(w) for w in ((1, 1, 1), (1, 2, 1), (2, 1, 1), (2, 1, 2))
-    )
+    particles = tuple(Vertex(w) for w in ((1, 1, 1), (1, 2, 1), (2, 1, 1), (2, 1, 2)))
     return Configuration(tree, ROOT, particles)
 
 

@@ -20,7 +20,7 @@ from joinforge import (
     random_instance,
     worked_example_configuration,
 )
-from joinforge import bounds, orbits
+from joinforge import orbits
 import joinforge.energy as energy_mod
 import joinforge.verify as verify_mod
 from joinforge.cli import main
@@ -81,12 +81,12 @@ class TestSubcommands:
         assert code == 0 and payload["K"] == 0.25
 
     def test_kconst_closed_form(self, capsys):
-        code, payload = run_cli(capsys, "kconst", "--m", "2", "--a", "1", "1")
+        code, payload = run_cli(capsys, "kconst", "--a", "1", "1")
         assert code == 0
         assert payload["case"] == "iii" and payload["value"] == 0.5
 
     def test_kconst_bracket_and_numeric(self, capsys):
-        code, payload = run_cli(capsys, "kconst", "--m", "2", "--a", "3", "0", "--numeric")
+        code, payload = run_cli(capsys, "kconst", "--a", "3", "0", "--numeric")
         assert code == 0
         assert payload["case"] == "ii"
         assert payload["lower"] == 0.25 and payload["upper"] == 1.0
@@ -290,16 +290,6 @@ class TestCliContract:
         assert "479001600" in captured.err and str(orbits.MAX_INJECTIVE_TERMS) in captured.err
         assert elapsed < 1.0
 
-    def test_oversized_numeric_grid_exit_two_fast(self, capsys):
-        # comb(100002, 2) = 5,000,150,001 grid points at resolution 100000
-        start = time.perf_counter()
-        code = main(["kconst", "--m", "3", "--a", "3", "0", "0", "--numeric", "100000"])
-        elapsed = time.perf_counter() - start
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert "5000150001" in captured.err and str(bounds.MAX_GRID_POINTS) in captured.err
-        assert elapsed < 1.0
-
     def test_fuzz_oversized_tree_exit_two(self, capsys):
         # seed 0 draws k = 35 of 1..40
         code = main(["fuzz", "--seeds", "0..1", "--m", "10", "--k", "40"])
@@ -308,8 +298,10 @@ class TestCliContract:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("m", 2.7), ("k", 2.5), ("seed", 1.9), ("seed", True)],
-        ids=["m-fraction", "k-fraction", "seed-fraction", "seed-boolean"],
+        [("m", 2.7), ("k", 2.5), ("seed", 1.9), ("seed", True), ("p", ["3", True]),
+         ("p", [1.0, True]), ("p", [10**400]), ("coexponent", "0.5"), ("K", "2")],
+        ids=["m-fraction", "k-fraction", "seed-fraction", "seed-boolean", "p-string",
+             "p-boolean", "p-overflow", "coexponent-string", "K-string"],
     )
     def test_non_integer_field_exit_two(self, capsys, tmp_path, field, value):
         doc = {"m": 2, "k": 2, "config": [[1, 1], [2, 1]], "p": [1.0], field: value}
@@ -322,8 +314,10 @@ class TestCliContract:
 
     @pytest.mark.parametrize(
         "slot_map",
-        [{"-1": 0}, {"0": -1}, {"3": 0}, {"0": 3}],
-        ids=["negative-slot", "negative-p", "slot-out-of-range", "p-out-of-range"],
+        [{"-1": 0}, {"0": -1}, {"3": 0}, {"0": 3}, {"0": 1, "00": 0, "1": 0}, {"+0": 0},
+         {" 0": 0}],
+        ids=["negative-slot", "negative-p", "slot-out-of-range", "p-out-of-range",
+             "two-spellings", "plus-sign", "space"],
     )
     def test_slot_assignment_index_exit_two(self, capsys, tmp_path, slot_map):
         doc = {
@@ -362,9 +356,11 @@ class TestCliContract:
             ["energy", "WORKED", "--method", "brute", "--guard", "1000000000"],
             ["equality-check", "WORKED", "--rel-tol", "1"],
             ["fuzz", "--seeds", "0..1", "--rel-tol", "-1"],
+            ["kconst", "--m", "2", "--a", "3", "0"],
+            ["kconst", "--a", "3", "0", "--numeric", "96"],
         ],
         ids=["verify-rel-tol", "verify-guard", "orbit-guard", "energy-guard",
-             "equality-rel-tol", "fuzz-rel-tol"],
+             "equality-rel-tol", "fuzz-rel-tol", "kconst-arity", "kconst-resolution"],
     )
     def test_tolerance_and_guard_are_not_options(self, capsys, worked_file, argv):
         with pytest.raises(SystemExit) as exc:

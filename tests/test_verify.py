@@ -109,6 +109,14 @@ class TestInstanceJson:
         three = Instance.from_json_dict({**base, "regime": "binary-optimal"})
         assert three.regime == "binary_optimal"
 
+    def test_integer_numbers_accepted(self):
+        data = {"m": 2, "k": 1, "config": [[1], [2]], "p": [2], "coexponent": 1,
+                "regime": "explicit", "K": 1}
+        inst = Instance.from_json_dict(data)
+        assert inst.exponents == ExponentAssignment((2.0,), 1.0) and inst.explicit_k == 1.0
+        inst = Instance.from_json_dict({**data, "coexponent": None})
+        assert inst.exponents.coexponent == 0.0
+
     def test_missing_field_diagnostic(self):
         with pytest.raises(ConfigurationError, match="'p'"):
             Instance.from_json_dict({"m": 2, "k": 1, "config": [[1], [2]]})

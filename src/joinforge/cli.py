@@ -10,6 +10,7 @@ validation failure, 2 on usage errors or malformed instance files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -52,6 +53,7 @@ def _emit(payload, note: str | None = None) -> None:
         sys.stderr.write(note + "\n")
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="joinforge",
@@ -149,12 +151,8 @@ def _cmd_energy(args) -> int:
 def _cmd_bound(args) -> int:
     inst = load_instance(args.instance)
     if args.regime is not None:
-        regime, explicit = parse_regime(args.regime)
-        inst = replace(
-            inst,
-            regime=regime,
-            explicit_k=explicit if explicit is not None else inst.explicit_k,
-        )
+        regime, explicit = parse_regime(args.regime, inst.explicit_k)
+        inst = replace(inst, regime=regime, explicit_k=explicit)
     violation = validate_exponents(inst.shape, inst.exponents)
     if violation is not None:
         _emit({"error": violation.message, "constraint": violation.constraint})

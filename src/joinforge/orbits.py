@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
@@ -105,11 +105,11 @@ class ShapeLeaf:
     def indices(self) -> frozenset[int]:
         return frozenset((self.index,))
 
-    @cached_property
+    @property
     def skeleton(self) -> str:
         return f"{self.gap}#"
 
-    @cached_property
+    @property
     def serialized(self) -> str:
         return f"{self.gap}#{self.index}"
 
@@ -131,6 +131,11 @@ class ShapeNode:
 
     gap: int
     branches: tuple["JoinShape", ...]
+    # set by __post_init__ from the branches; not part of equality, hash or repr
+    skeleton: str = field(init=False, repr=False, compare=False)
+    serialized: str = field(init=False, repr=False, compare=False)
+    min_index: int = field(init=False, repr=False, compare=False)
+    n_particles: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.branches) < 2:
@@ -141,9 +146,15 @@ class ShapeNode:
         seen: set[int] = set()
         for b in self.branches:
             idx = b.indices()
-            if seen & idx:
+            if not seen.isdisjoint(idx):
                 raise ConfigurationError("branch index sets overlap")
             seen |= idx
+        skeletons = ",".join([skeleton for skeleton, _ in keys])
+        serials = ",".join([b.serialized for b in self.branches])
+        object.__setattr__(self, "skeleton", f"{self.gap}({skeletons})")
+        object.__setattr__(self, "serialized", f"{self.gap}({serials})")
+        object.__setattr__(self, "min_index", min(seen))
+        object.__setattr__(self, "n_particles", len(seen))
 
     @property
     def degree(self) -> int:
@@ -153,24 +164,8 @@ class ShapeNode:
     def multiplicity(self) -> int:
         return len(self.branches) - 1
 
-    @cached_property
-    def min_index(self) -> int:
-        return min(b.min_index for b in self.branches)
-
-    @cached_property
-    def n_particles(self) -> int:
-        return sum(b.n_particles for b in self.branches)
-
     def indices(self) -> frozenset[int]:
         return frozenset().union(*(b.indices() for b in self.branches))
-
-    @cached_property
-    def skeleton(self) -> str:
-        return f"{self.gap}(" + ",".join(b.skeleton for b in self.branches) + ")"
-
-    @cached_property
-    def serialized(self) -> str:
-        return f"{self.gap}(" + ",".join(b.serialized for b in self.branches) + ")"
 
     @cached_property
     def join_nodes(self) -> tuple["JoinNode", ...]:

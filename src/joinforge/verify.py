@@ -251,12 +251,16 @@ def parse_regime(raw: Any, explicit_value: Any = None) -> tuple[str, float | Non
     if name == "explicit":
         if sep:
             try:
-                return "explicit", float(tail)
+                value = float(tail)
             except ValueError as exc:
                 raise ConfigurationError(f"bad explicit constant {tail!r}") from exc
-        if explicit_value is None:
+        elif explicit_value is None:
             raise ConfigurationError("explicit regime needs 'K' or 'explicit=VALUE'")
-        return "explicit", float(explicit_value)
+        else:
+            value = float(explicit_value)
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigurationError(f"explicit constant must be finite and > 0, got {value!r}")
+        return "explicit", value
     if sep or name not in REGIMES:
         raise ConfigurationError(f"unknown regime {raw!r}")
     return name, None
@@ -608,29 +612,46 @@ def random_instance(seed: int, ranges: InstanceRanges = InstanceRanges()) -> Ins
     n = int(rng.integers(2, cap + 1))
     tree = TreeParams(m, k)
 
-    chosen: list[Vertex] = []
-    seen: set[tuple[int, ...]] = set()
-    while len(chosen) < n:
-        word = tuple(int(s) for s in rng.integers(1, m + 1, size=k))
-        if word not in seen:
-            seen.add(word)
-            chosen.append(Vertex(word))
-    config = Configuration(tree, ROOT, tuple(chosen))
+    # The stream is read in the order of one draw after another (particle
+    # words, then a zero test and maybe a weight per leaf in rank order,
+    # then f level by level), but in whole arrays.  Integer draws under
+    # 2**32 continue one 32-bit stream across calls, so n words at once are
+    # the first n words drawn one at a time.
+    words = dict.fromkeys(map(tuple, rng.integers(1, m + 1, size=(n, k)).tolist()))
+    while len(words) < n:
+        words.setdefault(tuple(rng.integers(1, m + 1, size=k).tolist()))
+    config = Configuration(tree, ROOT, tuple(map(Vertex, words)))
 
-    # one draw after another in rank order, with Python's float power
-    # (numpy's differs in the last bit on some values)
+    # A leaf's zero test takes one double and its weight, if any, the next.
+    # Read the tests from a saved copy of the stream, then draw the doubles
+    # they used through `uniform` itself (lo + (hi-lo)*u recomputed from raw
+    # doubles may round differently) and keep those after a nonzero test.
+    # Powers are Python's: numpy's differ in the last bit on some values.
     w_lo, w_hi = math.log10(WEIGHT_LOW), math.log10(WEIGHT_HIGH)
     (mu,) = level_arrays(tree, k, 0.0)
-    mu[:] = [
-        0.0 if rng.random() < ZERO_WEIGHT_PROB else 10.0 ** rng.uniform(w_lo, w_hi)
-        for _ in range(mu.size)
-    ]
+    state = rng.bit_generator.state
+    tests = rng.random(2 * mu.size).tolist()
+    rng.bit_generator.state = state
+    weighted: list[int] = []  # leaves with a nonzero weight
+    draws: list[int] = []  # the double that holds each one's weight
+    used = 0  # doubles the tests and weights take
+    for leaf in range(mu.size):
+        if tests[used] >= ZERO_WEIGHT_PROB:
+            weighted.append(leaf)
+            draws.append(used + 1)
+            used += 1
+        used += 1
+    logs = rng.uniform(w_lo, w_hi, size=used)[draws]
+    mu[weighted] = [10.0**x for x in logs.tolist()]
     weights = WeightAssignment(tree, mu)
 
     f_lo, f_hi = math.log10(F_LOW), math.log10(F_HIGH)
     f_levels = level_arrays(tree, 0, 0.0)
+    f_values = [10.0**x for x in rng.uniform(f_lo, f_hi, size=tree.vertex_count).tolist()]
+    start = 0
     for values in f_levels:
-        values[:] = [10.0 ** rng.uniform(f_lo, f_hi) for _ in range(values.size)]
+        values[:] = f_values[start : start + values.size]
+        start += values.size
     f = LevelFunction(tree, f_levels)
 
     shape = extract_shape(config)

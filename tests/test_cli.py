@@ -331,6 +331,88 @@ class TestCliContract:
         assert code == 2 and captured.out == ""
         assert "slot_assignment" in captured.err
 
+    @pytest.mark.parametrize(
+        "spelling", ["nan", "NaN", "inf", "-inf", "1e999", "-1", "0", "-0.0"]
+    )
+    def test_explicit_constant_not_finite_positive_bound_exit_two(
+        self, capsys, worked_file, spelling
+    ):
+        code = main(["bound", worked_file, "--regime", f"explicit={spelling}"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "explicit constant must be finite and > 0" in captured.err
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"regime": "explicit=nan"},
+            {"regime": "explicit=inf"},
+            {"regime": "explicit=-1"},
+            {"regime": "explicit=0"},
+            {"regime": "explicit", "K": math.nan},
+            {"regime": "explicit", "K": math.inf},
+            {"regime": "explicit", "K": -math.inf},
+            {"regime": "explicit", "K": -1},
+            {"regime": "explicit", "K": 0.0},
+        ],
+        ids=["regime-nan", "regime-inf", "regime-negative", "regime-zero", "K-nan",
+             "K-inf", "K-negative-inf", "K-negative", "K-zero"],
+    )
+    def test_explicit_constant_not_finite_positive_file_exit_two(
+        self, capsys, worked_file, tmp_path, fields
+    ):
+        doc = {**json.load(open(worked_file)), **fields}
+        bad = tmp_path / "explicit.json"
+        bad.write_text(json.dumps(doc))  # NaN and Infinity, which json reads back
+        for command in ("verify", "bound"):
+            code = main([command, str(bad)])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert "explicit constant must be finite and > 0" in captured.err
+
+    def test_explicit_constant_spellings_accepted(self, capsys, worked_file):
+        for spelling in ("0.125", "1e-300", "+2", " 4 "):
+            argv = ["bound", worked_file, "--regime", f"explicit={spelling}"]
+            code, payload = run_cli(capsys, *argv)
+            assert code == 0 and payload["K"] == float(spelling)
+
+    def test_bound_explicit_regime_reads_the_file_constant(self, capsys, worked_file, tmp_path):
+        doc = {**json.load(open(worked_file)), "regime": "explicit", "K": 0.5}
+        path = tmp_path / "with_k.json"
+        path.write_text(json.dumps(doc))
+        code, payload = run_cli(capsys, "bound", str(path), "--regime", "explicit")
+        assert code == 0 and payload["K"] == 0.5 and payload["regime"] == "explicit"
+        code, payload = run_cli(capsys, "bound", str(path), "--regime", "explicit=2")
+        assert code == 0 and payload["K"] == 2.0
+        code = main(["bound", worked_file, "--regime", "explicit"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and "needs 'K'" in captured.err
+
+    def test_parser_built_once_serves_every_call(self, capsys, worked_file):
+        from joinforge import cli
+
+        calls = [
+            ["fuzz", "--seeds", "0..4", "--m", "3", "--k", "2", "--n", "3"],
+            ["example", "--p", "2", "4", "4"],
+            ["fuzz", "--seeds", "4..8"],
+            ["example"],
+            ["bound", worked_file, "--regime", "explicit=0.5"],
+            ["bound", worked_file],
+        ]
+
+        def stdout_of(argv):
+            code = main(argv)
+            return code, capsys.readouterr().out
+
+        reused = [stdout_of(argv) for argv in calls]
+        assert cli._build_parser() is cli._build_parser()
+        for argv, result in zip(calls, reused):
+            cli._build_parser.cache_clear()
+            assert stdout_of(argv) == result
+        parser = cli._build_parser()
+        assert parser.parse_args(["fuzz"]).m == [2, 3]
+        assert parser.parse_args(["example"]).p == [3.0, 3.0, 3.0]
+
     def test_usage_error_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["orbit", "nonsense", "whatever.json"])

@@ -104,6 +104,69 @@ class TestExtractShape:
             assert from_shape == from_multiset
 
 
+def recomputed_fields(shape) -> tuple[str, str, int, int]:
+    """Skeleton, serialization, smallest index and particle count, by recursion."""
+    if isinstance(shape, ShapeLeaf):
+        return f"{shape.gap}#", f"{shape.gap}#{shape.index}", shape.index, 1
+    parts = [recomputed_fields(b) for b in shape.branches]
+    return (
+        f"{shape.gap}(" + ",".join(p[0] for p in parts) + ")",
+        f"{shape.gap}(" + ",".join(p[1] for p in parts) + ")",
+        min(p[2] for p in parts),
+        sum(p[3] for p in parts),
+    )
+
+
+def shape_nodes(shape):
+    yield shape
+    for branch in getattr(shape, "branches", ()):
+        yield from shape_nodes(branch)
+
+
+class TestShapeFields:
+    @pytest.mark.parametrize("m, k", [(2, 4), (3, 3), (5, 2)])
+    def test_eager_fields_match_recursion(self, m, k):
+        tree = TreeParams(m, k)
+        leaves = list(tree.leaves())
+        rng = random.Random(m * 10 + k)
+        for _ in range(60):
+            n = rng.randint(1, min(7, len(leaves)))
+            shape = extract_shape(Configuration(tree, ROOT, tuple(rng.sample(leaves, n))))
+            assert shape.n_particles == n
+            for node in shape_nodes(shape):
+                fields = (node.skeleton, node.serialized, node.min_index, node.n_particles)
+                assert fields == recomputed_fields(node)
+
+    def test_equal_shapes_built_separately(self, worked_config):
+        extracted = extract_shape(worked_config)
+        built = ShapeNode(0, (
+            ShapeNode(1, (ShapeLeaf(2, 0), ShapeLeaf(2, 1))),
+            ShapeNode(2, (ShapeLeaf(1, 2), ShapeLeaf(1, 3))),
+        ))
+        again = extract_shape(Configuration(worked_config.tree, ROOT, worked_config.particles))
+        for other in (built, again):
+            assert other is not extracted
+            assert other == extracted and hash(other) == hash(extracted)
+        assert len({extracted, built, again}) == 1
+        assert repr(built) == repr(extracted)
+        assert built != ShapeNode(0, (ShapeLeaf(3, 0), ShapeLeaf(3, 1)))
+
+    @pytest.mark.parametrize(
+        "branches, message",
+        [
+            ((ShapeLeaf(1, 0),), "a join node needs at least two branches"),
+            ((ShapeLeaf(1, 1), ShapeLeaf(1, 0)), "branches are not in canonical order"),
+            ((ShapeLeaf(2, 0), ShapeLeaf(1, 1)), "branches are not in canonical order"),
+            ((ShapeLeaf(1, 0), ShapeNode(1, (ShapeLeaf(1, 0), ShapeLeaf(1, 1)))),
+             "branch index sets overlap"),
+        ],
+        ids=["one-branch", "index-order", "skeleton-order", "overlap"],
+    )
+    def test_validation_errors(self, branches, message):
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            ShapeNode(0, branches)
+
+
 class TestEquivalent:
     def test_worked_example_pair(self, binary3):
         a = Configuration(binary3, ROOT, (vx(1, 1, 1), vx(1, 2, 1), vx(2, 1, 1), vx(2, 1, 2)))

@@ -1,0 +1,125 @@
+"""Seeded instances read the random stream in bulk, draw for draw as one at a time.
+
+``one_draw_at_a_time`` makes one ``rng`` call per particle word, per zero
+test, per leaf weight and per value of ``f``: that order defines the seeded
+stream.  It is the oracle for the library's bulk reads, which must give the
+same instance for every seed.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from joinforge import (
+    ROOT,
+    Configuration,
+    ExponentAssignment,
+    Instance,
+    InstanceRanges,
+    LevelFunction,
+    TreeParams,
+    Vertex,
+    WeightAssignment,
+    extract_shape,
+    random_instance,
+)
+from joinforge.tree import level_arrays
+import joinforge.verify as verify_mod
+
+
+def one_draw_at_a_time(seed: int, ranges: InstanceRanges) -> Instance:
+    rng = np.random.default_rng(seed)
+    m = int(ranges.arities[int(rng.integers(0, len(ranges.arities)))])
+    k = int(rng.integers(1, ranges.max_depth + 1))
+    n = int(rng.integers(2, min(ranges.max_particles, m**k) + 1))
+    tree = TreeParams(m, k)
+
+    chosen: list[Vertex] = []
+    seen: set[tuple[int, ...]] = set()
+    while len(chosen) < n:
+        word = tuple(int(s) for s in rng.integers(1, m + 1, size=k))
+        if word not in seen:
+            seen.add(word)
+            chosen.append(Vertex(word))
+    config = Configuration(tree, ROOT, tuple(chosen))
+
+    w_lo, w_hi = math.log10(verify_mod.WEIGHT_LOW), math.log10(verify_mod.WEIGHT_HIGH)
+    (mu,) = level_arrays(tree, k, 0.0)
+    mu[:] = [
+        0.0 if rng.random() < verify_mod.ZERO_WEIGHT_PROB else 10.0 ** rng.uniform(w_lo, w_hi)
+        for _ in range(mu.size)
+    ]
+    f_lo, f_hi = math.log10(verify_mod.F_LOW), math.log10(verify_mod.F_HIGH)
+    f_levels = level_arrays(tree, 0, 0.0)
+    for values in f_levels:
+        values[:] = [10.0 ** rng.uniform(f_lo, f_hi) for _ in range(values.size)]
+
+    shape = extract_shape(config)
+    if ranges.regime == "binary_optimal":
+        exponents = verify_mod._binary_optimal_exponents(shape, rng)
+    else:
+        reciprocals = np.clip(rng.dirichlet(np.ones(n - 1)), 1e-12, None)
+        reciprocals = reciprocals / reciprocals.sum()
+        exponents = ExponentAssignment(tuple(float(1.0 / q) for q in reciprocals))
+    return Instance(
+        config=config,
+        weights=WeightAssignment(tree, mu),
+        f=LevelFunction(tree, f_levels),
+        exponents=exponents,
+        regime=ranges.regime,
+        seed=seed,
+    )
+
+
+def assert_same_instances(seeds: range, ranges: InstanceRanges) -> None:
+    for seed in seeds:
+        bulk = random_instance(seed, ranges)
+        oracle = one_draw_at_a_time(seed, ranges)
+        assert bulk.to_json_dict() == oracle.to_json_dict(), seed
+        assert bulk.shape == oracle.shape, seed
+
+
+# the fuzz defaults (k <= 4, n <= 6); binary-optimal samples binary trees only
+SMALL = {
+    "general": InstanceRanges(arities=(2, 3), max_depth=4, max_particles=6),
+    "binary_optimal": InstanceRanges(arities=(2,), max_depth=4, max_particles=6,
+                                     regime="binary_optimal"),
+    "inductive": InstanceRanges(arities=(2, 3), max_depth=4, max_particles=6,
+                                regime="inductive"),
+}
+WIDE = {
+    "general": InstanceRanges(arities=(2, 3, 4, 5, 6), max_depth=5, max_particles=9),
+    "binary_optimal": InstanceRanges(arities=(2,), max_depth=8, max_particles=9,
+                                     regime="binary_optimal"),
+    "inductive": InstanceRanges(arities=(2, 3, 4, 5, 6), max_depth=5, max_particles=9,
+                                regime="inductive"),
+}
+
+
+@pytest.mark.parametrize("regime", sorted(SMALL))
+@pytest.mark.parametrize("start", [0, 10**6], ids=["from-0", "from-1e6"])
+def test_small_ranges_match_one_draw_at_a_time(regime, start):
+    assert_same_instances(range(start, start + 1000), SMALL[regime])
+
+
+@pytest.mark.parametrize("regime", sorted(WIDE))
+@pytest.mark.parametrize("start", [0, 3 * 10**6], ids=["from-0", "from-3e6"])
+def test_wide_ranges_match_one_draw_at_a_time(regime, start):
+    assert_same_instances(range(start, start + 60), WIDE[regime])
+
+
+def test_duplicate_words_redrawn_in_order():
+    # two leaves and two particles: the first pair of words repeats often,
+    # and the words drawn one at a time after it must follow the same stream
+    ranges = InstanceRanges(arities=(2,), max_depth=1, max_particles=2)
+    assert_same_instances(range(200), ranges)
+
+
+@pytest.mark.parametrize("prob", [0.0, 0.5, 1.0], ids=["none-zero", "half-zero", "all-zero"])
+def test_zero_weight_share(monkeypatch, prob):
+    # every leaf weighted, about half, and none (no weight double is kept)
+    monkeypatch.setattr(verify_mod, "ZERO_WEIGHT_PROB", prob)
+    assert_same_instances(range(100), SMALL["general"])

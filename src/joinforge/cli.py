@@ -159,7 +159,7 @@ def _cmd_bound(args) -> int:
         return EXIT_VIOLATION
     k_constant, flags = resolve_constant(inst)
     rhs = rhs_product(
-        inst.tree, inst.masses, inst.f, inst.base, inst.shape, inst.exponents, k_constant
+        inst.tree, inst.weights.masses, inst.f, inst.base, inst.shape, inst.exponents, k_constant
     )
     _emit(
         {

@@ -29,17 +29,16 @@ from .orbits import (
     JoinShape,
     ShapeLeaf,
     ShapeNode,
-    extract_shape,
     injective_sum,
     orbit_enumerate,
     shape_orbit_size,
 )
 from .tree import (
+    ConfigurationError,
     LevelFunction,
     TreeParams,
     Vertex,
     WeightAssignment,
-    cylinder_masses,
     join_multiset,
 )
 
@@ -80,11 +79,12 @@ def orbit_energy_bruteforce(
 def orbit_energy_factorized(
     config: Configuration, weights: WeightAssignment, f: LevelFunction
 ) -> EnergyResult:
-    """Evaluate the orbit energy by recursion over the join shape."""
-    shape = extract_shape(config)
-    masses = cylinder_masses(config.tree, weights)
-    value = factorized_from_shape(config.tree, config.base, shape, masses, f)
-    return EnergyResult(value, "factorized", shape_orbit_size(shape, config.tree.arity))
+    """Evaluate the orbit energy by recursion over the cached join shape and masses."""
+    tree, shape = config.tree, config.shape
+    if weights.tree != tree or f.tree != tree:
+        raise ConfigurationError("weights and vertex function must share the tree")
+    value = factorized_from_shape(tree, config.base, shape, weights.masses, f)
+    return EnergyResult(value, "factorized", shape_orbit_size(shape, tree.arity))
 
 
 def factorized_from_shape(
@@ -94,7 +94,7 @@ def factorized_from_shape(
     masses: Sequence[np.ndarray],
     f: LevelFunction,
 ) -> float:
-    """Shape-level evaluator shared by the orbit entry point and the verifier.
+    """Shape-level evaluator behind :func:`orbit_energy_factorized`.
 
     Works one level at a time on contiguous rank ranges: each call returns
     one value per vertex of ranks ``lo..hi-1`` at its level, so a descent

@@ -79,6 +79,11 @@ class Configuration:
     def join_multiset(self) -> dict[Vertex, int]:
         return join_multiset(self.particles)
 
+    @cached_property
+    def shape(self) -> JoinShape:
+        """Canonical join shape (see :func:`extract_shape`), extracted once."""
+        return extract_shape(self)
+
     def to_text(self) -> str:
         return "(" + ", ".join(p.to_text() for p in self.particles) + ")"
 
@@ -372,7 +377,7 @@ def _suffix_orders(k: int, s: int) -> np.ndarray:
 
 
 def orbit_size(config: Configuration) -> int:
-    return shape_orbit_size(extract_shape(config), config.tree.arity)
+    return shape_orbit_size(config.shape, config.tree.arity)
 
 
 def orbit_enumerate(config: Configuration) -> Iterator[Configuration]:
@@ -411,7 +416,7 @@ def _filtered_orbit(config: Configuration, pool: list[Vertex]) -> Iterator[Confi
     ``config``: automorphisms preserve pairwise join levels, so no member
     of the orbit extends such a prefix.
     """
-    target = extract_shape(config)
+    target = config.shape
     levels = [[join(a, b).level for b in config.particles] for a in config.particles]
     m, depth = config.tree.arity, config.tree.depth
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Any
@@ -290,27 +290,6 @@ def level_arrays(tree: TreeParams, first_level: int, fill: float) -> list[np.nda
     ]
 
 
-def fill_levels(
-    tree: TreeParams,
-    first_level: int,
-    items: Iterable[tuple[Sequence[int], float]],
-    fill: float,
-) -> list[np.ndarray]:
-    """Level arrays ``first_level..depth`` holding ``(word, value)`` pairs.
-
-    Each word is checked once; vertices the pairs leave out hold ``fill``.
-    """
-    arrays = level_arrays(tree, first_level, fill)
-    for word, value in items:
-        rank = tree.rank(word)
-        if len(word) < first_level:
-            raise ConfigurationError(
-                f"unexpected word {'.'.join(map(str, word))!r} above level {first_level}"
-            )
-        arrays[len(word) - first_level][rank] = value
-    return arrays
-
-
 def keyed_levels(
     tree: TreeParams, first_level: int, mapping: Mapping[str, Any], fill: float
 ) -> list[np.ndarray]:
@@ -335,6 +314,20 @@ def keyed_levels(
             at = lengths == level
             arrays[level - first_level][ranks[at]] = numbers[at]
     return arrays
+
+
+def keyed_map(tree: TreeParams, arrays: Sequence[np.ndarray]) -> dict[str, float]:
+    """Values keyed by word text from level arrays that end at the leaves.
+
+    The inverse of ``keyed_levels``: every vertex on the arrays' levels gets
+    one entry.  Each level's words are spelled once, in rank order.
+    """
+    symbols = [str(s) for s in tree.symbols()]
+    keyed: dict[str, float] = {}
+    for level, array in enumerate(arrays, tree.depth + 1 - len(arrays)):
+        words = map(".".join, itertools.product(symbols, repeat=level))
+        keyed.update(zip(words, array.tolist()))
+    return keyed
 
 
 def _read_chunk(
@@ -390,8 +383,12 @@ def _mapping_levels(
 ) -> list[np.ndarray]:
     """Level arrays from a Vertex-keyed mapping; unmentioned vertices hold
     ``default``, and with no default every vertex on those levels must be named."""
-    items = ((v.word, x) for v, x in mapping.items())
-    arrays = fill_levels(tree, first_level, items, 0.0 if default is None else default)
+    arrays = level_arrays(tree, first_level, 0.0 if default is None else default)
+    for v, value in mapping.items():
+        rank = tree.rank(v.word)
+        if v.level < first_level:
+            raise ConfigurationError(f"unexpected word {v.to_text()!r} above level {first_level}")
+        arrays[v.level - first_level][rank] = value
     # distinct keys that all passed the checks name distinct vertices
     missing = sum(a.size for a in arrays) - len(mapping)
     if default is None and missing:
@@ -436,29 +433,17 @@ def _held(
     return held
 
 
-class _VertexView(Mapping[Vertex, float]):
-    """Read-only Vertex-keyed view of level arrays that end at the leaves."""
-
-    def __init__(self, tree: TreeParams, arrays: tuple[np.ndarray, ...]) -> None:
-        self._tree = tree
-        self._arrays = arrays
-        self._first_level = tree.depth + 1 - len(arrays)
-
-    def __getitem__(self, v: Vertex) -> float:
-        try:
-            rank = self._tree.rank(v.word)
-        except (AttributeError, ConfigurationError):
-            raise KeyError(v) from None
-        if v.level < self._first_level:
-            raise KeyError(v)
-        return self._arrays[v.level - self._first_level].item(rank)
-
-    def __iter__(self) -> Iterator[Vertex]:
-        for level in range(self._first_level, self._tree.depth + 1):
-            yield from self._tree.vertices_at(level)
-
-    def __len__(self) -> int:
-        return sum(a.size for a in self._arrays)
+def _level_item(tree: TreeParams, arrays: tuple[np.ndarray, ...], v: Vertex) -> float:
+    """The value at ``v`` in level arrays that end at the leaves; KeyError
+    for a vertex off their levels or outside the tree."""
+    first_level = tree.depth + 1 - len(arrays)
+    try:
+        rank = tree.rank(v.word)
+    except (AttributeError, ConfigurationError):
+        raise KeyError(v) from None
+    if v.level < first_level:
+        raise KeyError(v)
+    return arrays[v.level - first_level].item(rank)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -495,13 +480,13 @@ class WeightAssignment:
         (array,) = _mapping_levels(tree, tree.depth, mapping, default)
         return cls(tree, array)
 
-    @cached_property
-    def leaf_weights(self) -> Mapping[Vertex, float]:
-        """Read-only view of the weights, keyed by leaf."""
-        return _VertexView(self.tree, (self.leaf_array,))
-
     def weight(self, leaf: Vertex) -> float:
-        return self.leaf_weights[leaf]
+        return _level_item(self.tree, (self.leaf_array,), leaf)
+
+    @cached_property
+    def masses(self) -> tuple[np.ndarray, ...]:
+        """Cylinder masses below every vertex (see :func:`cylinder_masses`), computed once."""
+        return cylinder_masses(self.tree, self)
 
     def scaled(self, factor: float) -> "WeightAssignment":
         return WeightAssignment(self.tree, self.leaf_array * factor)
@@ -574,13 +559,8 @@ class LevelFunction:
             array[:] = value
         return cls(tree, arrays)
 
-    @cached_property
-    def values(self) -> Mapping[Vertex, float]:
-        """Read-only view of the values, keyed by vertex."""
-        return _VertexView(self.tree, self.levels)
-
     def __call__(self, v: Vertex) -> float:
-        return self.values[v]
+        return _level_item(self.tree, self.levels, v)
 
     def scaled(self, factor: float) -> "LevelFunction":
         return LevelFunction(self.tree, [array * factor for array in self.levels])

@@ -23,7 +23,6 @@ import statistics
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -38,15 +37,14 @@ from .bounds import (
 )
 from .energy import (
     EnergyResult,
-    factorized_from_shape,
     orbit_energy_bruteforce,
+    orbit_energy_factorized,
 )
 from .orbits import (
     Configuration,
     EnumerationGuardError,
     JoinShape,
     ShapeLeaf,
-    extract_shape,
     realize_shape,
     shape_join_levels,
     shape_orbit_size,
@@ -58,8 +56,8 @@ from .tree import (
     TreeParams,
     Vertex,
     WeightAssignment,
-    cylinder_masses,
     keyed_levels,
+    keyed_map,
     level_arrays,
 )
 
@@ -104,13 +102,9 @@ class Instance:
     def base(self) -> Vertex:
         return self.config.base
 
-    @cached_property
+    @property
     def shape(self) -> JoinShape:
-        return extract_shape(self.config)
-
-    @cached_property
-    def masses(self) -> tuple[np.ndarray, ...]:
-        return cylinder_masses(self.tree, self.weights)
+        return self.config.shape
 
     def to_json_dict(self) -> dict[str, Any]:
         data: dict[str, Any] = {
@@ -118,8 +112,8 @@ class Instance:
             "k": self.tree.depth,
             "base": self.base.to_text(),
             "config": [list(p.word) for p in self.config.particles],
-            "mu": {v.to_text(): w for v, w in sorted(self.weights.leaf_weights.items())},
-            "f": {v.to_text(): x for v, x in sorted(self.f.values.items())},
+            "mu": keyed_map(self.tree, (self.weights.leaf_array,)),
+            "f": keyed_map(self.tree, self.f.levels),
             "p": list(self.exponents.exponents),
             "regime": self.regime,
         }
@@ -357,12 +351,6 @@ def resolve_constant(inst: Instance) -> tuple[float, tuple[str, ...]]:
     return k, tuple(flags)
 
 
-def _factorized_energy(inst: Instance) -> EnergyResult:
-    """The factorized energy from the instance's cached shape and masses."""
-    value = factorized_from_shape(inst.tree, inst.base, inst.shape, inst.masses, inst.f)
-    return EnergyResult(value, "factorized", shape_orbit_size(inst.shape, inst.tree.arity))
-
-
 def check_inequality(inst: Instance, method: str = "factorized") -> Report:
     """Evaluate both sides of the bound and report the outcome.
 
@@ -400,14 +388,14 @@ def check_inequality(inst: Instance, method: str = "factorized") -> Report:
             energy = orbit_energy_bruteforce(inst.config, inst.weights, inst.f)
         except EnumerationGuardError:
             flags.append(FLAG_ENUMERATION_GUARD)
-            energy = _factorized_energy(inst)
+            energy = orbit_energy_factorized(inst.config, inst.weights, inst.f)
     elif method == "factorized":
-        energy = _factorized_energy(inst)
+        energy = orbit_energy_factorized(inst.config, inst.weights, inst.f)
     else:
         raise ConfigurationError(f"unknown energy method {method!r}")
 
     rhs = rhs_product(
-        inst.tree, inst.masses, inst.f, inst.base, inst.shape, inst.exponents, k_constant
+        inst.tree, inst.weights.masses, inst.f, inst.base, inst.shape, inst.exponents, k_constant
     )
     lhs = energy.value
     metadata["method"] = energy.method
@@ -527,7 +515,7 @@ def reproduce_example(p: tuple[float, float, float] = (3.0, 3.0, 3.0)) -> Exampl
     """
     config = worked_example_configuration()
     tree = config.tree
-    shape = extract_shape(config)
+    shape = config.shape
     joins = {v.to_text(): r for v, r in sorted(config.join_multiset().items())}
     pa = ExponentAssignment(tuple(float(x) for x in p))
     levels = shape_join_levels(shape, 0)
@@ -654,15 +642,14 @@ def random_instance(seed: int, ranges: InstanceRanges = InstanceRanges()) -> Ins
         start += values.size
     f = LevelFunction(tree, f_levels)
 
-    shape = extract_shape(config)
     if ranges.regime == "binary_optimal":
-        exponents = _binary_optimal_exponents(shape, rng)
+        exponents = _binary_optimal_exponents(config.shape, rng)
     else:
         reciprocals = np.clip(rng.dirichlet(np.ones(n - 1)), 1e-12, None)
         reciprocals = reciprocals / reciprocals.sum()
         exponents = ExponentAssignment(tuple(float(1.0 / q) for q in reciprocals))
 
-    inst = Instance(
+    return Instance(
         config=config,
         weights=weights,
         f=f,
@@ -670,8 +657,6 @@ def random_instance(seed: int, ranges: InstanceRanges = InstanceRanges()) -> Ins
         regime=ranges.regime,
         seed=seed,
     )
-    inst.__dict__["shape"] = shape  # the value Instance.shape would cache
-    return inst
 
 
 def _binary_optimal_exponents(

@@ -136,8 +136,7 @@ class TestSubcommands:
         def no_energy(*args):
             pytest.fail("bound evaluated the orbit energy")
 
-        for module in (energy_mod, verify_mod):
-            monkeypatch.setattr(module, "factorized_from_shape", no_energy)
+        monkeypatch.setattr(energy_mod, "factorized_from_shape", no_energy)
         code, payload = run_cli(capsys, "bound", worked_file, "--regime", regime)
         assert code == 0 and payload["rhs"] > 0.0
         assert payload["join_levels"] == [0, 1, 2]
@@ -491,7 +490,7 @@ class TestBruteForceScan:
         code, brute = run_cli(capsys, "verify", str(path), "--method", "brute")
         assert code == 0 and brute["metadata"]["method"] == "bruteforce"
         assert brute["metadata"]["orbit_terms"] == 52488
-        # the orbit size estimate, the target shape, then one per candidate
-        assert len(shapes) == 2 + 52488
+        # the configuration's cached shape, then one per candidate
+        assert len(shapes) == 1 + 52488
         _, factorized = run_cli(capsys, "verify", str(path))
         assert abs(brute["lhs"] - factorized["lhs"]) <= 1e-12 * factorized["lhs"]

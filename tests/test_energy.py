@@ -167,14 +167,16 @@ class TestEnergyProperties:
             binary3, ROOT, (vx(1, 1, 1), vx(1, 2, 1), vx(2, 1, 1), vx(2, 2, 2))
         )
         base = orbit_energy_factorized(config, weights, f).value
+        f_values = {v: f(v) for v in binary3.vertices()}
+        leaf_weights = {leaf: weights.weight(leaf) for leaf in binary3.leaves()}
         for v in [ROOT, vx(1), vx(2, 1), vx(1, 1, 1)]:
             bump_f = LevelFunction(
-                binary3, {**f.values, v: f(v) * 2.0}
+                binary3, {**f_values, v: f(v) * 2.0}
             )
             assert orbit_energy_factorized(config, weights, bump_f).value >= base
         for leaf in [vx(1, 1, 1), vx(2, 2, 2)]:
             bump_w = WeightAssignment(
-                binary3, {**weights.leaf_weights, leaf: weights.weight(leaf) + 1.0}
+                binary3, {**leaf_weights, leaf: weights.weight(leaf) + 1.0}
             )
             assert orbit_energy_factorized(config, bump_w, f).value >= base
 

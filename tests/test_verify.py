@@ -31,6 +31,7 @@ from joinforge import (
 )
 import joinforge.energy as energy_mod
 import joinforge.orbits as orbits_mod
+import joinforge.tree as tree_mod
 import joinforge.verify as verify_mod
 
 from conftest import vx
@@ -165,14 +166,13 @@ class TestCheckInequality:
     @pytest.mark.parametrize("method", ["factorized", "brute"])
     def test_shape_and_masses_derived_once(self, monkeypatch, method):
         counts = {"extract_shape": 0, "cylinder_masses": 0}
-        for module in (verify_mod, energy_mod):
-            for name in counts:
+        for module, name in ((orbits_mod, "extract_shape"), (tree_mod, "cylinder_masses")):
 
-                def counted(*args, _name=name, _original=getattr(module, name)):
-                    counts[_name] += 1
-                    return _original(*args)
+            def counted(*args, _name=name, _original=getattr(module, name)):
+                counts[_name] += 1
+                return _original(*args)
 
-                monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(module, name, counted)
         # the orbit exceeds the enumeration guard, so brute falls back to factorized
         report = check_inequality(refused_instance(), method=method)
         assert report.passed and report.metadata["method"] == "factorized"
@@ -181,7 +181,7 @@ class TestCheckInequality:
     @pytest.mark.parametrize("regime", ["general", "binary_optimal", "inductive"])
     def test_random_instance_shape_extracted_and_walked_once(self, monkeypatch, regime):
         counts = {}
-        for module, name in ((verify_mod, "extract_shape"), (orbits_mod, "_join_nodes")):
+        for module, name in ((orbits_mod, "extract_shape"), (orbits_mod, "_join_nodes")):
 
             def counted(*args, _name=name, _original=getattr(module, name)):
                 counts[_name] += 1

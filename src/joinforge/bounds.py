@@ -196,7 +196,7 @@ def rhs_product(
 
     A positive coexponent contributes the base cylinder mass to that power.
     Factors are combined in the log domain so large sampled exponents cannot
-    overflow intermediate sums.
+    overflow intermediate sums; a product beyond the float range is refused.
     """
     _require_slot_count(shape, pa)
     log_total = 0.0
@@ -210,7 +210,13 @@ def rhs_product(
         if base_mass == 0.0:
             return 0.0
         log_total += pa.coexponent * math.log(base_mass)
-    return k_constant * math.exp(log_total)
+    try:
+        rhs = k_constant * math.exp(log_total)
+    except OverflowError:
+        rhs = math.inf
+    if not math.isfinite(rhs):
+        raise ConfigurationError("the right side exceeds the float range")
+    return rhs
 
 
 # ---------------------------------------------------------------------------

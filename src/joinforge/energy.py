@@ -43,6 +43,9 @@ from .tree import (
 )
 
 
+_OVERFLOW = "the orbit energy exceeds the float range"
+
+
 @dataclass(frozen=True)
 class EnergyResult:
     """Orbit energy value, the evaluator used, and the orbit cardinality."""
@@ -65,14 +68,19 @@ def orbit_energy_bruteforce(
     """Sum weight products times interaction values over the enumerated orbit.
 
     Terms are added in enumeration order.  Propagates the enumeration guard
-    refusal unchanged.
+    refusal unchanged, and refuses an energy beyond the float range.
     """
     total = 0.0
     count = 0
-    for member in orbit_enumerate(config):
-        term = math.prod(weights.weight(p) for p in member.particles)
-        total += term * interaction_value(f, member)
-        count += 1
+    try:
+        for member in orbit_enumerate(config):
+            term = math.prod(weights.weight(p) for p in member.particles)
+            total += term * interaction_value(f, member)
+            count += 1
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise ConfigurationError(_OVERFLOW)
     return EnergyResult(total, "bruteforce", count)
 
 
@@ -99,7 +107,7 @@ def factorized_from_shape(
     Works one level at a time on contiguous rank ranges: each call returns
     one value per vertex of ranks ``lo..hi-1`` at its level, so a descent
     is a block sum over the level below and a leaf branch is a slice of the
-    masses.
+    masses.  An energy beyond the float range is refused.
     """
     m = tree.arity
 
@@ -129,4 +137,8 @@ def factorized_from_shape(
         return np.array(powers) * injective_sum(table)
 
     lo = tree.rank(base.word)
-    return float(over_descents(shape, base.level, shape.gap, lo, lo + 1)[0])
+    try:
+        with np.errstate(over="raise"):
+            return float(over_descents(shape, base.level, shape.gap, lo, lo + 1)[0])
+    except (FloatingPointError, OverflowError):
+        raise ConfigurationError(_OVERFLOW) from None

@@ -498,15 +498,20 @@ def cylinder_masses(tree: TreeParams, weights: WeightAssignment) -> tuple[np.nda
     ``masses[level][rank]`` is the sum of the leaf weights below the vertex
     with that rank.  Each level adds its children's columns in symbol order,
     so every mass is the float a left-to-right sum over the children gives.
+    A mass beyond the float range is refused.
     """
     if weights.tree != tree:
         raise ConfigurationError("weight assignment belongs to a different tree")
     masses = level_arrays(tree, 0, 0.0)
     masses[-1][:] = weights.leaf_array
-    for level in range(tree.depth - 1, -1, -1):
-        children = masses[level + 1].reshape(-1, tree.arity)
-        for symbol in range(tree.arity):
-            masses[level] += children[:, symbol]
+    try:
+        with np.errstate(over="raise"):
+            for level in range(tree.depth - 1, -1, -1):
+                children = masses[level + 1].reshape(-1, tree.arity)
+                for symbol in range(tree.arity):
+                    masses[level] += children[:, symbol]
+    except FloatingPointError:
+        raise ConfigurationError("a cylinder mass exceeds the float range") from None
     for array in masses:
         array.flags.writeable = False
     return tuple(masses)

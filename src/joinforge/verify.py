@@ -237,27 +237,36 @@ def _apply_slot_assignment(p_list: list[float], slot_map: Any) -> list[float]:
 
 
 def parse_regime(raw: Any, explicit_value: Any = None) -> tuple[str, float | None]:
-    """Normalize a regime spelling; 'explicit=V' or an explicit 'K' field."""
+    """Normalize a regime spelling and its explicit constant.
+
+    The constant is V of 'explicit=V', else ``explicit_value`` (an
+    instance's 'K' field), else None; only the explicit regime needs one.
+    A given ``explicit_value`` is checked whatever the regime, so that a
+    constant kept for a later explicit regime is a valid one.
+    """
     if not isinstance(raw, str):
         raise ConfigurationError(f"regime must be a string, got {raw!r}")
     name, sep, tail = raw.strip().partition("=")
     name = name.replace("-", "_")
-    if name == "explicit":
-        if sep:
-            try:
-                value = float(tail)
-            except ValueError as exc:
-                raise ConfigurationError(f"bad explicit constant {tail!r}") from exc
-        elif explicit_value is None:
-            raise ConfigurationError("explicit regime needs 'K' or 'explicit=VALUE'")
-        else:
-            value = float(explicit_value)
-        if not (math.isfinite(value) and value > 0):
-            raise ConfigurationError(f"explicit constant must be finite and > 0, got {value!r}")
-        return "explicit", value
-    if sep or name not in REGIMES:
+    if sep and name != "explicit" or name not in REGIMES:
         raise ConfigurationError(f"unknown regime {raw!r}")
-    return name, None
+    if explicit_value is not None:
+        explicit_value = _explicit_constant(float(explicit_value))
+    if sep:
+        try:
+            value = float(tail)
+        except ValueError as exc:
+            raise ConfigurationError(f"bad explicit constant {tail!r}") from exc
+        return name, _explicit_constant(value)
+    if name == "explicit" and explicit_value is None:
+        raise ConfigurationError("explicit regime needs 'K' or 'explicit=VALUE'")
+    return name, explicit_value
+
+
+def _explicit_constant(value: float) -> float:
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigurationError(f"explicit constant must be finite and > 0, got {value!r}")
+    return value
 
 
 def load_instance(path: str) -> Instance:
@@ -316,7 +325,7 @@ class Report:
 
 
 def _num_out(x: float) -> float | None:
-    return None if x != x else x  # NaN becomes null in JSON
+    return x if math.isfinite(x) else None  # JSON has no NaN or infinity
 
 
 def _num_in(x: Any) -> float:

@@ -353,9 +353,12 @@ class TestCliContract:
             {"regime": "explicit", "K": -math.inf},
             {"regime": "explicit", "K": -1},
             {"regime": "explicit", "K": 0.0},
+            {"regime": "general", "K": math.nan},
+            {"regime": "binary_optimal", "K": -1},
         ],
         ids=["regime-nan", "regime-inf", "regime-negative", "regime-zero", "K-nan",
-             "K-inf", "K-negative-inf", "K-negative", "K-zero"],
+             "K-inf", "K-negative-inf", "K-negative", "K-zero", "general-K-nan",
+             "binary-K-negative"],
     )
     def test_explicit_constant_not_finite_positive_file_exit_two(
         self, capsys, worked_file, tmp_path, fields
@@ -376,16 +379,54 @@ class TestCliContract:
             assert code == 0 and payload["K"] == float(spelling)
 
     def test_bound_explicit_regime_reads_the_file_constant(self, capsys, worked_file, tmp_path):
-        doc = {**json.load(open(worked_file)), "regime": "explicit", "K": 0.5}
-        path = tmp_path / "with_k.json"
-        path.write_text(json.dumps(doc))
-        code, payload = run_cli(capsys, "bound", str(path), "--regime", "explicit")
-        assert code == 0 and payload["K"] == 0.5 and payload["regime"] == "explicit"
-        code, payload = run_cli(capsys, "bound", str(path), "--regime", "explicit=2")
-        assert code == 0 and payload["K"] == 2.0
+        for file_regime in ("explicit", "general"):  # K is kept beside any regime
+            doc = {**json.load(open(worked_file)), "regime": file_regime, "K": 0.5}
+            path = tmp_path / "with_k.json"
+            path.write_text(json.dumps(doc))
+            code, payload = run_cli(capsys, "bound", str(path), "--regime", "explicit")
+            assert code == 0 and payload["K"] == 0.5 and payload["regime"] == "explicit"
+            code, payload = run_cli(capsys, "bound", str(path), "--regime", "explicit=2")
+            assert code == 0 and payload["K"] == 2.0
         code = main(["bound", worked_file, "--regime", "explicit"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "" and "needs 'K'" in captured.err
+
+    @pytest.mark.parametrize("command", ["verify", "bound", "energy"])
+    @pytest.mark.parametrize(
+        "field, keys",
+        [
+            ("f", ["", "1", "2"] + [f"{a}.{b}" for a in "12" for b in "12"]
+             + [f"{a}.{b}.{c}" for a in "12" for b in "12" for c in "12"]),
+            ("mu", ["1.1.1", "1.2.1", "2.1.1", "2.1.2"]),
+        ],
+        ids=["f", "particle-weights"],
+    )
+    def test_side_beyond_float_range_exit_two(
+        self, capsys, worked_file, tmp_path, command, field, keys
+    ):
+        doc = json.load(open(worked_file))
+        doc[field] = {key: 1e300 for key in keys}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code = main([command, str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "exceeds the float range" in captured.err
+
+    def test_infinite_ratio_written_as_null(self, capsys, worked_file, tmp_path):
+        doc = json.load(open(worked_file))
+        doc["f"] = {v.to_text(): 1e-3 for v in worked_example_configuration().tree.vertices()}
+        doc["regime"] = "explicit=5e-324"
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(doc))
+        code = main(["verify", str(path)])
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert code == 1 and payload["pass"] is False
+        assert payload["rhs"] == 0.0 < payload["lhs"] and payload["ratio"] is None
 
     def test_parser_built_once_serves_every_call(self, capsys, worked_file):
         from joinforge import cli

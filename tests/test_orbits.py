@@ -267,6 +267,16 @@ class TestOrbitEnumerate:
         shape = extract_shape(worked_config)
         assert all(extract_shape(m) == shape for m in members)
 
+    def test_size_and_enumeration_extract_the_shape_once(self, monkeypatch):
+        config = Configuration(TreeParams(2, 3), ROOT, (vx(1, 1, 1), vx(1, 2, 1), vx(2, 1, 1)))
+        calls = []
+        extract = orbits.extract_shape
+        monkeypatch.setattr(
+            orbits, "extract_shape", lambda c: calls.append(c is config) or extract(c)
+        )
+        assert orbit_size(config) == len(list(orbit_enumerate(config))) == orbit_size(config)
+        assert calls.count(True) == 1
+
     def test_single_particle_stream(self):
         tree = TreeParams(2, 2)
         config = Configuration(tree, ROOT, (vx(2, 1),))

@@ -213,6 +213,11 @@ class TestCylinderMasses:
         for v in tree.vertices():
             assert mass(tree, two, v) == pytest.approx(scale * mass(tree, one, v), rel=1e-12)
 
+    def test_mass_beyond_float_range_refused(self, binary3):
+        weights = WeightAssignment.constant(binary3, 1e308)
+        with pytest.raises(ConfigurationError, match="float range"):
+            cylinder_masses(binary3, weights)
+
     def test_bit_identical_to_child_sums(self):
         tree = TreeParams(3, 3)
         rng = random.Random(5)

@@ -20,6 +20,7 @@ from joinforge import (
     ROOT,
     Report,
     TreeParams,
+    Vertex,
     WeightAssignment,
     check_equality_case,
     check_inequality,
@@ -109,6 +110,35 @@ class TestInstanceJson:
         assert one.explicit_k == two.explicit_k == 0.5
         three = Instance.from_json_dict({**base, "regime": "binary-optimal"})
         assert three.regime == "binary_optimal"
+        # a K beside another regime is kept for a later explicit one, and written back
+        four = Instance.from_json_dict({**base, "regime": "general", "K": 0.5})
+        assert four.explicit_k == 0.5 and four.to_json_dict()["K"] == 0.5
+
+    @pytest.mark.parametrize("m, k, base", [(10, 2, ""), (11, 2, "11"), (2, 4, "2.1")])
+    def test_level_arrays_written_per_vertex_and_read_back(self, m, k, base):
+        tree = TreeParams(m, k)
+        rng = np.random.default_rng(m)
+        leaves = list(tree.leaves_below(Vertex.from_text(base)))
+        particles = tuple(leaves[i] for i in rng.choice(len(leaves), 3, replace=False))
+        mu = rng.uniform(0.0, 2.0, tree.leaf_count)
+        mu[rng.random(mu.size) < 0.3] = 0.0
+        inst = Instance(
+            config=Configuration(tree, Vertex.from_text(base), particles),
+            weights=WeightAssignment(tree, mu),
+            f=LevelFunction(tree, [rng.uniform(0.5, 2.0, m**l) for l in range(k + 1)]),
+            exponents=ExponentAssignment((2.0, 2.0)),
+        )
+        data = inst.to_json_dict()
+        # every vertex once, level by level in rank order, as weight() and f() read it
+        assert list(data["mu"]) == [v.to_text() for v in tree.leaves()]
+        assert list(data["f"]) == [v.to_text() for v in tree.vertices()]
+        assert data["mu"] == {v.to_text(): inst.weights.weight(v) for v in tree.leaves()}
+        assert data["f"] == {v.to_text(): inst.f(v) for v in tree.vertices()}
+        assert 0.0 in data["mu"].values()
+        again = Instance.from_json_dict(json.loads(json.dumps(data)))
+        assert np.array_equal(again.weights.leaf_array, inst.weights.leaf_array)
+        assert all(map(np.array_equal, again.f.levels, inst.f.levels))
+        assert again.to_json_dict() == data
 
     def test_integer_numbers_accepted(self):
         data = {"m": 2, "k": 1, "config": [[1], [2]], "p": [2], "coexponent": 1,
@@ -177,6 +207,17 @@ class TestCheckInequality:
         report = check_inequality(refused_instance(), method=method)
         assert report.passed and report.metadata["method"] == "factorized"
         assert counts == {"extract_shape": 1, "cylinder_masses": 1}
+
+    def test_shared_weights_give_their_masses_once(self, monkeypatch):
+        calls = []
+        masses = tree_mod.cylinder_masses
+        monkeypatch.setattr(
+            tree_mod, "cylinder_masses", lambda *args: calls.append(args) or masses(*args)
+        )
+        first = worked_instance()
+        second = worked_instance(regime="general", weights=first.weights)
+        assert check_inequality(first).passed and check_inequality(second).passed
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("regime", ["general", "binary_optimal", "inductive"])
     def test_random_instance_shape_extracted_and_walked_once(self, monkeypatch, regime):

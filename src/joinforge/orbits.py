@@ -29,6 +29,7 @@ from .tree import (
     ConfigurationError,
     TreeParams,
     Vertex,
+    Word,
     common_join,
     join,
     join_multiset,
@@ -107,6 +108,7 @@ class ShapeLeaf:
     def n_particles(self) -> int:
         return 1
 
+    @property
     def indices(self) -> frozenset[int]:
         return frozenset((self.index,))
 
@@ -139,6 +141,7 @@ class ShapeNode:
     # set by __post_init__ from the branches; not part of equality, hash or repr
     skeleton: str = field(init=False, repr=False, compare=False)
     serialized: str = field(init=False, repr=False, compare=False)
+    indices: frozenset[int] = field(init=False, repr=False, compare=False)
     min_index: int = field(init=False, repr=False, compare=False)
     n_particles: int = field(init=False, repr=False, compare=False)
 
@@ -148,18 +151,16 @@ class ShapeNode:
         keys = [_branch_key(b) for b in self.branches]
         if keys != sorted(keys):
             raise ConfigurationError("branches are not in canonical order")
-        seen: set[int] = set()
-        for b in self.branches:
-            idx = b.indices()
-            if not seen.isdisjoint(idx):
-                raise ConfigurationError("branch index sets overlap")
-            seen |= idx
+        indices = frozenset().union(*[b.indices for b in self.branches])
+        if len(indices) != sum([b.n_particles for b in self.branches]):
+            raise ConfigurationError("branch index sets overlap")
         skeletons = ",".join([skeleton for skeleton, _ in keys])
         serials = ",".join([b.serialized for b in self.branches])
         object.__setattr__(self, "skeleton", f"{self.gap}({skeletons})")
         object.__setattr__(self, "serialized", f"{self.gap}({serials})")
-        object.__setattr__(self, "min_index", min(seen))
-        object.__setattr__(self, "n_particles", len(seen))
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "min_index", min(indices))
+        object.__setattr__(self, "n_particles", len(indices))
 
     @property
     def degree(self) -> int:
@@ -168,9 +169,6 @@ class ShapeNode:
     @property
     def multiplicity(self) -> int:
         return len(self.branches) - 1
-
-    def indices(self) -> frozenset[int]:
-        return frozenset().union(*(b.indices() for b in self.branches))
 
     @cached_property
     def join_nodes(self) -> tuple["JoinNode", ...]:
@@ -187,27 +185,28 @@ def _branch_key(shape: JoinShape) -> tuple[str, int]:
 
 def extract_shape(config: Configuration) -> JoinShape:
     """Canonical join shape of a configuration; equal across exactly one orbit."""
-    items = list(enumerate(config.particles))
-    return _shape_of(items, config.base.level, config.tree.depth)
+    items = [(index, p.word) for index, p in enumerate(config.particles)]
+    level = config.base.level
+    return _shape_of(items, level, level, config.tree.depth)
 
 
 def _shape_of(
-    items: list[tuple[int, Vertex]], parent_level: int, depth: int
+    items: list[tuple[int, Word]], parent_level: int, level: int, depth: int
 ) -> JoinShape:
+    """Shape of distinct leaf words that agree above ``level``, hung ``parent_level`` down."""
     if len(items) == 1:
-        index, _ = items[0]
-        return ShapeLeaf(gap=depth - parent_level, index=index)
-    w = common_join([v for _, v in items])
-    parts: dict[int, list[tuple[int, Vertex]]] = {}
-    for index, v in items:
-        parts.setdefault(v.word[w.level], []).append((index, v))
-    branches = tuple(
-        sorted(
-            (_shape_of(part, w.level, depth) for part in parts.values()),
-            key=_branch_key,
-        )
+        return ShapeLeaf(gap=depth - parent_level, index=items[0][0])
+    first = items[0][1]
+    while all(word[level] == first[level] for _, word in items):
+        level += 1
+    parts: dict[int, list[tuple[int, Word]]] = {}
+    for item in items:
+        parts.setdefault(item[1][level], []).append(item)
+    branches = sorted(
+        (_shape_of(part, level, level + 1, depth) for part in parts.values()),
+        key=_branch_key,
     )
-    return ShapeNode(gap=w.level - parent_level, branches=branches)
+    return ShapeNode(gap=level - parent_level, branches=tuple(branches))
 
 
 @dataclass(frozen=True)

@@ -61,8 +61,8 @@ class TestExtractShape:
         assert isinstance(shape, ShapeNode)
         assert shape.gap == 0 and shape.degree == 2
         left, right = shape.branches
-        assert left.gap == 1 and left.indices() == frozenset({0, 1})
-        assert right.gap == 2 and right.indices() == frozenset({2, 3})
+        assert left.gap == 1 and left.indices == frozenset({0, 1})
+        assert right.gap == 2 and right.indices == frozenset({2, 3})
         assert shape.serialized == "0(1(2#0,2#1),2(1#2,1#3))"
         assert shape.skeleton == "0(1(2#,2#),2(1#,1#))"
 
@@ -104,16 +104,17 @@ class TestExtractShape:
             assert from_shape == from_multiset
 
 
-def recomputed_fields(shape) -> tuple[str, str, int, int]:
-    """Skeleton, serialization, smallest index and particle count, by recursion."""
+def recomputed_fields(shape) -> tuple[str, str, int, int, frozenset[int]]:
+    """Skeleton, serialization, smallest index, particle count and index set, by recursion."""
     if isinstance(shape, ShapeLeaf):
-        return f"{shape.gap}#", f"{shape.gap}#{shape.index}", shape.index, 1
+        return f"{shape.gap}#", f"{shape.gap}#{shape.index}", shape.index, 1, {shape.index}
     parts = [recomputed_fields(b) for b in shape.branches]
     return (
         f"{shape.gap}(" + ",".join(p[0] for p in parts) + ")",
         f"{shape.gap}(" + ",".join(p[1] for p in parts) + ")",
         min(p[2] for p in parts),
         sum(p[3] for p in parts),
+        set().union(*(p[4] for p in parts)),
     )
 
 
@@ -134,7 +135,9 @@ class TestShapeFields:
             shape = extract_shape(Configuration(tree, ROOT, tuple(rng.sample(leaves, n))))
             assert shape.n_particles == n
             for node in shape_nodes(shape):
-                fields = (node.skeleton, node.serialized, node.min_index, node.n_particles)
+                fields = (
+                    node.skeleton, node.serialized, node.min_index, node.n_particles, node.indices
+                )
                 assert fields == recomputed_fields(node)
 
     def test_equal_shapes_built_separately(self, worked_config):

@@ -160,8 +160,22 @@ def level_power_sum(
     level: int,
     p: float,
 ) -> float:
-    """Sum of ``f(j)**p * mass(j)**(1+p)`` over vertices ``j`` at ``level`` below ``base``."""
-    return math.exp(_log_level_power_sum(tree, masses, f, base, level, p))
+    """Sum of ``f(j)**p * mass(j)**(1+p)`` over vertices ``j`` at ``level`` below ``base``.
+
+    A sum beyond the float range is refused.
+    """
+    value = _exp_or_inf(_log_level_power_sum(tree, masses, f, base, level, p))
+    if value == math.inf:
+        raise ConfigurationError("the level power sum exceeds the float range")
+    return value
+
+
+def _exp_or_inf(x: float) -> float:
+    """``math.exp``, but ``inf`` where the result lies beyond the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def _log_level_power_sum(
@@ -210,10 +224,7 @@ def rhs_product(
         if base_mass == 0.0:
             return 0.0
         log_total += pa.coexponent * math.log(base_mass)
-    try:
-        rhs = k_constant * math.exp(log_total)
-    except OverflowError:
-        rhs = math.inf
+    rhs = k_constant * _exp_or_inf(log_total)
     if not math.isfinite(rhs):
         raise ConfigurationError("the right side exceeds the float range")
     return rhs
@@ -277,7 +288,7 @@ def k_binary(shape: JoinShape, pa: ExponentAssignment) -> KBinaryResult:
 
 @dataclass(frozen=True)
 class MuirheadSpec:
-    """Nonnegative exponent vector of a symmetric sum.
+    """Nonnegative exponent vector of a symmetric sum, with a finite sum.
 
     The constant machinery needs ``s = sum(a) > 0`` (checked there); the
     symmetric sum itself is total, with the all-zero vector giving ``m!``.
@@ -291,6 +302,8 @@ class MuirheadSpec:
             raise ConfigurationError("exponent vector must be nonempty")
         if any(not x >= 0.0 for x in a):
             raise ConfigurationError(f"exponents must be >= 0, got {a}")
+        if not math.isfinite(sum(a)):
+            raise ConfigurationError(f"exponents and their sum must be finite, got {a}")
         object.__setattr__(self, "a", a)
 
     @property
@@ -340,18 +353,36 @@ class MuirheadValue:
 
 
 def muirhead_closed_form(spec: MuirheadSpec) -> MuirheadValue:
+    """The closed-form constant of the spec's case, or the bracket in case ii.
+
+    Outside case iv (m = 2) the values need ``m!`` as a float, so an arity
+    whose ``m!`` lies beyond the float range (m >= 171) is refused.
+    """
+    case, m, s = _muirhead_case(spec), spec.m, spec.s
+    if case == "iv":
+        v = 2.0 ** (1.0 - s)
+        return MuirheadValue("iv", True, v, v)
+    try:
+        uniform = math.factorial(m) * m ** (-s)
+    except OverflowError:
+        raise ConfigurationError(f"{m}! lies beyond the float range") from None
+    if case == "ii":
+        return MuirheadValue("ii", False, uniform, float(math.factorial(m - 1)))
+    return MuirheadValue(case, True, uniform, uniform)
+
+
+def _muirhead_case(spec: MuirheadSpec) -> str:
+    """Which closed form applies: "i", "iii" or "iv", else "ii" (the bracket only)."""
     m, s, a = spec.m, spec.s, spec.a
     if not s > 0.0:
         raise ConfigurationError("the constant needs a positive exponent sum")
-    uniform = math.factorial(m) * m ** (-s)
     if s <= 1.0:
-        return MuirheadValue("i", True, uniform, uniform)
+        return "i"
     if all(ai >= (s - 1.0) / m for ai in a):
-        return MuirheadValue("iii", True, uniform, uniform)
+        return "iii"
     if m == 2 and (a[0] - a[1]) ** 2 <= s:
-        v = 2.0 ** (1.0 - s)
-        return MuirheadValue("iv", True, v, v)
-    return MuirheadValue("ii", False, uniform, float(math.factorial(m - 1)))
+        return "iv"
+    return "ii"
 
 
 _RESOLUTION = {1: 1, 2: 512, 3: 96, 4: 40, 5: 24}  # the grid's n for each arity
@@ -487,7 +518,7 @@ class AlphaBetaLedger:
 
 @dataclass(frozen=True)
 class KInductiveResult:
-    value: float
+    value: float  # inf beyond the float range
     ledger: AlphaBetaLedger
     estimated: bool  # some node factor rests on the numeric estimator
 
@@ -524,11 +555,11 @@ def k_inductive(shape: JoinShape, pa: ExponentAssignment, arity: int) -> KInduct
         d = record.node.degree
         a_vec = tuple(ai / beta_inv for ai in alpha_inv) + (0.0,) * (m - d)
         mspec = MuirheadSpec(a_vec)
-        closed = muirhead_closed_form(mspec)
-        estimated = not closed.exact and m in _RESOLUTION
+        case = _muirhead_case(mspec)
+        estimated = case == "ii" and m in _RESOLUTION
         log_upper = math.lgamma(m)  # log (m-1)!
-        if closed.exact:
-            log_k = _log_closed_form(closed.case, m, mspec.s)
+        if case != "ii":
+            log_k = _log_closed_form(case, m, mspec.s)
         elif not estimated:
             log_k = log_upper
         else:
@@ -545,7 +576,7 @@ def k_inductive(shape: JoinShape, pa: ExponentAssignment, arity: int) -> KInduct
                 degree=d,
                 alpha_inv=alpha_inv,
                 beta_inv=beta_inv,
-                muirhead_case=closed.case,
+                muirhead_case=case,
                 log_muirhead=log_k,
                 estimated=estimated,
                 log_factor=log_factor,
@@ -554,7 +585,7 @@ def k_inductive(shape: JoinShape, pa: ExponentAssignment, arity: int) -> KInduct
     entries.reverse()  # ledger reads top-down; join nodes come children first
     total_log = sum(e.log_factor for e in entries)
     return KInductiveResult(
-        math.exp(total_log),
+        _exp_or_inf(total_log),
         AlphaBetaLedger(tuple(entries)),
         any(e.estimated for e in entries),
     )

@@ -385,8 +385,8 @@ def orbit_enumerate(config: Configuration) -> Iterator[Configuration]:
     Works by scanning ordered tuples of distinct leaves below the base and
     keeping those with the same canonical shape.  Refuses up front when
     either the orbit size estimate or the count of all ordered tuples
-    exceeds ``DEFAULT_ENUMERATION_GUARD`` (10**7), since a filter scan must
-    not silently hang.
+    exceeds ``DEFAULT_ENUMERATION_GUARD`` (10**7), before any leaf is
+    listed, since a filter scan must not silently hang.
     """
     guard = DEFAULT_ENUMERATION_GUARD
     estimate = orbit_size(config)
@@ -396,15 +396,15 @@ def orbit_enumerate(config: Configuration) -> Iterator[Configuration]:
             "use the factorized evaluator instead",
             estimate,
         )
-    pool = list(config.tree.leaves_below(config.base))
-    scan = math.perm(len(pool), config.n)
+    tree = config.tree
+    scan = math.perm(tree.arity ** (tree.depth - config.base.level), config.n)
     if scan > guard:
         raise EnumerationGuardError(
             f"scanning {scan} ordered tuples exceeds the enumeration guard {guard}; "
             "use the factorized evaluator instead",
             scan,
         )
-    return _filtered_orbit(config, pool)
+    return _filtered_orbit(config, list(tree.leaves_below(config.base)))
 
 
 def _filtered_orbit(config: Configuration, pool: list[Vertex]) -> Iterator[Configuration]:

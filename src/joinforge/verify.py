@@ -45,7 +45,6 @@ from .orbits import (
     EnumerationGuardError,
     JoinShape,
     ShapeLeaf,
-    realize_shape,
     shape_join_levels,
     shape_orbit_size,
 )
@@ -251,21 +250,21 @@ def parse_regime(raw: Any, explicit_value: Any = None) -> tuple[str, float | Non
     if sep and name != "explicit" or name not in REGIMES:
         raise ConfigurationError(f"unknown regime {raw!r}")
     if explicit_value is not None:
-        explicit_value = _explicit_constant(float(explicit_value))
+        explicit_value = _checked_constant(float(explicit_value), "explicit")
     if sep:
         try:
             value = float(tail)
         except ValueError as exc:
             raise ConfigurationError(f"bad explicit constant {tail!r}") from exc
-        return name, _explicit_constant(value)
+        return name, _checked_constant(value, "explicit")
     if name == "explicit" and explicit_value is None:
         raise ConfigurationError("explicit regime needs 'K' or 'explicit=VALUE'")
     return name, explicit_value
 
 
-def _explicit_constant(value: float) -> float:
+def _checked_constant(value: float, regime: str) -> float:
     if not (math.isfinite(value) and value > 0):
-        raise ConfigurationError(f"explicit constant must be finite and > 0, got {value!r}")
+        raise ConfigurationError(f"{regime} constant must be finite and > 0, got {value!r}")
     return value
 
 
@@ -339,10 +338,17 @@ def _ratio(lhs: float, rhs: float) -> float:
 
 
 def resolve_constant(inst: Instance) -> tuple[float, tuple[str, ...]]:
-    """Constant for the instance's regime plus any advisory flags."""
+    """Constant for the instance's regime plus any advisory flags.
+
+    Every regime's constant must be finite and > 0, like an explicit one;
+    one that overflows or underflows the float range is refused.
+    """
     flags: list[str] = []
     if inst.regime == "general":
-        k = float(k_general(inst.shape, inst.tree.arity).value)
+        try:
+            k = float(k_general(inst.shape, inst.tree.arity).value)
+        except OverflowError:
+            k = math.inf
     elif inst.regime == "binary_optimal":
         kb = k_binary(inst.shape, inst.exponents)
         k = kb.value
@@ -357,7 +363,7 @@ def resolve_constant(inst: Instance) -> tuple[float, tuple[str, ...]]:
             flags.append(FLAG_BRACKET_K)
     else:  # explicit
         k = float(inst.explicit_k)  # type: ignore[arg-type]
-    return k, tuple(flags)
+    return _checked_constant(k, inst.regime), tuple(flags)
 
 
 def check_inequality(inst: Instance, method: str = "factorized") -> Report:
@@ -421,31 +427,31 @@ def check_inequality(inst: Instance, method: str = "factorized") -> Report:
 
 
 def check_equality_case(
-    tree: TreeParams,
-    shape: JoinShape,
+    config: Configuration,
     exponents: tuple[float, ...] | list[float],
     seed: int = 0,
 ) -> Report:
     """Verify the equality case of the sharp binary constant.
 
-    Builds the instance with constant leaf weights and a level-constant
-    vertex function (random positive level values from the non-negative
-    ``seed``), then requires the two sides to agree to ``DEFAULT_REL_TOL``;
-    ``passed`` means the ratio equals 1 within tolerance.  When the halves
+    Builds the instance on ``config`` with constant leaf weights and a
+    level-constant vertex function (random positive level values from the
+    non-negative ``seed``), then requires the two sides to agree to
+    ``DEFAULT_REL_TOL``; ``passed`` means the ratio equals 1 within
+    tolerance.  Any base works, not only the root.  When the halves
     condition fails the check is skipped with a reason rather than reported
     as a failure.
     """
+    tree, shape = config.tree, config.shape
     if tree.arity != 2:
         raise ConfigurationError("the equality case is specific to binary trees")
     if seed < 0:
         raise ConfigurationError(f"seed must be non-negative, got {seed}")
     pa = ExponentAssignment(tuple(exponents))
-    config = realize_shape(tree, ROOT, shape)
     kb = k_binary(shape, pa)
     metadata: dict[str, Any] = {
         "seed": seed,
         "shape": shape.serialized,
-        "join_levels": shape_join_levels(shape, 0),
+        "join_levels": shape_join_levels(shape, config.base.level),
     }
     if not kb.condition_met:
         return Report(

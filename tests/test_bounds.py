@@ -209,6 +209,13 @@ class TestLevelPowerSum:
         got = level_power_sum(binary3, masses, f, vx(2), 2, 1.0)
         assert got == pytest.approx(2 * 2.0**2, rel=1e-12)
 
+    def test_sum_beyond_float_range_refused(self, binary3):
+        # two masses of 4e300 to the power 4
+        masses = WeightAssignment.constant(binary3, 1e300).masses
+        f = LevelFunction.constant(binary3)
+        with pytest.raises(ConfigurationError, match="exceeds the float range"):
+            level_power_sum(binary3, masses, f, ROOT, 1, 3.0)
+
 
 class TestRhsProduct:
     def test_worked_example_value(self, binary3, worked_shape):
@@ -398,6 +405,17 @@ class TestMuirheadClosedForm:
             uniform = [1.0 / spec.m] * spec.m
             assert symmetric_sum(uniform, spec) == pytest.approx(value.value, rel=1e-12)
 
+    def test_factorial_beyond_float_range_refused(self):
+        # 170! is about 7.3e306; 171! has no float
+        assert muirhead_closed_form(MuirheadSpec((1.0,) * 170)).exact
+        with pytest.raises(ConfigurationError, match="171! lies beyond the float range"):
+            muirhead_closed_form(MuirheadSpec((1.0,) * 171))
+
+    @pytest.mark.parametrize("a", [(math.inf, 1.0), (1e308, 1e308), (1.0, math.inf, 0.0)])
+    def test_spec_refuses_non_finite(self, a):
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            MuirheadSpec(a)
+
 
 class TestMuirheadNumeric:
     def test_pair_ones(self):
@@ -566,6 +584,15 @@ class TestKInductive:
         assert entry.log_muirhead == math.lgamma(7)
         # (m-1)! at the node gives back the general constant 6!/2!
         assert result.value == pytest.approx(360.0, rel=1e-12)
+
+    def test_arity_past_float_factorials(self):
+        # a pair at the root of a 171-ary tree: 171! has no float, but the
+        # node's factor (m-1)!/(m-2)! = 170 is read in logs
+        config = Configuration(TreeParams(171, 1), ROOT, (vx(1), vx(2)))
+        result = k_inductive(extract_shape(config), ExponentAssignment((1.0,)), 171)
+        (entry,) = result.ledger.entries
+        assert entry.muirhead_case == "ii" and entry.bracket_upper
+        assert result.value == pytest.approx(170.0, rel=1e-12)
 
 
 class TestCoshRatio:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import shutil
@@ -121,6 +122,16 @@ class TestSubcommands:
         code, payload = run_cli(capsys, "equality-check", worked_file)
         assert code == 0 and payload["pass"] is True
         assert abs(payload["ratio"] - 1.0) <= 1e-9
+
+    def test_equality_check_off_root(self, capsys, tmp_path):
+        doc = {"m": 2, "k": 3, "base": "1", "config": [[1, 1, 1], [1, 2, 1], [1, 2, 2]],
+               "p": [2.0, 2.0], "regime": "binary_optimal"}
+        path = tmp_path / "off_root.json"
+        path.write_text(json.dumps(doc))
+        code, payload = run_cli(capsys, "equality-check", str(path))
+        assert code == 0 and payload["pass"] is True
+        assert abs(payload["ratio"] - 1.0) <= 1e-9
+        assert payload["metadata"]["join_levels"] == [1, 2]
 
     def test_example(self, capsys):
         code, payload = run_cli(capsys, "example")
@@ -371,6 +382,58 @@ class TestCliContract:
             captured = capsys.readouterr()
             assert code == 2 and captured.out == ""
             assert "explicit constant must be finite and > 0" in captured.err
+
+    @pytest.mark.parametrize("command", ["verify", "bound"])
+    @pytest.mark.parametrize(
+        "regime, constant",
+        [("general", "inf"), ("binary_optimal", "0.0"), ("inductive", "0.0")],
+    )
+    def test_regime_constant_beyond_float_range_exit_two(
+        self, capsys, tmp_path, command, regime, constant
+    ):
+        if regime == "general":
+            # 1093 ternary join nodes of degree 3: K = 2**1093
+            m, k = 3, 7
+            doc = {"p": [2186.0] * 2186}
+        else:
+            # 2047 binary join nodes: K = 2**-2047 in the binary-optimal regime,
+            # and an f for which the true ratio is about 1
+            m, k = 2, 11
+            f = 0.5 * 2.0 ** (-1047 / 2047)
+            words = (w for level in range(k + 1) for w in itertools.product("12", repeat=level))
+            doc = {"p": [2047.0] * 2047, "f": {".".join(w): f for w in words}}
+        leaves = [list(w) for w in itertools.product(range(1, m + 1), repeat=k)]
+        doc.update(m=m, k=k, config=leaves, regime=regime)
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps(doc))
+        code = main([command, str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"{regime} constant must be finite and > 0, got {constant}" in captured.err
+
+    @pytest.mark.parametrize("command", ["verify", "bound"])
+    def test_inductive_arity_past_float_factorials(self, capsys, tmp_path, command):
+        doc = {"m": 171, "k": 1, "base": "", "config": [[1], [2]], "p": [1.0],
+               "regime": "inductive"}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        code, payload = run_cli(capsys, command, str(path))
+        assert code == 0
+        assert payload["K"] == pytest.approx(170.0, rel=1e-12)
+        assert payload["flags"] == ["bracket-upper-K"]
+
+    @pytest.mark.parametrize(
+        "a, message",
+        [(["1"] * 171, "171! lies beyond the float range"),
+         (["inf", "1"], "exponents and their sum must be finite"),
+         (["1e308", "1e308"], "exponents and their sum must be finite")],
+        ids=["factorial", "infinite-entry", "infinite-sum"],
+    )
+    def test_kconst_beyond_float_range_exit_two(self, capsys, a, message):
+        code = main(["kconst", "--a", *a])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert message in captured.err
 
     def test_explicit_constant_spellings_accepted(self, capsys, worked_file):
         for spelling in ("0.125", "1e-300", "+2", " 4 "):

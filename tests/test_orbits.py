@@ -304,6 +304,18 @@ class TestOrbitEnumerate:
             orbit_enumerate(config)
         assert err.value.estimate == 16_773_120
 
+    def test_scan_refused_before_listing_leaves(self, monkeypatch):
+        # two sibling leaves of the binary depth-21 tree: an orbit of 2**21
+        # members, found by scanning 2**21 * (2**21 - 1) ordered pairs
+        def no_listing(tree, base):
+            pytest.fail("the guard listed the leaves")
+
+        monkeypatch.setattr(TreeParams, "leaves_below", no_listing)
+        config = Configuration(TreeParams(2, 21), ROOT, (vx(*[1] * 21), vx(*[1] * 20, 2)))
+        with pytest.raises(EnumerationGuardError, match="scanning 4398044413952 ordered") as err:
+            orbit_enumerate(config)
+        assert err.value.estimate == 4_398_044_413_952
+
     def test_duplicate_free_on_random_configs(self, ternary2):
         rng = random.Random(31)
         leaves = list(ternary2.leaves())

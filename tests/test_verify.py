@@ -307,20 +307,17 @@ class TestCheckInequality:
 
 class TestEqualityCase:
     def test_worked_shape_with_levels(self, worked_config):
-        shape = extract_shape(worked_config)
-        report = check_equality_case(worked_config.tree, shape, (3.0, 3.0, 3.0), seed=5)
+        report = check_equality_case(worked_config, (3.0, 3.0, 3.0), seed=5)
         assert report.passed
         assert report.ratio == pytest.approx(1.0, rel=1e-9)
 
     def test_two_particles_depth_one(self):
-        tree = TreeParams(2, 1)
-        shape = extract_shape(Configuration(tree, ROOT, (vx(1), vx(2))))
-        report = check_equality_case(tree, shape, (1.0,), seed=3)
+        config = Configuration(TreeParams(2, 1), ROOT, (vx(1), vx(2)))
+        report = check_equality_case(config, (1.0,), seed=3)
         assert report.passed and report.ratio == pytest.approx(1.0, rel=1e-9)
 
     def test_condition_violation_skipped(self, worked_config):
-        shape = extract_shape(worked_config)
-        report = check_equality_case(worked_config.tree, shape, (6.0, 1.5, 6.0))
+        report = check_equality_case(worked_config, (6.0, 1.5, 6.0))
         assert report.passed
         assert "skipped-condition-not-met" in report.flags
 
@@ -329,23 +326,35 @@ class TestEqualityCase:
                                 regime="binary_optimal")
         for seed in range(100):
             inst = random_instance(seed, ranges)
-            report = check_equality_case(
-                inst.tree, inst.shape, inst.exponents.exponents, seed=seed
-            )
+            report = check_equality_case(inst.config, inst.exponents.exponents, seed=seed)
             assert "skipped-condition-not-met" not in report.flags
             assert report.passed, (seed, report.ratio)
             assert report.ratio == pytest.approx(1.0, rel=1e-9)
 
     def test_non_binary_rejected(self):
-        tree = TreeParams(3, 1)
-        shape = extract_shape(Configuration(tree, ROOT, (vx(1), vx(2))))
+        config = Configuration(TreeParams(3, 1), ROOT, (vx(1), vx(2)))
         with pytest.raises(ConfigurationError):
-            check_equality_case(tree, shape, (1.0,))
+            check_equality_case(config, (1.0,))
 
     def test_negative_seed_rejected(self, worked_config):
-        shape = extract_shape(worked_config)
         with pytest.raises(ConfigurationError, match="non-negative"):
-            check_equality_case(worked_config.tree, shape, (3.0, 3.0, 3.0), seed=-1)
+            check_equality_case(worked_config, (3.0, 3.0, 3.0), seed=-1)
+
+    def test_off_root_base(self):
+        # configurations below vertex 1.2 of the binary depth-5 tree, with
+        # exponents whose top branch budgets meet the halves condition
+        tree, base = TreeParams(2, 5), vx(1, 2)
+        leaves = list(tree.leaves_below(base))
+        rng = np.random.default_rng(19)
+        for draw in range(19):
+            n = int(rng.integers(2, 7))
+            picks = rng.choice(len(leaves), size=n, replace=False)
+            config = Configuration(tree, base, tuple(leaves[i] for i in picks))
+            exponents = verify_mod._binary_optimal_exponents(config.shape, rng)
+            report = check_equality_case(config, exponents.exponents, seed=draw)
+            assert "skipped-condition-not-met" not in report.flags
+            assert report.passed and abs(report.ratio - 1.0) <= 1e-9, (draw, report.ratio)
+            assert min(report.metadata["join_levels"]) >= base.level
 
 
 class TestReproduceExample:

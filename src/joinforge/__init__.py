@@ -48,7 +48,6 @@ from .orbits import (
     injective_sum,
     orbit_enumerate,
     orbit_size,
-    realize_shape,
     shape_join_levels,
     shape_orbit_size,
 )

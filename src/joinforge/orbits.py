@@ -462,35 +462,3 @@ def _filtered_orbit(config: Configuration, pool: list[Vertex]) -> Iterator[Confi
                 free[j] = True
 
     return extend()
-
-
-def realize_shape(tree: TreeParams, base: Vertex, shape: JoinShape) -> Configuration:
-    """Build one concrete configuration whose canonical shape is ``shape``.
-
-    Branches are laid onto the lowest-numbered children and descents follow
-    all-1 paths, so the result is deterministic.
-    """
-    tree.validate_vertex(base)
-    checked_join_nodes(shape, tree.arity)
-    placed: dict[int, Vertex] = {}
-
-    def place(node: JoinShape, start: Vertex, top: bool) -> None:
-        free_levels = node.gap if top else node.gap - 1
-        if free_levels < 0:
-            raise ConfigurationError("branch gaps must be >= 1")
-        at = Vertex(start.word + (1,) * free_levels)
-        if isinstance(node, ShapeLeaf):
-            if at.level != tree.depth:
-                raise ConfigurationError(
-                    f"leaf gap {node.gap} does not reach the free level from {start!r}"
-                )
-            placed[node.index] = at
-            return
-        for j, branch in enumerate(node.branches):
-            place(branch, at.child(j + 1), top=False)
-
-    place(shape, base, top=True)
-    indices = sorted(placed)
-    if indices != list(range(len(indices))):
-        raise ConfigurationError("shape particle indices must be 0..n-1")
-    return Configuration(tree, base, tuple(placed[i] for i in indices))

@@ -302,7 +302,7 @@ def keyed_levels(
     does not read is read again key by key, only for the message that names
     its first bad entry.
     """
-    arrays = level_arrays(tree, first_level, fill)
+    arrays = level_arrays(tree, first_level, _numbers(fill, "fill values"))
     keys, values = iter(mapping), iter(mapping.values())
     while chunk := list(itertools.islice(keys, KEY_CHUNK)):
         raw = list(itertools.islice(values, KEY_CHUNK))
@@ -378,24 +378,13 @@ def _first_bad_entry(
     return ConfigurationError(f"entries from {keys[0]!r} to {keys[-1]!r} could not be read")
 
 
-def _mapping_levels(
-    tree: TreeParams, first_level: int, mapping: Mapping[Vertex, float], default: float | None
-) -> list[np.ndarray]:
-    """Level arrays from a Vertex-keyed mapping; unmentioned vertices hold
-    ``default``, and with no default every vertex on those levels must be named."""
-    arrays = level_arrays(tree, first_level, 0.0 if default is None else default)
-    for v, value in mapping.items():
-        rank = tree.rank(v.word)
-        if v.level < first_level:
-            raise ConfigurationError(f"unexpected word {v.to_text()!r} above level {first_level}")
-        arrays[v.level - first_level][rank] = value
-    # distinct keys that all passed the checks name distinct vertices
-    missing = sum(a.size for a in arrays) - len(mapping)
-    if default is None and missing:
-        raise ConfigurationError(
-            f"{missing} vertices at levels {first_level}..{tree.depth} have no value"
-        )
-    return arrays
+def _numbers(values: Any, what: str) -> np.ndarray:
+    """``values`` as float64, refusing any dtype but integer and float (a
+    list is read by numpy first, so a boolean among floats is a float)."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":
+        raise ConfigurationError(f"{what} must be integers or floats, got {array.dtype} data")
+    return array.astype(np.float64, copy=False)
 
 
 def _held(
@@ -411,7 +400,7 @@ def _held(
     An array that owns its float64 data is taken over as it is; anything
     else is copied first, a view included, since its base stays writable.
     """
-    held = tuple(np.asarray(a, dtype=np.float64) for a in arrays)
+    held = tuple(_numbers(a, f"{what}s") for a in arrays)
     held = tuple(a if a.base is None else a.copy() for a in held)
     if [a.shape for a in held] != [(tree.arity**l,) for l in range(first_level, tree.depth + 1)]:
         raise ConfigurationError(
@@ -453,15 +442,9 @@ class WeightAssignment:
     tree: TreeParams
     leaf_array: np.ndarray
 
-    def __init__(
-        self,
-        tree: TreeParams,
-        leaf_weights: Mapping[Vertex, float] | np.ndarray,
-    ) -> None:
-        """From a mapping that names every leaf once, or from the leaf array."""
-        if isinstance(leaf_weights, Mapping):
-            (leaf_weights,) = _mapping_levels(tree, tree.depth, leaf_weights, None)
-        (array,) = _held(tree, tree.depth, [leaf_weights], "weight", positive=False)
+    def __init__(self, tree: TreeParams, leaf_array: np.ndarray) -> None:
+        """From the m**k leaf weights in word-rank order."""
+        (array,) = _held(tree, tree.depth, [leaf_array], "weight", positive=False)
         object.__setattr__(self, "tree", tree)
         object.__setattr__(self, "leaf_array", array)
 
@@ -471,13 +454,11 @@ class WeightAssignment:
 
     @classmethod
     def from_mapping(
-        cls,
-        tree: TreeParams,
-        mapping: Mapping[Vertex, float],
-        default: float = 1.0,
+        cls, tree: TreeParams, words: Mapping[str, float], default: float = 1.0
     ) -> "WeightAssignment":
-        """Fill unmentioned leaves with ``default``; other keys are refused."""
-        (array,) = _mapping_levels(tree, tree.depth, mapping, default)
+        """From leaf weights keyed by word text, as in an instance file (see
+        :func:`keyed_levels`); unmentioned leaves hold ``default``."""
+        (array,) = keyed_levels(tree, tree.depth, words, default)
         return cls(tree, array)
 
     def weight(self, leaf: Vertex) -> float:
@@ -487,9 +468,6 @@ class WeightAssignment:
     def masses(self) -> tuple[np.ndarray, ...]:
         """Cylinder masses below every vertex (see :func:`cylinder_masses`), computed once."""
         return cylinder_masses(self.tree, self)
-
-    def scaled(self, factor: float) -> "WeightAssignment":
-        return WeightAssignment(self.tree, self.leaf_array * factor)
 
 
 def cylinder_masses(tree: TreeParams, weights: WeightAssignment) -> tuple[np.ndarray, ...]:
@@ -527,16 +505,10 @@ class LevelFunction:
     tree: TreeParams
     levels: tuple[np.ndarray, ...]
 
-    def __init__(
-        self,
-        tree: TreeParams,
-        values: Mapping[Vertex, float] | Sequence[np.ndarray],
-    ) -> None:
-        """From a mapping that names every vertex once, or from the k+1 level arrays."""
-        if isinstance(values, Mapping):
-            values = _mapping_levels(tree, 0, values, None)
+    def __init__(self, tree: TreeParams, levels: Sequence[np.ndarray]) -> None:
+        """From the k+1 level arrays, each in word-rank order."""
         object.__setattr__(self, "tree", tree)
-        object.__setattr__(self, "levels", _held(tree, 0, values, "vertex value", positive=True))
+        object.__setattr__(self, "levels", _held(tree, 0, levels, "vertex value", positive=True))
 
     @classmethod
     def constant(cls, tree: TreeParams, value: float = 1.0) -> "LevelFunction":
@@ -544,13 +516,11 @@ class LevelFunction:
 
     @classmethod
     def from_mapping(
-        cls,
-        tree: TreeParams,
-        mapping: Mapping[Vertex, float],
-        default: float = 1.0,
+        cls, tree: TreeParams, words: Mapping[str, float], default: float = 1.0
     ) -> "LevelFunction":
-        """Fill unmentioned vertices with ``default``; other keys are refused."""
-        return cls(tree, _mapping_levels(tree, 0, mapping, default))
+        """From vertex values keyed by word text, as in an instance file (see
+        :func:`keyed_levels`); unmentioned vertices hold ``default``."""
+        return cls(tree, keyed_levels(tree, 0, words, default))
 
     @classmethod
     def by_level(cls, tree: TreeParams, level_values: Sequence[float]) -> "LevelFunction":
@@ -560,12 +530,9 @@ class LevelFunction:
                 f"need {tree.depth + 1} level values, got {len(level_values)}"
             )
         arrays = level_arrays(tree, 0, 0.0)
-        for array, value in zip(arrays, level_values):
+        for array, value in zip(arrays, _numbers(level_values, "level values")):
             array[:] = value
         return cls(tree, arrays)
 
     def __call__(self, v: Vertex) -> float:
         return _level_item(self.tree, self.levels, v)
-
-    def scaled(self, factor: float) -> "LevelFunction":
-        return LevelFunction(self.tree, [array * factor for array in self.levels])

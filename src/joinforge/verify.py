@@ -279,6 +279,10 @@ def load_instance(path: str) -> Instance:
             f"malformed JSON in {path!r} at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"instance file {path!r} is not UTF-8: {exc}") from exc
+    except RecursionError:
+        raise ConfigurationError(f"instance file {path!r} nests too deeply to read") from None
     return Instance.from_json_dict(data)
 
 
@@ -310,25 +314,9 @@ class Report:
             "metadata": dict(self.metadata),
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict[str, Any]) -> "Report":
-        return cls(
-            lhs=_num_in(data["lhs"]),
-            rhs=_num_in(data["rhs"]),
-            k_constant=_num_in(data["K"]),
-            ratio=_num_in(data["ratio"]),
-            passed=bool(data["pass"]),
-            flags=tuple(data.get("flags", ())),
-            metadata=dict(data.get("metadata", {})),
-        )
-
 
 def _num_out(x: float) -> float | None:
     return x if math.isfinite(x) else None  # JSON has no NaN or infinity
-
-
-def _num_in(x: Any) -> float:
-    return math.nan if x is None else float(x)
 
 
 def _ratio(lhs: float, rhs: float) -> float:
@@ -749,11 +737,14 @@ class CampaignSummary:
         }
 
     def write_ratio_csv(self, path: str) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["seed", "ratio"])
-            for result in self.results:
-                writer.writerow([result.seed, repr(result.ratio)])
+        try:
+            with open(path, "w", newline="", encoding="utf-8") as handle:
+                writer = csv.writer(handle)
+                writer.writerow(["seed", "ratio"])
+                for result in self.results:
+                    writer.writerow([result.seed, repr(result.ratio)])
+        except OSError as exc:
+            raise ConfigurationError(f"cannot write ratio CSV {path!r}: {exc}") from exc
 
 
 def _evaluate_seed(args: tuple[int, InstanceRanges]) -> tuple[SeedResult, dict | None]:

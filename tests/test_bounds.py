@@ -43,7 +43,7 @@ from joinforge import (
 from joinforge import bounds
 from joinforge.bounds import _simplex_grid, _symmetric_sum_grid
 
-from conftest import vx
+from conftest import per_vertex, vx
 
 
 def reference_symmetric_sum(x, a):
@@ -183,7 +183,7 @@ class TestLevelPowerSum:
 
     def test_level_zero_single_vertex(self, binary3):
         masses = cylinder_masses(binary3, WeightAssignment.constant(binary3))
-        f = LevelFunction.from_mapping(binary3, {ROOT: 2.5}, default=1.0)
+        f = LevelFunction.from_mapping(binary3, {"": 2.5}, default=1.0)
         p = 3.0
         got = level_power_sum(binary3, masses, f, ROOT, 0, p)
         assert got == pytest.approx(2.5**p * 8.0 ** (1.0 + p), rel=1e-12)
@@ -200,9 +200,7 @@ class TestLevelPowerSum:
             level_power_sum(binary3, masses, f, vx(1), 0, 2.0)
 
     def test_restricted_below_base(self, binary3):
-        weights = WeightAssignment.from_mapping(
-            binary3, {vx(1, 1, 1): 3.0}, default=1.0
-        )
+        weights = WeightAssignment.from_mapping(binary3, {"1.1.1": 3.0}, default=1.0)
         masses = cylinder_masses(binary3, weights)
         f = LevelFunction.constant(binary3)
         # below vertex 2 the bumped leaf is invisible
@@ -235,15 +233,12 @@ class TestRhsProduct:
 
     def test_weight_homogeneity_degree_n(self, binary3, worked_shape):
         rng = random.Random(2)
-        weights = WeightAssignment(
-            binary3, {leaf: rng.uniform(0.2, 3.0) for leaf in binary3.leaves()}
-        )
-        f = LevelFunction(binary3, {v: rng.uniform(0.2, 3.0) for v in binary3.vertices()})
+        weights = WeightAssignment(binary3, [rng.uniform(0.2, 3.0) for _ in binary3.leaves()])
+        f = LevelFunction(binary3, per_vertex(binary3, lambda: rng.uniform(0.2, 3.0)))
         pa = ExponentAssignment((2.0, 4.0, 4.0))
         one = rhs_product(binary3, cylinder_masses(binary3, weights), f, ROOT, worked_shape, pa, 1.0)
-        two = rhs_product(
-            binary3, cylinder_masses(binary3, weights.scaled(2.0)), f, ROOT, worked_shape, pa, 1.0
-        )
+        doubled = WeightAssignment(binary3, weights.leaf_array * 2.0)
+        two = rhs_product(binary3, doubled.masses, f, ROOT, worked_shape, pa, 1.0)
         assert two == pytest.approx(2.0**4 * one, rel=1e-10)
 
     def test_extreme_exponents_stay_finite(self, binary3, worked_shape):
@@ -636,7 +631,7 @@ class TestCoshRatio:
 
 class TestRhsShapeInvariance:
     def test_rhs_only_depends_on_shape(self, binary3, worked_config):
-        weights = WeightAssignment.from_mapping(binary3, {vx(1, 1, 1): 2.0}, default=1.0)
+        weights = WeightAssignment.from_mapping(binary3, {"1.1.1": 2.0}, default=1.0)
         masses = cylinder_masses(binary3, weights)
         f = LevelFunction.by_level(binary3, [2.0, 1.0, 3.0, 1.0])
         pa = ExponentAssignment((2.0, 3.0, 6.0))

@@ -191,6 +191,27 @@ class TestCliContract:
         assert code == 2
         assert "line" in err
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'{"m": 2, "k": 1, "base": "\xff", "config": [[1], [2]], "p": [1.0]}', "UTF-8"),
+            (b"[" * 100_000, "nests too deeply"),
+        ],
+        ids=["not-utf8", "deep-nesting"],
+    )
+    def test_unreadable_file_exit_two(self, capsys, tmp_path, content, message):
+        bad = tmp_path / "unreadable.json"
+        bad.write_bytes(content)
+        code = main(["verify", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and message in captured.err
+
+    def test_fuzz_unwritable_csv_exit_two(self, capsys, tmp_path):
+        csv_path = tmp_path / "missing" / "r.csv"
+        code = main(["fuzz", "--seeds", "0..3", "--csv", str(csv_path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and "r.csv" in captured.err
+
     def test_missing_field_exit_two(self, capsys, tmp_path):
         bad = tmp_path / "missing.json"
         bad.write_text(json.dumps({"m": 2, "k": 1, "config": [[1], [2]]}))
@@ -228,11 +249,12 @@ class TestCliContract:
             (2, "mu", "1.1", 2.0),
             (2, "mu", "1.1.1", "2.5"),
             (2, "mu", "1.1.1", True),
+            (2, "f", "1.1", None),
         ],
         ids=[
             "leading-zero", "space", "sign", "empty-symbol", "trailing-dot", "leading-dot",
             "zero-symbol", "non-ascii-digit", "two-digits-at-m9", "too-deep", "mu-non-leaf",
-            "string-value", "boolean-value",
+            "string-value", "boolean-value", "null-value",
         ],
     )
     def test_malformed_entry_exit_two(self, capsys, tmp_path, m, field, key, value):

@@ -22,22 +22,18 @@ from joinforge import (
     orbit_size,
 )
 
-from conftest import unit_data, vx
+from conftest import per_vertex, unit_data, vx
 
 
 def random_data(tree: TreeParams, rng: random.Random):
-    weights = WeightAssignment(
-        tree, {leaf: rng.uniform(0.1, 4.0) for leaf in tree.leaves()}
-    )
-    f = LevelFunction(tree, {v: rng.uniform(0.2, 3.0) for v in tree.vertices()})
+    weights = WeightAssignment(tree, [rng.uniform(0.1, 4.0) for _ in tree.leaves()])
+    f = LevelFunction(tree, per_vertex(tree, lambda: rng.uniform(0.2, 3.0)))
     return weights, f
 
 
 class TestInteractionValue:
     def test_worked_example_products(self, binary3, worked_config):
-        f = LevelFunction.from_mapping(
-            binary3, {ROOT: 2.0, vx(1): 3.0, vx(2, 1): 5.0}, default=1.0
-        )
+        f = LevelFunction.from_mapping(binary3, {"": 2.0, "1": 3.0, "2.1": 5.0}, default=1.0)
         assert interaction_value(f, worked_config) == pytest.approx(30.0)
 
     def test_single_particle_is_one(self, binary3):
@@ -48,7 +44,7 @@ class TestInteractionValue:
     def test_multiplicity_squares_the_factor(self, ternary2):
         # three particles splitting at the root: multiplicity 2 there
         config = Configuration(ternary2, ROOT, (vx(1, 1), vx(2, 1), vx(3, 1)))
-        f = LevelFunction.from_mapping(ternary2, {ROOT: 5.0}, default=1.0)
+        f = LevelFunction.from_mapping(ternary2, {"": 5.0}, default=1.0)
         assert interaction_value(f, config) == pytest.approx(25.0)
 
 
@@ -107,8 +103,7 @@ class TestFactorized:
         rng = random.Random(77)
         leaves = list(binary3.leaves())
         weights = WeightAssignment(
-            binary3,
-            {leaf: 0.0 if rng.random() < 0.4 else rng.uniform(0.5, 2.0) for leaf in leaves},
+            binary3, [0.0 if rng.random() < 0.4 else rng.uniform(0.5, 2.0) for _ in leaves]
         )
         f = LevelFunction.constant(binary3, 1.3)
         for _ in range(8):
@@ -146,7 +141,8 @@ class TestEnergyProperties:
         rng = random.Random(3)
         weights, f = random_data(tree, rng)
         base = orbit_energy_factorized(config, weights, f).value
-        scaled = orbit_energy_factorized(config, weights.scaled(c), f).value
+        scaled_weights = WeightAssignment(tree, weights.leaf_array * c)
+        scaled = orbit_energy_factorized(config, scaled_weights, f).value
         assert scaled == pytest.approx(c**config.n * base, rel=1e-10)
 
     @given(c=st.floats(min_value=0.1, max_value=10.0))
@@ -157,7 +153,8 @@ class TestEnergyProperties:
         rng = random.Random(4)
         weights, f = random_data(tree, rng)
         base = orbit_energy_factorized(config, weights, f).value
-        scaled = orbit_energy_factorized(config, weights, f.scaled(c)).value
+        scaled_f = LevelFunction(tree, [array * c for array in f.levels])
+        scaled = orbit_energy_factorized(config, weights, scaled_f).value
         assert scaled == pytest.approx(c ** (config.n - 1) * base, rel=1e-10)
 
     def test_monotone_in_f_and_weights(self, binary3):
@@ -167,17 +164,15 @@ class TestEnergyProperties:
             binary3, ROOT, (vx(1, 1, 1), vx(1, 2, 1), vx(2, 1, 1), vx(2, 2, 2))
         )
         base = orbit_energy_factorized(config, weights, f).value
-        f_values = {v: f(v) for v in binary3.vertices()}
-        leaf_weights = {leaf: weights.weight(leaf) for leaf in binary3.leaves()}
         for v in [ROOT, vx(1), vx(2, 1), vx(1, 1, 1)]:
-            bump_f = LevelFunction(
-                binary3, {**f_values, v: f(v) * 2.0}
-            )
+            levels = [array.copy() for array in f.levels]
+            levels[v.level][binary3.rank(v.word)] *= 2.0
+            bump_f = LevelFunction(binary3, levels)
             assert orbit_energy_factorized(config, weights, bump_f).value >= base
         for leaf in [vx(1, 1, 1), vx(2, 2, 2)]:
-            bump_w = WeightAssignment(
-                binary3, {**leaf_weights, leaf: weights.weight(leaf) + 1.0}
-            )
+            leaf_array = weights.leaf_array.copy()
+            leaf_array[binary3.rank(leaf.word)] += 1.0
+            bump_w = WeightAssignment(binary3, leaf_array)
             assert orbit_energy_factorized(config, bump_w, f).value >= base
 
 

@@ -35,7 +35,6 @@ from joinforge import (
     join_multiset,
     orbit_enumerate,
     orbit_size,
-    realize_shape,
     shape_join_levels,
     shape_orbit_size,
 )
@@ -348,26 +347,6 @@ class TestOrbitEnumerate:
             if extract_shape(Configuration(tree, base, tup)) == target
         ]
         assert [m.particles for m in orbit_enumerate(config)] == reference
-
-
-class TestRealizeShape:
-    def test_round_trip(self, binary3, ternary2):
-        rng = random.Random(17)
-        for tree in (binary3, ternary2):
-            leaves = list(tree.leaves())
-            for _ in range(20):
-                n = rng.randint(1, min(5, len(leaves)))
-                config = Configuration(tree, ROOT, tuple(rng.sample(leaves, n)))
-                shape = extract_shape(config)
-                rebuilt = realize_shape(tree, ROOT, shape)
-                assert extract_shape(rebuilt) == shape
-
-    def test_round_trip_off_root(self, binary3):
-        config = Configuration(binary3, vx(2), (vx(2, 1, 1), vx(2, 2, 1)))
-        shape = extract_shape(config)
-        rebuilt = realize_shape(binary3, vx(2), shape)
-        assert extract_shape(rebuilt) == shape
-        assert all(vx(2).ancestor_of(p) for p in rebuilt.particles)
 
 
 def injective_sum_loop(table: np.ndarray) -> np.ndarray:

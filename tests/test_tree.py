@@ -194,9 +194,7 @@ class TestCylinderMasses:
         assert all(mass(binary3, masses, v) == 0.0 for v in binary3.vertices())
 
     def test_point_mass(self, binary3):
-        weights = WeightAssignment.from_mapping(
-            binary3, {vx(2, 1, 2): 5.0}, default=0.0
-        )
+        weights = WeightAssignment.from_mapping(binary3, {"2.1.2": 5.0}, default=0.0)
         masses = cylinder_masses(binary3, weights)
         on_path = {ROOT, vx(2), vx(2, 1), vx(2, 1, 2)}
         for v in binary3.vertices():
@@ -205,11 +203,9 @@ class TestCylinderMasses:
     @given(scale=st.floats(min_value=0.01, max_value=100.0))
     def test_mass_scales_linearly(self, scale):
         tree = TreeParams(2, 2)
-        base_weights = WeightAssignment.from_mapping(
-            tree, {vx(1, 1): 1.0, vx(1, 2): 2.0, vx(2, 1): 3.0, vx(2, 2): 4.0}
-        )
+        base_weights = WeightAssignment(tree, [1.0, 2.0, 3.0, 4.0])
         one = cylinder_masses(tree, base_weights)
-        two = cylinder_masses(tree, base_weights.scaled(scale))
+        two = cylinder_masses(tree, WeightAssignment(tree, base_weights.leaf_array * scale))
         for v in tree.vertices():
             assert mass(tree, two, v) == pytest.approx(scale * mass(tree, one, v), rel=1e-12)
 
@@ -223,7 +219,7 @@ class TestCylinderMasses:
         rng = random.Random(5)
         weights = WeightAssignment(
             tree,
-            {leaf: 0.0 if rng.random() < 0.2 else rng.uniform(0.0, 9.0) for leaf in tree.leaves()},
+            [0.0 if rng.random() < 0.2 else rng.uniform(0.0, 9.0) for _ in tree.leaves()],
         )
         reference = {leaf: weights.weight(leaf) for leaf in tree.leaves()}
         for level in range(tree.depth - 1, -1, -1):
@@ -232,19 +228,14 @@ class TestCylinderMasses:
         masses = cylinder_masses(tree, weights)
         assert all(mass(tree, masses, v) == reference[v] for v in tree.vertices())
 
-    def test_missing_leaf_weight(self, binary3):
-        partial = {leaf: 1.0 for leaf in list(binary3.leaves())[:-1]}
-        with pytest.raises(ConfigurationError):
-            WeightAssignment(binary3, partial)
-
     def test_negative_weight_rejected(self, binary3):
         with pytest.raises(ConfigurationError):
-            WeightAssignment.from_mapping(binary3, {vx(1, 1, 1): -1.0})
+            WeightAssignment.from_mapping(binary3, {"1.1.1": -1.0})
 
 
 class TestLevelArrays:
     def test_views_read_the_arrays(self, binary3):
-        weights = WeightAssignment.from_mapping(binary3, {vx(2, 1, 2): 5.5}, default=1)
+        weights = WeightAssignment.from_mapping(binary3, {"2.1.2": 5.5}, default=1)
         assert weights.weight(vx(2, 1, 2)) == 5.5
         assert weights.leaf_array[binary3.rank((2, 1, 2))] == 5.5
         f = LevelFunction.by_level(binary3, [1.0, 2.0, 3.0, 4.0])
@@ -277,17 +268,29 @@ class TestLevelArrays:
             LevelFunction(binary3, levels)
 
     def test_mapping_constructors_refuse_words_below_the_leaves(self, binary3):
-        deep = vx(1, 1, 1, 1)
         with pytest.raises(ConfigurationError, match="no such vertex"):
-            WeightAssignment.from_mapping(binary3, {deep: 1.0})
+            WeightAssignment.from_mapping(binary3, {"1.1.1.1": 1.0})
         with pytest.raises(ConfigurationError, match="no such vertex"):
-            LevelFunction.from_mapping(binary3, {deep: 1.0})
+            LevelFunction.from_mapping(binary3, {"1.1.1.1": 1.0})
 
-    def test_nan_in_a_full_mapping_is_a_bad_value(self, binary3):
-        weights = {leaf: 1.0 for leaf in binary3.leaves()}
-        weights[vx(2, 2, 1)] = math.nan
+    def test_nan_in_an_array_is_a_bad_value(self, binary3):
+        weights = np.ones(8)
+        weights[binary3.rank((2, 2, 1))] = math.nan
         with pytest.raises(ConfigurationError, match="2.2.1"):
             WeightAssignment(binary3, weights)
+
+    @pytest.mark.parametrize("bad", ["2.5", True, None], ids=["string", "boolean", "none"])
+    def test_one_value_rule_for_maps_and_arrays(self, binary3, bad):
+        with pytest.raises(ConfigurationError, match="JSON number"):
+            WeightAssignment.from_mapping(binary3, {"2.1.2": bad})
+        with pytest.raises(ConfigurationError, match="JSON number"):
+            LevelFunction.from_mapping(binary3, {"2.1": bad})
+        with pytest.raises(ConfigurationError, match="integers or floats"):
+            WeightAssignment(binary3, np.full(8, bad))
+        levels = [np.ones(2**level) for level in range(4)]
+        levels[2] = np.full(4, bad)
+        with pytest.raises(ConfigurationError, match="integers or floats"):
+            LevelFunction(binary3, levels)
 
     def test_owned_arrays_are_taken_over_and_views_copied(self, binary3):
         given = np.ones(8)

@@ -35,7 +35,7 @@ import joinforge.orbits as orbits_mod
 import joinforge.tree as tree_mod
 import joinforge.verify as verify_mod
 
-from conftest import vx
+from conftest import per_vertex, vx
 
 
 def refused_instance() -> Instance:
@@ -273,10 +273,8 @@ class TestCheckInequality:
         rng = np.random.default_rng(3)
         inst = Instance(
             config=Configuration(tree, ROOT, particles),
-            weights=WeightAssignment(
-                tree, {leaf: float(rng.uniform(0.1, 2.0)) for leaf in tree.leaves()}
-            ),
-            f=LevelFunction(tree, {v: float(rng.uniform(0.5, 2.0)) for v in tree.vertices()}),
+            weights=WeightAssignment(tree, [rng.uniform(0.1, 2.0) for _ in tree.leaves()]),
+            f=LevelFunction(tree, per_vertex(tree, lambda: rng.uniform(0.5, 2.0))),
             exponents=ExponentAssignment((4.0,) * 4),
             regime="inductive",
         )
@@ -290,10 +288,8 @@ class TestCheckInequality:
         tree = TreeParams(2, 3)
         config = Configuration(tree, vx(1), (vx(1, 1, 1), vx(1, 2, 2)))
         rng = np.random.default_rng(8)
-        weights = WeightAssignment(
-            tree, {leaf: float(rng.uniform(0.1, 2.0)) for leaf in tree.leaves()}
-        )
-        f = LevelFunction(tree, {v: float(rng.uniform(0.5, 2.0)) for v in tree.vertices()})
+        weights = WeightAssignment(tree, [rng.uniform(0.1, 2.0) for _ in tree.leaves()])
+        f = LevelFunction(tree, per_vertex(tree, lambda: rng.uniform(0.5, 2.0)))
         inst = Instance(
             config=config,
             weights=weights,
@@ -415,18 +411,11 @@ class TestRandomInstance:
 
 
 class TestReportJson:
-    def test_round_trip(self):
-        report = check_inequality(worked_instance())
-        data = json.loads(json.dumps(report.to_json_dict()))
-        again = Report.from_json_dict(data)
-        assert again == report
-
     def test_nan_round_trip_as_null(self):
         report = check_inequality(worked_instance(p=(2.0, 2.0)))
+        assert math.isnan(report.lhs)
         data = json.loads(json.dumps(report.to_json_dict()))
-        assert data["lhs"] is None
-        again = Report.from_json_dict(data)
-        assert math.isnan(again.lhs)
+        assert data["lhs"] is None and data["rhs"] is None and data["ratio"] is None
 
 
 class TestFuzzCampaign:

@@ -12,7 +12,7 @@ import json
 import os
 import tempfile
 
-from joinforge import CampaignSpec, InstanceRanges, fuzz_campaign
+from joinforge import CampaignSpec, InstanceRanges, fuzz_campaign, open_ratio_csv
 
 print("=== general regime, m in {2, 3}, k <= 4, n <= 6 ===")
 summary = fuzz_campaign(CampaignSpec(seed_start=0, seed_count=1500))
@@ -30,7 +30,7 @@ print("pass:", summary.passed, " count:", summary.count,
 
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "ratios.csv")
-    summary.write_ratio_csv(path)
+    summary.write_ratio_csv(open_ratio_csv(path))
     with open(path, encoding="utf-8") as handle:
         lines = handle.read().splitlines()
 print("per-seed CSV header + first rows:", lines[:4])

@@ -74,6 +74,7 @@ from .verify import (
     check_inequality,
     fuzz_campaign,
     load_instance,
+    open_ratio_csv,
     random_instance,
     reproduce_example,
     worked_example_configuration,

@@ -210,7 +210,8 @@ def rhs_product(
 
     A positive coexponent contributes the base cylinder mass to that power.
     Factors are combined in the log domain so large sampled exponents cannot
-    overflow intermediate sums; a product beyond the float range is refused.
+    overflow intermediate sums.  Where the product alone overflows, ``K``
+    joins it in the log domain; a right side beyond the float range is refused.
     """
     _require_slot_count(shape, pa)
     log_total = 0.0
@@ -225,6 +226,9 @@ def rhs_product(
             return 0.0
         log_total += pa.coexponent * math.log(base_mass)
     rhs = k_constant * _exp_or_inf(log_total)
+    if rhs == math.inf and 0.0 < k_constant < 1.0:
+        # the product alone lies beyond the float range, and K may bring it back
+        rhs = _exp_or_inf(math.log(k_constant) + log_total)
     if not math.isfinite(rhs):
         raise ConfigurationError("the right side exceeds the float range")
     return rhs

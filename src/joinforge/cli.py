@@ -10,6 +10,7 @@ validation failure, 2 on usage errors or malformed instance files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -37,6 +38,7 @@ from .verify import (
     check_inequality,
     fuzz_campaign,
     load_instance,
+    open_ratio_csv,
     parse_regime,
     reproduce_example,
     resolve_constant,
@@ -225,16 +227,12 @@ def _cmd_fuzz(args) -> int:
         max_particles=args.n,
         regime=regime,
     )
-    summary = fuzz_campaign(
-        CampaignSpec(
-            seed_start=start,
-            seed_count=count,
-            ranges=ranges,
-            jobs=args.jobs,
-        )
-    )
-    if args.csv:
-        summary.write_ratio_csv(args.csv)
+    spec = CampaignSpec(seed_start=start, seed_count=count, ranges=ranges, jobs=args.jobs)
+    # the CSV opens before the campaign, so a path that cannot be written is refused at once
+    with open_ratio_csv(args.csv) if args.csv else contextlib.nullcontext() as handle:
+        summary = fuzz_campaign(spec)
+        if handle:
+            summary.write_ratio_csv(handle)
     _emit(summary.to_json_dict())
     return EXIT_OK if summary.passed else EXIT_VIOLATION
 

@@ -36,7 +36,7 @@ from .tree import (
 )
 
 DEFAULT_ENUMERATION_GUARD = 10_000_000
-# injective_sum adds 1-5 * 10**7 terms per second; refuse sums of over ~10 s
+# injective_sum adds about 5 * 10**7 terms per second; refuse sums of over a few s
 MAX_INJECTIVE_TERMS = 10**8
 # values per block of maps evaluated at once by injective_sum
 _BLOCK_VALUES = 2**14
@@ -330,12 +330,12 @@ def injective_sum(table: np.ndarray) -> np.ndarray:
     symmetric sum of the constant estimator.
 
     Factors multiply in branch order and terms add one at a time in
-    ``itertools.permutations(range(m), d)`` order, so the result rounds
-    exactly as a plain loop over the maps.  The maps run in blocks: a loop
-    over prefixes of ``d - s`` children, each vectorized over the orders of
-    ``s`` of its unused children, with the largest ``s`` whose block holds
-    at most ``_BLOCK_VALUES`` values (but ``s >= 1``).  More than
-    ``MAX_INJECTIVE_TERMS`` terms are refused.
+    ``itertools.permutations`` order, so the result rounds exactly as a loop
+    over the maps.  Maps run in blocks, one per prefix of ``d - s`` children,
+    with the largest ``s`` whose block holds at most ``_BLOCK_VALUES`` values,
+    or 1.  A block is a tree of partial products: level ``j`` holds the
+    prefix's product times ``j`` suffix factors, extended by unused children
+    in ascending order.  Over ``MAX_INJECTIVE_TERMS`` terms are refused.
     """
     d, m, n = table.shape
     terms = math.perm(m, d) * n
@@ -344,35 +344,35 @@ def injective_sum(table: np.ndarray) -> np.ndarray:
             f"summing {terms} injective assignments ({d} branches on {m} children, "
             f"{n} join vertices) exceeds the limit of {MAX_INJECTIVE_TERMS} terms"
         )
+    if d == 0 or d > m:
+        return np.full(n, float(d == 0))  # one empty map (product 1) or none: form no product
     # s >= 1: a block of one suffix child holds at most m*N values, one table row
-    s = d
-    while s > 1 and math.perm(m - d + s, s) * n > _BLOCK_VALUES:
-        s -= 1
-    orders = _suffix_orders(m - d + s, s)
-    rows = np.arange(s)[:, None]
+    s, k = d, m  # k = m - d + s children are left to each block's suffix
+    while s > 1 and math.perm(k, s) * n > _BLOCK_VALUES:
+        s, k = s - 1, k - 1
     total = np.zeros(n)
     for prefix in itertools.permutations(range(m), d - s):
-        if prefix:
-            # unused children ascending, so the maps stay in lexicographic order
-            unused = [c for c in range(m) if c not in prefix]
-            factors = table[d - s :, unused][rows, orders]
-            # the prefix factors come first: their product scales the first suffix factor
-            factors[0] *= math.prod(table[b, c] for b, c in enumerate(prefix))
-        else:
-            factors = table[rows, orders]
-        block = np.multiply.reduce(factors, axis=0)
-        total = np.add.accumulate(np.concatenate((total[None], block)))[-1]
+        rows, level = table[d - s :], table[d - s]
+        if prefix:  # unused children ascending; the prefix's product scales the first factor
+            rows = rows.take([c for c in range(m) if c not in prefix], axis=1)
+            level = math.prod(table[b, c] for b, c in enumerate(prefix)) * rows[0]
+        for j in range(1, s):
+            if j < k - 1:  # each prefix extends to its k - j unused children
+                level = level.repeat(k - j, axis=0)
+            level = level * rows[j].take(_children(k, j), axis=0)
+        sums = np.concatenate((total[None], level))
+        total = np.add.accumulate(sums, out=sums)[-1]
     return total
 
 
 @cache
-def _suffix_orders(k: int, s: int) -> np.ndarray:
-    """``itertools.permutations(range(k), s)`` as a read-only ``(s, count)`` array."""
-    count = math.perm(k, s)
-    flat = itertools.chain.from_iterable(itertools.permutations(range(k), s))
-    orders = np.fromiter(flat, dtype=np.intp, count=count * s).reshape(count, s).T.copy()
-    orders.setflags(write=False)
-    return orders
+def _children(k: int, j: int) -> np.ndarray:
+    """The unused children of each injective ``j``-prefix of ``range(k)``, ascending,
+    prefixes in permutations order: a flat read-only index into a suffix row."""
+    prefixes = itertools.permutations(range(k), j)
+    index = np.array([[c for c in range(k) if c not in p] for p in prefixes], np.intp).ravel()
+    index.setflags(write=False)
+    return index
 
 
 def orbit_size(config: Configuration) -> int:

@@ -379,8 +379,10 @@ def _first_bad_entry(
 
 
 def _numbers(values: Any, what: str) -> np.ndarray:
-    """``values`` as float64, refusing any dtype but integer and float (a
-    list is read by numpy first, so a boolean among floats is a float)."""
+    """``values`` as float64, refusing any dtype but integer and float, and a
+    list or tuple holding a boolean, which numpy would read as a number."""
+    if isinstance(values, (list, tuple)) and any(isinstance(v, (bool, np.bool_)) for v in values):
+        raise ConfigurationError(f"{what} must be integers or floats, got a boolean")
     array = np.asarray(values)
     if array.dtype.kind not in "iuf":
         raise ConfigurationError(f"{what} must be integers or floats, got {array.dtype} data")

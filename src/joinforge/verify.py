@@ -23,7 +23,7 @@ import statistics
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, TextIO
 
 import numpy as np
 
@@ -684,12 +684,24 @@ def _binary_optimal_exponents(
 
 @dataclass(frozen=True)
 class CampaignSpec:
-    """Seed range and settings for a verification campaign."""
+    """Seed range and settings for a verification campaign.
+
+    Seeds must be non-negative and ``jobs`` must lie between 1 and the CPU
+    count; both are refused when the spec is made, before any file is
+    opened for it or any worker process starts.
+    """
 
     seed_start: int = 0
     seed_count: int = 10_000
     ranges: InstanceRanges = InstanceRanges()
     jobs: int = 1
+
+    def __post_init__(self) -> None:
+        if self.seed_start < 0:
+            raise ConfigurationError(f"seeds must be non-negative, got {self.seed_start}")
+        cpus = os.cpu_count() or 1
+        if not 1 <= self.jobs <= cpus:
+            raise ConfigurationError(f"jobs must lie in 1..{cpus}, got {self.jobs}")
 
 
 @dataclass(frozen=True)
@@ -736,15 +748,24 @@ class CampaignSummary:
             "flag_counts": dict(self.flag_counts),
         }
 
-    def write_ratio_csv(self, path: str) -> None:
+    def write_ratio_csv(self, handle: TextIO) -> None:
+        """Write ``seed,ratio`` rows to a handle from :func:`open_ratio_csv`, and close it."""
         try:
-            with open(path, "w", newline="", encoding="utf-8") as handle:
+            with handle:
                 writer = csv.writer(handle)
                 writer.writerow(["seed", "ratio"])
                 for result in self.results:
                     writer.writerow([result.seed, repr(result.ratio)])
         except OSError as exc:
-            raise ConfigurationError(f"cannot write ratio CSV {path!r}: {exc}") from exc
+            raise ConfigurationError(f"cannot write ratio CSV {handle.name!r}: {exc}") from exc
+
+
+def open_ratio_csv(path: str) -> TextIO:
+    """Open ``path`` for a ratio CSV, refusing a path that cannot be written."""
+    try:
+        return open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write ratio CSV {path!r}: {exc}") from exc
 
 
 def _evaluate_seed(args: tuple[int, InstanceRanges]) -> tuple[SeedResult, dict | None]:
@@ -767,16 +788,7 @@ def _evaluate_seed(args: tuple[int, InstanceRanges]) -> tuple[SeedResult, dict |
 
 
 def fuzz_campaign(spec: CampaignSpec) -> CampaignSummary:
-    """Run the campaign over the seed range; workers share nothing.
-
-    Seeds must be non-negative and ``jobs`` must lie between 1 and the CPU
-    count; both are refused before any worker process starts.
-    """
-    if spec.seed_start < 0:
-        raise ConfigurationError(f"seeds must be non-negative, got {spec.seed_start}")
-    cpus = os.cpu_count() or 1
-    if not 1 <= spec.jobs <= cpus:
-        raise ConfigurationError(f"jobs must lie in 1..{cpus}, got {spec.jobs}")
+    """Run the campaign over the seed range; workers share nothing."""
     seeds = range(spec.seed_start, spec.seed_start + spec.seed_count)
     tasks = [(seed, spec.ranges) for seed in seeds]
     if spec.jobs > 1:

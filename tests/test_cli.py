@@ -206,11 +206,22 @@ class TestCliContract:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "" and message in captured.err
 
-    def test_fuzz_unwritable_csv_exit_two(self, capsys, tmp_path):
+    def test_fuzz_unwritable_csv_exit_two(self, capsys, monkeypatch, tmp_path):
+        def no_seed(args):
+            pytest.fail(f"seed {args[0]} was evaluated before the CSV path was refused")
+
+        monkeypatch.setattr(verify_mod, "_evaluate_seed", no_seed)
         csv_path = tmp_path / "missing" / "r.csv"
         code = main(["fuzz", "--seeds", "0..3", "--csv", str(csv_path)])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "" and "r.csv" in captured.err
+
+    @pytest.mark.parametrize("args", [["--seeds=-3..2"], ["--jobs", "0"]], ids=["seed", "jobs"])
+    def test_refused_fuzz_leaves_csv_path_untouched(self, capsys, tmp_path, args):
+        csv_path = tmp_path / "r.csv"
+        code = main(["fuzz", "--seeds", "0..3", *args, "--csv", str(csv_path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not csv_path.exists()
 
     def test_missing_field_exit_two(self, capsys, tmp_path):
         bad = tmp_path / "missing.json"
@@ -433,6 +444,26 @@ class TestCliContract:
         assert code == 2 and captured.out == ""
         assert f"{regime} constant must be finite and > 0, got {constant}" in captured.err
 
+    @pytest.mark.parametrize("regime", ["general", "binary_optimal", "inductive"])
+    def test_right_side_brought_into_range_by_the_constant(self, capsys, tmp_path, regime):
+        # every leaf of the depth-10 binary tree, mu = f = 1 and 1023 exponents of
+        # 1023: lhs = 2**1023 and the level sums' product is 2**2046, so only a K
+        # near 2**-1023 brings the right side into range (binary K = 1 does not)
+        leaves = [list(w) for w in itertools.product((1, 2), repeat=10)]
+        doc = {"m": 2, "k": 10, "config": leaves, "p": [1023.0] * 1023, "regime": regime}
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(doc))
+        code = main(["verify", str(path)])
+        captured = capsys.readouterr()
+        if regime == "general":
+            assert code == 2 and captured.out == ""
+            assert "the right side exceeds the float range" in captured.err
+        else:
+            payload = json.loads(captured.out)
+            assert code == 0 and payload["pass"] is True
+            assert payload["lhs"] == 2.0**1023
+            assert payload["ratio"] == pytest.approx(1.0, rel=1e-9, abs=0.0)
+
     @pytest.mark.parametrize("command", ["verify", "bound"])
     def test_inductive_arity_past_float_factorials(self, capsys, tmp_path, command):
         doc = {"m": 171, "k": 1, "base": "", "config": [[1], [2]], "p": [1.0],
@@ -497,6 +528,18 @@ class TestCliContract:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "exceeds the float range" in captured.err
+
+    def test_star_energy_beyond_float_range_exit_two(self, capsys, tmp_path):
+        # nine leaves of weight 1e40 fill a 9-ary star: each term of the
+        # injective sum is 1e360, so its products overflow
+        doc = {"m": 9, "k": 1, "config": [[c] for c in range(1, 10)], "p": [8.0] * 8,
+               "mu": {str(c): 1e40 for c in range(1, 10)}}
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps(doc))
+        code = main(["verify", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "the orbit energy exceeds the float range" in captured.err
 
     def test_infinite_ratio_written_as_null(self, capsys, worked_file, tmp_path):
         doc = json.load(open(worked_file))

@@ -18,6 +18,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from joinforge import orbits
 from joinforge import (
@@ -395,3 +396,66 @@ class TestInjectiveSum:
         assert injective_sum(np.ones((2, 3, 1))).tolist() == [6.0]
         with pytest.raises(ConfigurationError, match="12 injective assignments.*limit of 6"):
             injective_sum(np.ones((2, 3, 2)))
+
+
+def loop_overflows(table: np.ndarray) -> bool:
+    """Whether the plain loop forms a product or a partial sum beyond the float range."""
+    d, m, n = table.shape
+    rows = table.tolist()
+    for i in range(n):
+        total = 0.0
+        for chosen in itertools.permutations(range(m), d):
+            product = 1.0
+            for b, c in enumerate(chosen):
+                product *= rows[b][c][i]
+                if math.isinf(product):
+                    return True
+            total += product
+            if math.isinf(total):
+                return True
+    return False
+
+
+# d <= m + 1 <= 7 and up to 5 columns, with a seed for the values
+tables = st.integers(0, 6).flatmap(
+    lambda m: st.tuples(
+        st.integers(0, m + 1), st.just(m), st.integers(0, 5), st.integers(0, 2**32)
+    )
+)
+
+
+class TestInjectiveSumProperties:
+    @pytest.mark.parametrize("block", [orbits._BLOCK_VALUES, 1, 7], ids=["default", "1", "7"])
+    @settings(max_examples=80, deadline=None)
+    @given(spec=tables)
+    def test_bits_equal_plain_loop(self, block, spec):
+        d, m, n, seed = spec
+        rng = np.random.default_rng(seed)
+        table = rng.uniform(0.0, 3.0, (d, m, n))
+        zeros = rng.random(table.shape) < 0.2
+        table[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(orbits, "_BLOCK_VALUES", block)
+            got = injective_sum(table)
+        want = injective_sum_loop(table)
+        assert got.shape == (n,) and np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("block", [orbits._BLOCK_VALUES, 1, 7], ids=["default", "1", "7"])
+    @settings(max_examples=80, deadline=None)
+    @given(spec=tables)
+    def test_overflow_raised_exactly_when_the_loop_overflows(self, block, spec):
+        # magnitudes from 1e-160 to 1e160: products of two or more factors may overflow
+        d, m, n, seed = spec
+        rng = np.random.default_rng(seed)
+        table = 10.0 ** rng.uniform(-160.0, 160.0, (d, m, n))
+        with pytest.MonkeyPatch.context() as patch, np.errstate(over="raise"):
+            patch.setattr(orbits, "_BLOCK_VALUES", block)
+            try:
+                got = injective_sum(table)
+            except FloatingPointError:
+                got = None
+        if loop_overflows(table):
+            assert got is None
+        else:
+            assert got is not None and np.array_equal(got, injective_sum_loop(table))

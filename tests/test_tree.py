@@ -292,6 +292,16 @@ class TestLevelArrays:
         with pytest.raises(ConfigurationError, match="integers or floats"):
             LevelFunction(binary3, levels)
 
+    @pytest.mark.parametrize("flag", [True, np.False_], ids=["bool", "numpy-bool"])
+    def test_boolean_among_numbers_in_a_list_refused(self, flag):
+        # numpy would read the list as floats; the element check refuses it first
+        tree = TreeParams(2, 2)
+        with pytest.raises(ConfigurationError, match="got a boolean"):
+            WeightAssignment(tree, [1.0, flag, 1, 1])
+        with pytest.raises(ConfigurationError, match="got a boolean"):
+            LevelFunction(tree, [[1.0], (2.0, 1), [1, flag, 3.0, 1.0]])
+        assert WeightAssignment(tree, [1.0, 2, 1, 1]).leaf_array.tolist() == [1.0, 2.0, 1.0, 1.0]
+
     def test_owned_arrays_are_taken_over_and_views_copied(self, binary3):
         given = np.ones(8)
         assert WeightAssignment(binary3, given).leaf_array is given

@@ -26,6 +26,7 @@ from joinforge import (
     check_inequality,
     extract_shape,
     fuzz_campaign,
+    open_ratio_csv,
     random_instance,
     reproduce_example,
     worked_example_configuration,
@@ -453,7 +454,7 @@ class TestFuzzCampaign:
     def test_csv_output(self, tmp_path):
         summary = fuzz_campaign(CampaignSpec(seed_start=0, seed_count=5))
         path = tmp_path / "ratios.csv"
-        summary.write_ratio_csv(str(path))
+        summary.write_ratio_csv(open_ratio_csv(str(path)))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "seed,ratio"
         assert len(lines) == 6

@@ -11,25 +11,23 @@ Run:  python3 demos/04_bound_regimes.py
 from joinforge import (
     InstanceRanges,
     check_inequality,
-    k_binary,
-    k_general,
     k_inductive,
     random_instance,
+    regime_constant,
 )
 
 print(f"{'seed':>5} {'m':>2} {'n':>2} {'K general':>10} {'K binary':>10} "
       f"{'K recursion':>12} {'ratio(general)':>15}")
 for seed in range(8):
     inst = random_instance(seed, InstanceRanges(arities=(2,), max_depth=3, max_particles=5))
-    shape = inst.shape
-    kg = k_general(shape, 2).value
-    kb = k_binary(shape, inst.exponents)
-    ki = k_inductive(shape, inst.exponents, 2)
+    kg, _ = regime_constant(inst.shape, inst.exponents, 2, "general")
+    kb, kb_flags = regime_constant(inst.shape, inst.exponents, 2, "binary_optimal")
+    ki, _ = regime_constant(inst.shape, inst.exponents, 2, "inductive")
     report = check_inequality(inst)
-    kb_text = f"{kb.value:.6f}" if kb.condition_met else "  (cond!)"
+    kb_text = "  (cond!)" if "halves-condition-failure" in kb_flags else f"{kb:.6f}"
     print(
         f"{seed:>5} {inst.tree.arity:>2} {inst.config.n:>2} {kg:>10.4f} "
-        f"{kb_text:>10} {ki.value:>12.6f} {report.ratio:>15.3e}"
+        f"{kb_text:>10} {ki:>12.6f} {report.ratio:>15.3e}"
     )
 
 print("\n=== recursion ledger for one binary-optimal instance ===")
@@ -37,7 +35,7 @@ inst = random_instance(3, InstanceRanges(arities=(2,), regime="binary_optimal"))
 result = k_inductive(inst.shape, inst.exponents, 2)
 print("shape:", inst.shape.serialized)
 print("accumulated K:", result.value, " (2^-(n-1) =", 2.0 ** (-(inst.config.n - 1)), ")")
-for entry in result.ledger.entries:
+for entry in result.ledger:
     print(
         f"  node path {str(entry.node_path):10s} level {entry.level_offset}"
         f"  1/alpha {tuple(round(a, 4) for a in entry.alpha_inv)}"
@@ -50,6 +48,7 @@ from joinforge import Configuration, ExponentAssignment, ROOT, TreeParams, Verte
 
 tree = TreeParams(3, 1)
 shape = extract_shape(Configuration(tree, ROOT, (Vertex((1,)), Vertex((2,)))))
-result = k_inductive(shape, ExponentAssignment((1.0,)), 3)
+pa = ExponentAssignment((1.0,))
+result = k_inductive(shape, pa, 3)
 print("value:", result.value, " estimated:", result.estimated,
-      " (general constant would be", k_general(shape, 3).value, ")")
+      " (general constant would be", regime_constant(shape, pa, 3, "general")[0], ")")

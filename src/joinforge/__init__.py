@@ -8,23 +8,19 @@ brute-force oracles at desk scale.
 """
 
 from .bounds import (
-    AlphaBetaLedger,
     ExponentAssignment,
     ExponentViolation,
-    KBinaryResult,
-    KGeneralResult,
     KInductiveResult,
     MuirheadEstimate,
     MuirheadSpec,
     MuirheadValue,
     NodeAccount,
     cosh_ratio,
-    k_binary,
-    k_general,
     k_inductive,
     level_power_sum,
     muirhead_closed_form,
     muirhead_numeric,
+    regime_constant,
     rhs_product,
     symmetric_sum,
     validate_exponents,

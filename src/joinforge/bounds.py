@@ -7,21 +7,23 @@ exponent.  The exponents are positive reals whose reciprocals sum to one
 (or to ``1 - coexponent`` in the recursive form, where a coexponent of zero
 encodes the plain statement).
 
-Constant regimes:
+Constant regimes, each read off the shape's join nodes by ``regime_constant``:
 
-* ``k_general`` — a product of factorial ratios over the distinct join
+* ``general`` — a product of factorial ratios over the distinct join
   nodes; always valid, equal to 1 on binary shapes, never larger than
   ``(m - 1)**(n - 1)``.
-* ``k_binary`` — the sharp ``2**-(n-1)`` for binary shapes whose branch
-  reciprocal sums stay at or below one half at every join node (the
-  "halves" condition); falls back to the general constant otherwise.
-* ``k_inductive`` — the constant accumulated by the proof recursion: one
-  factor per join node built from the symmetric-sum constants ``K(m; a)``
-  together with branch conjugacy bookkeeping.  Nodes whose symmetric-sum
-  constant has no closed form take the numeric estimator's certified upper
-  end, capped at the bracket's upper end ``(m-1)!``, and are flagged, since
-  that end is certified but possibly loose; beyond the estimator's arities
-  (``m > 5``) they take ``(m-1)!`` itself.
+* ``binary_optimal`` — the sharp ``2**-(n-1)`` for binary shapes whose
+  branch reciprocal sums stay at or below one half at every join node (the
+  "halves" condition); falls back to the general binary constant 1
+  otherwise.
+* ``inductive`` — the constant that ``k_inductive`` accumulates by the proof
+  recursion: one factor per join node built from the symmetric-sum
+  constants ``K(m; a)`` together with branch conjugacy bookkeeping.  Nodes
+  whose symmetric-sum constant has no closed form take the numeric
+  estimator's certified upper end, capped at the bracket's upper end
+  ``(m-1)!``, and are flagged, since that end is certified but possibly
+  loose; beyond the estimator's arities (``m > 5``) they take ``(m-1)!``
+  itself.
 
 The symmetric-sum constant ``K(m; a)`` is the least ``C`` with
 ``sum over permutations of x_sigma(1)**a_1 ... <= C * (sum x_i)**s`` for
@@ -39,7 +41,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -239,50 +240,63 @@ def rhs_product(
 # ---------------------------------------------------------------------------
 
 
-class KGeneralResult(NamedTuple):
-    value: int
-    crude_bound: int
+FLAG_ESTIMATED_K = "estimated-K"
+FLAG_BRACKET_K = "bracket-upper-K"
+FLAG_CONDITION_RECURSIVE = "halves-condition-failure"
 
 
-def k_general(shape: JoinShape, arity: int) -> KGeneralResult:
-    """Product over distinct join nodes of ``(m-1)!/(m-d)!``; exact integers.
+def regime_constant(
+    shape: JoinShape, pa: ExponentAssignment, arity: int, regime: str
+) -> tuple[float, tuple[str, ...]]:
+    """The constant of a computed regime and its advisory flags.
 
-    Also returns the cruder bound ``(m-1)**(n-1)``.  Binary shapes give 1.
+    * ``general``: the product over distinct join nodes of ``(m-1)!/(m-d)!``,
+      exact in integers; 1 on binary shapes.
+    * ``binary_optimal``: the sharp ``2**-(n-1)`` on a binary shape when every
+      branch reciprocal sum is at most one half, checked at every join node
+      (for positive exponents the deeper checks follow from the top one);
+      otherwise 1, flagged ``halves-condition-failure``.
+    * ``inductive``: the proof-recursion constant of :func:`k_inductive`,
+      flagged ``estimated-K`` and ``bracket-upper-K`` by its ledger.
+
+    Every constant must be finite and > 0; one that overflows or underflows
+    the float range is refused.
     """
-    value = math.prod(
-        math.factorial(arity - 1) // math.factorial(arity - record.node.degree)
-        for record in checked_join_nodes(shape, arity)
-    )
-    return KGeneralResult(value, (arity - 1) ** (shape.n_particles - 1))
+    flags: list[str] = []
+    if regime == "general":
+        exact = math.prod(
+            math.factorial(arity - 1) // math.factorial(arity - record.node.degree)
+            for record in checked_join_nodes(shape, arity)
+        )
+        try:
+            k = float(exact)
+        except OverflowError:
+            k = math.inf
+    elif regime == "binary_optimal":
+        if any(record.node.degree != 2 for record in shape.join_nodes):
+            raise ConfigurationError("the sharp binary constant needs a binary shape")
+        sums = (s for _, _, branch_sums in _reciprocal_sums(shape, pa) for s in branch_sums)
+        if all(s <= 0.5 + HALF_TOL for s in sums):
+            k = 2.0 ** -(shape.n_particles - 1)
+        else:
+            k = 1.0
+            flags.append(FLAG_CONDITION_RECURSIVE)
+    elif regime == "inductive":
+        result = k_inductive(shape, pa, arity)
+        k = result.value
+        if result.estimated:
+            flags.append(FLAG_ESTIMATED_K)
+        if any(e.bracket_upper for e in result.ledger):
+            flags.append(FLAG_BRACKET_K)
+    else:
+        raise ConfigurationError(f"regime {regime!r} has no computed constant")
+    return _checked_constant(k, regime), tuple(flags)
 
 
-@dataclass(frozen=True)
-class KBinaryResult:
-    """Sharp binary constant and the halves condition at every join node."""
-
-    value: float
-    condition_met: bool
-    failing_nodes: tuple[tuple[int, ...], ...]
-
-
-def k_binary(shape: JoinShape, pa: ExponentAssignment) -> KBinaryResult:
-    """``2**-(n-1)`` when every branch reciprocal sum is at most one half.
-
-    The condition is checked at every join node; for positive exponents the
-    deeper checks follow from the top one.  When the condition fails the
-    value falls back to the general binary constant 1.
-    """
-    if any(record.node.degree != 2 for record in shape.join_nodes):
-        raise ConfigurationError("the sharp binary constant needs a binary shape")
-    failing = tuple(
-        record.path
-        for record, _, branch_sums in _reciprocal_sums(shape, pa)
-        if any(s > 0.5 + HALF_TOL for s in branch_sums)
-    )
-    condition_met = not failing
-    n_slots = shape.n_particles - 1
-    value = 2.0 ** (-n_slots) if condition_met else 1.0
-    return KBinaryResult(value, condition_met, failing)
+def _checked_constant(value: float, regime: str) -> float:
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigurationError(f"{regime} constant must be finite and > 0, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -516,15 +530,14 @@ class NodeAccount:
 
 
 @dataclass(frozen=True)
-class AlphaBetaLedger:
-    entries: tuple[NodeAccount, ...]
-
-
-@dataclass(frozen=True)
 class KInductiveResult:
     value: float  # inf beyond the float range
-    ledger: AlphaBetaLedger
-    estimated: bool  # some node factor rests on the numeric estimator
+    ledger: tuple[NodeAccount, ...]  # one account per join node, top-down
+
+    @property
+    def estimated(self) -> bool:
+        """Some node factor rests on the numeric estimator."""
+        return any(e.estimated for e in self.ledger)
 
 
 def k_inductive(shape: JoinShape, pa: ExponentAssignment, arity: int) -> KInductiveResult:
@@ -588,11 +601,7 @@ def k_inductive(shape: JoinShape, pa: ExponentAssignment, arity: int) -> KInduct
         )
     entries.reverse()  # ledger reads top-down; join nodes come children first
     total_log = sum(e.log_factor for e in entries)
-    return KInductiveResult(
-        _exp_or_inf(total_log),
-        AlphaBetaLedger(tuple(entries)),
-        any(e.estimated for e in entries),
-    )
+    return KInductiveResult(_exp_or_inf(total_log), tuple(entries))
 
 
 def _log_uniform_constant(m: int, s: float) -> float:

@@ -297,10 +297,10 @@ def keyed_levels(
 
     Keys are words as ``parse_word`` reads them, naming vertices at levels
     ``first_level..depth``; values are JSON numbers (``int`` or ``float``,
-    never ``bool``).  Vertices the map leaves out hold ``fill``.  Keys are
-    read ``KEY_CHUNK`` at a time, each chunk in one numpy pass; a chunk that
-    does not read is read again key by key, only for the message that names
-    its first bad entry.
+    never ``bool``) or numpy integer and floating scalars.  Vertices the map
+    leaves out hold ``fill``.  Keys are read ``KEY_CHUNK`` at a time, each
+    chunk in one numpy pass; a chunk that does not read is read again key by
+    key, only for the message that names its first bad entry.
     """
     arrays = level_arrays(tree, first_level, _numbers(fill, "fill values"))
     keys, values = iter(mapping), iter(mapping.values())
@@ -334,7 +334,7 @@ def _read_chunk(
     tree: TreeParams, first_level: int, keys: list[str], values: list[Any]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Level, rank and value of each entry, or None when any entry is refused."""
-    if not set(map(type, values)) <= {int, float}:
+    if not all(map(_is_number_type, set(map(type, values)))):
         return None
     try:
         numbers = np.array(values, dtype=np.float64)
@@ -358,6 +358,12 @@ def _read_chunk(
     return lengths, ranks, numbers
 
 
+def _is_number_type(t: type) -> bool:
+    """Exactly ``int`` or ``float``, so never ``bool``, or a numpy integer or
+    floating scalar type, which ``np.bool_`` is not."""
+    return t in (int, float) or issubclass(t, (np.integer, np.floating))
+
+
 def _first_bad_entry(
     tree: TreeParams, first_level: int, keys: list[Any], values: list[Any]
 ) -> ConfigurationError:
@@ -368,7 +374,7 @@ def _first_bad_entry(
             tree.rank(word)
             if len(word) < first_level:
                 raise ConfigurationError(f"unexpected word {key!r} above level {first_level}")
-            if type(value) not in (int, float):
+            if not _is_number_type(type(value)):
                 raise ConfigurationError(f"value at {key!r} must be a JSON number, got {value!r}")
             float(value)
         except ConfigurationError as exc:

@@ -28,10 +28,10 @@ from typing import Any, TextIO
 import numpy as np
 
 from .bounds import (
+    FLAG_CONDITION_RECURSIVE,
     ExponentAssignment,
-    k_binary,
-    k_general,
-    k_inductive,
+    _checked_constant,
+    regime_constant,
     rhs_product,
     validate_exponents,
 )
@@ -63,9 +63,6 @@ from .tree import (
 REGIMES = ("general", "binary_optimal", "inductive", "explicit")
 DEFAULT_REL_TOL = 1e-9
 
-FLAG_ESTIMATED_K = "estimated-K"
-FLAG_BRACKET_K = "bracket-upper-K"
-FLAG_CONDITION_RECURSIVE = "halves-condition-failure"
 FLAG_ENUMERATION_GUARD = "enumeration-guard"
 FLAG_INVALID_EXPONENTS = "invalid-exponents"
 FLAG_SKIPPED = "skipped-condition-not-met"
@@ -262,12 +259,6 @@ def parse_regime(raw: Any, explicit_value: Any = None) -> tuple[str, float | Non
     return name, explicit_value
 
 
-def _checked_constant(value: float, regime: str) -> float:
-    if not (math.isfinite(value) and value > 0):
-        raise ConfigurationError(f"{regime} constant must be finite and > 0, got {value!r}")
-    return value
-
-
 def load_instance(path: str) -> Instance:
     try:
         with open(path, encoding="utf-8") as handle:
@@ -328,30 +319,12 @@ def _ratio(lhs: float, rhs: float) -> float:
 def resolve_constant(inst: Instance) -> tuple[float, tuple[str, ...]]:
     """Constant for the instance's regime plus any advisory flags.
 
-    Every regime's constant must be finite and > 0, like an explicit one;
-    one that overflows or underflows the float range is refused.
+    An explicit constant must be finite and > 0, like every computed one
+    (see ``regime_constant``).
     """
-    flags: list[str] = []
-    if inst.regime == "general":
-        try:
-            k = float(k_general(inst.shape, inst.tree.arity).value)
-        except OverflowError:
-            k = math.inf
-    elif inst.regime == "binary_optimal":
-        kb = k_binary(inst.shape, inst.exponents)
-        k = kb.value
-        if not kb.condition_met:
-            flags.append(FLAG_CONDITION_RECURSIVE)
-    elif inst.regime == "inductive":
-        ki = k_inductive(inst.shape, inst.exponents, inst.tree.arity)
-        k = ki.value
-        if ki.estimated:
-            flags.append(FLAG_ESTIMATED_K)
-        if any(e.bracket_upper for e in ki.ledger.entries):
-            flags.append(FLAG_BRACKET_K)
-    else:  # explicit
-        k = float(inst.explicit_k)  # type: ignore[arg-type]
-    return _checked_constant(k, inst.regime), tuple(flags)
+    if inst.regime == "explicit":
+        return _checked_constant(float(inst.explicit_k), "explicit"), ()  # type: ignore[arg-type]
+    return regime_constant(inst.shape, inst.exponents, inst.tree.arity, inst.regime)
 
 
 def check_inequality(inst: Instance, method: str = "factorized") -> Report:
@@ -435,13 +408,13 @@ def check_equality_case(
     if seed < 0:
         raise ConfigurationError(f"seed must be non-negative, got {seed}")
     pa = ExponentAssignment(tuple(exponents))
-    kb = k_binary(shape, pa)
+    _, flags = regime_constant(shape, pa, tree.arity, "binary_optimal")
     metadata: dict[str, Any] = {
         "seed": seed,
         "shape": shape.serialized,
         "join_levels": shape_join_levels(shape, config.base.level),
     }
-    if not kb.condition_met:
+    if FLAG_CONDITION_RECURSIVE in flags:
         return Report(
             lhs=math.nan,
             rhs=math.nan,

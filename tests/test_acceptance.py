@@ -32,11 +32,11 @@ from joinforge import (
     extract_shape,
     factorized_from_shape,
     fuzz_campaign,
-    k_binary,
     k_inductive,
     muirhead_closed_form,
     muirhead_numeric,
     random_instance,
+    regime_constant,
     reproduce_example,
     shape_orbit_size,
 )
@@ -191,8 +191,8 @@ def test_acceptance_5_binary_optimal_regime():
     mismatches = 0
     for seed in range(1_000):
         inst = random_instance(seed, ranges)
-        assert k_binary(inst.shape, inst.exponents).condition_met
         expected = 2.0 ** (-(inst.config.n - 1))
+        assert regime_constant(inst.shape, inst.exponents, 2, "binary_optimal") == (expected, ())
         value = k_inductive(inst.shape, inst.exponents, 2).value
         if abs(value - expected) > 1e-9 * expected:
             mismatches += 1

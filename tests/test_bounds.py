@@ -26,13 +26,12 @@ from joinforge import (
     cosh_ratio,
     cylinder_masses,
     extract_shape,
-    k_binary,
-    k_general,
     k_inductive,
     level_power_sum,
     muirhead_closed_form,
     muirhead_numeric,
     orbit_enumerate,
+    regime_constant,
     rhs_product,
     shape_join_levels,
     shape_orbit_size,
@@ -253,61 +252,70 @@ class TestRhsProduct:
 
 class TestKGeneral:
     def test_binary_shapes_give_one(self, worked_shape):
-        result = k_general(worked_shape, 2)
-        assert result.value == 1
-        assert result.crude_bound == 1
+        pa = ExponentAssignment((3.0, 3.0, 3.0))
+        assert regime_constant(worked_shape, pa, 2, "general") == (1.0, ())
 
     def test_eight_particle_ternary(self):
         config = eight_particle_ternary_config()
-        result = k_general(extract_shape(config), 3)
+        pa = ExponentAssignment((7.0,) * 7)
         # two multiplicity-2 nodes and three multiplicity-1 nodes
-        assert result.value == (2 * 2) * (2 * 2 * 2) == 32
-        assert result.crude_bound == 2**7
+        assert regime_constant(extract_shape(config), pa, 3, "general") == (32, ())
 
     def test_single_join_any_arity(self):
         for m in (2, 3, 4, 5):
             tree = TreeParams(m, 1)
             config = Configuration(tree, ROOT, (vx(1), vx(2)))
-            result = k_general(extract_shape(config), m)
-            assert result.value == m - 1
+            k, _ = regime_constant(extract_shape(config), ExponentAssignment((1.0,)), m, "general")
+            assert k == m - 1
 
     def test_value_below_crude_bound(self):
         rng = random.Random(14)
         tree = TreeParams(3, 3)
         leaves = list(tree.leaves())
         for _ in range(20):
-            config = Configuration(tree, ROOT, tuple(rng.sample(leaves, rng.randint(2, 6))))
-            result = k_general(extract_shape(config), 3)
-            assert result.value <= result.crude_bound
+            n = rng.randint(2, 6)
+            config = Configuration(tree, ROOT, tuple(rng.sample(leaves, n)))
+            pa = ExponentAssignment((n - 1.0,) * (n - 1))
+            k, _ = regime_constant(extract_shape(config), pa, 3, "general")
+            assert k <= (3 - 1) ** (n - 1)
 
 
 class TestKBinary:
     def test_worked_example_met(self, worked_shape):
-        result = k_binary(worked_shape, ExponentAssignment((3.0, 3.0, 3.0)))
-        assert result.condition_met
-        assert result.value == 0.125
+        pa = ExponentAssignment((3.0, 3.0, 3.0))
+        assert regime_constant(worked_shape, pa, 2, "binary_optimal") == (0.125, ())
 
     def test_two_particles_vacuous(self, binary3):
         config = Configuration(binary3, ROOT, (vx(1, 1, 1), vx(2, 1, 1)))
-        result = k_binary(extract_shape(config), ExponentAssignment((1.0,)))
-        assert result.condition_met and result.value == 0.5
+        pa = ExponentAssignment((1.0,))
+        assert regime_constant(extract_shape(config), pa, 2, "binary_optimal") == (0.5, ())
 
     def test_top_slot_exponent_does_not_enter(self, worked_shape):
         # a small top exponent is fine; only branch sums are constrained
-        result = k_binary(worked_shape, ExponentAssignment((1.5, 6.0, 6.0)))
-        assert result.condition_met and result.value == 0.125
+        pa = ExponentAssignment((1.5, 6.0, 6.0))
+        assert regime_constant(worked_shape, pa, 2, "binary_optimal") == (0.125, ())
 
     def test_condition_violation_falls_back_to_one(self, worked_shape):
-        result = k_binary(worked_shape, ExponentAssignment((6.0, 1.5, 6.0)))
-        assert not result.condition_met
-        assert result.value == 1.0
-        assert result.failing_nodes == ((),)
+        pa = ExponentAssignment((6.0, 1.5, 6.0))
+        assert regime_constant(worked_shape, pa, 2, "binary_optimal") == (
+            1.0,
+            ("halves-condition-failure",),
+        )
 
     def test_non_binary_shape_rejected(self):
         tree = TreeParams(3, 1)
         config = Configuration(tree, ROOT, (vx(1), vx(2), vx(3)))
-        with pytest.raises(ConfigurationError):
-            k_binary(extract_shape(config), ExponentAssignment((2.0, 2.0)))
+        with pytest.raises(ConfigurationError, match="binary shape"):
+            regime_constant(
+                extract_shape(config), ExponentAssignment((2.0, 2.0)), 3, "binary_optimal"
+            )
+
+
+class TestRegimeConstant:
+    @pytest.mark.parametrize("regime", ["explicit", "sharp"])
+    def test_refuses_regimes_without_a_computed_constant(self, worked_shape, regime):
+        with pytest.raises(ConfigurationError, match="has no computed constant"):
+            regime_constant(worked_shape, ExponentAssignment((3.0, 3.0, 3.0)), 2, regime)
 
 
 class TestSymmetricSum:
@@ -511,8 +519,8 @@ class TestKInductive:
         result = k_inductive(worked_shape, ExponentAssignment((3.0, 3.0, 3.0)), 2)
         assert result.value == pytest.approx(0.125, rel=1e-9)
         assert not result.estimated
-        assert len(result.ledger.entries) == 3
-        for entry in result.ledger.entries:
+        assert len(result.ledger) == 3
+        for entry in result.ledger:
             assert entry.factor == pytest.approx(0.5, rel=1e-12)
 
     def test_two_particle_ledger(self):
@@ -520,14 +528,14 @@ class TestKInductive:
             tree = TreeParams(m, 1)
             config = Configuration(tree, ROOT, (vx(1), vx(2)))
             result = k_inductive(extract_shape(config), ExponentAssignment((1.0,)), m)
-            (entry,) = result.ledger.entries
+            (entry,) = result.ledger
             assert entry.alpha_inv == (1.0, 1.0)
             assert entry.beta_inv == pytest.approx(1.0)
 
     def test_ledger_balance_identity(self, worked_shape):
         # per node, the branch coexponents total degree - 1 + 1/beta
         result = k_inductive(worked_shape, ExponentAssignment((2.0, 3.0, 6.0)), 2)
-        for entry in result.ledger.entries:
+        for entry in result.ledger:
             lhs = sum(entry.alpha_inv)
             rhs = entry.degree - 1 + entry.beta_inv
             assert lhs == pytest.approx(rhs, abs=1e-12)
@@ -535,29 +543,30 @@ class TestKInductive:
     def test_single_particle_branch_has_unit_coexponent(self, binary3):
         config = Configuration(binary3, ROOT, (vx(1, 1, 1), vx(1, 2, 1), vx(2, 1, 1)))
         result = k_inductive(extract_shape(config), ExponentAssignment((2.0, 2.0)), 2)
-        top = [e for e in result.ledger.entries if e.node_path == ()][0]
+        top = [e for e in result.ledger if e.node_path == ()][0]
         assert 1.0 in top.alpha_inv
 
-    def test_at_most_k_general_on_binary(self, binary3):
+    def test_at_most_k_general_on_every_shape(self, monkeypatch):
+        # no node is in case i, as s = (d - sum b)/(1 - sum b) > 1 for d >= 2,
+        # so every K(m; a) <= (m-1)! and each node factor is at most (m-1)!/(m-d)!
+        monkeypatch.setattr(bounds, "muirhead_numeric", functools.cache(bounds.muirhead_numeric))
         rng = random.Random(19)
-        leaves = list(binary3.leaves())
-        gen = np.random.default_rng(19)
-        for _ in range(40):
-            n = rng.randint(2, 6)
-            config = Configuration(binary3, ROOT, tuple(rng.sample(leaves, n)))
+        arities = set()
+        for _ in range(200):
+            m, config, pa = random_shape_case(rng)
             shape = extract_shape(config)
-            reciprocals = np.clip(gen.dirichlet(np.ones(n - 1)), 1e-9, None)
-            reciprocals = reciprocals / reciprocals.sum()
-            pa = ExponentAssignment(tuple(1.0 / q for q in reciprocals))
-            result = k_inductive(shape, pa, 2)
-            assert result.value <= k_general(shape, 2).value * (1 + 1e-9)
+            inductive, _ = regime_constant(shape, pa, m, "inductive")
+            general, _ = regime_constant(shape, pa, m, "general")
+            assert inductive <= general * (1 + 1e-9)
+            arities.add(m)
+        assert arities == set(range(2, 8))
 
     def test_ternary_pair_is_estimated(self):
         tree = TreeParams(3, 1)
         config = Configuration(tree, ROOT, (vx(1), vx(2)))
         result = k_inductive(extract_shape(config), ExponentAssignment((1.0,)), 3)
         assert result.estimated
-        (entry,) = result.ledger.entries
+        (entry,) = result.ledger
         assert entry.muirhead_case == "ii"
         # the sharp constant for two particles at a ternary root is 2/3; the
         # certified constant lies above it by at most the grid's radius
@@ -573,7 +582,7 @@ class TestKInductive:
         tree = TreeParams(7, 1)
         config = Configuration(tree, ROOT, tuple(vx(c) for c in range(1, 6)))
         result = k_inductive(extract_shape(config), ExponentAssignment((4.0,) * 4), 7)
-        (entry,) = result.ledger.entries
+        (entry,) = result.ledger
         assert entry.muirhead_case == "ii" and entry.bracket_upper
         assert not result.estimated
         assert entry.log_muirhead == math.lgamma(7)
@@ -585,7 +594,7 @@ class TestKInductive:
         # node's factor (m-1)!/(m-2)! = 170 is read in logs
         config = Configuration(TreeParams(171, 1), ROOT, (vx(1), vx(2)))
         result = k_inductive(extract_shape(config), ExponentAssignment((1.0,)), 171)
-        (entry,) = result.ledger.entries
+        (entry,) = result.ledger
         assert entry.muirhead_case == "ii" and entry.bracket_upper
         assert result.value == pytest.approx(170.0, rel=1e-12)
 
@@ -679,11 +688,10 @@ def ref_own_sums(shape, pa):
 
 
 def ref_k_general(shape, m):
-    value, multiplicity = 1, 0
+    value = 1
     for node in ref_nodes(shape):
         value *= math.factorial(m - 1) // math.factorial(m - node.degree)
-        multiplicity += node.multiplicity
-    return value, (m - 1) ** multiplicity
+    return value
 
 
 def ref_k_binary(shape, pa):
@@ -700,7 +708,7 @@ def ref_k_binary(shape, pa):
 
     subtree_sum(shape, ())
     value = 2.0 ** (-(shape.n_particles - 1)) if not failing else 1.0
-    return value, not failing, tuple(failing)
+    return value, not failing
 
 
 def certified_log_k(mspec):
@@ -783,18 +791,19 @@ class TestJoinNodeWalk:
                 level for level, _ in ref_slots(shape, base_level)
             ]
             assert shape_orbit_size(shape, m) == ref_orbit_size(shape, m)
-            assert tuple(k_general(shape, m)) == ref_k_general(shape, m)
+            assert regime_constant(shape, pa, m, "general") == (ref_k_general(shape, m), ())
             value, ledger = ref_k_inductive(shape, pa, m)
             result = k_inductive(shape, pa, m)
-            assert result.value == value and result.ledger.entries == ledger
+            assert result.value == value and result.ledger == ledger
             if all(node.degree == 2 for node in ref_nodes(shape)):
-                kb = k_binary(shape, pa)
-                assert (kb.value, kb.condition_met, kb.failing_nodes) == ref_k_binary(shape, pa)
+                k, flags = regime_constant(shape, pa, m, "binary_optimal")
+                met = "halves-condition-failure" not in flags
+                assert (k, met) == ref_k_binary(shape, pa)
                 seen["binary"] += 1
-                seen["halves fail"] += not kb.condition_met
+                seen["halves fail"] += not met
             else:
                 with pytest.raises(ConfigurationError, match="binary shape"):
-                    k_binary(shape, pa)
+                    regime_constant(shape, pa, m, "binary_optimal")
             seen["base 1"] += base_level == 1
             seen["multiplicity >= 2"] += any(n.multiplicity >= 2 for n in ref_nodes(shape))
             seen["m >= 6"] += m >= 6

@@ -279,7 +279,9 @@ class TestLevelArrays:
         with pytest.raises(ConfigurationError, match="2.2.1"):
             WeightAssignment(binary3, weights)
 
-    @pytest.mark.parametrize("bad", ["2.5", True, None], ids=["string", "boolean", "none"])
+    @pytest.mark.parametrize(
+        "bad", ["2.5", True, np.True_, None], ids=["string", "boolean", "numpy-boolean", "none"]
+    )
     def test_one_value_rule_for_maps_and_arrays(self, binary3, bad):
         with pytest.raises(ConfigurationError, match="JSON number"):
             WeightAssignment.from_mapping(binary3, {"2.1.2": bad})
@@ -291,6 +293,22 @@ class TestLevelArrays:
         levels[2] = np.full(4, bad)
         with pytest.raises(ConfigurationError, match="integers or floats"):
             LevelFunction(binary3, levels)
+
+    @pytest.mark.parametrize("kind", [np.float64, np.float32, np.int64])
+    def test_numpy_scalars_in_maps_read_as_plain_numbers(self, binary3, kind):
+        # one plain float rides along, so a chunk mixes both kinds of value
+        weights = {"2.1.2": 5, "1.1.1": 3, "2.2.2": 0}
+        values = {"": 2, "2.1": 4, "1.2.2": 8}
+        plain_w = WeightAssignment.from_mapping(binary3, {**weights, "1.2.1": 1.5})
+        plain_f = LevelFunction.from_mapping(binary3, {**values, "1": 1.5})
+        got_w = WeightAssignment.from_mapping(
+            binary3, {**{w: kind(v) for w, v in weights.items()}, "1.2.1": 1.5}
+        )
+        got_f = LevelFunction.from_mapping(
+            binary3, {**{w: kind(v) for w, v in values.items()}, "1": 1.5}
+        )
+        assert got_w.leaf_array.tobytes() == plain_w.leaf_array.tobytes()
+        assert [a.tobytes() for a in got_f.levels] == [a.tobytes() for a in plain_f.levels]
 
     @pytest.mark.parametrize("flag", [True, np.False_], ids=["bool", "numpy-bool"])
     def test_boolean_among_numbers_in_a_list_refused(self, flag):

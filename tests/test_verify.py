@@ -395,12 +395,13 @@ class TestRandomInstance:
             assert validate_exponents(inst.shape, inst.exponents) is None
 
     def test_binary_optimal_sampler_meets_condition(self):
-        from joinforge import k_binary
+        from joinforge import regime_constant
 
         ranges = InstanceRanges(arities=(2,), regime="binary_optimal")
         for seed in range(50):
             inst = random_instance(seed, ranges)
-            assert k_binary(inst.shape, inst.exponents).condition_met
+            _, flags = regime_constant(inst.shape, inst.exponents, 2, "binary_optimal")
+            assert "halves-condition-failure" not in flags
 
     def test_bad_ranges(self):
         with pytest.raises(ConfigurationError):

@@ -35,11 +35,7 @@ from .bounds import (
     rhs_product,
     validate_exponents,
 )
-from .energy import (
-    EnergyResult,
-    orbit_energy_bruteforce,
-    orbit_energy_factorized,
-)
+from .energy import orbit_energy_bruteforce, orbit_energy_factorized
 from .orbits import (
     Configuration,
     EnumerationGuardError,
@@ -70,7 +66,10 @@ FLAG_SKIPPED = "skipped-condition-not-met"
 
 @dataclass(frozen=True)
 class Instance:
-    """A full bound-checking problem: configuration, data, exponents, regime."""
+    """A full bound-checking problem: configuration, data, exponents, regime.
+
+    A given ``explicit_k`` must be finite and > 0 under every regime.
+    """
 
     config: Configuration
     weights: WeightAssignment
@@ -85,8 +84,11 @@ class Instance:
             raise ConfigurationError(
                 f"regime must be one of {REGIMES}, got {self.regime!r}"
             )
-        if self.regime == "explicit" and self.explicit_k is None:
-            raise ConfigurationError("explicit regime needs a constant value")
+        if self.explicit_k is not None:
+            k = _checked_constant(float(self.explicit_k), "explicit")
+            object.__setattr__(self, "explicit_k", k)
+        elif self.regime == "explicit":
+            raise ConfigurationError("explicit regime needs 'K' or 'explicit=VALUE'")
         if self.weights.tree != self.config.tree or self.f.tree != self.config.tree:
             raise ConfigurationError("weights and vertex function must share the tree")
 
@@ -139,19 +141,20 @@ class Instance:
         slot_map = data.get("slot_assignment")
         exponents = _apply_slot_assignment(p_list, slot_map)
         coexponent = _optional_field(data, "coexponent", _number, 0.0)
-        regime, explicit_k = parse_regime(
-            data.get("regime", "general"), _optional_field(data, "K", _number)
-        )
-        seed = _optional_field(data, "seed", _integer)
-        return cls(
+        k_field = _optional_field(data, "K", _number)
+        regime, explicit_k = parse_regime(data.get("regime", "general"), k_field)
+        inst = cls(
             config=config,
             weights=weights,
             f=f,
             exponents=ExponentAssignment(tuple(exponents), coexponent),
             regime=regime,
             explicit_k=explicit_k,
-            seed=seed,
+            seed=_optional_field(data, "seed", _integer),
         )
+        if k_field is not None and k_field != explicit_k:
+            replace(inst, explicit_k=k_field)  # a 'K' that 'explicit=V' overrides is checked too
+        return inst
 
 
 def _field(data: dict, name: str, caster) -> Any:
@@ -233,12 +236,10 @@ def _apply_slot_assignment(p_list: list[float], slot_map: Any) -> list[float]:
 
 
 def parse_regime(raw: Any, explicit_value: Any = None) -> tuple[str, float | None]:
-    """Normalize a regime spelling and its explicit constant.
+    """Normalize a regime spelling and read its explicit constant.
 
     The constant is V of 'explicit=V', else ``explicit_value`` (an
-    instance's 'K' field), else None; only the explicit regime needs one.
-    A given ``explicit_value`` is checked whatever the regime, so that a
-    constant kept for a later explicit regime is a valid one.
+    instance's 'K' field), else None.  ``Instance`` checks it.
     """
     if not isinstance(raw, str):
         raise ConfigurationError(f"regime must be a string, got {raw!r}")
@@ -246,17 +247,12 @@ def parse_regime(raw: Any, explicit_value: Any = None) -> tuple[str, float | Non
     name = name.replace("-", "_")
     if sep and name != "explicit" or name not in REGIMES:
         raise ConfigurationError(f"unknown regime {raw!r}")
-    if explicit_value is not None:
-        explicit_value = _checked_constant(float(explicit_value), "explicit")
-    if sep:
-        try:
-            value = float(tail)
-        except ValueError as exc:
-            raise ConfigurationError(f"bad explicit constant {tail!r}") from exc
-        return name, _checked_constant(value, "explicit")
-    if name == "explicit" and explicit_value is None:
-        raise ConfigurationError("explicit regime needs 'K' or 'explicit=VALUE'")
-    return name, explicit_value
+    if not sep:
+        return name, explicit_value
+    try:
+        return name, float(tail)
+    except ValueError as exc:
+        raise ConfigurationError(f"bad explicit constant {tail!r}") from exc
 
 
 def load_instance(path: str) -> Instance:
@@ -319,11 +315,11 @@ def _ratio(lhs: float, rhs: float) -> float:
 def resolve_constant(inst: Instance) -> tuple[float, tuple[str, ...]]:
     """Constant for the instance's regime plus any advisory flags.
 
-    An explicit constant must be finite and > 0, like every computed one
-    (see ``regime_constant``).
+    Every constant is finite and > 0: an explicit one is checked by
+    ``Instance``, a computed one by ``regime_constant``.
     """
     if inst.regime == "explicit":
-        return _checked_constant(float(inst.explicit_k), "explicit"), ()  # type: ignore[arg-type]
+        return inst.explicit_k, ()  # type: ignore[return-value]
     return regime_constant(inst.shape, inst.exponents, inst.tree.arity, inst.regime)
 
 
@@ -345,20 +341,12 @@ def check_inequality(inst: Instance, method: str = "factorized") -> Report:
         "regime": inst.regime,
     }
     if violation is not None:
-        return Report(
-            lhs=math.nan,
-            rhs=math.nan,
-            k_constant=math.nan,
-            ratio=math.nan,
-            passed=False,
-            flags=(f"{FLAG_INVALID_EXPONENTS}:{violation.constraint}",),
-            metadata={**metadata, "violation": violation.message},
-        )
+        flag = f"{FLAG_INVALID_EXPONENTS}:{violation.constraint}"
+        return _sideless_report(False, flag, {**metadata, "violation": violation.message})
 
     k_constant, flags = resolve_constant(inst)
     flags = list(flags)
 
-    energy: EnergyResult
     if method == "brute":
         try:
             energy = orbit_energy_bruteforce(inst.config, inst.weights, inst.f)
@@ -374,8 +362,7 @@ def check_inequality(inst: Instance, method: str = "factorized") -> Report:
         inst.tree, inst.weights.masses, inst.f, inst.base, inst.shape, inst.exponents, k_constant
     )
     lhs = energy.value
-    metadata["method"] = energy.method
-    metadata["orbit_terms"] = energy.terms
+    metadata.update(method=energy.method, orbit_terms=energy.terms)
     return Report(
         lhs=lhs,
         rhs=rhs,
@@ -385,6 +372,11 @@ def check_inequality(inst: Instance, method: str = "factorized") -> Report:
         flags=tuple(flags),
         metadata=metadata,
     )
+
+
+def _sideless_report(passed: bool, flag: str, metadata: dict[str, Any]) -> Report:
+    """A report whose sides were never evaluated: sides, constant and ratio NaN."""
+    return Report(math.nan, math.nan, math.nan, math.nan, passed, (flag,), metadata)
 
 
 def check_equality_case(
@@ -400,47 +392,31 @@ def check_equality_case(
     ``DEFAULT_REL_TOL``; ``passed`` means the ratio equals 1 within
     tolerance.  Any base works, not only the root.  When the halves
     condition fails the check is skipped with a reason rather than reported
-    as a failure.
+    as a failure.  Invalid exponents give the failing report of
+    :func:`check_inequality`.
     """
-    tree, shape = config.tree, config.shape
+    tree = config.tree
     if tree.arity != 2:
         raise ConfigurationError("the equality case is specific to binary trees")
     if seed < 0:
         raise ConfigurationError(f"seed must be non-negative, got {seed}")
-    pa = ExponentAssignment(tuple(exponents))
-    _, flags = regime_constant(shape, pa, tree.arity, "binary_optimal")
-    metadata: dict[str, Any] = {
-        "seed": seed,
-        "shape": shape.serialized,
-        "join_levels": shape_join_levels(shape, config.base.level),
-    }
-    if FLAG_CONDITION_RECURSIVE in flags:
-        return Report(
-            lhs=math.nan,
-            rhs=math.nan,
-            k_constant=math.nan,
-            ratio=math.nan,
-            passed=True,
-            flags=(FLAG_SKIPPED,),
-            metadata={**metadata, "reason": "halves condition not satisfied"},
-        )
     rng = np.random.default_rng(seed)
     level_values = [float(10.0 ** rng.uniform(-1.0, 1.0)) for _ in range(tree.depth + 1)]
     inst = Instance(
         config=config,
         weights=WeightAssignment.constant(tree, 1.0),
         f=LevelFunction.by_level(tree, level_values),
-        exponents=pa,
+        exponents=ExponentAssignment(tuple(exponents)),
         regime="binary_optimal",
         seed=seed,
     )
     report = check_inequality(inst)
+    if FLAG_CONDITION_RECURSIVE in report.flags:
+        kept = {key: report.metadata[key] for key in ("seed", "shape", "join_levels")}
+        kept["reason"] = "halves condition not satisfied"
+        return _sideless_report(True, FLAG_SKIPPED, kept)
     equal = abs(report.ratio - 1.0) <= DEFAULT_REL_TOL
-    return replace(
-        report,
-        passed=equal,
-        metadata={**report.metadata, "f_levels": level_values},
-    )
+    return replace(report, passed=equal, metadata={**report.metadata, "f_levels": level_values})
 
 
 # ---------------------------------------------------------------------------

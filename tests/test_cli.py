@@ -163,7 +163,49 @@ class TestSubcommands:
         assert csv_path.read_text().splitlines()[0] == "seed,ratio"
 
 
+# the instance file shown in the README
+README_INSTANCE = {
+    "m": 2, "k": 3, "base": "",
+    "config": [[1, 1, 1], [1, 2, 1], [2, 1, 1], [2, 1, 2]],
+    "mu": {"1.1.1": 1.0},
+    "f": {"2.1": 1.0},
+    "p": [3.0, 3.0, 3.0],
+    "regime": "binary_optimal",
+}
+
+
 class TestCliContract:
+    @pytest.mark.parametrize(
+        "fields, code, constraint",
+        [
+            ({"p": [0, 3, 3]}, 1, "positivity"),
+            ({"p": [2, 2]}, 1, "count"),
+            ({"p": [2, 2, 2]}, 1, "conjugacy"),
+            ({"regime": "general", "K": -1}, 2, None),
+            ({"regime": "explicit"}, 2, None),
+        ],
+        ids=["nonpositive-p", "p-count", "p-not-conjugate", "general-K-negative",
+             "explicit-without-K"],
+    )
+    def test_refused_file_gets_one_verdict_from_every_command(
+        self, capsys, tmp_path, fields, code, constraint
+    ):
+        path = tmp_path / "refused.json"
+        path.write_text(json.dumps({**README_INSTANCE, **fields}))
+        for command in ("verify", "bound", "equality-check"):
+            assert main([command, str(path)]) == code, command
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.err
+            if code == 2:
+                assert captured.out == "" and captured.err.startswith("error: ")
+                continue
+            payload = json.loads(captured.out)
+            if command == "bound":
+                assert payload["constraint"] == constraint
+            else:
+                assert payload["flags"] == [f"invalid-exponents:{constraint}"]
+                assert payload["pass"] is False
+
     def test_byte_identical_output(self, capsys, worked_file):
         main(["verify", worked_file])
         first = capsys.readouterr().out
@@ -399,10 +441,11 @@ class TestCliContract:
             {"regime": "explicit", "K": 0.0},
             {"regime": "general", "K": math.nan},
             {"regime": "binary_optimal", "K": -1},
+            {"regime": "explicit=2", "K": -1},
         ],
         ids=["regime-nan", "regime-inf", "regime-negative", "regime-zero", "K-nan",
              "K-inf", "K-negative-inf", "K-negative", "K-zero", "general-K-nan",
-             "binary-K-negative"],
+             "binary-K-negative", "K-beside-explicit-value"],
     )
     def test_explicit_constant_not_finite_positive_file_exit_two(
         self, capsys, worked_file, tmp_path, fields

@@ -98,6 +98,33 @@ class TestInstanceJson:
         inst = Instance.from_json_dict(data)
         assert inst.exponents.exponents == (6.0, 3.0, 2.0)
 
+    @pytest.mark.parametrize("regime", ["general", "binary_optimal", "inductive", "explicit"])
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -1.0, 0.0])
+    def test_constant_not_finite_positive_refused_under_every_regime(
+        self, worked_config, regime, k
+    ):
+        tree = worked_config.tree
+        with pytest.raises(ConfigurationError, match="constant must be finite and > 0"):
+            Instance(
+                worked_config,
+                WeightAssignment.constant(tree),
+                LevelFunction.constant(tree),
+                ExponentAssignment((3.0, 3.0, 3.0)),
+                regime=regime,
+                explicit_k=k,
+            )
+
+    def test_explicit_regime_needs_a_constant(self, worked_config):
+        tree = worked_config.tree
+        with pytest.raises(ConfigurationError, match="explicit regime needs 'K'"):
+            Instance(
+                worked_config,
+                WeightAssignment.constant(tree),
+                LevelFunction.constant(tree),
+                ExponentAssignment((3.0, 3.0, 3.0)),
+                regime="explicit",
+            )
+
     def test_explicit_regime_spellings(self):
         base = {
             "m": 2,
@@ -316,7 +343,21 @@ class TestEqualityCase:
     def test_condition_violation_skipped(self, worked_config):
         report = check_equality_case(worked_config, (6.0, 1.5, 6.0))
         assert report.passed
-        assert "skipped-condition-not-met" in report.flags
+        assert report.flags == ("skipped-condition-not-met",)
+        sides = (report.lhs, report.rhs, report.k_constant, report.ratio)
+        assert all(math.isnan(x) for x in sides)
+        assert report.metadata == {
+            "seed": 0,
+            "shape": worked_config.shape.serialized,
+            "join_levels": [0, 1, 2],
+            "reason": "halves condition not satisfied",
+        }
+
+    def test_invalid_exponents_reported_as_verify_reports_them(self, worked_config):
+        report = check_equality_case(worked_config, (0.0, 3.0, 3.0))
+        assert not report.passed
+        assert report.flags == ("invalid-exponents:positivity",)
+        assert math.isnan(report.lhs) and math.isnan(report.rhs)
 
     def test_hundred_random_shapes(self):
         ranges = InstanceRanges(arities=(2,), max_depth=4, max_particles=6,

@@ -337,9 +337,9 @@ def _read_chunk(
     if not all(map(_is_number_type, set(map(type, values)))):
         return None
     try:
-        numbers = np.array(values, dtype=np.float64)
+        numbers = _float_array(values)
         scanned = _scan_words("/".join(keys), len(keys))
-    except (TypeError, OverflowError):
+    except (TypeError, OverflowError, FloatingPointError):
         return None
     if scanned is None:
         return None
@@ -356,6 +356,12 @@ def _read_chunk(
     digits[np.arange(symbols.size) + np.repeat(offsets, lengths)] = symbols - 1
     ranks = digits.reshape(n, k) @ tree.arity ** np.arange(k - 1, -1, -1)
     return lengths, ranks, numbers
+
+
+def _float_array(values: list[Any]) -> np.ndarray:
+    """``values`` as float64; a value beyond the float range raises, never becomes inf."""
+    with np.errstate(over="raise"):
+        return np.array(values, dtype=np.float64)
 
 
 def _is_number_type(t: type) -> bool:
@@ -376,10 +382,10 @@ def _first_bad_entry(
                 raise ConfigurationError(f"unexpected word {key!r} above level {first_level}")
             if not _is_number_type(type(value)):
                 raise ConfigurationError(f"value at {key!r} must be a JSON number, got {value!r}")
-            float(value)
+            _float_array([value])
         except ConfigurationError as exc:
             return exc
-        except OverflowError:
+        except (OverflowError, FloatingPointError):
             return ConfigurationError(f"value at {key!r} is too large for a float")
     return ConfigurationError(f"entries from {keys[0]!r} to {keys[-1]!r} could not be read")
 

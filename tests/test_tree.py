@@ -447,6 +447,16 @@ class TestKeyedLevels:
         with pytest.raises(ConfigurationError, match="'1.2'"):
             keyed_levels(TreeParams(2, 2), 0, {"1.1": 1.0, "1.2": value}, 1.0)
 
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).max <= np.finfo(np.float64).max,
+        reason="longdouble is no wider than float64 here",
+    )
+    def test_wider_float_beyond_the_float_range_is_named(self):
+        # the cast would overflow to inf; it is refused as an oversized int is,
+        # with no numpy overflow warning on the way
+        with pytest.raises(ConfigurationError, match="value at '1.1' is too large for a float"):
+            WeightAssignment.from_mapping(TreeParams(2, 2), {"1.1": np.longdouble("1e4000")})
+
     def test_parse_word_accepts_exactly_the_grammar(self):
         assert parse_word("") == ()
         assert parse_word("12.1.30") == (12, 1, 30)

@@ -439,8 +439,8 @@ def muirhead_numeric(spec: MuirheadSpec) -> MuirheadEstimate:
     both sides of the defining inequality scale identically.
     """
     m = spec.m
-    if m > 5:
-        raise ConfigurationError("numeric estimation is limited to m <= 5")
+    if m not in _RESOLUTION:
+        raise ConfigurationError(f"numeric estimation is limited to m <= {max(_RESOLUTION)}")
     if not spec.s > 0.0:
         raise ConfigurationError("the constant needs a positive exponent sum")
     n_grid = _RESOLUTION[m]

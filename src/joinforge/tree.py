@@ -359,7 +359,7 @@ def _read_chunk(
 
 
 def _float_array(values: list[Any]) -> np.ndarray:
-    """``values`` as float64; a value beyond the float range raises, never becomes inf."""
+    """``values`` as float64; a finite value beyond its range raises, never becomes inf."""
     with np.errstate(over="raise"):
         return np.array(values, dtype=np.float64)
 

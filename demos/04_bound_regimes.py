@@ -43,12 +43,17 @@ for entry in result.ledger:
         f"  factor {entry.factor:.6f}"
     )
 
-print("\n=== an estimated node: two particles at a ternary root ===")
+print("\n=== ternary roots: lone branches are exact, a subtree branch is estimated ===")
 from joinforge import Configuration, ExponentAssignment, ROOT, TreeParams, Vertex, extract_shape
 
-tree = TreeParams(3, 1)
-shape = extract_shape(Configuration(tree, ROOT, (Vertex((1,)), Vertex((2,)))))
-pa = ExponentAssignment((1.0,))
-result = k_inductive(shape, pa, 3)
-print("value:", result.value, " estimated:", result.estimated,
-      " (general constant would be", regime_constant(shape, pa, 3, "general")[0], ")")
+for title, depth, words, p in [
+    ("two particles", 1, [(1,), (2,)], (1.0,)),
+    ("a pair beside a lone particle", 2, [(1, 1), (1, 2), (2, 1)], (2.0, 2.0)),
+]:
+    tree = TreeParams(3, depth)
+    shape = extract_shape(Configuration(tree, ROOT, tuple(Vertex(w) for w in words)))
+    pa = ExponentAssignment(p)
+    result = k_inductive(shape, pa, 3)
+    print(f"{title}: value {result.value:.6f}  estimated: {result.estimated}"
+          f"  node cases {[entry.muirhead_case for entry in result.ledger]}"
+          f"  (general constant would be {regime_constant(shape, pa, 3, 'general')[0]})")

@@ -1,9 +1,11 @@
 """Symmetric-sum constants: closed forms, brackets, and the numeric maximizer.
 
 K(m; a) is the least constant bounding the permutation sum of monomials
-x_sigma(1)^a_1 ... by (sum x)^s.  Closed forms exist when s <= 1, when the
-exponents are well spread, and for two variables with (a1-a2)^2 <= s; the
-rest only bracket the constant, and one pass over a simplex grid narrows it
+x_sigma(1)^a_1 ... by (sum x)^s.  Closed forms exist when s <= 1 (case i),
+when the exponents are well spread (iii), for two variables with
+(a1-a2)^2 <= s (iv), and when the nonzero exponents all equal one c <= 1
+(v, the vector of a join node whose branches are lone particles); the rest
+(ii) only bracket the constant, and one pass over a simplex grid narrows it
 to an interval: the grid maximum below, and a certified upper end from the
 grid's modulus of continuity above.  This demo prints all regimes and sketches the
 two-variable landscape where the maximizer jumps off the symmetric point.
@@ -20,6 +22,7 @@ cases = [
     (1 / 3, 1 / 3, 1 / 3),
     (0.4, 0.3, 0.2, 0.1),
     (1.2, 0.9, 0.9),
+    (1.0, 1.0, 0.0),
     (1.6, 0.4),
     (3.0, 0.0),
     (2.5, 0.3),

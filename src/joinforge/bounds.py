@@ -28,10 +28,10 @@ Constant regimes, each read off the shape's join nodes by ``regime_constant``:
 The symmetric-sum constant ``K(m; a)`` is the least ``C`` with
 ``sum over permutations of x_sigma(1)**a_1 ... <= C * (sum x_i)**s`` for
 all nonnegative ``x`` (``0**0 = 1``), where ``s = sum(a)``.  Closed forms
-cover ``s <= 1``, the well-spread case ``a_i >= (s-1)/m``, and the two-
-variable case ``(a_1-a_2)**2 <= s``; otherwise only the bracket
-``[m! m**-s, (m-1)!]`` is known, and a simplex grid narrows it to a certified
-interval.
+cover ``s <= 1``, the well-spread case ``a_i >= (s-1)/m``, the two-variable
+case ``(a_1-a_2)**2 <= s``, and equal nonzero exponents of at most 1;
+otherwise only the bracket ``[m! m**-s, (m-1)!]`` is known, and a simplex
+grid narrows it to a certified interval.
 """
 
 from __future__ import annotations
@@ -360,7 +360,7 @@ def symmetric_sum(x: Sequence[float], spec: MuirheadSpec) -> float:
 class MuirheadValue:
     """Closed-form constant when a case applies, otherwise the known bracket."""
 
-    case: str  # "i" | "ii" | "iii" | "iv"
+    case: str  # "i" | "iii" | "iv" | "v" exact; "ii" the bracket
     exact: bool
     lower: float
     upper: float
@@ -373,8 +373,10 @@ class MuirheadValue:
 def muirhead_closed_form(spec: MuirheadSpec) -> MuirheadValue:
     """The closed-form constant of the spec's case, or the bracket in case ii.
 
-    Outside case iv (m = 2) the values need ``m!`` as a float, so an arity
-    whose ``m!`` lies beyond the float range (m >= 171) is refused.
+    Cases i, iii and v share the uniform value ``m! m**-s``, attained at the
+    barycentre; case iv is ``2**(1-s)``.  Outside case iv (m = 2) the values
+    need ``m!`` as a float, so an arity whose ``m!`` lies beyond the float
+    range (m >= 171) is refused.
     """
     case, m, s = _muirhead_case(spec), spec.m, spec.s
     if case == "iv":
@@ -390,7 +392,16 @@ def muirhead_closed_form(spec: MuirheadSpec) -> MuirheadValue:
 
 
 def _muirhead_case(spec: MuirheadSpec) -> str:
-    """Which closed form applies: "i", "iii" or "iv", else "ii" (the bracket only)."""
+    """Which closed form applies, tested in this order, else "ii" (the bracket only).
+
+    * "i": ``s <= 1``;
+    * "iii": every ``a_i >= (s-1)/m``;
+    * "iv": ``m = 2`` and ``(a_1-a_2)**2 <= s``;
+    * "v": every nonzero ``a_i`` equals one ``c <= 1``.  With ``d`` of them
+      the sum is ``d! (m-d)! e_d(x**c)``; Maclaurin's inequality bounds
+      ``e_d(y)`` by ``C(m,d) (e_1(y)/m)**d``, and the power mean bounds
+      ``sum x_j**c`` by ``m**(1-c)`` on the simplex, so ``K = m! m**-s``.
+    """
     m, s, a = spec.m, spec.s, spec.a
     if not s > 0.0:
         raise ConfigurationError("the constant needs a positive exponent sum")
@@ -400,6 +411,8 @@ def _muirhead_case(spec: MuirheadSpec) -> str:
         return "iii"
     if m == 2 and (a[0] - a[1]) ** 2 <= s:
         return "iv"
+    if max(a) <= 1.0 and len(set(a) - {0.0}) == 1:
+        return "v"
     return "ii"
 
 
@@ -609,7 +622,7 @@ def _log_uniform_constant(m: int, s: float) -> float:
 
 
 def _log_closed_form(case: str, m: int, s: float) -> float:
-    if case in ("i", "iii"):
+    if case in ("i", "iii", "v"):
         return _log_uniform_constant(m, s)
     if case == "iv":
         return (1.0 - s) * math.log(2.0)

@@ -68,7 +68,9 @@ FLAG_SKIPPED = "skipped-condition-not-met"
 class Instance:
     """A full bound-checking problem: configuration, data, exponents, regime.
 
-    A given ``explicit_k`` must be finite and > 0 under every regime.
+    A given ``explicit_k`` is read by the instance file's number rule (a
+    string or a boolean is refused) and must be finite and > 0 under every
+    regime.
     """
 
     config: Configuration
@@ -85,8 +87,11 @@ class Instance:
                 f"regime must be one of {REGIMES}, got {self.regime!r}"
             )
         if self.explicit_k is not None:
-            k = _checked_constant(float(self.explicit_k), "explicit")
-            object.__setattr__(self, "explicit_k", k)
+            try:
+                k = _number(self.explicit_k)
+            except (TypeError, OverflowError) as exc:
+                raise ConfigurationError(f"explicit constant: {exc}") from exc
+            object.__setattr__(self, "explicit_k", _checked_constant(k, "explicit"))
         elif self.regime == "explicit":
             raise ConfigurationError("explicit regime needs 'K' or 'explicit=VALUE'")
         if self.weights.tree != self.config.tree or self.f.tree != self.config.tree:

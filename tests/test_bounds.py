@@ -401,6 +401,7 @@ class TestMuirheadClosedForm:
             MuirheadSpec((1 / 3, 1 / 3, 1 / 3)),
             MuirheadSpec((1.6, 0.4)),
             MuirheadSpec((0.9, 0.6, 0.5)),
+            MuirheadSpec((1.0, 1.0, 0.0)),
         ]
         for spec in specs:
             value = muirhead_closed_form(spec)
@@ -418,6 +419,75 @@ class TestMuirheadClosedForm:
     def test_spec_refuses_non_finite(self, a):
         with pytest.raises(ConfigurationError, match="must be finite"):
             MuirheadSpec(a)
+
+
+def case_v_specs(m, count, seed):
+    """Random ``(c^d, 0^(m-d))`` with ``1 <= d < m``, ``c`` in (0, 1] and ``c*d > 1``."""
+    rng = random.Random(seed)
+    specs = []
+    while len(specs) < count:
+        d = rng.randint(2, m - 1)
+        c = 1.0 - rng.random() * (1.0 - 1.0 / d)  # in (1/d, 1]
+        if c * d > 1.0:
+            specs.append(MuirheadSpec((c,) * d + (0.0,) * (m - d)))
+    return specs
+
+
+class TestCaseV:
+    """Equal nonzero exponents of at most 1: exactly the uniform constant.
+
+    With ``d = 1`` or ``m = 2`` the sum ``s = c*d`` is at most 1 (case i),
+    and with ``d = m`` every entry is well spread (case iii), so case v
+    starts at m = 3.
+    """
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_lone_branch_vectors(self, m):
+        rng = random.Random(m)
+        for _ in range(20):
+            c = 1.0 - rng.random()
+            assert muirhead_closed_form(MuirheadSpec((c,) + (0.0,) * (m - 1))).case == "i"
+            assert muirhead_closed_form(MuirheadSpec((c,) * m)).case in ("i", "iii")
+        if m == 2:
+            return
+        for spec in case_v_specs(m, 20, seed=m):
+            value = muirhead_closed_form(spec)
+            assert value.case == "v" and value.exact
+            assert value.value == pytest.approx(math.factorial(m) * m ** -spec.s, rel=1e-15)
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_grid_stays_under_uniform_value(self, m):
+        points = _simplex_grid(m)
+        for spec in case_v_specs(m, 12, seed=10 + m):
+            k = muirhead_closed_form(spec).value
+            grid = _symmetric_sum_grid(points, spec.a)
+            assert grid.max() <= k * (1.0 + bounds.ROUNDING_ALLOWANCE)
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_between_grid_maximum_and_certified_end(self, m):
+        for spec in case_v_specs(m, 12, seed=20 + m):
+            k = muirhead_closed_form(spec).value
+            estimate = muirhead_numeric(spec)
+            # the grid's barycentre sum may round a few ulps above m! m**-s
+            assert estimate.value <= k * (1.0 + bounds.ROUNDING_ALLOWANCE)
+            assert k <= estimate.upper
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_random_points_stay_under(self, m):
+        rng = np.random.default_rng(30 + m)
+        for spec in case_v_specs(m, 12, seed=30 + m):
+            k = muirhead_closed_form(spec).value
+            points = rng.dirichlet(np.ones(m), 40)
+            points[rng.random(points.shape) < 0.2] = 0.0
+            for x in points:
+                total = x.sum()
+                if total > 0.0:
+                    x = x / total
+                assert symmetric_sum(x, spec) <= k * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("a", [(1.0, 1.0000001, 0.0), (2.0, 2.0, 0.0)])
+    def test_unequal_or_above_one_stays_in_bracket(self, a):
+        assert muirhead_closed_form(MuirheadSpec(a)).case == "ii"
 
 
 class TestMuirheadNumeric:
@@ -562,41 +632,53 @@ class TestKInductive:
         assert arities == set(range(2, 8))
 
     def test_ternary_pair_is_estimated(self):
-        tree = TreeParams(3, 1)
-        config = Configuration(tree, ROOT, (vx(1), vx(2)))
-        result = k_inductive(extract_shape(config), ExponentAssignment((1.0,)), 3)
+        # a pair beside a lone particle at a ternary root: the pair's node has
+        # lone branches (case v, exactly 2/3); the root's subtree branch gives
+        # it the vector (1, 2, 0), which has no closed form
+        config = Configuration(TreeParams(3, 2), ROOT, (vx(1, 1), vx(1, 2), vx(2, 1)))
+        result = k_inductive(extract_shape(config), ExponentAssignment((2.0, 2.0)), 3)
         assert result.estimated
-        (entry,) = result.ledger
-        assert entry.muirhead_case == "ii"
-        # the sharp constant for two particles at a ternary root is 2/3; the
-        # certified constant lies above it by at most the grid's radius
-        estimate = muirhead_numeric(MuirheadSpec((1.0, 1.0, 0.0)))
-        assert entry.log_muirhead == math.log(estimate.upper)
-        widened = (2.0 / 3.0 + estimate.uncertainty) * (1.0 + bounds.ROUNDING_ALLOWANCE)
+        top, pair = result.ledger
+        assert pair.muirhead_case == "v" and not pair.estimated
+        assert math.exp(pair.log_muirhead) == pytest.approx(2.0 / 3.0, rel=1e-15)
+        assert top.muirhead_case == "ii" and top.estimated
+        # x_j**2 (1 - x_j) <= x_j / 4 makes the sharp constant 1/4, attained at
+        # (1/2, 1/2, 0); the certified constant lies above it by at most the
+        # grid's radius
+        estimate = muirhead_numeric(MuirheadSpec((1.0, 2.0, 0.0)))
+        assert top.log_muirhead == math.log(estimate.upper)
+        widened = (0.25 + estimate.uncertainty) * (1.0 + bounds.ROUNDING_ALLOWANCE)
         # exp(log(upper)) may round one ulp above upper
-        assert 2.0 / 3.0 <= estimate.value <= result.value <= widened * (1.0 + 1e-15)
+        assert estimate.value == pytest.approx(0.25, rel=1e-15)
+        assert estimate.value <= math.exp(top.log_muirhead) <= widened * (1.0 + 1e-15)
 
     def test_beyond_estimator_takes_bracket_upper_end(self):
-        # a 7-ary star of degree 5: the zero-padded vector has no closed form
-        # and the numeric estimator stops at m = 5
-        tree = TreeParams(7, 1)
-        config = Configuration(tree, ROOT, tuple(vx(c) for c in range(1, 6)))
+        # a 7-ary root of degree 4 whose first branch is a pair: the root's
+        # zero-padded vector (1, 4/3, 4/3, 4/3, 0, 0, 0) has no closed form and
+        # the numeric estimator stops at m = 5
+        tree = TreeParams(7, 2)
+        particles = (vx(1, 1), vx(1, 2), vx(2, 1), vx(3, 1), vx(4, 1))
+        config = Configuration(tree, ROOT, particles)
         result = k_inductive(extract_shape(config), ExponentAssignment((4.0,) * 4), 7)
-        (entry,) = result.ledger
-        assert entry.muirhead_case == "ii" and entry.bracket_upper
+        top, pair = result.ledger
+        assert top.muirhead_case == "ii" and top.bracket_upper
         assert not result.estimated
-        assert entry.log_muirhead == math.lgamma(7)
-        # (m-1)! at the node gives back the general constant 6!/2!
-        assert result.value == pytest.approx(360.0, rel=1e-12)
+        assert top.log_muirhead == math.lgamma(7)
+        assert pair.muirhead_case == "v" and not pair.bracket_upper
+        # (m-1)! at the root gives back its general factor 6!/3! = 120; the
+        # pair's node has 1/beta = 1 and contributes K(7; 1, 1, 0, ...)/5! = 6/7
+        assert result.value == pytest.approx(120.0 * 6.0 / 7.0, rel=1e-12)
 
     def test_arity_past_float_factorials(self):
-        # a pair at the root of a 171-ary tree: 171! has no float, but the
-        # node's factor (m-1)!/(m-2)! = 170 is read in logs
-        config = Configuration(TreeParams(171, 1), ROOT, (vx(1), vx(2)))
-        result = k_inductive(extract_shape(config), ExponentAssignment((1.0,)), 171)
-        (entry,) = result.ledger
-        assert entry.muirhead_case == "ii" and entry.bracket_upper
-        assert result.value == pytest.approx(170.0, rel=1e-12)
+        # a pair beside a lone particle at the root of a 171-ary tree: 171! has
+        # no float, but the root's factor (m-1)!/(m-2)! = 170 and the pair's
+        # K(171; 1, 1, 0, ...)/169! = 170/171 are read in logs
+        config = Configuration(TreeParams(171, 2), ROOT, (vx(1, 1), vx(1, 2), vx(2, 1)))
+        result = k_inductive(extract_shape(config), ExponentAssignment((2.0, 2.0)), 171)
+        top, pair = result.ledger
+        assert top.muirhead_case == "ii" and top.bracket_upper
+        assert pair.muirhead_case == "v"
+        assert result.value == pytest.approx(170.0 * 170.0 / 171.0, rel=1e-12)
 
 
 class TestCoshRatio:
@@ -821,13 +903,16 @@ class TestJoinNodeWalk:
             log_bracket = math.lgamma(mspec.m + 1) - mspec.s * math.log(mspec.m)
             return min(max(math.log(lower), log_bracket), math.lgamma(mspec.m))
 
+        # lone-branch nodes are exact, so draw until 100 shapes rest on the estimator
         rng = random.Random(2024)
         estimated = 0
-        for _ in range(400):
+        for _ in range(1000):
             m, config, pa = random_shape_case(rng)
             shape = extract_shape(config)
             result = k_inductive(shape, pa, m)
             value, _ = ref_k_inductive(shape, pa, m, finer_lower_log_k)
             assert result.value >= value
             estimated += result.estimated
-        assert estimated >= 100
+            if estimated == 100:
+                break
+        assert estimated == 100

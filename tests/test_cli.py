@@ -43,6 +43,11 @@ def worked_file(tmp_path):
     return str(path)
 
 
+def read_json(path: str) -> dict:
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
 def run_cli(capsys, *argv) -> tuple[int, dict]:
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -86,6 +91,13 @@ class TestSubcommands:
         assert code == 0
         assert payload["case"] == "iii" and payload["value"] == 0.5
 
+    def test_kconst_equal_exponents_case_v(self, capsys):
+        code, payload = run_cli(capsys, "kconst", "--a", "1", "1", "0")
+        assert code == 0
+        assert payload["case"] == "v" and payload["exact"] is True and payload["s"] == 2.0
+        assert payload["value"] == pytest.approx(2.0 / 3.0, rel=1e-15)
+        assert "lower" not in payload and "upper" not in payload
+
     def test_kconst_bracket_and_numeric(self, capsys):
         code, payload = run_cli(capsys, "kconst", "--a", "3", "0", "--numeric")
         assert code == 0
@@ -104,7 +116,7 @@ class TestSubcommands:
         code, payload = run_cli(capsys, "bound", worked_file, "--regime", "explicit=1e-9")
         assert code == 0  # bound only reports
         # an explicit constant far too small must fail verification
-        inst = json.load(open(worked_file))
+        inst = read_json(worked_file)
         inst["regime"] = "explicit"
         inst["K"] = 1e-9
         import tempfile, os
@@ -450,7 +462,7 @@ class TestCliContract:
     def test_explicit_constant_not_finite_positive_file_exit_two(
         self, capsys, worked_file, tmp_path, fields
     ):
-        doc = {**json.load(open(worked_file)), **fields}
+        doc = {**read_json(worked_file), **fields}
         bad = tmp_path / "explicit.json"
         bad.write_text(json.dumps(doc))  # NaN and Infinity, which json reads back
         for command in ("verify", "bound"):
@@ -509,13 +521,15 @@ class TestCliContract:
 
     @pytest.mark.parametrize("command", ["verify", "bound"])
     def test_inductive_arity_past_float_factorials(self, capsys, tmp_path, command):
-        doc = {"m": 171, "k": 1, "base": "", "config": [[1], [2]], "p": [1.0],
-               "regime": "inductive"}
+        # a pair beside a lone particle: the root takes the bracket's upper end
+        # 170!, read in logs, and the pair's node the exact 171!/171**2
+        doc = {"m": 171, "k": 2, "base": "", "config": [[1, 1], [1, 2], [2, 1]],
+               "p": [2.0, 2.0], "regime": "inductive"}
         path = tmp_path / "wide.json"
         path.write_text(json.dumps(doc))
         code, payload = run_cli(capsys, command, str(path))
         assert code == 0
-        assert payload["K"] == pytest.approx(170.0, rel=1e-12)
+        assert payload["K"] == pytest.approx(170.0 * 170.0 / 171.0, rel=1e-12)
         assert payload["flags"] == ["bracket-upper-K"]
 
     @pytest.mark.parametrize(
@@ -539,7 +553,7 @@ class TestCliContract:
 
     def test_bound_explicit_regime_reads_the_file_constant(self, capsys, worked_file, tmp_path):
         for file_regime in ("explicit", "general"):  # K is kept beside any regime
-            doc = {**json.load(open(worked_file)), "regime": file_regime, "K": 0.5}
+            doc = {**read_json(worked_file), "regime": file_regime, "K": 0.5}
             path = tmp_path / "with_k.json"
             path.write_text(json.dumps(doc))
             code, payload = run_cli(capsys, "bound", str(path), "--regime", "explicit")
@@ -563,7 +577,7 @@ class TestCliContract:
     def test_side_beyond_float_range_exit_two(
         self, capsys, worked_file, tmp_path, command, field, keys
     ):
-        doc = json.load(open(worked_file))
+        doc = read_json(worked_file)
         doc[field] = {key: 1e300 for key in keys}
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(doc))
@@ -585,7 +599,7 @@ class TestCliContract:
         assert "the orbit energy exceeds the float range" in captured.err
 
     def test_infinite_ratio_written_as_null(self, capsys, worked_file, tmp_path):
-        doc = json.load(open(worked_file))
+        doc = read_json(worked_file)
         doc["f"] = {v.to_text(): 1e-3 for v in worked_example_configuration().tree.vertices()}
         doc["regime"] = "explicit=5e-324"
         path = tmp_path / "tiny.json"

@@ -114,6 +114,23 @@ class TestInstanceJson:
                 explicit_k=k,
             )
 
+    @pytest.mark.parametrize(
+        "k, message",
+        [("0.5", "expected a number"), (True, "expected a number"), (10**400, "too large")],
+        ids=["string", "boolean", "beyond-float-range"],
+    )
+    def test_constant_read_by_the_file_number_rule(self, worked_config, k, message):
+        tree = worked_config.tree
+        with pytest.raises(ConfigurationError, match=message):
+            Instance(
+                worked_config,
+                WeightAssignment.constant(tree),
+                LevelFunction.constant(tree),
+                ExponentAssignment((3.0, 3.0, 3.0)),
+                regime="explicit",
+                explicit_k=k,
+            )
+
     def test_explicit_regime_needs_a_constant(self, worked_config):
         tree = worked_config.tree
         with pytest.raises(ConfigurationError, match="explicit regime needs 'K'"):
@@ -283,21 +300,23 @@ class TestCheckInequality:
         assert report.k_constant == pytest.approx(0.125, rel=1e-9)
 
     def test_inductive_regime_flags_estimated(self):
-        tree = TreeParams(3, 1)
+        # a pair beside a lone particle: the root's subtree branch puts it in case ii
+        tree = TreeParams(3, 2)
         inst = Instance(
-            config=Configuration(tree, ROOT, (vx(1), vx(2))),
+            config=Configuration(tree, ROOT, (vx(1, 1), vx(1, 2), vx(2, 1))),
             weights=WeightAssignment.constant(tree),
             f=LevelFunction.constant(tree),
-            exponents=ExponentAssignment((1.0,)),
+            exponents=ExponentAssignment((2.0, 2.0)),
             regime="inductive",
         )
         report = check_inequality(inst)
-        assert "estimated-K" in report.flags
-        assert report.passed  # estimate equals the sharp constant here
+        assert report.flags == ("estimated-K",)
+        assert report.passed
 
     def test_inductive_regime_wide_star_beyond_estimator(self):
+        # a degree-4 root whose first branch is a pair: no closed form at the root
         tree = TreeParams(7, 2)
-        particles = tuple(vx(c, c) for c in range(1, 6))
+        particles = (vx(1, 1), vx(1, 2), vx(2, 2), vx(3, 3), vx(4, 4))
         rng = np.random.default_rng(3)
         inst = Instance(
             config=Configuration(tree, ROOT, particles),

@@ -422,7 +422,7 @@ class TestMuirheadClosedForm:
 
 
 def case_v_specs(m, count, seed):
-    """Random ``(c^d, 0^(m-d))`` with ``1 <= d < m``, ``c`` in (0, 1] and ``c*d > 1``."""
+    """Random ``(c^d, 0^(m-d))`` with ``d < m``, ``c`` in (0, 1] and ``c*d > 1``, so ``d >= 2``."""
     rng = random.Random(seed)
     specs = []
     while len(specs) < count:

@@ -51,7 +51,7 @@ from .orbits import (
     injective_sum,
     shape_join_levels,
 )
-from .tree import ConfigurationError, LevelFunction, TreeParams, Vertex
+from .tree import ConfigurationError, LevelFunction, TreeParams, Vertex, _float_value
 
 CONJUGACY_RTOL = 1e-12
 HALF_TOL = 1e-12
@@ -62,15 +62,17 @@ class ExponentAssignment:
     """Exponents bound to slots in canonical order, plus the coexponent 1/alpha.
 
     A coexponent of 0 encodes alpha = infinity (the plain, non-recursive
-    statement); no infinities ever enter the arithmetic.
+    statement); no infinities ever enter the arithmetic.  Values are read by
+    the rule of map values (``tree._is_number_type``) and held as floats.
     """
 
     exponents: tuple[float, ...]
     coexponent: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "exponents", tuple(float(p) for p in self.exponents))
-        co = float(self.coexponent)
+        exponents = tuple(_float_value(p, "an exponent") for p in self.exponents)
+        object.__setattr__(self, "exponents", exponents)
+        co = _float_value(self.coexponent, "the coexponent")
         if not 0.0 <= co <= 1.0:
             raise ConfigurationError(f"coexponent must lie in [0, 1], got {co!r}")
         object.__setattr__(self, "coexponent", co)
@@ -315,7 +317,7 @@ class MuirheadSpec:
     a: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        a = tuple(float(x) for x in self.a)
+        a = tuple(_float_value(x, "an exponent") for x in self.a)
         if not a:
             raise ConfigurationError("exponent vector must be nonempty")
         if any(not x >= 0.0 for x in a):

@@ -8,11 +8,17 @@ recursive record of the gaps between successive join points, the branching
 at each join point, and the partition of particle indices across branches.
 
 Shapes are kept in a canonical form (branches sorted by a fixed total
-order), so orbit equality is shape equality, orbit size is a product over
-the shape, and orbit members can be enumerated or counted independently of
-each other.  The enumeration path deliberately works by filtering ordered
-tuples on shape equality; it is the brute-force oracle against which the
-counting formula and the factorized energy recursion are judged.
+order), so orbit equality is shape equality and orbit size is a product over
+the shape.  The brute-force oracles, :func:`equivalent` and
+:func:`orbit_enumerate`, deliberately read no shape, so the counting formula
+and the factorized energy recursion are judged against an independent
+route.  They decide membership by pairwise join levels alone: two tuples
+lie in one orbit exactly when every pair of them joins at the same level.
+Automorphisms keep join levels.  Conversely, equal levels extend to an
+automorphism child by child from the base down: at each vertex, the pairs
+that join below it split the indices into the same blocks in both tuples,
+so one permutation of its children carries one tuple's blocks onto the
+other's, and the argument recurses.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ from .tree import (
     TreeParams,
     Vertex,
     Word,
-    common_join,
     join,
     join_multiset,
 )
@@ -261,7 +266,8 @@ def shape_join_levels(shape: JoinShape, base_level: int) -> list[int]:
 
 
 def equivalent(a: Configuration, b: Configuration) -> bool:
-    """Position-wise orbit equivalence, by recursive index-set-respecting matching.
+    """Position-wise orbit equivalence: every pair of particles joins at the
+    same level in both tuples, which is exact (see the module docstring).
 
     Independent of :func:`extract_shape`: the two routes are cross-checked
     in the test suite rather than one delegating to the other.
@@ -272,32 +278,8 @@ def equivalent(a: Configuration, b: Configuration) -> bool:
         raise ConfigurationError("configurations have different bases")
     if a.n != b.n:
         raise ConfigurationError("configurations have different particle counts")
-    return _match(list(enumerate(a.particles)), list(enumerate(b.particles)))
-
-
-def _match(
-    items_a: list[tuple[int, Vertex]], items_b: list[tuple[int, Vertex]]
-) -> bool:
-    if len(items_a) == 1:
-        return True  # single leaves at equal depth are always exchangeable
-    wa = common_join([v for _, v in items_a])
-    wb = common_join([v for _, v in items_b])
-    if wa.level != wb.level:
-        return False
-    parts_a = _parts_by_indices(items_a, wa.level)
-    parts_b = _parts_by_indices(items_b, wb.level)
-    if set(parts_a) != set(parts_b):
-        return False
-    return all(_match(parts_a[key], parts_b[key]) for key in parts_a)
-
-
-def _parts_by_indices(
-    items: list[tuple[int, Vertex]], level: int
-) -> dict[frozenset[int], list[tuple[int, Vertex]]]:
-    groups: dict[int, list[tuple[int, Vertex]]] = {}
-    for index, v in items:
-        groups.setdefault(v.word[level], []).append((index, v))
-    return {frozenset(i for i, _ in part): part for part in groups.values()}
+    pairs = zip(itertools.combinations(a.particles, 2), itertools.combinations(b.particles, 2))
+    return all(join(*pa).level == join(*pb).level for pa, pb in pairs)
 
 
 def shape_orbit_size(shape: JoinShape, arity: int) -> int:
@@ -382,11 +364,11 @@ def orbit_size(config: Configuration) -> int:
 def orbit_enumerate(config: Configuration) -> Iterator[Configuration]:
     """Yield every ordered tuple in the orbit exactly once.
 
-    Works by scanning ordered tuples of distinct leaves below the base and
-    keeping those with the same canonical shape.  Refuses up front when
-    either the orbit size estimate or the count of all ordered tuples
-    exceeds ``DEFAULT_ENUMERATION_GUARD`` (10**7), before any leaf is
-    listed, since a filter scan must not silently hang.
+    Works by scanning ordered tuples of leaves below the base and keeping
+    those whose pairs join at the levels of ``config``'s.  Refuses up
+    front when either the orbit size estimate or the count of all ordered
+    tuples exceeds ``DEFAULT_ENUMERATION_GUARD`` (10**7), before any leaf
+    is listed, since a filter scan must not silently hang.
     """
     guard = DEFAULT_ENUMERATION_GUARD
     estimate = orbit_size(config)
@@ -408,14 +390,15 @@ def orbit_enumerate(config: Configuration) -> Iterator[Configuration]:
 
 
 def _filtered_orbit(config: Configuration, pool: list[Vertex]) -> Iterator[Configuration]:
-    """Tuples of ``pool`` in ``itertools.permutations`` order, filtered on shape.
+    """Tuples of ``pool`` in ``itertools.permutations`` order whose every pair
+    joins at the level of the same pair of ``config``: exactly its orbit.
 
     Tuples grow depth-first in pool order, and a prefix is dropped as soon
-    as one of its pairs joins at another level than the same pair of
-    ``config``: automorphisms preserve pairwise join levels, so no member
-    of the orbit extends such a prefix.
+    as one of its pairs joins at another level; the pair test is exact (see
+    the module docstring), so every completed tuple is a member.  A repeated
+    leaf joins itself at the leaf level, below every pair of distinct
+    particles, so the test refuses it too.
     """
-    target = config.shape
     levels = [[join(a, b).level for b in config.particles] for a in config.particles]
     m, depth = config.tree.arity, config.tree.depth
 
@@ -437,28 +420,19 @@ def _filtered_orbit(config: Configuration, pool: list[Vertex]) -> Iterator[Confi
         return itertools.chain(range(block, inner), range(inner + width // m, block + width))
 
     chosen: list[int] = []
-    free = [True] * len(pool)
 
     def extend() -> Iterator[Configuration]:
         i = len(chosen)
         if i == config.n:
-            candidate = Configuration(
-                config.tree, config.base, tuple(pool[j] for j in chosen)
-            )
-            if extract_shape(candidate) == target:
-                yield candidate
+            yield Configuration(config.tree, config.base, tuple(pool[j] for j in chosen))
             return
         for j in candidates(i):
-            if not free[j]:
-                continue
             for h, c in enumerate(chosen):
                 if join_level(c, j) != levels[h][i]:
                     break
             else:
-                free[j] = False
                 chosen.append(j)
                 yield from extend()
                 chosen.pop()
-                free[j] = True
 
     return extend()

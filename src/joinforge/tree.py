@@ -146,9 +146,9 @@ class TreeParams:
     depth: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.arity, int) and self.arity >= 2):
+        if not (_is_int(self.arity) and self.arity >= 2):
             raise ConfigurationError(f"arity must be an integer >= 2, got {self.arity!r}")
-        if not (isinstance(self.depth, int) and self.depth >= 1):
+        if not (_is_int(self.depth) and self.depth >= 1):
             raise ConfigurationError(f"depth must be an integer >= 1, got {self.depth!r}")
 
     @property
@@ -200,11 +200,12 @@ class TreeParams:
 
         The rank reads the word's symbols minus one as a base-``m`` number,
         so each level's vertices are numbered from 0 in lexicographic order.
+        A symbol must be a Python or numpy integer, never a float or a bool.
         """
         m = self.arity
         rank = 0
         for s in word:
-            if not 1 <= s <= m:
+            if type(s) is not int and not isinstance(s, np.integer) or not 1 <= s <= m:
                 break
             rank = rank * m + s - 1
         else:
@@ -370,6 +371,24 @@ def _is_number_type(t: type) -> bool:
     return t in (int, float) or issubclass(t, (np.integer, np.floating))
 
 
+def _float_value(value: Any, what: str) -> float:
+    """One value read by the rule of map values (see ``_is_number_type``) as
+    a float; a value beyond the float range is refused, never made infinite."""
+    if type(value) is float:
+        return value
+    if not _is_number_type(type(value)):
+        raise ConfigurationError(f"{what} must be a JSON number, got {value!r}")
+    try:
+        return _float_array([value]).item()
+    except (OverflowError, FloatingPointError):
+        raise ConfigurationError(f"{what} is too large for a float") from None
+
+
+def _is_int(value: Any) -> bool:
+    """A Python ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _first_bad_entry(
     tree: TreeParams, first_level: int, keys: list[Any], values: list[Any]
 ) -> ConfigurationError:
@@ -380,13 +399,9 @@ def _first_bad_entry(
             tree.rank(word)
             if len(word) < first_level:
                 raise ConfigurationError(f"unexpected word {key!r} above level {first_level}")
-            if not _is_number_type(type(value)):
-                raise ConfigurationError(f"value at {key!r} must be a JSON number, got {value!r}")
-            _float_array([value])
+            _float_value(value, f"value at {key!r}")
         except ConfigurationError as exc:
             return exc
-        except (OverflowError, FloatingPointError):
-            return ConfigurationError(f"value at {key!r} is too large for a float")
     return ConfigurationError(f"entries from {keys[0]!r} to {keys[-1]!r} could not be read")
 
 

@@ -51,6 +51,7 @@ from .tree import (
     TreeParams,
     Vertex,
     WeightAssignment,
+    _is_int,
     keyed_levels,
     keyed_map,
     level_arrays,
@@ -187,7 +188,7 @@ def _vertex_field(raw: Any, where: str) -> Vertex:
 
 def _integer(value: Any) -> int:
     """A JSON integer; a fraction or a boolean is refused, never truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise TypeError(f"expected an integer, got {value!r}")
     return value
 
@@ -524,12 +525,12 @@ class InstanceRanges:
     regime: str = "general"
 
     def __post_init__(self) -> None:
-        if not self.arities or any(m < 2 for m in self.arities):
+        if not self.arities or not all(_is_int(m) and m >= 2 for m in self.arities):
             raise ConfigurationError("arities must be integers >= 2")
-        if self.max_depth < 1:
-            raise ConfigurationError("max_depth must be >= 1")
-        if self.max_particles < 2:
-            raise ConfigurationError("max_particles must be >= 2")
+        if not (_is_int(self.max_depth) and self.max_depth >= 1):
+            raise ConfigurationError("max_depth must be an integer >= 1")
+        if not (_is_int(self.max_particles) and self.max_particles >= 2):
+            raise ConfigurationError("max_particles must be an integer >= 2")
         if self.regime not in ("general", "binary_optimal", "inductive"):
             raise ConfigurationError(
                 f"campaigns sample general, binary_optimal or inductive instances, "
@@ -640,9 +641,9 @@ def _binary_optimal_exponents(
 class CampaignSpec:
     """Seed range and settings for a verification campaign.
 
-    Seeds must be non-negative and ``jobs`` must lie between 1 and the CPU
-    count; both are refused when the spec is made, before any file is
-    opened for it or any worker process starts.
+    Seeds and the seed count must be non-negative, and ``jobs`` must lie
+    between 1 and the CPU count; all are refused when the spec is made,
+    before any file is opened for it or any worker process starts.
     """
 
     seed_start: int = 0
@@ -653,6 +654,8 @@ class CampaignSpec:
     def __post_init__(self) -> None:
         if self.seed_start < 0:
             raise ConfigurationError(f"seeds must be non-negative, got {self.seed_start}")
+        if self.seed_count < 0:
+            raise ConfigurationError(f"seed count must be non-negative, got {self.seed_count}")
         cpus = os.cpu_count() or 1
         if not 1 <= self.jobs <= cpus:
             raise ConfigurationError(f"jobs must lie in 1..{cpus}, got {self.jobs}")

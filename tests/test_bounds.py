@@ -6,6 +6,7 @@ import functools
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -169,6 +170,37 @@ class TestValidateExponents:
     def test_coexponent_range(self):
         with pytest.raises(ConfigurationError):
             ExponentAssignment((2.0, 2.0), coexponent=1.5)
+
+    @pytest.mark.parametrize(
+        "exponents, coexponent, message",
+        [
+            (("3", True, 1.5), 0.0, "an exponent must be a JSON number, got '3'"),
+            ((2.0, True), 0.0, "an exponent must be a JSON number, got True"),
+            ((2.0, np.bool_(True)), 0.0, "an exponent must be a JSON number"),
+            ((2.0,), "0.5", "the coexponent must be a JSON number, got '0.5'"),
+            ((10**400,), 0.0, "an exponent is too large for a float"),
+            ((2.0,), 10**400, "the coexponent is too large for a float"),
+        ],
+        ids=["string", "bool", "numpy-bool", "string-coexponent", "huge-int", "huge-coexponent"],
+    )
+    def test_values_read_by_the_map_value_rule(self, exponents, coexponent, message):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}"):
+            ExponentAssignment(exponents, coexponent=coexponent)
+
+    def test_integers_and_numpy_scalars_are_numbers(self):
+        pa = ExponentAssignment((3, np.int64(2), np.float32(1.5), np.float64(6.0)), np.float64(0.5))
+        assert pa.exponents == (3.0, 2.0, 1.5, 6.0) and pa.coexponent == 0.5
+        assert all(type(p) is float for p in pa.exponents + (pa.coexponent,))
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).max <= np.finfo(np.float64).max,
+        reason="longdouble is no wider than float64 here",
+    )
+    def test_wider_float_beyond_the_float_range_refused(self):
+        with pytest.raises(ConfigurationError, match="an exponent is too large for a float"):
+            ExponentAssignment((np.longdouble("1e4000"),))
+        with pytest.raises(ConfigurationError, match="an exponent is too large for a float"):
+            MuirheadSpec((np.longdouble("1e4000"), 0.0))
 
 
 class TestLevelPowerSum:
@@ -419,6 +451,20 @@ class TestMuirheadClosedForm:
     def test_spec_refuses_non_finite(self, a):
         with pytest.raises(ConfigurationError, match="must be finite"):
             MuirheadSpec(a)
+
+    @pytest.mark.parametrize(
+        "a, message",
+        [
+            (("1", True), "an exponent must be a JSON number, got '1'"),
+            ((1.0, True), "an exponent must be a JSON number, got True"),
+            ((1.0, 10**400), "an exponent is too large for a float"),
+        ],
+        ids=["string", "bool", "huge-int"],
+    )
+    def test_spec_reads_the_map_value_rule(self, a, message):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}"):
+            MuirheadSpec(a)
+        assert MuirheadSpec((1, np.int64(1), np.float32(0.5))).a == (1.0, 1.0, 0.5)
 
 
 def case_v_specs(m, count, seed):

@@ -2,7 +2,7 @@
 
 The heavy assertions here compare three independent routes:
 
-* ``equivalent`` (recursive index-set matching),
+* ``equivalent`` (equal join levels for every pair of particles),
 * canonical shape equality,
 * reachability under explicitly enumerated automorphisms (conftest oracle).
 
@@ -227,6 +227,44 @@ class TestEquivalent:
             assert equivalent(a, a)
             assert equivalent(a, b) and equivalent(b, a)
             assert equivalent(a, b) and equivalent(b, c) and equivalent(a, c)
+
+
+def leaf_permutations(tree: TreeParams) -> list[dict[Vertex, Vertex]]:
+    """Every automorphism of the tree as a table of its leaves' images."""
+    leaves = list(tree.leaves())
+    return [{leaf: mapping(leaf) for leaf in leaves} for mapping in all_automorphisms(tree)]
+
+
+class TestPairwiseJoinLevels:
+    """Both oracles' membership test, every pair joining at the same level,
+    against the automorphisms themselves."""
+
+    # at n = 3 on the ternary tree a third leaf can join both earlier ones at
+    # the root, where a test of the first pair alone would let it repeat one
+    @pytest.mark.parametrize(
+        "arity, depth, max_n", [(2, 3, 4), (3, 2, 3)], ids=["binary3", "ternary2"]
+    )
+    def test_enumeration_yields_each_image_once(self, arity, depth, max_n):
+        tree = TreeParams(arity, depth)
+        tables = leaf_permutations(tree)
+        for n in range(1, max_n + 1):
+            for leaves in itertools.combinations(tree.leaves(), n):
+                images = {tuple(table[p] for p in leaves) for table in tables}
+                members = [m.particles for m in orbit_enumerate(Configuration(tree, ROOT, leaves))]
+                assert len(members) == len(images)
+                assert set(members) == images
+
+    def test_equivalent_is_reachability(self, binary3):
+        tables = leaf_permutations(binary3)
+        for n in (2, 3):
+            configs = [
+                Configuration(binary3, ROOT, t)
+                for t in itertools.permutations(binary3.leaves(), n)
+            ]
+            for a in configs:
+                images = {tuple(table[p] for p in a.particles) for table in tables}
+                for b in configs:
+                    assert equivalent(a, b) == (b.particles in images)
 
 
 class TestOrbitSize:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from joinforge import (
+    Configuration,
     ConfigurationError,
     LevelFunction,
     ROOT,
@@ -62,6 +63,10 @@ class TestTreeParams:
             TreeParams(1, 3)
         with pytest.raises(ConfigurationError):
             TreeParams(2, 0)
+        with pytest.raises(ConfigurationError, match="depth must be an integer"):
+            TreeParams(2, True)
+        with pytest.raises(ConfigurationError, match="arity must be an integer"):
+            TreeParams(2.0, 2)
 
     def test_descendants(self):
         tree = TreeParams(2, 3)
@@ -89,6 +94,23 @@ class TestTreeParams:
         for word in [(3,), (0, 1), (1, 1, 1, 1)]:
             with pytest.raises(ConfigurationError):
                 binary3.rank(word)
+
+    @pytest.mark.parametrize(
+        "word", [(1.5, 2), (1.0, 2.0), (True, 2), (np.bool_(True), 2), ("1", 2)],
+        ids=["fraction", "integral-float", "bool", "numpy-bool", "string"],
+    )
+    def test_rank_refuses_symbols_that_are_not_integers(self, word):
+        tree = TreeParams(2, 2)
+        with pytest.raises(ConfigurationError, match="has no such vertex"):
+            tree.rank(word)
+        with pytest.raises(ConfigurationError):
+            Configuration(tree, ROOT, (Vertex(word), vx(2, 1)))
+        with pytest.raises(KeyError):  # as for any vertex outside the tree
+            WeightAssignment.constant(tree).weight(Vertex(word))
+
+    def test_rank_takes_numpy_integer_symbols(self):
+        tree = TreeParams(2, 2)
+        assert tree.rank((np.int64(2), np.uint8(1))) == tree.rank((2, 1)) == 2
 
 
 class TestJoin:

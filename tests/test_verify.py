@@ -471,6 +471,21 @@ class TestRandomInstance:
         with pytest.raises(ConfigurationError):
             InstanceRanges(max_particles=1)
 
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"arities": (2.7,)}, "arities must be integers >= 2"),
+            ({"arities": (2, 3.0)}, "arities must be integers >= 2"),
+            ({"max_depth": 2.5}, "max_depth must be an integer >= 1"),
+            ({"max_depth": True}, "max_depth must be an integer >= 1"),
+            ({"max_particles": 4.0}, "max_particles must be an integer >= 2"),
+        ],
+        ids=["fractional-arity", "float-arity", "fractional-depth", "bool-depth", "float-particles"],
+    )
+    def test_ranges_are_integers(self, settings, message):
+        with pytest.raises(ConfigurationError, match=message):
+            InstanceRanges(**settings)
+
 
 class TestReportJson:
     def test_nan_round_trip_as_null(self):
@@ -499,10 +514,11 @@ class TestFuzzCampaign:
         "settings, message",
         [
             ({"seed_start": -3}, "non-negative"),
+            ({"seed_count": -3}, "seed count must be non-negative, got -3"),
             ({"jobs": 0}, "jobs"),
             ({"jobs": (os.cpu_count() or 1) + 1}, "jobs"),
         ],
-        ids=["negative-seed", "zero-jobs", "jobs-above-cpu-count"],
+        ids=["negative-seed", "negative-count", "zero-jobs", "jobs-above-cpu-count"],
     )
     def test_out_of_range_refused_before_any_pool(self, monkeypatch, settings, message):
         def no_pool(*args, **kwargs):
@@ -510,7 +526,12 @@ class TestFuzzCampaign:
 
         monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", no_pool)
         with pytest.raises(ConfigurationError, match=message):
-            fuzz_campaign(CampaignSpec(seed_count=5, **settings))
+            fuzz_campaign(CampaignSpec(**{"seed_count": 5, **settings}))
+
+    def test_empty_campaign_allowed(self):
+        # `fuzz --seeds 5..5` asks for no seeds; only a negative count is refused
+        summary = fuzz_campaign(CampaignSpec(seed_start=5, seed_count=0))
+        assert summary.count == 0 and summary.passed
 
     def test_csv_output(self, tmp_path):
         summary = fuzz_campaign(CampaignSpec(seed_start=0, seed_count=5))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -21,6 +22,7 @@ from joinforge import (
     orbit_energy_factorized,
     orbit_size,
 )
+from joinforge.orbits import DEFAULT_ENUMERATION_GUARD
 
 from conftest import per_vertex, unit_data, vx
 
@@ -187,6 +189,8 @@ def small_instances(draw):
     particles = draw(st.lists(st.sampled_from(below), min_size=n, max_size=n, unique=True))
     config = Configuration(tree, base, tuple(particles))
     assume(orbit_size(config) <= 3000)  # keeps the brute-force sum short
+    # orbit_enumerate refuses a scan of more ordered tuples than its guard
+    assume(math.perm(len(below), n) <= DEFAULT_ENUMERATION_GUARD)
     weight = st.one_of(st.just(0.0), st.floats(0.01, 100.0))
     leaf_array = np.array(draw(st.lists(weight, min_size=m**tree.depth, max_size=m**tree.depth)))
     levels = [

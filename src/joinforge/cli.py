@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import sys
 from dataclasses import replace
@@ -47,6 +48,9 @@ from .verify import (
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+
+# `orbit enumerate` encodes and writes its rows this many at a time
+_ROWS_PER_WRITE = 1024
 
 
 def _emit(payload, note: str | None = None) -> None:
@@ -132,11 +136,17 @@ def _cmd_orbit(args) -> int:
     if args.action == "size":
         _emit({"size": shape_orbit_size(inst.shape, inst.tree.arity)})
         return EXIT_OK
-    members = [
-        [p.to_text() for p in member.particles]
-        for member in orbit_enumerate(inst.config)
-    ]
-    _emit({"count": len(members), "tuples": members})
+    # orbit_enumerate runs here, so a guard refusal comes before any output
+    rows = ([p.to_text() for p in member.particles] for member in orbit_enumerate(inst.config))
+    # the rows stream out a block at a time, in the bytes `_emit` would give
+    # the whole document, so memory stays flat in the orbit size
+    out = sys.stdout
+    out.write(f'{{"count": {shape_orbit_size(inst.shape, inst.tree.arity)}, "tuples": [')
+    separator = ""
+    while block := list(itertools.islice(rows, _ROWS_PER_WRITE)):
+        out.write(separator + json.dumps(block)[1:-1])  # the rows without the list's brackets
+        separator = ", "
+    out.write("]}\n")
     return EXIT_OK
 
 

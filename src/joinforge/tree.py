@@ -274,17 +274,33 @@ def join_multiset(particles: Sequence[Vertex]) -> dict[Vertex, int]:
     return mult
 
 
+def check_tree_size(tree: TreeParams) -> None:
+    """Refuse a tree of more than ``MAX_TREE_VERTICES`` vertices.
+
+    A tree with at least ``2**1000`` leaves is refused by that bound, not by
+    its vertex count, which may take long to compute and be too long to
+    print.
+    """
+    m, k = tree.arity, tree.depth
+    bound = k * (m.bit_length() - 1)  # m**k >= 2**bound
+    if bound >= 1000:
+        size = f"at least 2**{bound}"
+    elif tree.vertex_count > MAX_TREE_VERTICES:
+        size = str(tree.vertex_count)
+    else:
+        return
+    raise ConfigurationError(
+        f"a tree with m={m}, k={k} has {size} vertices, over the limit of {MAX_TREE_VERTICES}"
+    )
+
+
 def level_arrays(tree: TreeParams, first_level: int, fill: float) -> list[np.ndarray]:
     """Fresh float64 arrays for levels ``first_level..depth``, filled with ``fill``.
 
     Every per-vertex array is allocated here, so this is where a tree too
     large to hold is refused, before anything is allocated.
     """
-    if tree.vertex_count > MAX_TREE_VERTICES:
-        raise ConfigurationError(
-            f"a tree with m={tree.arity}, k={tree.depth} has {tree.vertex_count} "
-            f"vertices, over the limit of {MAX_TREE_VERTICES}"
-        )
+    check_tree_size(tree)
     return [
         np.full(tree.arity**level, fill, dtype=np.float64)
         for level in range(first_level, tree.depth + 1)

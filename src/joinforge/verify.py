@@ -15,13 +15,10 @@ must never find a violation.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
-import statistics
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Any, TextIO
 
@@ -51,7 +48,9 @@ from .tree import (
     TreeParams,
     Vertex,
     WeightAssignment,
+    _float_value,
     _is_int,
+    check_tree_size,
     keyed_levels,
     keyed_map,
     level_arrays,
@@ -69,9 +68,9 @@ FLAG_SKIPPED = "skipped-condition-not-met"
 class Instance:
     """A full bound-checking problem: configuration, data, exponents, regime.
 
-    A given ``explicit_k`` is read by the instance file's number rule (a
-    string or a boolean is refused) and must be finite and > 0 under every
-    regime.
+    A given ``explicit_k`` is read by the rule of map values
+    (``tree._float_value``: a string or a boolean is refused) and must be
+    finite and > 0 under every regime.
     """
 
     config: Configuration
@@ -88,10 +87,7 @@ class Instance:
                 f"regime must be one of {REGIMES}, got {self.regime!r}"
             )
         if self.explicit_k is not None:
-            try:
-                k = _number(self.explicit_k)
-            except (TypeError, OverflowError) as exc:
-                raise ConfigurationError(f"explicit constant: {exc}") from exc
+            k = _float_value(self.explicit_k, "the explicit constant")
             object.__setattr__(self, "explicit_k", _checked_constant(k, "explicit"))
         elif self.regime == "explicit":
             raise ConfigurationError("explicit regime needs 'K' or 'explicit=VALUE'")
@@ -143,11 +139,13 @@ class Instance:
         (mu,) = _vertex_values(data.get("mu", {}), "mu", tree, tree.depth)
         weights = WeightAssignment(tree, mu)
         f = LevelFunction(tree, _vertex_values(data.get("f", {}), "f", tree, 0))
-        p_list = _field(data, "p", lambda raw: [_number(x) for x in raw])
+        p_list = _field(data, "p", lambda raw: [_float_value(x, "an exponent") for x in raw])
         slot_map = data.get("slot_assignment")
         exponents = _apply_slot_assignment(p_list, slot_map)
-        coexponent = _optional_field(data, "coexponent", _number, 0.0)
-        k_field = _optional_field(data, "K", _number)
+        coexponent = _optional_field(
+            data, "coexponent", lambda raw: _float_value(raw, "the coexponent"), 0.0
+        )
+        k_field = _optional_field(data, "K", lambda raw: _float_value(raw, "the constant"))
         regime, explicit_k = parse_regime(data.get("regime", "general"), k_field)
         inst = cls(
             config=config,
@@ -191,13 +189,6 @@ def _integer(value: Any) -> int:
     if not _is_int(value):
         raise TypeError(f"expected an integer, got {value!r}")
     return value
-
-
-def _number(value: Any) -> float:
-    """A JSON number as a float; a string or a boolean is refused, never parsed."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
 
 
 def _vertex_values(
@@ -517,7 +508,11 @@ F_LOW, F_HIGH = 1e-3, 1e3
 
 @dataclass(frozen=True)
 class InstanceRanges:
-    """Sampling ranges for seeded random instances."""
+    """Sampling ranges for seeded random instances.
+
+    Ranges whose largest tree (the largest arity at ``max_depth``) could not
+    be held are refused here, before any seed draws one.
+    """
 
     arities: tuple[int, ...] = (2, 3)
     max_depth: int = 4
@@ -538,6 +533,7 @@ class InstanceRanges:
             )
         if self.regime == "binary_optimal" and set(self.arities) != {2}:
             raise ConfigurationError("the binary-optimal regime samples binary trees only")
+        check_tree_size(TreeParams(max(self.arities), self.max_depth))
 
 
 def random_instance(seed: int, ranges: InstanceRanges = InstanceRanges()) -> Instance:
@@ -707,6 +703,8 @@ class CampaignSummary:
 
     def write_ratio_csv(self, handle: TextIO) -> None:
         """Write ``seed,ratio`` rows to a handle from :func:`open_ratio_csv`, and close it."""
+        import csv
+
         try:
             with handle:
                 writer = csv.writer(handle)
@@ -746,9 +744,15 @@ def _evaluate_seed(args: tuple[int, InstanceRanges]) -> tuple[SeedResult, dict |
 
 def fuzz_campaign(spec: CampaignSpec) -> CampaignSummary:
     """Run the campaign over the seed range; workers share nothing."""
+    # Campaigns alone use statistics, csv and process pools; each loads
+    # where it is used, so other commands start without them.
+    import statistics
+
     seeds = range(spec.seed_start, spec.seed_start + spec.seed_count)
     tasks = [(seed, spec.ranges) for seed in seeds]
     if spec.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
             outcomes = list(pool.map(_evaluate_seed, tasks, chunksize=64))
     else:

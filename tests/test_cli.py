@@ -5,11 +5,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -18,13 +21,18 @@ from joinforge import (
     Instance,
     LevelFunction,
     WeightAssignment,
+    load_instance,
+    orbit_enumerate,
     random_instance,
     worked_example_configuration,
 )
 from joinforge import orbits
+import joinforge.cli as cli_mod
 import joinforge.energy as energy_mod
 import joinforge.verify as verify_mod
 from joinforge.cli import main
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture()
@@ -394,6 +402,22 @@ class TestCliContract:
         assert code == 2 and captured.out == "" and "limit" in captured.err
 
     @pytest.mark.parametrize(
+        "m, k, size",
+        [("2", "22", "has 8388607"), ("10", "10000000", "has at least 2**30000000")],
+        ids=["k22", "k-ten-million"],
+    )
+    def test_fuzz_oversized_range_refused_before_any_seed(self, capsys, monkeypatch, m, k, size):
+        # with k = 22, seeds 7, 15 and 29 draw the admitted k = 21 before seed 39 draws 22
+        def no_seed(args):
+            pytest.fail(f"seed {args[0]} was evaluated before the ranges were refused")
+
+        monkeypatch.setattr(verify_mod, "_evaluate_seed", no_seed)
+        code = main(["fuzz", "--seeds", "0..60", "--m", m, "--k", k, "--n", "3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"error: a tree with m={m}, k={k} {size} vertices, over the limit" in captured.err
+
+    @pytest.mark.parametrize(
         "field, value",
         [("m", 2.7), ("k", 2.5), ("seed", 1.9), ("seed", True), ("p", ["3", True]),
          ("p", [1.0, True]), ("p", [10**400]), ("coexponent", "0.5"), ("K", "2")],
@@ -702,6 +726,28 @@ class TestCliContract:
         assert result.returncode == 0
         assert json.loads(result.stdout) == {"size": 64}
 
+    def test_cold_import_loads_no_fuzz_only_module(self):
+        paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        result = subprocess.run(
+            [sys.executable, str(REPO / "tests" / "cold_imports.py")],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for --jobs 2")
+    def test_fuzz_jobs_two_matches_one(self, capsys, tmp_path):
+        outputs = []
+        for jobs in ("1", "2"):
+            csv_path = tmp_path / f"jobs{jobs}.csv"
+            code = main(["fuzz", "--seeds", "0..60", "--m", "2", "3", "--k", "3", "--n", "4",
+                         "--jobs", jobs, "--csv", str(csv_path)])
+            assert code == 0
+            outputs.append((capsys.readouterr().out, csv_path.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][0])["count"] == 60
+        assert outputs[0][1].count(b"\n") == 61
+
 
 class TestBruteForceScan:
     def test_pruned_scan_builds_only_the_orbit(self, capsys, tmp_path, monkeypatch):
@@ -720,3 +766,57 @@ class TestBruteForceScan:
         assert len(shapes) == 1
         _, factorized = run_cli(capsys, "verify", str(path))
         assert abs(brute["lhs"] - factorized["lhs"]) <= 1e-12 * factorized["lhs"]
+
+
+def two_leaf_file(tmp_path, k: int) -> str:
+    """Leaves 1^k and 2^k of the binary depth-k tree: an orbit of 2**(2k-1)."""
+    path = tmp_path / f"two_leaves_{k}.json"
+    path.write_text(json.dumps({"m": 2, "k": k, "config": [[1] * k, [2] * k], "p": [1.0]}))
+    return str(path)
+
+
+def whole_orbit_document(path: str) -> str:
+    """The output of `orbit enumerate` as one document built in memory."""
+    rows = [[p.to_text() for p in member.particles]
+            for member in orbit_enumerate(load_instance(path).config)]
+    return json.dumps({"count": len(rows), "tuples": rows}, sort_keys=True) + "\n"
+
+
+class TestOrbitEnumerateStream:
+    @pytest.mark.parametrize("rows_per_write", [3, cli_mod._ROWS_PER_WRITE])
+    @pytest.mark.parametrize("instance", ["WORKED", 1, 2, 4, 6])
+    def test_bytes_match_whole_document(
+        self, capsys, monkeypatch, tmp_path, worked_file, instance, rows_per_write
+    ):
+        # k = 6 has 2048 members, two blocks of the default size
+        path = worked_file if instance == "WORKED" else two_leaf_file(tmp_path, instance)
+        monkeypatch.setattr(cli_mod, "_ROWS_PER_WRITE", rows_per_write)
+        code = main(["orbit", "enumerate", path])
+        assert code == 0 and capsys.readouterr().out == whole_orbit_document(path)
+
+    def test_memory_flat_in_orbit_size(self, capsys, monkeypatch, tmp_path, worked_file):
+        class Sink:
+            """Stdout that counts what is written and keeps none of it."""
+
+            size = 0
+
+            def write(self, text):
+                self.size += len(text)
+
+        main(["orbit", "enumerate", worked_file])  # builds the cached parser untraced
+        capsys.readouterr()
+        peaks = {}
+        for k in (6, 8):  # orbits of 2048 and 32768 members
+            path = two_leaf_file(tmp_path, k)
+            expected = len(whole_orbit_document(path))
+            sink = Sink()
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                code = main(["orbit", "enumerate", path])
+                peaks[k] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                monkeypatch.undo()
+            assert code == 0 and sink.size == expected
+        assert peaks[8] <= 2 * peaks[6], peaks

@@ -361,6 +361,18 @@ class TestLevelArrays:
         with pytest.raises(ConfigurationError, match="limit"):
             LevelFunction.constant(TreeParams(10, 10))
 
+    @pytest.mark.parametrize(
+        "m, k, size",
+        [(2, 999, str(2**1000 - 1)), (2, 1000, "at least 2**1000"),
+         (10, 10**7, "at least 2**30000000"), (2**1000, 1, "at least 2**1000")],
+        ids=["exact", "bound", "deep", "wide"],
+    )
+    def test_huge_tree_refused_by_a_bound(self, m, k, size):
+        # from 2**1000 leaves on, the count is neither computed nor printed
+        with pytest.raises(ConfigurationError) as refusal:
+            level_arrays(TreeParams(m, k), k, 0.0)
+        assert f"with m={m}, k={k} has {size} vertices, over the limit" in str(refusal.value)
+
     def test_non_finite_values_are_refused(self, binary3):
         leaf_array = np.ones(8)
         leaf_array[5] = math.inf

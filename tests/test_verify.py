@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -116,8 +118,11 @@ class TestInstanceJson:
 
     @pytest.mark.parametrize(
         "k, message",
-        [("0.5", "expected a number"), (True, "expected a number"), (10**400, "too large")],
-        ids=["string", "boolean", "beyond-float-range"],
+        [("0.5", "the explicit constant must be a JSON number"),
+         (True, "the explicit constant must be a JSON number"),
+         (np.bool_(True), "the explicit constant must be a JSON number"),
+         (10**400, "the explicit constant is too large for a float")],
+        ids=["string", "boolean", "numpy-boolean", "beyond-float-range"],
     )
     def test_constant_read_by_the_file_number_rule(self, worked_config, k, message):
         tree = worked_config.tree
@@ -130,6 +135,22 @@ class TestInstanceJson:
                 regime="explicit",
                 explicit_k=k,
             )
+
+    @pytest.mark.parametrize(
+        "k, value", [(np.float32(0.5), 0.5), (np.int64(2), 2.0), (np.float64(0.25), 0.25)],
+        ids=["float32", "int64", "float64"],
+    )
+    def test_constant_takes_numpy_scalars_as_exponents_do(self, k, value):
+        inst = replace(worked_instance(), regime="explicit", explicit_k=k)
+        assert inst.explicit_k == value and type(inst.explicit_k) is float
+        assert check_inequality(inst).k_constant == value
+
+    def test_file_numbers_take_numpy_scalars(self):
+        data = {"m": 2, "k": 1, "config": [[1], [2]], "p": [np.float32(2.0)],
+                "coexponent": np.int64(1), "regime": "explicit", "K": np.float32(0.5)}
+        inst = Instance.from_json_dict(data)
+        assert inst.exponents == ExponentAssignment((2.0,), 1.0) and inst.explicit_k == 0.5
+        assert json.dumps(inst.to_json_dict())  # held as Python floats
 
     def test_explicit_regime_needs_a_constant(self, worked_config):
         tree = worked_config.tree
@@ -486,6 +507,16 @@ class TestRandomInstance:
         with pytest.raises(ConfigurationError, match=message):
             InstanceRanges(**settings)
 
+    def test_ranges_refused_by_their_largest_tree(self):
+        InstanceRanges(arities=(2,), max_depth=21)  # 4,194,303 vertices: held
+        tree = TreeParams(3, 22)
+        with pytest.raises(ConfigurationError) as from_arrays:
+            tree_mod.level_arrays(tree, tree.depth, 0.0)
+        with pytest.raises(ConfigurationError) as from_ranges:
+            InstanceRanges(arities=(2, 3), max_depth=22)
+        assert str(from_ranges.value) == str(from_arrays.value)
+        assert "m=3, k=22 has 47071589413 vertices, over the limit of" in str(from_ranges.value)
+
 
 class TestReportJson:
     def test_nan_round_trip_as_null(self):
@@ -524,7 +555,7 @@ class TestFuzzCampaign:
         def no_pool(*args, **kwargs):
             pytest.fail("a process pool was constructed")
 
-        monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         with pytest.raises(ConfigurationError, match=message):
             fuzz_campaign(CampaignSpec(**{"seed_count": 5, **settings}))
 

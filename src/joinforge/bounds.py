@@ -167,7 +167,8 @@ def level_power_sum(
 
     A sum beyond the float range is refused.
     """
-    value = _exp_or_inf(_log_level_power_sum(tree, masses, f, base, level, p))
+    (log_sum,) = _log_level_power_sums(tree, masses, f, base, level, [p])
+    value = _exp_or_inf(log_sum)
     if value == math.inf:
         raise ConfigurationError("the level power sum exceeds the float range")
     return value
@@ -181,23 +182,33 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
-def _log_level_power_sum(
+def _log_level_power_sums(
     tree: TreeParams,
     masses: Sequence[np.ndarray],
     f: LevelFunction,
     base: Vertex,
     level: int,
-    p: float,
-) -> float:
-    """log of level_power_sum, -inf when it vanishes; safe for extreme exponents."""
+    exponents: Sequence[float],
+) -> list[float]:
+    """log of level_power_sum for each exponent, -inf when the sum vanishes;
+    safe for extreme exponents.
+
+    The level is sliced and its logs are taken once, one row per exponent.
+    Each row is reduced on its own (max, then exp, then sum), so every value
+    is the float that one exponent's pass alone gives.
+    """
     ranks = tree.ranks_below(base, level)
     mass = masses[level][ranks]
-    nonzero = mass != 0.0
-    if not nonzero.any():
-        return -math.inf
-    logs = p * np.log(f.levels[level][ranks][nonzero]) + (1.0 + p) * np.log(mass[nonzero])
-    top = logs.max()
-    return float(top + np.log(np.exp(logs - top).sum()))
+    values = f.levels[level][ranks]
+    if not mass.all():
+        nonzero = mass != 0.0
+        if not nonzero.any():
+            return [-math.inf] * len(exponents)
+        mass, values = mass[nonzero], values[nonzero]
+    p = np.array(exponents)[:, None]
+    logs = p * np.log(values) + (1.0 + p) * np.log(mass)
+    top = logs.max(axis=1)
+    return (top + np.log(np.exp(logs - top[:, None]).sum(axis=1))).tolist()
 
 
 def rhs_product(
@@ -215,13 +226,23 @@ def rhs_product(
     Factors are combined in the log domain so large sampled exponents cannot
     overflow intermediate sums.  Where the product alone overflows, ``K``
     joins it in the log domain; a right side beyond the float range is refused.
+    The slots that share a join level take one pass over that level; their
+    factors still join the product in slot order.
     """
     _require_slot_count(shape, pa)
-    log_total = 0.0
-    for level, p in zip(shape_join_levels(shape, base.level), pa.exponents):
-        log_sum = _log_level_power_sum(tree, masses, f, base, level, p)
-        if log_sum == -math.inf:
+    slots_at: dict[int, list[int]] = {}
+    for slot, level in enumerate(shape_join_levels(shape, base.level)):
+        slots_at.setdefault(level, []).append(slot)
+    log_sums = [0.0] * pa.n_slots
+    for level, slots in slots_at.items():
+        exponents = [pa.exponents[slot] for slot in slots]
+        level_sums = _log_level_power_sums(tree, masses, f, base, level, exponents)
+        if -math.inf in level_sums:
             return 0.0
+        for slot, log_sum in zip(slots, level_sums):
+            log_sums[slot] = log_sum
+    log_total = 0.0
+    for log_sum, p in zip(log_sums, pa.exponents):
         log_total += log_sum / p
     if pa.coexponent > 0.0:
         base_mass = float(masses[base.level][tree.rank(base.word)])

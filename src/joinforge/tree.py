@@ -73,12 +73,15 @@ def _scan_words(text: str, count: int) -> tuple[np.ndarray, np.ndarray] | None:
         return None
     if (dot[1:-1] > (digit[:-2] & digit[2:])).any():  # a dot sits between two digits
         return None
-    starts = (digit[1:] > digit[:-1]).nonzero()[0] + 1
-    widths = (digit[:-1] > digit[1:]).nonzero()[0] + 1 - starts
+    # the text opens and closes with '/', so digit runs start and end in turn
+    edges = (digit[1:] != digit[:-1]).nonzero()[0] + 1
+    starts = edges[::2]
+    widths = edges[1::2] - starts
     symbols = b[starts].astype(np.int64) - ord("0")
-    if starts.size and (symbols.min() == 0 or widths.max() > _MAX_SYMBOL_DIGITS):
-        return None  # a leading zero, or too many digits
-    for j in range(1, int(widths.max(initial=0))):
+    widest = int(widths.max(initial=0))
+    if widest > _MAX_SYMBOL_DIGITS or starts.size and symbols.min() == 0:
+        return None  # too many digits, or a leading zero
+    for j in range(1, widest):
         more = widths > j
         symbols[more] = symbols[more] * 10 + b[starts[more] + j] - ord("0")
     before = np.searchsorted(starts, cuts)
@@ -91,6 +94,8 @@ def parse_word(text: str) -> Word:
     The text must be exactly a word (see ``_scan_words``): ``"01.1"``,
     ``" 1"``, ``"+1"`` and ``"1."`` are refused.
     """
+    if text == "":
+        return ()
     scanned = _scan_words(text, 1) if isinstance(text, str) else None
     if scanned is None:
         raise ConfigurationError(f"bad vertex encoding {text!r}")
@@ -326,10 +331,13 @@ def keyed_levels(
         read = _read_chunk(tree, first_level, chunk, raw)
         if read is None:
             raise _first_bad_entry(tree, first_level, chunk, raw)
-        lengths, ranks, numbers = read
-        for level in range(int(lengths.min()), int(lengths.max()) + 1):
-            at = lengths == level
-            arrays[level - first_level][ranks[at]] = numbers[at]
+        lengths, shortest, longest, ranks, numbers = read
+        if shortest == longest:
+            arrays[shortest - first_level][ranks] = numbers
+        else:
+            for level in range(shortest, longest + 1):
+                at = lengths == level
+                arrays[level - first_level][ranks[at]] = numbers[at]
     return arrays
 
 
@@ -349,8 +357,9 @@ def keyed_map(tree: TreeParams, arrays: Sequence[np.ndarray]) -> dict[str, float
 
 def _read_chunk(
     tree: TreeParams, first_level: int, keys: list[str], values: list[Any]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Level, rank and value of each entry, or None when any entry is refused."""
+) -> tuple[np.ndarray, int, int, np.ndarray, np.ndarray] | None:
+    """Level of each entry, the least and greatest level, and the rank and
+    value of each entry; None when any entry is refused."""
     if not all(map(_is_number_type, set(map(type, values)))):
         return None
     try:
@@ -363,16 +372,23 @@ def _read_chunk(
     symbols, lengths = scanned
     if symbols.max(initial=0) > tree.arity:
         return None
-    if not first_level <= lengths.min() <= lengths.max() <= tree.depth:
+    shortest, longest = int(lengths.min()), int(lengths.max())
+    if not first_level <= shortest <= longest <= tree.depth:
         return None
-    # one row of base-m digits per word, right-aligned so that a shorter
-    # word leads with zeros, read as a number
-    n, k = len(keys), tree.depth
-    digits = np.zeros(n * k, dtype=np.int64)
-    offsets = np.arange(1, n + 1) * k - np.cumsum(lengths)
-    digits[np.arange(symbols.size) + np.repeat(offsets, lengths)] = symbols - 1
-    ranks = digits.reshape(n, k) @ tree.arity ** np.arange(k - 1, -1, -1)
-    return lengths, ranks, numbers
+    # one row of base-m digits per word, as wide as the longest word and
+    # read as a number; a shorter word is right-aligned, so it leads with
+    # zeros.  The float64 product is exact: every rank and partial sum stays
+    # below MAX_TREE_VERTICES < 2**53.
+    n = len(keys)
+    if shortest == longest:
+        digits = symbols - 1
+    else:
+        digits = np.zeros(n * longest, dtype=np.float64)
+        offsets = np.arange(1, n + 1) * longest - np.cumsum(lengths)
+        digits[np.arange(symbols.size) + np.repeat(offsets, lengths)] = symbols - 1
+    place = float(tree.arity) ** np.arange(longest - 1, -1, -1)
+    ranks = (digits.reshape(n, longest) @ place).astype(np.intp)
+    return lengths, shortest, longest, ranks, numbers
 
 
 def _float_array(values: list[Any]) -> np.ndarray:
@@ -457,7 +473,7 @@ def _held(
             continue
         ok = np.isfinite(out) & (out > 0.0 if positive else out >= 0.0)
         bad = int(np.flatnonzero(~ok)[0])
-        v = next(itertools.islice(tree.vertices_at(level), bad, None))
+        v = Vertex(_word_of_rank(tree, level, bad))
         raise ConfigurationError(
             f"{what} at {v!r} must be finite and {'>' if positive else '>='} 0, "
             f"got {float(out[bad])!r}"
@@ -465,6 +481,16 @@ def _held(
     for out in held:
         out.flags.writeable = False
     return held
+
+
+def _word_of_rank(tree: TreeParams, level: int, rank: int) -> Word:
+    """The word of the vertex at ``level`` with this rank: its base-``m``
+    digits, plus one each, the inverse of ``TreeParams.rank``."""
+    symbols = []
+    for _ in range(level):
+        rank, digit = divmod(rank, tree.arity)
+        symbols.append(digit + 1)
+    return tuple(reversed(symbols))
 
 
 def _level_item(tree: TreeParams, arrays: tuple[np.ndarray, ...], v: Vertex) -> float:

@@ -282,6 +282,121 @@ class TestRhsProduct:
         assert math.isfinite(value) and value > 0.0
 
 
+def per_slot_log_sum(tree, masses, f, base, level, p):
+    """One slot's log level power sum as first written, with 1-D reductions."""
+    ranks = tree.ranks_below(base, level)
+    mass = masses[level][ranks]
+    nonzero = mass != 0.0
+    if not nonzero.any():
+        return -math.inf
+    logs = p * np.log(f.levels[level][ranks][nonzero]) + (1.0 + p) * np.log(mass[nonzero])
+    top = logs.max()
+    return float(top + np.log(np.exp(logs - top).sum()))
+
+
+def per_slot_rhs(tree, masses, f, base, shape, pa, k_constant):
+    """The right side as first written: one pass over the join level per slot."""
+    log_total = 0.0
+    for level, p in zip(shape_join_levels(shape, base.level), pa.exponents):
+        log_sum = per_slot_log_sum(tree, masses, f, base, level, p)
+        if log_sum == -math.inf:
+            return 0.0
+        log_total += log_sum / p
+    if pa.coexponent > 0.0:
+        base_mass = float(masses[base.level][tree.rank(base.word)])
+        if base_mass == 0.0:
+            return 0.0
+        log_total += pa.coexponent * math.log(base_mass)
+    rhs = k_constant * bounds._exp_or_inf(log_total)
+    if rhs == math.inf and 0.0 < k_constant < 1.0:
+        rhs = bounds._exp_or_inf(math.log(k_constant) + log_total)
+    if not math.isfinite(rhs):
+        raise ConfigurationError("the right side exceeds the float range")
+    return rhs
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ConfigurationError as exc:
+        return str(exc)
+
+
+@st.composite
+def rhs_cases(draw):
+    """A configuration with its data, exponents and constant.
+
+    Small trees of arity 3 and 4 often put several slots on one level.
+    Weights may be zero, or zero on the whole base cylinder, so that every
+    level holds no mass; a large weight scale with a small constant makes
+    the product overflow where ``K`` times it does not.
+    """
+    m = draw(st.integers(2, 4), label="m")
+    k = draw(st.integers(1, 3 if m > 2 else 5), label="k")
+    tree = TreeParams(m, k)
+    base = Vertex(tuple(draw(st.lists(st.integers(1, m), max_size=k - 1), label="base")))
+    leaves = list(tree.leaves_below(base))
+    n = draw(st.integers(2, min(6, len(leaves))), label="n")
+    particles = draw(st.permutations(leaves), label="particles")[:n]
+    rng = random.Random(draw(st.integers(0, 2**32), label="rng"))
+    zero_share = draw(st.sampled_from([0.0, 0.3, 1.0]), label="zero share")
+    scale = 10.0 ** draw(st.sampled_from([0.0, 120.0]), label="weight scale")
+    leaf_array = np.array(
+        [0.0 if rng.random() < zero_share else scale * rng.uniform(0.1, 3.0) for _ in tree.leaves()]
+    )
+    weights = WeightAssignment(tree, leaf_array)
+    f = LevelFunction(tree, per_vertex(tree, lambda: 10.0 ** rng.uniform(-3.0, 3.0)))
+    coexponent = draw(st.sampled_from([0.0, 0.25]), label="coexponent")
+    draws = [rng.expovariate(1.0) + 1e-3 for _ in range(n - 1)]
+    exponents = tuple(sum(draws) / ((1.0 - coexponent) * x) for x in draws)
+    k_constant = draw(st.sampled_from([1.0, 0.5, 1e-200]), label="K")
+    config = Configuration(tree, base, tuple(particles))
+    pa = ExponentAssignment(exponents, coexponent)
+    return tree, weights.masses, f, base, config.shape, pa, k_constant
+
+
+class TestGroupedRhs:
+    @settings(max_examples=300, deadline=None)
+    @given(case=rhs_cases())
+    def test_equals_the_per_slot_loop(self, case):
+        assert outcome(rhs_product, *case) == outcome(per_slot_rhs, *case)
+
+    def test_small_constant_with_an_overflowing_product(self):
+        # a full star on the root of the 4-ary depth-2 tree: three slots at
+        # level 0, and a product of about 8 * (1.6e101)**4 that K = 1e-300
+        # brings back into range
+        tree = TreeParams(4, 2)
+        masses = WeightAssignment.constant(tree, 1e100).masses
+        f = LevelFunction.constant(tree, 2.0)
+        shape = Configuration(tree, ROOT, tuple(vx(c, 1) for c in range(1, 5))).shape
+        pa = ExponentAssignment((2.0, 4.0, 4.0), 0.0)
+        with pytest.raises(ConfigurationError, match="exceeds the float range"):
+            rhs_product(tree, masses, f, ROOT, shape, pa, 1.0)
+        got = rhs_product(tree, masses, f, ROOT, shape, pa, 1e-300)
+        assert got == per_slot_rhs(tree, masses, f, ROOT, shape, pa, 1e-300)
+        assert 0.0 < got < math.inf
+
+    @pytest.mark.parametrize("zero_share", [0.0, 0.2])
+    def test_rows_longer_than_the_reduction_buffer(self, zero_share):
+        # two slots at level 15 of the binary depth-16 tree: rows of 2**15
+        # values each, past numpy's 8192-element buffer
+        tree = TreeParams(2, 16)
+        rng = np.random.default_rng(16)
+        leaf_array = rng.uniform(0.1, 3.0, tree.leaf_count)
+        leaf_array[rng.random(tree.leaf_count) < zero_share] = 0.0
+        masses = WeightAssignment(tree, leaf_array).masses
+        f = LevelFunction(tree, [rng.uniform(0.5, 2.0, 2**level) for level in range(17)])
+        particles = tuple(vx(*[c] * 15, s) for c in (1, 2) for s in (1, 2))
+        shape = Configuration(tree, ROOT, particles).shape
+        assert sorted(shape_join_levels(shape, 0)) == [0, 15, 15]
+        pa = ExponentAssignment((2.5, 5.0, 2.5))
+        got = rhs_product(tree, masses, f, ROOT, shape, pa, 1.0)
+        assert got == per_slot_rhs(tree, masses, f, ROOT, shape, pa, 1.0)
+        assert bounds._log_level_power_sums(tree, masses, f, ROOT, 15, [2.5, 5.0]) == [
+            per_slot_log_sum(tree, masses, f, ROOT, 15, p) for p in (2.5, 5.0)
+        ]
+
+
 class TestKGeneral:
     def test_binary_shapes_give_one(self, worked_shape):
         pa = ExponentAssignment((3.0, 3.0, 3.0))

@@ -373,6 +373,30 @@ class TestLevelArrays:
             level_arrays(TreeParams(m, k), k, 0.0)
         assert f"with m={m}, k={k} has {size} vertices, over the limit" in str(refusal.value)
 
+    @pytest.mark.parametrize("m, k", [(2, 3), (3, 2), (4, 2)])
+    def test_bad_value_named_by_its_word(self, m, k):
+        tree = TreeParams(m, k)
+        for level in range(k + 1):
+            for rank, v in enumerate(tree.vertices_at(level)):
+                levels = [np.ones(m**l) for l in range(k + 1)]
+                levels[level][rank] = -1.0
+                with pytest.raises(ConfigurationError) as info:
+                    LevelFunction(tree, levels)
+                assert str(info.value) == f"vertex value at {v!r} must be finite and > 0, got -1.0"
+
+    def test_bad_last_leaf_refused_without_walking_the_level(self, monkeypatch):
+        def no_walk(tree, level):
+            pytest.fail("the refusal walked the level")
+
+        monkeypatch.setattr(TreeParams, "vertices_at", no_walk)
+        tree = TreeParams(2, 21)
+        leaf_array = np.ones(tree.leaf_count)
+        leaf_array[-1] = math.nan
+        with pytest.raises(ConfigurationError) as info:
+            WeightAssignment(tree, leaf_array)
+        last = Vertex((2,) * 21)
+        assert str(info.value) == f"weight at {last!r} must be finite and >= 0, got nan"
+
     def test_non_finite_values_are_refused(self, binary3):
         leaf_array = np.ones(8)
         leaf_array[5] = math.inf
@@ -408,8 +432,10 @@ DEPTHS = {
 
 class TestKeyedLevels:
     @settings(max_examples=40, deadline=None)
-    @given(data=st.data(), m=st.integers(2, 12), leaves_only=st.booleans())
-    def test_matches_the_per_key_reading(self, data, m, leaves_only):
+    @given(
+        data=st.data(), m=st.integers(2, 12), leaves_only=st.booleans(), level_order=st.booleans()
+    )
+    def test_matches_the_per_key_reading(self, data, m, leaves_only, level_order):
         k = data.draw(st.integers(1, DEPTHS[m]), label="k")
         tree = TreeParams(m, k)
         first_level = k if leaves_only else 0
@@ -418,13 +444,27 @@ class TestKeyedLevels:
         keep = rng.random()
         chosen = [w for w in words if rng.random() < keep]
         if not leaves_only:
-            chosen.append(ROOT)
-        rng.shuffle(chosen)
+            chosen.insert(0, ROOT)
+        if not level_order:  # keyed_map writes level order; a file may hold any order
+            rng.shuffle(chosen)
         mapping = {
             v.to_text(): rng.choice([rng.uniform(0.0, 5.0), rng.randint(0, 9)]) for v in chosen
         }
         got = keyed_levels(tree, first_level, mapping, 1.0)
         want = reference_levels(tree, first_level, mapping, 1.0)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_chunks_that_straddle_two_levels(self):
+        # levels 10..12 in level order: 1024 + 2048 + 4096 keys, so the first
+        # two chunks each hold the end of one level and the start of the next
+        tree = TreeParams(2, 12)
+        mapping = {
+            v.to_text(): float(i)
+            for i, v in enumerate(v for level in (10, 11, 12) for v in tree.vertices_at(level))
+        }
+        assert 1024 < KEY_CHUNK < 1024 + 2048
+        got = keyed_levels(tree, 10, mapping, 1.0)
+        want = reference_levels(tree, 10, mapping, 1.0)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
     def test_two_digit_symbols_over_many_chunks(self):

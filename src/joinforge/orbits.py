@@ -41,10 +41,12 @@ from .tree import (
 )
 
 DEFAULT_ENUMERATION_GUARD = 10_000_000
-# injective_sum adds about 5 * 10**7 terms per second; refuse sums of over a few s
+# injective_sum adds about 10**8 terms per second; refuse sums of over about a second
 MAX_INJECTIVE_TERMS = 10**8
-# values per block of maps evaluated at once by injective_sum
+# values per group of maps evaluated at once by injective_sum
 _BLOCK_VALUES = 2**14
+# largest table of every prefix's children that injective_sum caches
+_PREFIX_TABLE_VALUES = 2**20
 
 
 class EnumerationGuardError(RuntimeError):
@@ -313,11 +315,15 @@ def injective_sum(table: np.ndarray) -> np.ndarray:
 
     Factors multiply in branch order and terms add one at a time in
     ``itertools.permutations`` order, so the result rounds exactly as a loop
-    over the maps.  Maps run in blocks, one per prefix of ``d - s`` children,
-    with the largest ``s`` whose block holds at most ``_BLOCK_VALUES`` values,
-    or 1.  A block is a tree of partial products: level ``j`` holds the
-    prefix's product times ``j`` suffix factors, extended by unused children
-    in ascending order.  Over ``MAX_INJECTIVE_TERMS`` terms are refused.
+    over the maps.  A map is a prefix of ``t = d - s`` children and a suffix
+    of ``s``, with the largest ``s`` whose ``perm(m - t, s) * N`` leaves
+    hold at most ``_BLOCK_VALUES`` values, or 1.  Each pass takes a group of
+    consecutive prefixes whose leaves together fit that bound: one gather
+    per prefix branch forms the prefixes' products, and a tree of partial
+    products extends them, level ``j`` by each prefix's unused children in
+    ascending order (see :func:`_write_leaves`).  The leaves go into one
+    buffer, allocated once per call, and are added in place after the
+    running total.  Over ``MAX_INJECTIVE_TERMS`` terms are refused.
     """
     d, m, n = table.shape
     terms = math.perm(m, d) * n
@@ -326,35 +332,124 @@ def injective_sum(table: np.ndarray) -> np.ndarray:
             f"summing {terms} injective assignments ({d} branches on {m} children, "
             f"{n} join vertices) exceeds the limit of {MAX_INJECTIVE_TERMS} terms"
         )
-    if d == 0 or d > m:
+    if d == 0 or d > m or n == 0:
         return np.full(n, float(d == 0))  # one empty map (product 1) or none: form no product
-    # s >= 1: a block of one suffix child holds at most m*N values, one table row
-    s, k = d, m  # k = m - d + s children are left to each block's suffix
+    # s >= 1: a suffix of one child has at most m*N leaves, one table row
+    s, k = d, m  # k = m - t children are left to each prefix's suffix
     while s > 1 and math.perm(k, s) * n > _BLOCK_VALUES:
         s, k = s - 1, k - 1
-    total = np.zeros(n)
-    for prefix in itertools.permutations(range(m), d - s):
-        rows, level = table[d - s :], table[d - s]
-        if prefix:  # unused children ascending; the prefix's product scales the first factor
-            rows = rows.take([c for c in range(m) if c not in prefix], axis=1)
-            level = math.prod(table[b, c] for b, c in enumerate(prefix)) * rows[0]
-        for j in range(1, s):
-            if j < k - 1:  # each prefix extends to its k - j unused children
-                level = level.repeat(k - j, axis=0)
-            level = level * rows[j].take(_children(k, j), axis=0)
-        sums = np.concatenate((total[None], level))
-        total = np.add.accumulate(sums, out=sums)[-1]
+    t, leaves = d - s, math.perm(k, s)
+    size = max(1, _BLOCK_VALUES // (leaves * n)) if t else 1  # prefixes per group
+    sums = np.zeros((1 + size * leaves, n))  # the running total, then a group's leaves
+    # with several groups, the tree's levels are formed in the buffer (see _write_leaves)
+    spare = np.empty(size * leaves * n) if t and s > 1 and k > 2 else None
+    total = None
+    for chosen in _prefix_groups(m, t, size) if t else [None]:
+        if total is not None:  # the last group's total goes ahead of this group's leaves
+            sums[0] = total
+        block = sums[: 1 + (len(chosen) if t else 1) * leaves]
+        _write_leaves(table, chosen, t, k, block[1:].reshape(-1, leaves, n), spare)
+        total = np.add.accumulate(block, out=block)[-1]
     return total
 
 
+def _write_leaves(
+    table: np.ndarray,
+    chosen: np.ndarray | None,
+    t: int,
+    k: int,
+    out: np.ndarray,
+    spare: np.ndarray | None,
+) -> None:
+    """Write the products of one group's maps into ``out``, ``(g, perm(k, s), N)``.
+
+    ``chosen`` holds the group's prefix rows (see :func:`_prefix_groups`),
+    or is None for the one group of a sum without prefixes (``t = 0``).
+    Level ``j`` of the tree holds the product of each ``j``-prefix of the
+    suffix, in permutations order; the next level repeats it once per
+    unused child and multiplies in that child's factor, and the last level
+    is the leaves.  Without ``spare`` the levels are fresh arrays, as the
+    one group of a call can afford.  With it, each level is formed in
+    ``out`` itself, so that a group allocates nothing the size of its
+    leaves: the level is repeated into ``spare`` before the factors are
+    taken into ``out`` (where one child is left, ``k - j = 1``, the level
+    keeps its place and the factors go to ``spare``).
+    """
+    s = len(table) - t
+    if t:  # suffix rows on each prefix's unused children; its product scales the first
+        rows = table[t:].take(chosen[:, t:], axis=1)
+        product = table[0].take(chosen[:, 0], axis=0)
+        for b in range(1, t):  # branch order
+            product *= table[b].take(chosen[:, b], axis=0)
+        level = np.multiply(product[:, None], rows[0], out=out if s == 1 else rows[0])
+    else:
+        rows = table[:, None]
+        level = rows[0]
+        if s == 1:  # d = 1: the one row is the leaves
+            out[...] = level
+    (g, _, n), flat = out.shape, out.reshape(-1)
+    for j in range(1, s):  # each j-prefix of the suffix extends to its k - j unused children
+        prefixes, children = _extensions(k, j)
+        # "clip" takes into out without a copy (every index is in range)
+        if spare is None:  # fresh levels; the leaves' factors are taken into out
+            if j < k - 1:
+                level = level.take(prefixes, axis=1)
+            last = out if j == s - 1 else None
+            factors = rows[j].take(children, axis=1, out=last, mode="clip")
+            level = np.multiply(level, factors, out=factors)
+        else:
+            size = level.size * (k - j)
+            here, there = flat[:size].reshape(g, -1, n), spare[:size].reshape(g, -1, n)
+            if j < k - 1:
+                level = level.take(prefixes, axis=1, out=there, mode="clip")
+                factors = rows[j].take(children, axis=1, out=here, mode="clip")
+            else:  # j >= 2, so the level is in out already
+                factors = rows[j].take(children, axis=1, out=there, mode="clip")
+            level = np.multiply(level, factors, out=here)
+
+
+def _prefix_groups(m: int, t: int, size: int) -> Iterator[np.ndarray]:
+    """Consecutive groups of ``size`` injective ``t``-prefixes of ``range(m)``,
+    in permutations order, as rows of each prefix's chosen children followed
+    by its unused ones ascending (the last group may be shorter).
+
+    The rows of all prefixes are cached unless they would hold over
+    ``_PREFIX_TABLE_VALUES`` values; a wider join builds each group's rows
+    as it goes, so that a star of hundreds of children holds no table of
+    every prefix.
+    """
+    count = math.perm(m, t)
+    if count * m <= _PREFIX_TABLE_VALUES:
+        rows = _prefix_table(m, t)
+        return (rows[i : i + size] for i in range(0, count, size))
+    prefixes = itertools.permutations(range(m), t)
+    chunks = iter(lambda: list(itertools.islice(prefixes, size)), [])
+    return (_prefix_rows(chunk, m) for chunk in chunks)
+
+
+def _prefix_rows(prefixes: Iterable[tuple[int, ...]], m: int) -> np.ndarray:
+    """Each prefix's chosen children, then its unused children of ``range(m)`` ascending."""
+    return np.array([p + tuple(c for c in range(m) if c not in p) for p in prefixes], np.intp)
+
+
 @cache
-def _children(k: int, j: int) -> np.ndarray:
-    """The unused children of each injective ``j``-prefix of ``range(k)``, ascending,
-    prefixes in permutations order: a flat read-only index into a suffix row."""
-    prefixes = itertools.permutations(range(k), j)
-    index = np.array([[c for c in range(k) if c not in p] for p in prefixes], np.intp).ravel()
+def _prefix_table(m: int, t: int) -> np.ndarray:
+    """:func:`_prefix_rows` of every injective ``t``-prefix of ``range(m)``, read-only."""
+    rows = _prefix_rows(itertools.permutations(range(m), t), m)
+    rows.setflags(write=False)
+    return rows
+
+
+@cache
+def _extensions(k: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each injective ``j``-prefix of ``range(k)`` extended by each of its unused
+    children, ascending, prefixes in permutations order: the prefix's position
+    and the child, as two flat read-only indexes."""
+    prefixes = enumerate(itertools.permutations(range(k), j))
+    pairs = [(i, c) for i, p in prefixes for c in range(k) if c not in p]
+    index = np.array(pairs, np.intp).T.copy()
     index.setflags(write=False)
-    return index
+    return index[0], index[1]
 
 
 def orbit_size(config: Configuration) -> int:

@@ -467,17 +467,19 @@ def _held(
         raise ConfigurationError(
             f"{what}s need one array of m**level values per level {first_level}..{tree.depth}"
         )
-    for level, out in enumerate(held, first_level):
-        low = out.min()  # NaN if any value is NaN, and NaN fails both tests
-        if (low > 0.0 if positive else low >= 0.0) and out.max() < math.inf:
-            continue
-        ok = np.isfinite(out) & (out > 0.0 if positive else out >= 0.0)
-        bad = int(np.flatnonzero(~ok)[0])
-        v = Vertex(_word_of_rank(tree, level, bad))
-        raise ConfigurationError(
-            f"{what} at {v!r} must be finite and {'>' if positive else '>='} 0, "
-            f"got {float(out[bad])!r}"
-        )
+    values = held[0] if len(held) == 1 else np.concatenate(held)  # one check of every level
+    low = values.min()  # NaN if any value is NaN, and NaN fails both tests
+    if not ((low > 0.0 if positive else low >= 0.0) and values.max() < math.inf):
+        for level, out in enumerate(held, first_level):  # the first bad value names its vertex
+            ok = np.isfinite(out) & (out > 0.0 if positive else out >= 0.0)
+            if ok.all():
+                continue
+            bad = int(np.flatnonzero(~ok)[0])
+            v = Vertex(_word_of_rank(tree, level, bad))
+            raise ConfigurationError(
+                f"{what} at {v!r} must be finite and {'>' if positive else '>='} 0, "
+                f"got {float(out[bad])!r}"
+            )
     for out in held:
         out.flags.writeable = False
     return held

@@ -330,16 +330,10 @@ def check_inequality(inst: Instance, method: str = "factorized") -> Report:
     back to the factorized path.  Invalid exponents produce a failing
     report carrying the violation instead of raising.
     """
-    violation = validate_exponents(inst.shape, inst.exponents)
-    metadata: dict[str, Any] = {
-        "seed": inst.seed,
-        "shape": inst.shape.serialized,
-        "join_levels": shape_join_levels(inst.shape, inst.base.level),
-        "regime": inst.regime,
-    }
-    if violation is not None:
-        flag = f"{FLAG_INVALID_EXPONENTS}:{violation.constraint}"
-        return _sideless_report(False, flag, {**metadata, "violation": violation.message})
+    metadata = _report_metadata(inst.config, inst.regime, inst.seed)
+    refusal = _exponent_refusal(inst.shape, inst.exponents, metadata)
+    if refusal is not None:
+        return refusal
 
     k_constant, flags = resolve_constant(inst)
     flags = list(flags)
@@ -369,6 +363,26 @@ def check_inequality(inst: Instance, method: str = "factorized") -> Report:
         flags=tuple(flags),
         metadata=metadata,
     )
+
+
+def _report_metadata(config: Configuration, regime: str, seed: int | None) -> dict[str, Any]:
+    return {
+        "seed": seed,
+        "shape": config.shape.serialized,
+        "join_levels": shape_join_levels(config.shape, config.base.level),
+        "regime": regime,
+    }
+
+
+def _exponent_refusal(
+    shape: JoinShape, exponents: ExponentAssignment, metadata: dict[str, Any]
+) -> Report | None:
+    """The failing report of exponents that break a constraint, or None when valid."""
+    violation = validate_exponents(shape, exponents)
+    if violation is None:
+        return None
+    flag = f"{FLAG_INVALID_EXPONENTS}:{violation.constraint}"
+    return _sideless_report(False, flag, {**metadata, "violation": violation.message})
 
 
 def _sideless_report(passed: bool, flag: str, metadata: dict[str, Any]) -> Report:
@@ -430,7 +444,7 @@ class ExampleReport:
 
     orbit_count: int
     join_points: dict[str, int]
-    displayed_constant: float
+    displayed_constant: float | None  # None when the exponents are invalid
     report_displayed: Report
     report_binary_optimal: Report
     tight_regime: str
@@ -460,23 +474,28 @@ def reproduce_example(p: tuple[float, float, float] = (3.0, 3.0, 3.0)) -> Exampl
     With unit weights and a unit vertex function the sharp constant 1/8
     attains equality, while the displayed product constant
     ``8 * 8**(1/p1) * 4**(1/p2) * 2**(1/p3)`` holds with room to spare; the
-    report records which one is tight at this symmetric point.
+    report records which one is tight at this symmetric point.  Invalid
+    exponents are checked first: both reports are the failing reports of
+    :func:`check_inequality`, and the displayed constant is not formed.
     """
     config = worked_example_configuration()
     tree = config.tree
     shape = config.shape
     joins = {v.to_text(): r for v, r in sorted(config.join_multiset().items())}
     pa = ExponentAssignment(tuple(float(x) for x in p))
-    levels = shape_join_levels(shape, 0)
-    displayed = 8.0 * math.prod(
-        (2.0 ** (tree.depth - level)) ** (1.0 / pe)
-        for level, pe in zip(levels, pa.exponents)
-    )
     weights = WeightAssignment.constant(tree, 1.0)
     f = LevelFunction.constant(tree, 1.0)
-    report_displayed = check_inequality(
-        Instance(config, weights, f, pa, regime="explicit", explicit_k=displayed)
-    )
+    refusal = _exponent_refusal(shape, pa, _report_metadata(config, "explicit", None))
+    if refusal is None:
+        displayed: float | None = 8.0 * math.prod(
+            (2.0 ** (tree.depth - level)) ** (1.0 / pe)
+            for level, pe in zip(shape_join_levels(shape, 0), pa.exponents)
+        )
+        report_displayed = check_inequality(
+            Instance(config, weights, f, pa, regime="explicit", explicit_k=displayed)
+        )
+    else:
+        displayed, report_displayed = None, refusal
     report_binary = check_inequality(Instance(config, weights, f, pa, regime="binary_optimal"))
     flags: list[str] = []
     if report_displayed.ratio < 1.0 - DEFAULT_REL_TOL:

@@ -161,6 +161,32 @@ class TestSubcommands:
         assert payload["tight_regime"] == "binary_optimal"
 
     @pytest.mark.parametrize(
+        "p, constraint",
+        [
+            (["-1", "2", "2"], "positivity"),
+            (["0", "1", "1"], "positivity"),  # 1/0 in the displayed constant
+            (["nan", "3", "3"], "positivity"),
+            (["1e-320", "3", "3"], "conjugacy"),  # 1/p overflows
+        ],
+    )
+    def test_example_invalid_exponents(self, capsys, p, constraint):
+        code = main(["example", "--p", *p])
+        captured = capsys.readouterr()
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        payload = json.loads(captured.out, parse_constant=refuse)
+        assert code == 1 and captured.err == ""
+        assert payload["displayed_constant"] is None
+        regimes = {"report_displayed": "explicit", "report_binary_optimal": "binary_optimal"}
+        for key, regime in regimes.items():
+            report = payload[key]
+            assert report["flags"] == [f"invalid-exponents:{constraint}"]
+            assert report["pass"] is False and report["K"] is None
+            assert report["metadata"]["regime"] == regime
+
+    @pytest.mark.parametrize(
         "regime", ["general", "binary-optimal", "inductive", "explicit=2.5"]
     )
     def test_bound_skips_the_energy(self, capsys, worked_file, monkeypatch, regime):

@@ -13,8 +13,14 @@ tuples by shape, which is the definition-level count.
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +47,8 @@ from joinforge import (
 )
 
 from conftest import all_automorphisms, apply_automorphism, vx
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def all_configs(tree: TreeParams, n: int, base: Vertex = ROOT):
@@ -404,17 +412,27 @@ def injective_sum_loop(table: np.ndarray) -> np.ndarray:
     return np.array(values)
 
 
+# values per group of maps: the default, one prefix per group at every suffix
+# length, and groups of several prefixes at 100 and 1000
+BLOCK_SIZES = [orbits._BLOCK_VALUES, 1, 7, 100, 1000]
+BLOCK_IDS = ["default", "1", "7", "100", "1000"]
+
+
 class TestInjectiveSum:
     @pytest.mark.parametrize(
         "m, d, n",
         [(m, d, n) for m in range(1, 6) for d in range(1, m + 1) for n in (1, 4)]
-        + [(6, 3, 4), (7, 4, 4), (7, 7, 1), (7, 7, 4), (3, 2, 5000), (4, 4, 5000), (5, 2, 5000)],
+        + [(6, 3, 4), (7, 4, 4), (7, 7, 1), (7, 7, 4), (3, 2, 5000), (4, 4, 5000), (5, 2, 5000)]
+        + [(7, 3, 1), (6, 6, 1), (8, 6, 1)],
     )
-    @pytest.mark.parametrize("block", [orbits._BLOCK_VALUES, 1, 7], ids=["default", "1", "7"])
+    @pytest.mark.parametrize("block", BLOCK_SIZES, ids=BLOCK_IDS)
     def test_equals_plain_loop(self, monkeypatch, m, d, n, block):
         # smaller blocks split prefixes at every suffix length, down to s = 1;
         # at the default size, m = d = 7 with n = 4 and the n = 5000 cases
-        # split too, and (5, 2, 5000) has s = 1
+        # split too, and (5, 2, 5000) has s = 1.  Groups hold several prefixes
+        # and end in a shorter one: 5 then 2 prefixes for (7, 7, 4) and 6 then
+        # 2 for (8, 6, 1) at the default size, 3, 3, 1 for (7, 3, 1) at 100,
+        # and 2 per group for (7, 7, 4) and (8, 6, 1) at 1000
         monkeypatch.setattr(orbits, "_BLOCK_VALUES", block)
         rng = np.random.default_rng(1000 * m + 10 * d + n)
         table = rng.uniform(0.0, 3.0, (d, m, n))
@@ -428,6 +446,50 @@ class TestInjectiveSum:
         for m in range(1, 7):
             for d in range(1, m + 2):
                 assert injective_sum(np.ones((d, m, 3))).tolist() == [math.perm(m, d)] * 3
+
+    @pytest.mark.parametrize("m, d, n", [(6, 3, 2), (7, 7, 1), (5, 2, 40)])
+    @pytest.mark.parametrize("block", [orbits._BLOCK_VALUES, 7, 100], ids=["default", "7", "100"])
+    def test_wide_joins_build_each_group(self, monkeypatch, m, d, n, block):
+        # over _PREFIX_TABLE_VALUES, each group's prefix rows are built as the
+        # loop reaches it, and no table of every prefix is cached
+        def no_table(m, t):
+            pytest.fail("a table of every prefix was built")
+
+        monkeypatch.setattr(orbits, "_BLOCK_VALUES", block)
+        monkeypatch.setattr(orbits, "_PREFIX_TABLE_VALUES", 0)
+        monkeypatch.setattr(orbits, "_prefix_table", no_table)
+        rng = np.random.default_rng(100 * m + 10 * d + n)
+        table = rng.uniform(0.0, 3.0, (d, m, n))
+        assert np.array_equal(injective_sum(table), injective_sum_loop(table))
+
+    def test_peak_temporaries_stay_near_one_block(self):
+        # 60 prefixes of 3 children, 2 per group, each with 2 * 4096 leaves:
+        # the buffer, the group's suffix rows, prefix products and one
+        # gathered row take about 4.3 blocks; forming the products of every
+        # prefix at once would add 60 * 4096 values, 15 blocks
+        table = np.random.default_rng(5).uniform(0.5, 2.0, (5, 5, 4096))
+        want = injective_sum(table)  # warm-up: caches and first-call allocations
+        tracemalloc.start()
+        try:
+            got = injective_sum(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert peak <= 5 * orbits._BLOCK_VALUES * 8
+
+    def test_kernel_ladder_runs(self):
+        # the timing script outside pytest's collection, run once per rung
+        paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        result = subprocess.run(
+            [sys.executable, str(REPO / "tests" / "kernel_ladder.py"), "--rounds", "1"],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        times = json.loads(result.stdout)
+        assert "9x9x1" in times and "2x2x8192" in times and len(times) == 11
+        assert all(us > 0.0 for us in times.values())
 
     def test_term_limit(self, monkeypatch):
         monkeypatch.setattr(orbits, "MAX_INJECTIVE_TERMS", 6)
@@ -463,7 +525,7 @@ tables = st.integers(0, 6).flatmap(
 
 
 class TestInjectiveSumProperties:
-    @pytest.mark.parametrize("block", [orbits._BLOCK_VALUES, 1, 7], ids=["default", "1", "7"])
+    @pytest.mark.parametrize("block", BLOCK_SIZES, ids=BLOCK_IDS)
     @settings(max_examples=80, deadline=None)
     @given(spec=tables)
     def test_bits_equal_plain_loop(self, block, spec):
@@ -479,7 +541,7 @@ class TestInjectiveSumProperties:
         assert got.shape == (n,) and np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
-    @pytest.mark.parametrize("block", [orbits._BLOCK_VALUES, 1, 7], ids=["default", "1", "7"])
+    @pytest.mark.parametrize("block", BLOCK_SIZES, ids=BLOCK_IDS)
     @settings(max_examples=80, deadline=None)
     @given(spec=tables)
     def test_overflow_raised_exactly_when_the_loop_overflows(self, block, spec):

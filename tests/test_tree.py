@@ -384,6 +384,18 @@ class TestLevelArrays:
                     LevelFunction(tree, levels)
                 assert str(info.value) == f"vertex value at {v!r} must be finite and > 0, got -1.0"
 
+    def test_first_bad_level_named(self):
+        # levels are checked together; the refusal names the first bad value in level order
+        tree = TreeParams(3, 3)
+        levels = [np.ones(3**l) for l in range(4)]
+        levels[3][0] = math.inf
+        levels[2][4] = 0.0
+        levels[2][7] = math.nan
+        with pytest.raises(ConfigurationError) as info:
+            LevelFunction(tree, levels)
+        want = f"vertex value at {Vertex((2, 2))!r} must be finite and > 0, got 0.0"
+        assert str(info.value) == want
+
     def test_bad_last_leaf_refused_without_walking_the_level(self, monkeypatch):
         def no_walk(tree, level):
             pytest.fail("the refusal walked the level")

@@ -427,15 +427,18 @@ def _prefix_groups(m: int, t: int, size: int) -> Iterator[np.ndarray]:
     return (_prefix_rows(chunk, m) for chunk in chunks)
 
 
-def _prefix_rows(prefixes: Iterable[tuple[int, ...]], m: int) -> np.ndarray:
+def _prefix_rows(prefixes: list[tuple[int, ...]], m: int) -> np.ndarray:
     """Each prefix's chosen children, then its unused children of ``range(m)`` ascending."""
-    return np.array([p + tuple(c for c in range(m) if c not in p) for p in prefixes], np.intp)
+    chosen = np.array(prefixes, np.intp)  # (g, t)
+    unused = np.ones((len(chosen), m), bool)
+    unused[np.arange(len(chosen))[:, None], chosen] = False
+    return np.concatenate((chosen, unused.nonzero()[1].reshape(len(chosen), -1)), axis=1)
 
 
 @cache
 def _prefix_table(m: int, t: int) -> np.ndarray:
     """:func:`_prefix_rows` of every injective ``t``-prefix of ``range(m)``, read-only."""
-    rows = _prefix_rows(itertools.permutations(range(m), t), m)
+    rows = _prefix_rows(list(itertools.permutations(range(m), t)), m)
     rows.setflags(write=False)
     return rows
 

@@ -45,7 +45,7 @@ DEFAULT_ENUMERATION_GUARD = 10_000_000
 MAX_INJECTIVE_TERMS = 10**8
 # values per group of maps evaluated at once by injective_sum
 _BLOCK_VALUES = 2**14
-# largest table of every prefix's children that injective_sum caches
+# largest table of prefix rows that injective_sum caches, in indexes (8 MB)
 _PREFIX_TABLE_VALUES = 2**20
 
 
@@ -368,12 +368,15 @@ def _write_leaves(
     Level ``j`` of the tree holds the product of each ``j``-prefix of the
     suffix, in permutations order; the next level repeats it once per
     unused child and multiplies in that child's factor, and the last level
-    is the leaves.  Without ``spare`` the levels are fresh arrays, as the
-    one group of a call can afford.  With it, each level is formed in
-    ``out`` itself, so that a group allocates nothing the size of its
-    leaves: the level is repeated into ``spare`` before the factors are
-    taken into ``out`` (where one child is left, ``k - j = 1``, the level
-    keeps its place and the factors go to ``spare``).
+    is the leaves.  Without ``spare`` the levels are fresh arrays: a call
+    without prefixes has one group and can afford them, and on the tiny
+    tables of fuzz instances they take fewer steps than the buffer does;
+    with ``k <= 2`` no level is repeated and the leaves' factors are taken
+    straight into ``out``.  With ``spare``, each level is formed in ``out``
+    itself, so that a group allocates nothing the size of its leaves: the
+    level is repeated into ``spare`` before the factors are taken into
+    ``out`` (where one child is left, ``k - j = 1``, the level keeps its
+    place in ``out`` and the factors go to ``spare``).
     """
     s = len(table) - t
     if t:  # suffix rows on each prefix's unused children; its product scales the first
@@ -413,10 +416,12 @@ def _prefix_groups(m: int, t: int, size: int) -> Iterator[np.ndarray]:
     in permutations order, as rows of each prefix's chosen children followed
     by its unused ones ascending (the last group may be shorter).
 
-    The rows of all prefixes are cached unless they would hold over
-    ``_PREFIX_TABLE_VALUES`` values; a wider join builds each group's rows
-    as it goes, so that a star of hundreds of children holds no table of
-    every prefix.
+    The rows of all prefixes are cached, one read-only table per ``(m, t)``
+    kept for the life of the process, unless they would hold over
+    ``_PREFIX_TABLE_VALUES`` values; slicing the table costs less than
+    building each group's rows.  A wider join builds each group's rows as
+    it goes, so that a star of hundreds of children holds no table of every
+    prefix.
     """
     count = math.perm(m, t)
     if count * m <= _PREFIX_TABLE_VALUES:

@@ -33,8 +33,9 @@ import numpy as np
 # 32 MB per set of level arrays.
 MAX_TREE_VERTICES = 2**22
 
-# Keys of a word-keyed map are read this many at a time, so the temporaries
-# of one numpy pass stay small next to the map itself.
+# Keys of a word-keyed map are read this many at a time, and level arrays
+# of fewer values are checked together, so the temporaries of one numpy pass
+# stay small next to the map itself.
 KEY_CHUNK = 2048
 
 # Longest symbol a word may hold: its value must fit an int64, and no tree
@@ -467,9 +468,13 @@ def _held(
         raise ConfigurationError(
             f"{what}s need one array of m**level values per level {first_level}..{tree.depth}"
         )
-    values = held[0] if len(held) == 1 else np.concatenate(held)  # one check of every level
-    low = values.min()  # NaN if any value is NaN, and NaN fails both tests
-    if not ((low > 0.0 if positive else low >= 0.0) and values.max() < math.inf):
+    # the levels of under KEY_CHUNK values are checked in one pass over a
+    # small copy and the others in place; a NaN minimum fails both tests
+    few = sum(a.size < KEY_CHUNK for a in held)  # the levels grow, so these come first
+    parts = (np.concatenate(held[:few]), *held[few:]) if few > 1 else held
+    if not all(
+        (a.min() > 0.0 if positive else a.min() >= 0.0) and a.max() < math.inf for a in parts
+    ):
         for level, out in enumerate(held, first_level):  # the first bad value names its vertex
             ok = np.isfinite(out) & (out > 0.0 if positive else out >= 0.0)
             if ok.all():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -395,6 +396,30 @@ class TestLevelArrays:
             LevelFunction(tree, levels)
         want = f"vertex value at {Vertex((2, 2))!r} must be finite and > 0, got 0.0"
         assert str(info.value) == want
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+    @pytest.mark.parametrize("level", [1, 11, 12])
+    def test_one_bad_value_refused_in_any_part(self, level, bad):
+        # levels under KEY_CHUNK values are checked together and the others
+        # one by one; a lone bad value in any of them is found
+        tree = TreeParams(2, 12)
+        levels = [np.ones(2**l) for l in range(13)]
+        levels[level][1] = bad
+        with pytest.raises(ConfigurationError, match=f"got {bad!r}"):
+            LevelFunction(tree, levels)
+
+    def test_check_copies_only_small_levels(self):
+        # the levels under KEY_CHUNK values, 2047 in all, are copied to be
+        # checked together; the leaves alone hold 65536
+        tree = TreeParams(2, 16)
+        levels = [np.ones(2**l) for l in range(17)]
+        tracemalloc.start()
+        try:
+            LevelFunction(tree, levels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < levels[-1].nbytes / 8
 
     def test_bad_last_leaf_refused_without_walking_the_level(self, monkeypatch):
         def no_walk(tree, level):

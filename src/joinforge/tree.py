@@ -322,8 +322,9 @@ def keyed_levels(
     ``first_level..depth``; values are JSON numbers (``int`` or ``float``,
     never ``bool``) or numpy integer and floating scalars.  Vertices the map
     leaves out hold ``fill``.  Keys are read ``KEY_CHUNK`` at a time, each
-    chunk in one numpy pass; a chunk that does not read is read again key by
-    key, only for the message that names its first bad entry.
+    chunk in one numpy pass (see ``_read_chunk``); a chunk that does not
+    read is read again key by key, only for the message that names its
+    first bad entry.
     """
     arrays = level_arrays(tree, first_level, _numbers(fill, "fill values"))
     keys, values = iter(mapping), iter(mapping.values())
@@ -332,13 +333,8 @@ def keyed_levels(
         read = _read_chunk(tree, first_level, chunk, raw)
         if read is None:
             raise _first_bad_entry(tree, first_level, chunk, raw)
-        lengths, shortest, longest, ranks, numbers = read
-        if shortest == longest:
-            arrays[shortest - first_level][ranks] = numbers
-        else:
-            for level in range(shortest, longest + 1):
-                at = lengths == level
-                arrays[level - first_level][ranks[at]] = numbers[at]
+        for level, ranks, numbers in read:
+            arrays[level - first_level][ranks] = numbers
     return arrays
 
 
@@ -358,16 +354,77 @@ def keyed_map(tree: TreeParams, arrays: Sequence[np.ndarray]) -> dict[str, float
 
 def _read_chunk(
     tree: TreeParams, first_level: int, keys: list[str], values: list[Any]
-) -> tuple[np.ndarray, int, int, np.ndarray, np.ndarray] | None:
-    """Level of each entry, the least and greatest level, and the rank and
-    value of each entry; None when any entry is refused."""
+) -> list[tuple[int, np.ndarray, np.ndarray]] | None:
+    """The entries of one chunk by level: each level with the ranks and
+    values of its entries; None when any entry is refused.
+
+    A chunk as ``keyed_map`` writes one, words of one-digit symbols on one
+    level or two levels in turn, is read as rows of bytes (see
+    ``_digit_runs``).  Any other chunk is read by ``_scan_words``: the root,
+    more than two levels, two-digit symbols, or a bad key.
+    """
     if not all(map(_is_number_type, set(map(type, values)))):
         return None
     try:
         numbers = _float_array(values)
-        scanned = _scan_words("/".join(keys), len(keys))
+        text = "/".join(keys)
     except (TypeError, OverflowError, FloatingPointError):
         return None
+    runs = _digit_runs(text, len(keys), len(keys[0]) + 1, min(tree.arity, 9))
+    if runs is None:
+        return _scanned_levels(tree, first_level, text, numbers)
+    if not first_level <= runs[0][0] <= runs[-1][0] <= tree.depth:
+        return None
+    levels, start = [], 0
+    for level, digits in runs:
+        stop = start + len(digits)
+        levels.append((level, _ranks(tree, digits), numbers[start:stop]))
+        start = stop
+    return levels
+
+
+def _digit_runs(
+    text: str, count: int, width: int, top: int
+) -> list[tuple[int, np.ndarray]] | None:
+    """The ``count`` words joined by '/' in ``text`` as runs of rows: each
+    run's level and its symbols less one, one row per word; None unless the
+    words are ``d.d.….d`` of one-digit symbols ``d`` in ``1..top``, first
+    ``width - 1`` characters long, then perhaps words two characters longer.
+
+    ``text`` and a closing '/' are viewed as rows of bytes, one per word.
+    The length of ``text`` tells how many words are longer, and the rows
+    check that it told the truth: each row holds one '/', its last byte.
+    Subtracting the row ``1.1.….1/`` wraps every byte below its column's
+    round to 207 or more, so one comparison with the most each column
+    allows (``top - 1`` under a digit, 0 under '.' or '/') checks every byte
+    of a run.
+    """
+    longer, odd = divmod(len(text) + 1 - count * width, 2)
+    if width % 2 or odd or not 0 <= longer < count:
+        return None
+    try:
+        data = np.frombuffer(f"{text}/".encode("ascii"), dtype=np.uint8)
+    except UnicodeEncodeError:
+        return None
+    cut = (count - longer) * width
+    runs = []
+    for level, rows in ((width // 2, data[:cut]), (width // 2 + 1, data[cut:])):
+        if rows.size:
+            base = np.frombuffer(b"1." * (level - 1) + b"1/", dtype=np.uint8)
+            limit = np.frombuffer(bytes((top - 1, 0)) * level, dtype=np.uint8)
+            offsets = rows.reshape(-1, 2 * level) - base
+            if (offsets > limit).any():
+                return None
+            runs.append((level, offsets[:, ::2]))
+    return runs
+
+
+def _scanned_levels(
+    tree: TreeParams, first_level: int, text: str, numbers: np.ndarray
+) -> list[tuple[int, np.ndarray, np.ndarray]] | None:
+    """``_read_chunk`` of the words in ``text``, read by ``_scan_words``."""
+    n = numbers.size
+    scanned = _scan_words(text, n)
     if scanned is None:
         return None
     symbols, lengths = scanned
@@ -376,20 +433,27 @@ def _read_chunk(
     shortest, longest = int(lengths.min()), int(lengths.max())
     if not first_level <= shortest <= longest <= tree.depth:
         return None
-    # one row of base-m digits per word, as wide as the longest word and
-    # read as a number; a shorter word is right-aligned, so it leads with
-    # zeros.  The float64 product is exact: every rank and partial sum stays
-    # below MAX_TREE_VERTICES < 2**53.
-    n = len(keys)
     if shortest == longest:
-        digits = symbols - 1
-    else:
-        digits = np.zeros(n * longest, dtype=np.float64)
-        offsets = np.arange(1, n + 1) * longest - np.cumsum(lengths)
-        digits[np.arange(symbols.size) + np.repeat(offsets, lengths)] = symbols - 1
-    place = float(tree.arity) ** np.arange(longest - 1, -1, -1)
-    ranks = (digits.reshape(n, longest) @ place).astype(np.intp)
-    return lengths, shortest, longest, ranks, numbers
+        return [(shortest, _ranks(tree, (symbols - 1).reshape(n, longest)), numbers)]
+    # a shorter word is right-aligned in a row as wide as the longest word,
+    # so it leads with zeros
+    digits = np.zeros(n * longest, dtype=np.float64)
+    offsets = np.arange(1, n + 1) * longest - np.cumsum(lengths)
+    digits[np.arange(symbols.size) + np.repeat(offsets, lengths)] = symbols - 1
+    ranks = _ranks(tree, digits.reshape(n, longest))
+    levels = []
+    for level in range(shortest, longest + 1):
+        at = lengths == level
+        levels.append((level, ranks[at], numbers[at]))
+    return levels
+
+
+def _ranks(tree: TreeParams, digits: np.ndarray) -> np.ndarray:
+    """Ranks of words from their symbols less one, one row per word, each
+    row read as a base-``m`` number.  The float64 product is exact: every
+    rank and partial sum stays below ``MAX_TREE_VERTICES`` < 2**53."""
+    place = float(tree.arity) ** np.arange(digits.shape[1] - 1, -1, -1)
+    return (digits @ place).astype(np.intp)
 
 
 def _float_array(values: list[Any]) -> np.ndarray:

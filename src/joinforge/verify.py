@@ -131,15 +131,14 @@ class Instance:
             raise ConfigurationError("instance document must be a JSON object")
         tree = TreeParams(_field(data, "m", _integer), _field(data, "k", _integer))
         base = _vertex_field(data.get("base", ""), "base")
-        raw_config = _field(data, "config", list)
         particles = []
-        for i, entry in enumerate(raw_config):
+        for i, entry in enumerate(_array_field(data, "config")):
             particles.append(_vertex_field(entry, f"config[{i}]"))
         config = Configuration(tree, base, tuple(particles))
         (mu,) = _vertex_values(data.get("mu", {}), "mu", tree, tree.depth)
         weights = WeightAssignment(tree, mu)
         f = LevelFunction(tree, _vertex_values(data.get("f", {}), "f", tree, 0))
-        p_list = _field(data, "p", lambda raw: [_float_value(x, "an exponent") for x in raw])
+        p_list = _array_field(data, "p", lambda x: _float_value(x, "an exponent"))
         slot_map = data.get("slot_assignment")
         exponents = _apply_slot_assignment(p_list, slot_map)
         coexponent = _optional_field(
@@ -173,6 +172,14 @@ def _field(data: dict, name: str, caster) -> Any:
 def _optional_field(data: dict, name: str, caster, default: Any = None) -> Any:
     """Like ``_field``, but an absent or null field gives ``default``."""
     return default if data.get(name) is None else _field(data, name, caster)
+
+
+def _array_field(data: dict, name: str, item=lambda x: x) -> list:
+    """A field that must be a JSON array, each item read by ``item``: a
+    string or an object is refused, never read as its characters or keys."""
+    if not isinstance(data.get(name, []), list):
+        raise ConfigurationError(f"instance field {name!r} must be a list")
+    return _field(data, name, lambda raw: [item(x) for x in raw])
 
 
 def _vertex_field(raw: Any, where: str) -> Vertex:

@@ -319,6 +319,21 @@ class TestCliContract:
         assert code == 2 and "'p'" in err
 
     @pytest.mark.parametrize(
+        "field, value",
+        [("config", "12"), ("config", {"1": 5, "2": 7}), ("p", "3"), ("p", 3.0)],
+        ids=["config-string", "config-object", "p-string", "p-number"],
+    )
+    def test_field_that_is_not_a_list_exit_two(self, capsys, tmp_path, field, value):
+        # a string or an object is refused, never read as its characters or keys
+        doc = {"m": 2, "k": 1, "config": [[1], [2]], "p": [1.0], field: value}
+        bad = tmp_path / "not-a-list.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["verify", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"instance field {field!r} must be a list" in captured.err
+
+    @pytest.mark.parametrize(
         "field, key",
         [("mu", "1"), ("f", "3.1"), ("mu", "1.1.1"), ("f", "1.1.1")],
         ids=["mu-non-leaf", "f-outside-tree", "mu-below-leaves", "f-below-leaves"],

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,15 @@ from joinforge import (
     join,
     join_multiset,
 )
-from joinforge.tree import KEY_CHUNK, MAX_TREE_VERTICES, keyed_levels, level_arrays, parse_word
+import joinforge.tree as tree_module
+from joinforge.tree import (
+    KEY_CHUNK,
+    MAX_TREE_VERTICES,
+    keyed_levels,
+    keyed_map,
+    level_arrays,
+    parse_word,
+)
 
 from conftest import vx
 
@@ -461,6 +470,29 @@ def text(word) -> str:
     return ".".join(map(str, word))
 
 
+def read_keyed(tree, first_level, mapping, rows=True):
+    """``keyed_levels``' arrays as bytes, or its refusal's message, and for
+    each chunk whether it was read as rows of bytes; with ``rows=False``
+    every chunk is left to ``_scan_words``."""
+    digit_runs, taken = tree_module._digit_runs, []
+
+    def spy(*args):
+        runs = digit_runs(*args) if rows else None
+        taken.append(runs is not None)
+        return runs
+
+    with mock.patch.object(tree_module, "_digit_runs", spy):
+        try:
+            got = [a.tobytes() for a in keyed_levels(tree, first_level, mapping, 1.0)]
+        except ConfigurationError as exc:
+            got = str(exc)
+    return got, taken
+
+
+def as_bytes(arrays):
+    return [a.tobytes() for a in arrays]
+
+
 # deepest tree per arity with at most about 40k vertices
 DEPTHS = {
     m: max(k for k in range(1, 16) if TreeParams(m, k).vertex_count <= 40_000) for m in range(2, 13)
@@ -490,6 +522,116 @@ class TestKeyedLevels:
         got = keyed_levels(tree, first_level, mapping, 1.0)
         want = reference_levels(tree, first_level, mapping, 1.0)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), m=st.integers(2, 12), k=st.integers(1, 5))
+    def test_rows_and_scanner_read_alike(self, data, m, k):
+        # a run of equal-length keys, perhaps a run one level deeper, and at
+        # most one byte changed: the rows read what _scan_words reads
+        tree = TreeParams(m, k)
+        first_level = data.draw(st.integers(0, k), label="first_level")
+        level = data.draw(st.integers(max(first_level - 1, 1), k + 1), label="level")
+        words = []
+        for length, least in ((level, 1), (level + 1, 0)):
+            word = st.tuples(*[st.integers(1, min(m, 9))] * length)
+            words += data.draw(st.lists(word, min_size=least, max_size=30, unique=True))
+        if shuffled := data.draw(st.booleans(), label="shuffled"):
+            words = data.draw(st.permutations(words), label="order")
+        keys = [text(w) for w in words]
+        if data.draw(st.booleans(), label="change a byte"):
+            i = data.draw(st.integers(0, len(keys) - 1), label="key")
+            j = data.draw(st.integers(0, len(keys[i]) - 1), label="byte")
+            new = data.draw(st.sampled_from([*"0123456789./ ", "\0", "\u0661"]), label="to")
+            keys[i] = keys[i][:j] + new + keys[i][j + 1 :]
+        mapping = {key: float(i) for i, key in enumerate(keys)}
+        got, taken = read_keyed(tree, first_level, mapping)
+        assert (got, [False]) == read_keyed(tree, first_level, mapping, rows=False)
+        if isinstance(got, list):
+            want = reference_levels(tree, first_level, mapping, 1.0)
+            assert got == as_bytes(want)
+            one_digit = all(len(parse_word(key)) * 2 - 1 == len(key) for key in keys)
+            if not shuffled:
+                assert taken == [one_digit]
+
+    @pytest.mark.parametrize(
+        "m, key, refusal",
+        [
+            (2, "2", None),
+            (2, "2.1.2", None),
+            (9, "9.9", None),
+            (2, "2.2.2.2", "unexpected word '2.2.2.2'"),
+            (2, "2.3", "unexpected word '2.3'"),
+            (2, "2.0", "bad vertex encoding '2.0'"),
+            (12, "1.:", "bad vertex encoding '1.:'"),
+        ],
+    )
+    def test_one_key_chunk(self, m, key, refusal):
+        tree = TreeParams(m, 3)
+        got, taken = read_keyed(tree, 0, {key: 2.0})
+        assert (got, [False]) == read_keyed(tree, 0, {key: 2.0}, rows=False)
+        if refusal is None:
+            assert got == as_bytes(reference_levels(tree, 0, {key: 2.0}, 1.0))
+            assert taken == [True]
+        else:
+            assert got.startswith(refusal)
+
+    @pytest.mark.parametrize("m, taken", [(9, [True]), (12, [True, False])])
+    def test_one_and_two_digit_symbols_in_one_map(self, monkeypatch, m, taken):
+        # chunks of 9 keys: "1".."9" are read as rows, and "10".."12" by _scan_words
+        monkeypatch.setattr(tree_module, "KEY_CHUNK", 9)
+        tree = TreeParams(m, 2)
+        mapping = {str(s): float(s) for s in range(1, m + 1)}
+        got = read_keyed(tree, 1, mapping)
+        assert got == (as_bytes(reference_levels(tree, 1, mapping, 1.0)), taken)
+        assert read_keyed(tree, 1, mapping, rows=False)[0] == got[0]
+
+    @pytest.mark.parametrize("first_level", [0, 1])
+    def test_root_key_alone(self, first_level):
+        tree = TreeParams(3, 2)
+        got, taken = read_keyed(tree, first_level, {"": 2.0})
+        assert taken == [False]
+        if first_level == 0:
+            assert got == as_bytes(reference_levels(tree, 0, {"": 2.0}, 1.0))
+        else:
+            assert got == "unexpected word '' above level 1"
+
+    @pytest.mark.parametrize(
+        "tree, first_level, keys, message",
+        [
+            (TreeParams(2, 2), 0, ["1.1", "1.1.1", "2"], "unexpected word '1.1.1'"),
+            (TreeParams(2, 3), 2, ["1.1", "1", "1.2.1"], "unexpected word '1' above level 2"),
+            (TreeParams(2, 3), 0, ["1.1", "1.1.1.1", "2"], "unexpected word '1.1.1.1'"),
+        ],
+        ids=["one-too-deep", "one-above-first-level", "two-levels-too-deep"],
+    )
+    def test_keys_whose_lengths_add_up_like_rows(self, tree, first_level, keys, message):
+        # the text is as long as rows of the first key's width would be, or
+        # as a run of rows then longer rows; the rows refuse it and
+        # _scan_words names the key off the levels
+        mapping = dict.fromkeys(keys, 2.0)
+        got, taken = read_keyed(tree, first_level, mapping)
+        assert taken == [False] and got.startswith(message)
+        assert read_keyed(tree, first_level, mapping, rows=False) == (got, [False])
+
+    def test_two_levels_in_one_chunk_read_as_rows(self):
+        tree = TreeParams(3, 3)
+        mapping = keyed_map(tree, level_arrays(tree, 2, 2.5))
+        got, taken = read_keyed(tree, 2, mapping)
+        assert got == as_bytes(reference_levels(tree, 2, mapping, 1.0)) and taken == [True]
+
+    def test_peak_temporaries_stay_near_one_chunk(self):
+        # a chunk of leaf keys read by _scan_words takes a few arrays of one
+        # int64 per symbol; the whole map read at once takes 85 MiB
+        tree = TreeParams(2, 16)
+        mapping = keyed_map(tree, level_arrays(tree, 0, 1.5))
+        tracemalloc.start()
+        try:
+            arrays = keyed_levels(tree, 0, mapping, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        one_array = KEY_CHUNK * tree.depth * 8
+        assert peak - sum(a.nbytes for a in arrays) < 8 * one_array
 
     def test_chunks_that_straddle_two_levels(self):
         # levels 10..12 in level order: 1024 + 2048 + 4096 keys, so the first

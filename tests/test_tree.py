@@ -470,6 +470,10 @@ def text(word) -> str:
     return ".".join(map(str, word))
 
 
+def as_bytes(arrays):
+    return [a.tobytes() for a in arrays]
+
+
 def read_keyed(tree, first_level, mapping, rows=True):
     """``keyed_levels``' arrays as bytes, or its refusal's message, and for
     each chunk whether it was read as rows of bytes; with ``rows=False``
@@ -483,14 +487,10 @@ def read_keyed(tree, first_level, mapping, rows=True):
 
     with mock.patch.object(tree_module, "_digit_runs", spy):
         try:
-            got = [a.tobytes() for a in keyed_levels(tree, first_level, mapping, 1.0)]
+            got = as_bytes(keyed_levels(tree, first_level, mapping, 1.0))
         except ConfigurationError as exc:
             got = str(exc)
     return got, taken
-
-
-def as_bytes(arrays):
-    return [a.tobytes() for a in arrays]
 
 
 # deepest tree per arity with at most about 40k vertices

@@ -109,36 +109,55 @@ def factorized_from_shape(
     is a block sum over the level below and a leaf branch is a slice of the
     masses.  An energy beyond the float range is refused.
     """
-    m = tree.arity
-
-    def over_descents(
-        node: JoinShape, level: int, free_levels: int, lo: int, hi: int
-    ) -> np.ndarray:
-        if isinstance(node, ShapeLeaf):
-            # every leaf below a start vertex is a valid placement; their
-            # weights sum to its cylinder mass regardless of the remaining gap
-            return masses[level][lo:hi]
-        width = m**free_levels
-        joins = at_join(node, level + free_levels, lo * width, hi * width)
-        return joins.reshape(-1, width).sum(axis=1)
-
-    def at_join(node: ShapeNode, level: int, lo: int, hi: int) -> np.ndarray:
-        table = np.array(
-            [
-                over_descents(branch, level + 1, branch.gap - 1, lo * m, hi * m)
-                .reshape(-1, m)
-                .T
-                for branch in node.branches
-            ]
-        )
-        # Python's float power: numpy's differs in the last bit on some values
-        d = node.degree
-        powers = [fw ** (d - 1) for fw in f.levels[level][lo:hi].tolist()]
-        return np.array(powers) * injective_sum(table)
-
     lo = tree.rank(base.word)
     try:
         with np.errstate(over="raise"):
-            return float(over_descents(shape, base.level, shape.gap, lo, lo + 1)[0])
+            value = _over_descents(tree.arity, masses, f, shape, base.level, shape.gap, lo, lo + 1)
+            return float(value[0])
     except (FloatingPointError, OverflowError):
         raise ConfigurationError(_OVERFLOW) from None
+
+
+def _over_descents(
+    m: int,
+    masses: Sequence[np.ndarray],
+    f: LevelFunction,
+    node: JoinShape,
+    level: int,
+    free_levels: int,
+    lo: int,
+    hi: int,
+) -> np.ndarray:
+    """One value per vertex of ranks ``lo..hi-1`` at ``level``: ``node``
+    hung ``free_levels`` free levels below it."""
+    if isinstance(node, ShapeLeaf):
+        # every leaf below a start vertex is a valid placement; their
+        # weights sum to its cylinder mass regardless of the remaining gap
+        return masses[level][lo:hi]
+    width = m**free_levels
+    joins = _at_join(m, masses, f, node, level + free_levels, lo * width, hi * width)
+    return joins.reshape(-1, width).sum(axis=1)
+
+
+def _at_join(
+    m: int,
+    masses: Sequence[np.ndarray],
+    f: LevelFunction,
+    node: ShapeNode,
+    level: int,
+    lo: int,
+    hi: int,
+) -> np.ndarray:
+    """One value per join vertex of ranks ``lo..hi-1`` at ``level``."""
+    table = np.array(
+        [
+            _over_descents(m, masses, f, branch, level + 1, branch.gap - 1, lo * m, hi * m)
+            .reshape(-1, m)
+            .T
+            for branch in node.branches
+        ]
+    )
+    # Python's float power: numpy's differs in the last bit on some values
+    d = node.degree
+    powers = [fw ** (d - 1) for fw in f.levels[level][lo:hi].tolist()]
+    return np.array(powers) * injective_sum(table)

@@ -43,8 +43,8 @@ from .tree import (
 DEFAULT_ENUMERATION_GUARD = 10_000_000
 # injective_sum adds about 10**8 terms per second; refuse sums of over about a second
 MAX_INJECTIVE_TERMS = 10**8
-# values per group of maps evaluated at once by injective_sum
-_BLOCK_VALUES = 2**14
+# values per pass of injective_sum; one prefix's leaves take at most a quarter
+_BLOCK_VALUES = 2**16
 # largest table of prefix rows that injective_sum caches, in indexes (8 MB)
 _PREFIX_TABLE_VALUES = 2**20
 
@@ -232,20 +232,23 @@ class JoinNode:
 
 def _join_nodes(top: ShapeNode) -> tuple[JoinNode, ...]:
     records: list[JoinNode] = []
-    next_slot = 0
-
-    def walk(node: ShapeNode, path: tuple[int, ...], offset: int) -> None:
-        nonlocal next_slot
-        offset += node.gap
-        slots = range(next_slot, next_slot + node.multiplicity)
-        next_slot = slots.stop
-        for j, branch in enumerate(node.branches):
-            if isinstance(branch, ShapeNode):
-                walk(branch, path + (j,), offset)
-        records.append(JoinNode(node, path, offset, slots))
-
-    walk(top, (), 0)
+    _walk_join_nodes(top, (), 0, 0, records)
     return tuple(records)
+
+
+def _walk_join_nodes(
+    node: ShapeNode, path: tuple[int, ...], offset: int, next_slot: int, records: list[JoinNode]
+) -> int:
+    """Append the records of ``node`` and the join nodes below it to
+    ``records``, children first; return the first slot after theirs."""
+    offset += node.gap
+    slots = range(next_slot, next_slot + node.multiplicity)
+    next_slot = slots.stop
+    for j, branch in enumerate(node.branches):
+        if isinstance(branch, ShapeNode):
+            next_slot = _walk_join_nodes(branch, path + (j,), offset, next_slot, records)
+    records.append(JoinNode(node, path, offset, slots))
+    return next_slot
 
 
 def checked_join_nodes(shape: JoinShape, arity: int) -> tuple[JoinNode, ...]:
@@ -317,13 +320,22 @@ def injective_sum(table: np.ndarray) -> np.ndarray:
     ``itertools.permutations`` order, so the result rounds exactly as a loop
     over the maps.  A map is a prefix of ``t = d - s`` children and a suffix
     of ``s``, with the largest ``s`` whose ``perm(m - t, s) * N`` leaves
-    hold at most ``_BLOCK_VALUES`` values, or 1.  Each pass takes a group of
-    consecutive prefixes whose leaves together fit that bound: one gather
+    hold at most a quarter of ``_BLOCK_VALUES`` values, or 1.  Each pass
+    takes a group of consecutive prefixes whose leaves together fit
+    ``_BLOCK_VALUES``, so at least four where there are four: one gather
     per prefix branch forms the prefixes' products, and a tree of partial
     products extends them, level ``j`` by each prefix's unused children in
     ascending order (see :func:`_write_leaves`).  The leaves go into one
     buffer, allocated once per call, and are added in place after the
     running total.  Over ``MAX_INJECTIVE_TERMS`` terms are refused.
+
+    A pass costs a few numpy calls per level of the tree whatever its size,
+    so passes of up to 2**16 values take the 8- and 9-child stars in one to
+    six passes, and the buffer with its spare (1 MB) stays in a core's
+    cache.  The quarter keeps the suffix short: a longer one takes fewer
+    prefixes per pass and more levels.  The buffer and the spare are one
+    allocation; as two, glibc gave the top of the heap back after each
+    call and faulted it in again, 125 to 224 minor faults per star call.
     """
     d, m, n = table.shape
     terms = math.perm(m, d) * n
@@ -334,23 +346,39 @@ def injective_sum(table: np.ndarray) -> np.ndarray:
         )
     if d == 0 or d > m or n == 0:
         return np.full(n, float(d == 0))  # one empty map (product 1) or none: form no product
+    s, size = _pass_shape(d, m, n)
+    t, k = d - s, m - d + s  # k children are left to each prefix's suffix
+    leaves = math.perm(k, s)
+    if not t:  # one pass of every map, its levels fresh (see _write_leaves)
+        sums = np.zeros((1 + leaves, n))
+        _write_leaves(table, None, 0, k, sums[1:].reshape(1, leaves, n), None)
+        return np.add.accumulate(sums, out=sums)[-1]
+    # one allocation holds the running total, a group's leaves and, where
+    # the tree has repeated levels, the spare they are formed in
+    values, spared = size * leaves * n, s > 1 and k > 2
+    memory = np.empty(n + values * (2 if spared else 1))
+    sums, spare = memory[: n + values].reshape(-1, n), memory[n + values :] if spared else None
+    sums[0] = 0.0
+    for chosen in _prefix_groups(m, t, size):
+        block = sums[: 1 + len(chosen) * leaves]
+        _write_leaves(table, chosen, t, k, block[1:].reshape(-1, leaves, n), spare)
+        # the group's total goes ahead of the next group's leaves
+        sums[0] = np.add.accumulate(block, out=block)[-1]
+    return sums[0].copy()  # not a view that would keep the buffer
+
+
+def _pass_shape(d: int, m: int, n: int) -> tuple[int, int]:
+    """The suffix length ``s`` and the prefixes per pass with which
+    :func:`injective_sum` takes a table of ``d`` branches on ``m >= d``
+    children over ``n`` columns (see there); one pass of all maps when
+    ``s = d``."""
     # s >= 1: a suffix of one child has at most m*N leaves, one table row
     s, k = d, m  # k = m - t children are left to each prefix's suffix
-    while s > 1 and math.perm(k, s) * n > _BLOCK_VALUES:
+    while s > 1 and 4 * math.perm(k, s) * n > _BLOCK_VALUES:
         s, k = s - 1, k - 1
-    t, leaves = d - s, math.perm(k, s)
-    size = max(1, _BLOCK_VALUES // (leaves * n)) if t else 1  # prefixes per group
-    sums = np.zeros((1 + size * leaves, n))  # the running total, then a group's leaves
-    # with several groups, the tree's levels are formed in the buffer (see _write_leaves)
-    spare = np.empty(size * leaves * n) if t and s > 1 and k > 2 else None
-    total = None
-    for chosen in _prefix_groups(m, t, size) if t else [None]:
-        if total is not None:  # the last group's total goes ahead of this group's leaves
-            sums[0] = total
-        block = sums[: 1 + (len(chosen) if t else 1) * leaves]
-        _write_leaves(table, chosen, t, k, block[1:].reshape(-1, leaves, n), spare)
-        total = np.add.accumulate(block, out=block)[-1]
-    return total
+    if s == d:
+        return s, 1
+    return s, min(math.perm(m, d - s), max(1, _BLOCK_VALUES // (math.perm(k, s) * n)))
 
 
 def _write_leaves(

@@ -358,10 +358,12 @@ def _read_chunk(
     """The entries of one chunk by level: each level with the ranks and
     values of its entries; None when any entry is refused.
 
-    A chunk as ``keyed_map`` writes one, words of one-digit symbols on one
-    level or two levels in turn, is read as rows of bytes (see
-    ``_digit_runs``).  Any other chunk is read by ``_scan_words``: the root,
-    more than two levels, two-digit symbols, or a bad key.
+    A chunk as ``keyed_map`` writes one, words of one-digit symbols in level
+    order with every level between the first key's and the last key's
+    complete, is read as rows of bytes (see ``_digit_runs``).  At m <= 9
+    that is every chunk it writes, the root's included.  Any other chunk is
+    read by ``_scan_words``: two-digit symbols, several levels out of
+    order, or a bad key.
     """
     if not all(map(_is_number_type, set(map(type, values)))):
         return None
@@ -370,7 +372,7 @@ def _read_chunk(
         text = "/".join(keys)
     except (TypeError, OverflowError, FloatingPointError):
         return None
-    runs = _digit_runs(text, len(keys), len(keys[0]) + 1, min(tree.arity, 9))
+    runs = _digit_runs(text, len(keys), len(keys[0]), len(keys[-1]), tree.arity)
     if runs is None:
         return _scanned_levels(tree, first_level, text, numbers)
     if not first_level <= runs[0][0] <= runs[-1][0] <= tree.depth:
@@ -384,38 +386,58 @@ def _read_chunk(
 
 
 def _digit_runs(
-    text: str, count: int, width: int, top: int
+    text: str, count: int, first: int, last: int, m: int
 ) -> list[tuple[int, np.ndarray]] | None:
     """The ``count`` words joined by '/' in ``text`` as runs of rows: each
     run's level and its symbols less one, one row per word; None unless the
-    words are ``d.d.….d`` of one-digit symbols ``d`` in ``1..top``, first
-    ``width - 1`` characters long, then perhaps words two characters longer.
+    words are ``d.d.….d`` of one-digit symbols ``d`` in ``1..min(m, 9)``,
+    in level order from the level of the first word, ``first`` characters
+    long, to that of the last, ``last`` characters long, and every level
+    strictly between those two holds all of its ``m**level`` words.
 
-    ``text`` and a closing '/' are viewed as rows of bytes, one per word.
-    The length of ``text`` tells how many words are longer, and the rows
-    check that it told the truth: each row holds one '/', its last byte.
-    Subtracting the row ``1.1.….1/`` wraps every byte below its column's
-    round to 207 or more, so one comparison with the most each column
-    allows (``top - 1`` under a digit, 0 under '.' or '/') checks every byte
-    of a run.
+    ``text`` and a closing '/' are viewed as rows of bytes, one per word:
+    ``2 * level`` bytes, or the one byte '/' for the root.  The length of
+    ``text`` tells how many words each of the two end levels holds, and the
+    rows check that it told the truth: each row holds one '/', its last
+    byte.  Subtracting the row ``1.1.….1/`` wraps every byte below its
+    column's round to 207 or more, so one comparison with the most each
+    column allows (``min(m, 9) - 1`` under a digit, 0 under '.' or '/')
+    checks every byte of a run.
     """
-    longer, odd = divmod(len(text) + 1 - count * width, 2)
-    if width % 2 or odd or not 0 <= longer < count:
+    low, high = (first + 1) // 2, (last + 1) // 2
+    if low > high:
+        return None
+    # words and bytes left to the two end levels once the levels between are full;
+    # m >= 2, so the loop stops within about log2(count) levels
+    words, size = count, len(text) + 1
+    for level in range(low + 1, high):
+        words, size = words - m**level, size - m**level * 2 * level
+        if words < 0:
+            return None
+    wide, narrow = 2 * high or 1, 2 * low or 1
+    if low == high:
+        shallow, odd = words, words * wide != size
+    else:  # shallow words on the first level, the rest on the last
+        shallow, odd = divmod(words * wide - size, wide - narrow)
+    if odd or not 0 <= shallow <= words:
         return None
     try:
         data = np.frombuffer(f"{text}/".encode("ascii"), dtype=np.uint8)
     except UnicodeEncodeError:
         return None
-    cut = (count - longer) * width
-    runs = []
-    for level, rows in ((width // 2, data[:cut]), (width // 2 + 1, data[cut:])):
-        if rows.size:
-            base = np.frombuffer(b"1." * (level - 1) + b"1/", dtype=np.uint8)
-            limit = np.frombuffer(bytes((top - 1, 0)) * level, dtype=np.uint8)
-            offsets = rows.reshape(-1, 2 * level) - base
+    middle = [(level, m**level) for level in range(low + 1, high)]
+    runs, start = [], 0
+    for level, rows in ((low, shallow), *middle, (high, words - shallow)):
+        if rows:
+            width = 2 * level or 1
+            base = np.frombuffer((b"1." * level)[:-1] + b"/", dtype=np.uint8)
+            limit = np.zeros(width, dtype=np.uint8)
+            limit[:-1:2] = min(m, 9) - 1
+            offsets = data[start : start + rows * width].reshape(rows, width) - base
             if (offsets > limit).any():
                 return None
-            runs.append((level, offsets[:, ::2]))
+            runs.append((level, offsets[:, :-1:2]))
+            start += rows * width
     return runs
 
 

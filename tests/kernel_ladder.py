@@ -10,22 +10,28 @@ package on the path:
     PYTHONPATH=src python tests/kernel_ladder.py [--rounds R]
 
 It prints one JSON object mapping each rung ``mxdxN`` to its time per call
-in microseconds.  pytest does not collect this file.
+in microseconds (``us``) and the pass shape the kernel takes for it: the
+suffix length ``s``, the prefixes per pass and the number of passes.
+pytest does not collect this file.
 """
 
 import argparse
 import json
+import math
 import time
 
 import numpy as np
 
-from joinforge.orbits import injective_sum
+from joinforge.orbits import _pass_shape, injective_sum
 
 # (m, d, N) per rung
 LADDER = (
     (2, 2, 1),
     (3, 3, 1),
+    (7, 5, 1),
+    (7, 6, 1),
     (7, 7, 1),
+    (8, 6, 1),
     (8, 7, 1),
     (8, 8, 1),
     (9, 7, 1),
@@ -60,5 +66,11 @@ if __name__ == "__main__":
     times = {}
     for m, d, n in LADDER:
         table = rng.uniform(0.5, 2.0, (d, m, n))
-        times[f"{m}x{d}x{n}"] = round(per_call_us(table, args.rounds), 2)
+        s, size = _pass_shape(d, m, n)
+        times[f"{m}x{d}x{n}"] = {
+            "us": round(per_call_us(table, args.rounds), 2),
+            "s": s,
+            "prefixes_per_pass": size,
+            "passes": math.ceil(math.perm(m, d - s) / size),
+        }
     print(json.dumps(times))

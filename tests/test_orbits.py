@@ -412,8 +412,8 @@ def injective_sum_loop(table: np.ndarray) -> np.ndarray:
     return np.array(values)
 
 
-# values per group of maps: the default, one prefix per group at every suffix
-# length, and groups of several prefixes at 100 and 1000
+# values per pass: the default, one prefix per pass at every suffix length,
+# and passes of several prefixes from 7 up
 BLOCK_SIZES = [orbits._BLOCK_VALUES, 1, 7, 100, 1000]
 BLOCK_IDS = ["default", "1", "7", "100", "1000"]
 
@@ -423,16 +423,17 @@ class TestInjectiveSum:
         "m, d, n",
         [(m, d, n) for m in range(1, 6) for d in range(1, m + 1) for n in (1, 4)]
         + [(6, 3, 4), (7, 4, 4), (7, 7, 1), (7, 7, 4), (3, 2, 5000), (4, 4, 5000), (5, 2, 5000)]
-        + [(7, 3, 1), (6, 6, 1), (8, 6, 1)],
+        + [(7, 3, 1), (6, 6, 1), (8, 6, 1), (6, 5, 100)],
     )
     @pytest.mark.parametrize("block", BLOCK_SIZES, ids=BLOCK_IDS)
     def test_equals_plain_loop(self, monkeypatch, m, d, n, block):
         # smaller blocks split prefixes at every suffix length, down to s = 1;
-        # at the default size, m = d = 7 with n = 4 and the n = 5000 cases
-        # split too, and (5, 2, 5000) has s = 1.  Groups hold several prefixes
-        # and end in a shorter one: 5 then 2 prefixes for (7, 7, 4) and 6 then
-        # 2 for (8, 6, 1) at the default size, 3, 3, 1 for (7, 3, 1) at 100,
-        # and 2 per group for (7, 7, 4) and (8, 6, 1) at 1000
+        # at the default size, (7, 7, 4), (8, 6, 1) and the n = 5000 cases
+        # split too, and (3, 2, 5000) and (5, 2, 5000) have s = 1.  Groups
+        # hold several prefixes and may end in a shorter one: 5 then 1 for
+        # (6, 5, 100), whose levels are formed in the spare, and 3 then 2 for
+        # (5, 2, 5000) at the default size, 20, 20, 2 for (7, 3, 1) at 100,
+        # and 12, 12, 12, 6 for (7, 4, 4) at 1000
         monkeypatch.setattr(orbits, "_BLOCK_VALUES", block)
         rng = np.random.default_rng(1000 * m + 10 * d + n)
         table = rng.uniform(0.0, 3.0, (d, m, n))
@@ -463,10 +464,10 @@ class TestInjectiveSum:
         assert np.array_equal(injective_sum(table), injective_sum_loop(table))
 
     def test_peak_temporaries_stay_near_one_block(self):
-        # 60 prefixes of 3 children, 2 per group, each with 2 * 4096 leaves:
-        # the buffer, the group's suffix rows, prefix products and one
-        # gathered row take about 4.3 blocks; forming the products of every
-        # prefix at once would add 60 * 4096 values, 15 blocks
+        # 60 prefixes of 3 children, 8 per pass, each with 2 * 4096 leaves:
+        # the buffer, the pass's suffix rows, prefix products and one
+        # gathered row take about 4.1 blocks; forming the products of every
+        # prefix at once would add 60 * 4096 values, 3.75 blocks
         table = np.random.default_rng(5).uniform(0.5, 2.0, (5, 5, 4096))
         want = injective_sum(table)  # warm-up: caches and first-call allocations
         tracemalloc.start()
@@ -488,8 +489,13 @@ class TestInjectiveSum:
         )
         assert result.returncode == 0, result.stderr
         times = json.loads(result.stdout)
-        assert "9x9x1" in times and "2x2x8192" in times and len(times) == 11
-        assert all(us > 0.0 for us in times.values())
+        assert "9x9x1" in times and "2x2x8192" in times and len(times) == 14
+        assert all(rung["us"] > 0.0 for rung in times.values())
+        for rung, got in times.items():
+            m, d, n = map(int, rung.split("x"))
+            s, size = got["s"], got["prefixes_per_pass"]
+            assert (s, size) == orbits._pass_shape(d, m, n)
+            assert math.ceil(math.perm(m, d - s) / size) == got["passes"]
 
     def test_term_limit(self, monkeypatch):
         monkeypatch.setattr(orbits, "MAX_INJECTIVE_TERMS", 6)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -499,6 +500,32 @@ DEPTHS = {
 }
 
 
+def first_keys(tree, first_level, count):
+    """The first ``count`` keys that ``keyed_map`` writes for levels ``first_level..depth``."""
+    arrays = [np.zeros(tree.arity**l) for l in range(first_level, tree.depth + 1)]
+    return tuple(itertools.islice(keyed_map(tree, arrays), count))
+
+
+def middle_keys(tree, first, last):
+    """The keys that ``keyed_map`` writes from the middle of level ``first``
+    to the middle of level ``last``."""
+    keys = first_keys(tree, first, tree.vertex_count)
+    start = tree.arity**first // 2
+    stop = sum(tree.arity**l for l in range(first, last)) + tree.arity**last // 2
+    return keys[start:stop]
+
+
+# chunks in keyed_map order: (tree, first_level, keys)
+SPANNING_CHUNKS = {
+    **{f"star-m{m}": (TreeParams(m, 2), 0, first_keys(TreeParams(m, 2), 0, m * m + m + 1))
+       for m in range(2, 10)},
+    **{f"first-f-chunk-k{k}": (TreeParams(2, k), 0, first_keys(TreeParams(2, k), 0, KEY_CHUNK))
+       for k in (11, 12, 13)},
+    "mid-level-to-mid-level": (TreeParams(3, 4), 1, middle_keys(TreeParams(3, 4), 1, 3)),
+    "mid-level-to-mid-level-m9": (TreeParams(9, 3), 1, middle_keys(TreeParams(9, 3), 1, 3)),
+}
+
+
 class TestKeyedLevels:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -588,8 +615,10 @@ class TestKeyedLevels:
     @pytest.mark.parametrize("first_level", [0, 1])
     def test_root_key_alone(self, first_level):
         tree = TreeParams(3, 2)
+        # the root is a one-byte row, so it is read as rows at either first
+        # level; the level check then refuses it above level 1
         got, taken = read_keyed(tree, first_level, {"": 2.0})
-        assert taken == [False]
+        assert taken == [True]
         if first_level == 0:
             assert got == as_bytes(reference_levels(tree, 0, {"": 2.0}, 1.0))
         else:
@@ -618,6 +647,50 @@ class TestKeyedLevels:
         mapping = keyed_map(tree, level_arrays(tree, 2, 2.5))
         got, taken = read_keyed(tree, 2, mapping)
         assert got == as_bytes(reference_levels(tree, 2, mapping, 1.0)) and taken == [True]
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), case=st.sampled_from(sorted(SPANNING_CHUNKS)))
+    def test_chunks_over_many_levels_read_as_rows(self, data, case):
+        # chunks in keyed_map order that hold the root or three or more
+        # levels, perhaps with one byte changed: the rows read what
+        # _scan_words reads, and the unchanged chunk is read as rows
+        tree, first_level, keys = SPANNING_CHUNKS[case]
+        keys = list(keys)
+        changed = data.draw(st.booleans(), label="change a byte")
+        if changed:
+            i = data.draw(st.sampled_from([0, 1, len(keys) // 2, len(keys) - 1]), label="key")
+            if keys[i]:
+                j = data.draw(st.integers(0, len(keys[i]) - 1), label="byte")
+                new = data.draw(st.sampled_from([*"0123456789./ ", "\0", "\u0661"]), label="to")
+                keys[i] = keys[i][:j] + new + keys[i][j + 1 :]
+            else:  # the root has no byte to change; it takes one
+                keys[i] = data.draw(st.sampled_from(["1", "0", "/", "."]), label="root")
+        mapping = {key: float(i) for i, key in enumerate(keys)}
+        got, taken = read_keyed(tree, first_level, mapping)
+        assert (got, [False]) == read_keyed(tree, first_level, mapping, rows=False)
+        if isinstance(got, list):
+            assert got == as_bytes(reference_levels(tree, first_level, mapping, 1.0))
+        if not changed:
+            assert isinstance(got, list) and taken == [True]
+
+    @pytest.mark.parametrize("chunk", [KEY_CHUNK, 7, 100])
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_maps_that_keyed_map_writes_skip_the_scanner(self, monkeypatch, m, chunk):
+        # every chunk of a full map or a leaf map is read as rows at m <= 9;
+        # two-digit symbols still take _scan_words
+        monkeypatch.setattr(tree_module, "KEY_CHUNK", chunk)
+        scanned = []
+        scan_words = tree_module._scan_words
+        monkeypatch.setattr(
+            tree_module, "_scan_words", lambda *args: scanned.append(1) or scan_words(*args)
+        )
+        tree = TreeParams(m, min(DEPTHS[m], 4))
+        for first_level in (0, tree.depth):
+            levels = range(first_level, tree.depth + 1)
+            mapping = keyed_map(tree, [np.arange(m**level) + 0.5 for level in levels])
+            got = keyed_levels(tree, first_level, mapping, 1.0)
+            assert as_bytes(got) == as_bytes(reference_levels(tree, first_level, mapping, 1.0))
+        assert bool(scanned) == (m >= 10)
 
     def test_peak_temporaries_stay_near_one_chunk(self):
         # a chunk of leaf keys read by _scan_words takes a few arrays of one

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import concurrent.futures
+import gc
 import json
 import math
 import os
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +30,7 @@ from joinforge import (
     check_inequality,
     extract_shape,
     fuzz_campaign,
+    load_instance,
     open_ratio_csv,
     random_instance,
     reproduce_example,
@@ -39,6 +42,29 @@ import joinforge.tree as tree_mod
 import joinforge.verify as verify_mod
 
 from conftest import per_vertex, vx
+
+
+def cyclic_functions(run) -> list[str]:
+    """Names of the joinforge functions, and of the cells of their closures,
+    that ``run()`` leaves in cyclic garbage: objects only the cyclic
+    collector would free."""
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run()
+        gc.collect()
+        ours = [
+            o for o in gc.garbage
+            if isinstance(o, types.FunctionType) and o.__module__.startswith("joinforge.")
+        ]
+        closures = {id(cell) for function in ours for cell in function.__closure__ or ()}
+        cells = [o for o in gc.garbage if isinstance(o, types.CellType) and id(o) in closures]
+        return [o.__qualname__ for o in ours] + ["cell"] * len(cells)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
 
 
 def refused_instance() -> Instance:
@@ -367,6 +393,37 @@ class TestCheckInequality:
         )
         report = check_inequality(inst)
         assert report.passed
+
+
+class TestNoReferenceCycles:
+    # a recursion by nested closures leaves a function-cell cycle per call,
+    # which holds the shape and the energy's arrays until the cyclic
+    # collector runs
+    @pytest.mark.parametrize("regime", ["general", "binary_optimal", "inductive"])
+    def test_seeded_checks(self, regime):
+        arities = (2,) if regime == "binary_optimal" else (2, 3)
+        ranges = InstanceRanges(arities=arities, regime=regime)
+
+        def run():
+            for seed in range(20):
+                check_inequality(random_instance(seed, ranges))
+
+        assert cyclic_functions(run) == []
+
+    @pytest.mark.parametrize("regime", ["general", "inductive"])
+    def test_star_file(self, tmp_path, regime):
+        tree = TreeParams(8, 2)
+        doc = {
+            "m": 8, "k": 2, "base": "", "config": [[1, 2], [3, 4], [5, 6], [8, 8]],
+            "mu": tree_mod.keyed_map(tree, [np.linspace(0.5, 2.0, 64)]),
+            "f": tree_mod.keyed_map(tree, tree_mod.level_arrays(tree, 0, 1.5)),
+            "p": [3.0, 3.0, 3.0], "regime": regime,
+        }
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        reports = []
+        assert cyclic_functions(lambda: reports.append(check_inequality(load_instance(path)))) == []
+        assert reports[0].passed
 
 
 class TestEqualityCase:

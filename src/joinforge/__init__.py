@@ -36,6 +36,7 @@ from .orbits import (
     Configuration,
     EnumerationGuardError,
     JoinNode,
+    JoinWalk,
     JoinShape,
     ShapeLeaf,
     ShapeNode,

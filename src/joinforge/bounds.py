@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
@@ -143,7 +143,7 @@ def _reciprocal_sums(
     sums = []
     for record in shape.join_nodes:
         own = sum(q[slot] for slot in record.slots)
-        paths = (record.path + (j,) for j in range(record.node.degree))
+        paths = (record.path + (j,) for j in range(record.degree))
         branch_sums = [subtree.get(path, 0.0) for path in paths]
         subtree[record.path] = own + sum(branch_sums)
         sums.append((record, own, branch_sums))
@@ -288,7 +288,7 @@ def regime_constant(
     flags: list[str] = []
     if regime == "general":
         exact = math.prod(
-            math.factorial(arity - 1) // math.factorial(arity - record.node.degree)
+            math.factorial(arity - 1) // math.factorial(arity - record.degree)
             for record in checked_join_nodes(shape, arity)
         )
         try:
@@ -296,7 +296,7 @@ def regime_constant(
         except OverflowError:
             k = math.inf
     elif regime == "binary_optimal":
-        if any(record.node.degree != 2 for record in shape.join_nodes):
+        if shape.walk.max_degree > 2:
             raise ConfigurationError("the sharp binary constant needs a binary shape")
         sums = (s for _, _, branch_sums in _reciprocal_sums(shape, pa) for s in branch_sums)
         if all(s <= 0.5 + HALF_TOL for s in sums):
@@ -336,6 +336,8 @@ class MuirheadSpec:
     """
 
     a: tuple[float, ...]
+    # the sum of a, set by __post_init__; not part of equality, hash or repr
+    s: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         a = tuple(_float_value(x, "an exponent") for x in self.a)
@@ -343,17 +345,15 @@ class MuirheadSpec:
             raise ConfigurationError("exponent vector must be nonempty")
         if any(not x >= 0.0 for x in a):
             raise ConfigurationError(f"exponents must be >= 0, got {a}")
-        if not math.isfinite(sum(a)):
+        s = sum(a)
+        if not math.isfinite(s):
             raise ConfigurationError(f"exponents and their sum must be finite, got {a}")
         object.__setattr__(self, "a", a)
+        object.__setattr__(self, "s", s)
 
     @property
     def m(self) -> int:
         return len(self.a)
-
-    @property
-    def s(self) -> float:
-        return sum(self.a)
 
 
 def symmetric_sum(x: Sequence[float], spec: MuirheadSpec) -> float:
@@ -596,6 +596,7 @@ def k_inductive(shape: JoinShape, pa: ExponentAssignment, arity: int) -> KInduct
     """
     m = arity
     checked_join_nodes(shape, m)
+    log_upper = math.lgamma(m)  # log (m-1)!
     entries: list[NodeAccount] = []
     for record, own, branch_sums in _reciprocal_sums(shape, pa):
         alpha_inv = tuple(1.0 - s for s in branch_sums)
@@ -605,12 +606,11 @@ def k_inductive(shape: JoinShape, pa: ExponentAssignment, arity: int) -> KInduct
             raise ConfigurationError(
                 f"nonpositive 1/beta at node {record.path}: exponents are not conjugate"
             )
-        d = record.node.degree
+        d = record.degree
         a_vec = tuple(ai / beta_inv for ai in alpha_inv) + (0.0,) * (m - d)
         mspec = MuirheadSpec(a_vec)
         case = _muirhead_case(mspec)
         estimated = case == "ii" and m in _RESOLUTION
-        log_upper = math.lgamma(m)  # log (m-1)!
         if case != "ii":
             log_k = _log_closed_form(case, m, mspec.s)
         elif not estimated:

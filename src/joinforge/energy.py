@@ -136,6 +136,8 @@ def _over_descents(
         return masses[level][lo:hi]
     width = m**free_levels
     joins = _at_join(m, masses, f, node, level + free_levels, lo * width, hi * width)
+    if width == 1:  # no free level: each start vertex is its one join vertex
+        return joins
     return joins.reshape(-1, width).sum(axis=1)
 
 
@@ -157,7 +159,8 @@ def _at_join(
             for branch in node.branches
         ]
     )
-    # Python's float power: numpy's differs in the last bit on some values
-    d = node.degree
-    powers = [fw ** (d - 1) for fw in f.levels[level][lo:hi].tolist()]
-    return np.array(powers) * injective_sum(table)
+    values = f.levels[level][lo:hi]
+    if node.degree > 2:  # a binary node takes f itself, its power 1 being exact
+        # Python's float power: numpy's differs in the last bit on some values
+        values = np.array([fw ** (node.degree - 1) for fw in values.tolist()])
+    return values * injective_sum(table)

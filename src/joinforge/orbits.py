@@ -128,6 +128,10 @@ class ShapeLeaf:
         return f"{self.gap}#{self.index}"
 
     @property
+    def walk(self) -> "JoinWalk":
+        return JoinWalk((), (), self.gap, 0)
+
+    @property
     def join_nodes(self) -> tuple["JoinNode", ...]:
         return ()
 
@@ -178,9 +182,14 @@ class ShapeNode:
         return len(self.branches) - 1
 
     @cached_property
+    def walk(self) -> "JoinWalk":
+        """The one walk over the shape's join nodes (see :class:`JoinWalk`), made once."""
+        return _join_nodes(self)
+
+    @property
     def join_nodes(self) -> tuple["JoinNode", ...]:
         """Every join node of the shape with its slots, children first (post-order)."""
-        return _join_nodes(self)
+        return self.walk.nodes
 
 
 JoinShape = ShapeLeaf | ShapeNode
@@ -218,56 +227,84 @@ def _shape_of(
 
 @dataclass(frozen=True)
 class JoinNode:
-    """A join node, its branch ``path`` from the top node, its depth ``offset``
-    in levels below the base, and the ``multiplicity`` exponent slots it owns.
+    """A join node's branch ``path`` from the top node, its depth ``offset``
+    in levels below the base, its ``degree`` (number of branches), and the
+    ``degree - 1`` exponent slots it owns.
 
-    Slots are numbered in preorder over join nodes, a node's before its branches'.
+    Slots are numbered in preorder over join nodes, a node's before its
+    branches'.  A record holds no node, so the shape that caches its records
+    is not a reference cycle.
     """
 
-    node: ShapeNode
     path: tuple[int, ...]
     offset: int
+    degree: int
     slots: range
 
 
-def _join_nodes(top: ShapeNode) -> tuple[JoinNode, ...]:
+@dataclass(frozen=True)
+class JoinWalk:
+    """What one walk over a shape's join nodes gives; cached on the top node.
+
+    ``nodes`` are the join nodes' records, children first (post-order).
+    ``slot_offsets`` holds each slot's join depth below the base, in slot
+    order.  ``free_levels`` counts the levels whose vertex a placement of
+    the shape chooses freely: every level of the top's descent, and every
+    level of a deeper descent but the first, which enters a child (see
+    :func:`shape_orbit_size`).  ``max_degree`` is the largest degree, 0 on a
+    lone particle.
+    """
+
+    nodes: tuple[JoinNode, ...]
+    slot_offsets: tuple[int, ...]
+    free_levels: int
+    max_degree: int
+
+
+def _join_nodes(top: ShapeNode) -> JoinWalk:
     records: list[JoinNode] = []
-    _walk_join_nodes(top, (), 0, 0, records)
-    return tuple(records)
+    offsets: list[int] = []
+    free_levels = _walk_join_nodes(top, (), 0, records, offsets) + 1
+    max_degree = max(record.degree for record in records)
+    return JoinWalk(tuple(records), tuple(offsets), free_levels, max_degree)
 
 
 def _walk_join_nodes(
-    node: ShapeNode, path: tuple[int, ...], offset: int, next_slot: int, records: list[JoinNode]
+    node: ShapeNode,
+    path: tuple[int, ...],
+    offset: int,
+    records: list[JoinNode],
+    offsets: list[int],
 ) -> int:
     """Append the records of ``node`` and the join nodes below it to
-    ``records``, children first; return the first slot after theirs."""
+    ``records``, children first, and their slots' offsets to ``offsets``,
+    in slot order; return their free levels, each descent's first level
+    counted out."""
     offset += node.gap
-    slots = range(next_slot, next_slot + node.multiplicity)
-    next_slot = slots.stop
+    slots = range(len(offsets), len(offsets) + node.multiplicity)
+    offsets += [offset] * node.multiplicity  # a node's slots come before its branches'
+    free_levels = node.gap - 1
     for j, branch in enumerate(node.branches):
         if isinstance(branch, ShapeNode):
-            next_slot = _walk_join_nodes(branch, path + (j,), offset, next_slot, records)
-    records.append(JoinNode(node, path, offset, slots))
-    return next_slot
+            free_levels += _walk_join_nodes(branch, path + (j,), offset, records, offsets)
+        else:
+            free_levels += branch.gap - 1
+    records.append(JoinNode(path, offset, node.degree, slots))
+    return free_levels
 
 
 def checked_join_nodes(shape: JoinShape, arity: int) -> tuple[JoinNode, ...]:
     """The shape's join nodes, refusing a node with more branches than ``arity``."""
-    for record in shape.join_nodes:
-        if record.node.degree > arity:
-            raise ConfigurationError(
-                f"join node with {record.node.degree} branches exceeds arity {arity}"
-            )
-    return shape.join_nodes
+    walk = shape.walk
+    if walk.max_degree > arity:
+        degree = next(record.degree for record in walk.nodes if record.degree > arity)
+        raise ConfigurationError(f"join node with {degree} branches exceeds arity {arity}")
+    return walk.nodes
 
 
 def shape_join_levels(shape: JoinShape, base_level: int) -> list[int]:
     """Join levels with multiplicity, one per slot, in canonical slot order."""
-    levels = [0] * (shape.n_particles - 1)
-    for record in shape.join_nodes:
-        for slot in record.slots:
-            levels[slot] = base_level + record.offset
-    return levels
+    return [base_level + offset for offset in shape.walk.slot_offsets]
 
 
 def equivalent(a: Configuration, b: Configuration) -> bool:
@@ -294,18 +331,12 @@ def shape_orbit_size(shape: JoinShape, arity: int) -> int:
     candidate vertices at the join level); each join node contributes the
     number of injective branch-to-child assignments times its branch counts.
     A branch's gap includes the level of the child it enters, which is not
-    free; the top's gap starts at the base and has no such level.
+    free; the top's gap starts at the base and has no such level.  Both
+    counts come from the shape's cached walk.
     """
     m = arity
-    if isinstance(shape, ShapeLeaf):
-        return m**shape.gap
-    free_levels, assignments = 1, 1
-    for record in checked_join_nodes(shape, m):
-        node = record.node
-        assignments *= math.perm(m, node.degree)
-        free_levels += node.gap - 1
-        free_levels += sum(b.gap - 1 for b in node.branches if isinstance(b, ShapeLeaf))
-    return m**free_levels * assignments
+    records = checked_join_nodes(shape, m)
+    return m**shape.walk.free_levels * math.prod(math.perm(m, r.degree) for r in records)
 
 
 def injective_sum(table: np.ndarray) -> np.ndarray:

@@ -548,8 +548,10 @@ def _held(
     An array that owns its float64 data is taken over as it is; anything
     else is copied first, a view included, since its base stays writable.
     """
-    held = tuple(_numbers(a, f"{what}s") for a in arrays)
-    held = tuple(a if a.base is None else a.copy() for a in held)
+    held = []
+    for a in arrays:
+        a = _numbers(a, f"{what}s")
+        held.append(a if a.base is None else a.copy())
     if [a.shape for a in held] != [(tree.arity**l,) for l in range(first_level, tree.depth + 1)]:
         raise ConfigurationError(
             f"{what}s need one array of m**level values per level {first_level}..{tree.depth}"
@@ -557,7 +559,7 @@ def _held(
     # the levels of under KEY_CHUNK values are checked in one pass over a
     # small copy and the others in place; a NaN minimum fails both tests
     few = sum(a.size < KEY_CHUNK for a in held)  # the levels grow, so these come first
-    parts = (np.concatenate(held[:few]), *held[few:]) if few > 1 else held
+    parts = [np.concatenate(held[:few]), *held[few:]] if few > 1 else held
     if not all(
         (a.min() > 0.0 if positive else a.min() >= 0.0) and a.max() < math.inf for a in parts
     ):
@@ -573,7 +575,7 @@ def _held(
             )
     for out in held:
         out.flags.writeable = False
-    return held
+    return tuple(held)
 
 
 def _word_of_rank(tree: TreeParams, level: int, rank: int) -> Word:
@@ -641,19 +643,29 @@ def cylinder_masses(tree: TreeParams, weights: WeightAssignment) -> tuple[np.nda
     with that rank.  Each level adds its children's columns in symbol order,
     so every mass is the float a left-to-right sum over the children gives.
     A mass beyond the float range is refused.
+
+    All levels are views of one array, root first, allocated at once; the
+    array and every view are read-only.
     """
     if weights.tree != tree:
         raise ConfigurationError("weight assignment belongs to a different tree")
-    masses = level_arrays(tree, 0, 0.0)
+    check_tree_size(tree)
+    m = tree.arity
+    buffer = np.zeros(tree.vertex_count)
+    masses = []
+    for level in range(tree.depth + 1):
+        start = (m**level - 1) // (m - 1)  # the vertices above this level
+        masses.append(buffer[start : start + m**level])
     masses[-1][:] = weights.leaf_array
     try:
         with np.errstate(over="raise"):
             for level in range(tree.depth - 1, -1, -1):
-                children = masses[level + 1].reshape(-1, tree.arity)
-                for symbol in range(tree.arity):
+                children = masses[level + 1].reshape(-1, m)
+                for symbol in range(m):
                     masses[level] += children[:, symbol]
     except FloatingPointError:
         raise ConfigurationError("a cylinder mass exceeds the float range") from None
+    buffer.flags.writeable = False
     for array in masses:
         array.flags.writeable = False
     return tuple(masses)

@@ -53,7 +53,6 @@ from .tree import (
     check_tree_size,
     keyed_levels,
     keyed_map,
-    level_arrays,
 )
 
 REGIMES = ("general", "binary_optimal", "inductive", "explicit")
@@ -595,8 +594,10 @@ def random_instance(seed: int, ranges: InstanceRanges = InstanceRanges()) -> Ins
     # they used through `uniform` itself (lo + (hi-lo)*u recomputed from raw
     # doubles may round differently) and keep those after a nonzero test.
     # Powers are Python's: numpy's differ in the last bit on some values.
+    # Each value goes straight into the array the instance holds.
+    check_tree_size(tree)
     w_lo, w_hi = math.log10(WEIGHT_LOW), math.log10(WEIGHT_HIGH)
-    (mu,) = level_arrays(tree, k, 0.0)
+    mu = np.zeros(m**k)
     state = rng.bit_generator.state
     tests = rng.random(2 * mu.size).tolist()
     rng.bit_generator.state = state
@@ -614,20 +615,19 @@ def random_instance(seed: int, ranges: InstanceRanges = InstanceRanges()) -> Ins
     weights = WeightAssignment(tree, mu)
 
     f_lo, f_hi = math.log10(F_LOW), math.log10(F_HIGH)
-    f_levels = level_arrays(tree, 0, 0.0)
     f_values = [10.0**x for x in rng.uniform(f_lo, f_hi, size=tree.vertex_count).tolist()]
-    start = 0
-    for values in f_levels:
-        values[:] = f_values[start : start + values.size]
-        start += values.size
+    f_levels, start = [], 0
+    for level in range(k + 1):
+        f_levels.append(np.array(f_values[start : start + m**level]))
+        start += m**level
     f = LevelFunction(tree, f_levels)
 
     if ranges.regime == "binary_optimal":
         exponents = _binary_optimal_exponents(config.shape, rng)
     else:
-        reciprocals = np.clip(rng.dirichlet(np.ones(n - 1)), 1e-12, None)
+        reciprocals = np.maximum(rng.dirichlet(np.ones(n - 1)), 1e-12)
         reciprocals = reciprocals / reciprocals.sum()
-        exponents = ExponentAssignment(tuple(float(1.0 / q) for q in reciprocals))
+        exponents = ExponentAssignment(tuple([1.0 / q for q in reciprocals.tolist()]))
 
     return Instance(
         config=config,
@@ -653,10 +653,9 @@ def _binary_optimal_exponents(
     for t, budget in zip(counts, budgets):
         if t == 0:
             continue
-        parts = np.clip(rng.dirichlet(np.ones(t)), 1e-12, None)
-        parts = parts * (budget / parts.sum())
-        reciprocals.extend(float(x) for x in parts)
-    return ExponentAssignment(tuple(1.0 / q for q in reciprocals))
+        parts = np.maximum(rng.dirichlet(np.ones(t)), 1e-12)
+        reciprocals.extend((parts * (budget / parts.sum())).tolist())
+    return ExponentAssignment(tuple([1.0 / q for q in reciprocals]))
 
 
 @dataclass(frozen=True)

@@ -135,7 +135,7 @@ class TestSlots:
         shape = extract_shape(config)
         records = shape.join_nodes
         assert sum(len(r.slots) for r in records) == config.n - 1 == 7
-        assert [len(r.slots) for r in records if r.node.degree == 3] == [2, 2]
+        assert [len(r.slots) for r in records if r.degree == 3] == [2, 2]
         slots = sorted(slot for r in records for slot in r.slots)
         assert slots == list(range(7))
 
@@ -143,6 +143,23 @@ class TestSlots:
         shape = extract_shape(Configuration(TreeParams(2, 2), ROOT, (vx(1, 1),)))
         assert shape.join_nodes == ()
         assert shape_join_levels(shape, 0) == []
+
+    def test_walk_facts(self, worked_shape):
+        # one walk gives the slots' offsets, the free levels and the widest node;
+        # the free levels are the leaf level under each particle of the first
+        # branch and the level of the second branch's join node
+        walk = worked_shape.walk
+        assert walk is worked_shape.walk  # made once
+        assert walk.nodes == worked_shape.join_nodes
+        assert walk.slot_offsets == (0, 1, 2)
+        assert (walk.free_levels, walk.max_degree) == (3, 2)
+        assert shape_orbit_size(worked_shape, 2) == 2**3 * 2**3 == 64
+        assert [r.degree for r in walk.nodes] == [2, 2, 2]
+
+    def test_node_wider_than_the_arity_refused(self):
+        shape = extract_shape(eight_particle_ternary_config())
+        with pytest.raises(ConfigurationError, match="join node with 3 branches exceeds arity 2"):
+            shape_orbit_size(shape, 2)
 
 
 class TestValidateExponents:

@@ -1,9 +1,10 @@
 """Seeded instances read the random stream in bulk, draw for draw as one at a time.
 
 ``one_draw_at_a_time`` makes one ``rng`` call per particle word, per zero
-test, per leaf weight and per value of ``f``: that order defines the seeded
-stream.  It is the oracle for the library's bulk reads, which must give the
-same instance for every seed.
+test, per leaf weight, per value of ``f`` and per exponent draw: that order
+defines the seeded stream.  It is the oracle for the library's bulk reads,
+which must give the same instance for every seed.  It calls nothing of
+``random_instance``'s, and floors the reciprocals with ``np.clip``.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def one_draw_at_a_time(seed: int, ranges: InstanceRanges) -> Instance:
 
     shape = extract_shape(config)
     if ranges.regime == "binary_optimal":
-        exponents = verify_mod._binary_optimal_exponents(shape, rng)
+        exponents = binary_optimal_one_draw_at_a_time(shape, rng)
     else:
         reciprocals = np.clip(rng.dirichlet(np.ones(n - 1)), 1e-12, None)
         reciprocals = reciprocals / reciprocals.sum()
@@ -72,6 +73,24 @@ def one_draw_at_a_time(seed: int, ranges: InstanceRanges) -> Instance:
         regime=ranges.regime,
         seed=seed,
     )
+
+
+def binary_optimal_one_draw_at_a_time(shape, rng: np.random.Generator) -> ExponentAssignment:
+    """The binary-optimal exponents: one budget per top branch that owns a
+    slot, each below one half, then each such branch's share of its budget
+    from a flat Dirichlet draw floored at 1e-12, and the rest to the top
+    slot."""
+    counts = [branch.n_particles - 1 for branch in shape.branches]
+    budgets = []
+    for t in counts:
+        budgets.append(float(rng.uniform(0.05, 0.495)) if t > 0 else 0.0)
+    reciprocals = [1.0 - sum(budgets)]
+    for t, budget in zip(counts, budgets):
+        if t > 0:
+            parts = np.clip(rng.dirichlet(np.ones(t)), 1e-12, None)
+            parts = parts * (budget / parts.sum())
+            reciprocals.extend(float(x) for x in parts)
+    return ExponentAssignment(tuple(1.0 / q for q in reciprocals))
 
 
 def assert_same_instances(seeds: range, ranges: InstanceRanges) -> None:

@@ -261,6 +261,23 @@ class TestCylinderMasses:
         masses = cylinder_masses(tree, weights)
         assert all(mass(tree, masses, v) == reference[v] for v in tree.vertices())
 
+    @pytest.mark.parametrize("m, k", [(2, 3), (3, 2), (5, 1)])
+    def test_levels_are_read_only_views_of_one_array(self, m, k):
+        tree = TreeParams(m, k)
+        masses = cylinder_masses(tree, WeightAssignment(tree, np.arange(m**k, dtype=float)))
+        held = masses[0].base
+        assert held.shape == (tree.vertex_count,) and not held.flags.writeable
+        assert all(level.base is held and not level.flags.writeable for level in masses)
+        assert [level.size for level in masses] == [m**l for l in range(k + 1)]
+        assert np.array_equal(np.concatenate(masses), held)  # root first, levels in order
+
+    def test_negative_zero_weights_sum_to_positive_zero(self, binary3):
+        # the sum over children starts from +0.0, as a Python sum does
+        weights = WeightAssignment(binary3, np.full(8, -0.0))
+        masses = cylinder_masses(binary3, weights)
+        assert np.signbit(masses[-1]).all()
+        assert not any(np.signbit(level).any() for level in masses[:-1])
+
     def test_negative_weight_rejected(self, binary3):
         with pytest.raises(ConfigurationError):
             WeightAssignment.from_mapping(binary3, {"1.1.1": -1.0})

@@ -7,8 +7,11 @@ import gc
 import json
 import math
 import os
+import subprocess
+import sys
 import types
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,11 +46,16 @@ import joinforge.verify as verify_mod
 
 from conftest import per_vertex, vx
 
+REPO = Path(__file__).resolve().parent.parent
 
-def cyclic_functions(run) -> list[str]:
-    """Names of the joinforge functions, and of the cells of their closures,
-    that ``run()`` leaves in cyclic garbage: objects only the cyclic
-    collector would free."""
+
+SHAPE_TYPES = (orbits_mod.ShapeNode, orbits_mod.ShapeLeaf, orbits_mod.JoinNode)
+
+
+def cyclic_garbage(run) -> list[str]:
+    """Names of what ``run()`` leaves in cyclic garbage, objects only the
+    cyclic collector would free: joinforge functions, the cells of their
+    closures, and shape nodes, leaves and join-node records."""
     gc.collect()
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
@@ -60,7 +68,8 @@ def cyclic_functions(run) -> list[str]:
         ]
         closures = {id(cell) for function in ours for cell in function.__closure__ or ()}
         cells = [o for o in gc.garbage if isinstance(o, types.CellType) and id(o) in closures]
-        return [o.__qualname__ for o in ours] + ["cell"] * len(cells)
+        shapes = [type(o).__name__ for o in gc.garbage if isinstance(o, SHAPE_TYPES)]
+        return [o.__qualname__ for o in ours] + ["cell"] * len(cells) + shapes
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
@@ -398,7 +407,8 @@ class TestCheckInequality:
 class TestNoReferenceCycles:
     # a recursion by nested closures leaves a function-cell cycle per call,
     # which holds the shape and the energy's arrays until the cyclic
-    # collector runs
+    # collector runs; so does a shape whose cached join-node records hold
+    # the node that caches them
     @pytest.mark.parametrize("regime", ["general", "binary_optimal", "inductive"])
     def test_seeded_checks(self, regime):
         arities = (2,) if regime == "binary_optimal" else (2, 3)
@@ -408,7 +418,7 @@ class TestNoReferenceCycles:
             for seed in range(20):
                 check_inequality(random_instance(seed, ranges))
 
-        assert cyclic_functions(run) == []
+        assert cyclic_garbage(run) == []
 
     @pytest.mark.parametrize("regime", ["general", "inductive"])
     def test_star_file(self, tmp_path, regime):
@@ -422,7 +432,7 @@ class TestNoReferenceCycles:
         path = tmp_path / "star.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         reports = []
-        assert cyclic_functions(lambda: reports.append(check_inequality(load_instance(path)))) == []
+        assert cyclic_garbage(lambda: reports.append(check_inequality(load_instance(path)))) == []
         assert reports[0].passed
 
 
@@ -650,3 +660,24 @@ class TestFuzzCampaign:
         record = summary.violations[0]
         assert record["seed"] == 3
         assert "instance" in record and record["instance"]["m"] in (2, 3)
+
+
+def test_seed_ladder_runs():
+    # the timing script outside pytest's collection, one round per stage
+    paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    result = subprocess.run(
+        [sys.executable, str(REPO / "tests" / "seed_ladder.py"), "--rounds", "1"],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    times = json.loads(result.stdout)
+    assert sorted(times) == ["binary_optimal", "general", "inductive"]
+    stages = {
+        "random_instance", "extract_shape", "join_nodes", "cylinder_masses",
+        "factorized_from_shape", "constant", "rhs_product", "seed",
+    }
+    for regime, got in times.items():
+        extra = {"muirhead_numeric", "numeric_per_seed"} if regime == "inductive" else set()
+        assert set(got) == stages | extra, regime
+        assert all(us > 0.0 for us in got.values()), regime

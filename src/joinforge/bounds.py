@@ -89,7 +89,7 @@ class ExponentAssignment:
 class ExponentViolation:
     """Which exponent constraint failed and by how much."""
 
-    constraint: str  # "count" | "positivity" | "conjugacy"
+    constraint: str  # "count" | "positivity" | "finiteness" | "conjugacy"
     message: str
     residual: float
 
@@ -97,7 +97,9 @@ class ExponentViolation:
 def validate_exponents(
     shape: JoinShape, pa: ExponentAssignment
 ) -> ExponentViolation | None:
-    """Check slot count, positivity, and the conjugacy sum; None when valid."""
+    """Check slot count, positivity, finiteness and the conjugacy sum; None
+    when valid.  An infinite exponent is refused: its reciprocal, 0, would
+    count toward conjugacy as if its slot were left out."""
     expected = shape.n_particles - 1
     if pa.n_slots != expected:
         return ExponentViolation(
@@ -110,6 +112,11 @@ def validate_exponents(
     if bad:
         return ExponentViolation(
             "positivity", f"exponents must be positive, found {bad}", float(len(bad))
+        )
+    if math.inf in pa.exponents:
+        infinite = [p for p in pa.exponents if p == math.inf]
+        return ExponentViolation(
+            "finiteness", f"exponents must be finite, found {infinite}", float(len(infinite))
         )
     residual = abs(sum(1.0 / p for p in pa.exponents) + pa.coexponent - 1.0)
     if residual > CONJUGACY_RTOL:
@@ -131,8 +138,9 @@ def _require_slot_count(shape: JoinShape, pa: ExponentAssignment) -> None:
 
 def _reciprocal_sums(
     shape: JoinShape, pa: ExponentAssignment
-) -> list[tuple[JoinNode, float, list[float]]]:
-    """Per join node, children first: its own reciprocal sum and each branch's.
+) -> list[tuple[JoinNode, float, list[float], float]]:
+    """Per join node, children first: its own reciprocal sum, each branch's,
+    and its subtree's, the own sum plus the branches'.
 
     A node's own sum adds its slot reciprocals in slot order; a branch's sum
     covers every slot in the branch's subtree, and is 0.0 for a leaf.
@@ -143,10 +151,10 @@ def _reciprocal_sums(
     sums = []
     for record in shape.join_nodes:
         own = sum(q[slot] for slot in record.slots)
-        paths = (record.path + (j,) for j in range(record.degree))
-        branch_sums = [subtree.get(path, 0.0) for path in paths]
-        subtree[record.path] = own + sum(branch_sums)
-        sums.append((record, own, branch_sums))
+        path = record.path
+        branch_sums = [subtree.get((*path, j), 0.0) for j in range(record.degree)]
+        subtree[path] = total = own + sum(branch_sums)
+        sums.append((record, own, branch_sums, total))
     return sums
 
 
@@ -167,8 +175,10 @@ def level_power_sum(
 
     A sum beyond the float range is refused.
     """
-    (log_sum,) = _log_level_power_sums(tree, masses, f, base, level, [p])
-    value = _exp_or_inf(log_sum)
+    log_sums = _log_level_power_sums(tree, masses, f, base, [level], [p])
+    if log_sums is None:
+        return 0.0
+    value = _exp_or_inf(log_sums[0])
     if value == math.inf:
         raise ConfigurationError("the level power sum exceeds the float range")
     return value
@@ -187,28 +197,55 @@ def _log_level_power_sums(
     masses: Sequence[np.ndarray],
     f: LevelFunction,
     base: Vertex,
-    level: int,
+    levels: Sequence[int],
     exponents: Sequence[float],
-) -> list[float]:
-    """log of level_power_sum for each exponent, -inf when the sum vanishes;
-    safe for extreme exponents.
+) -> list[float] | None:
+    """log of level_power_sum for each level and its exponent, or None
+    when one of the levels holds no mass (its sum vanishes); safe for
+    extreme exponents.
 
-    The level is sliced and its logs are taken once, one row per exponent.
-    Each row is reduced on its own (max, then exp, then sum), so every value
-    is the float that one exponent's pass alone gives.
+    Each level and its exponent make a row of the level's vertices below
+    ``base``.  The rows are laid end to end, so that each step is one numpy
+    call over all of them, except that a row of more than two terms is
+    summed by a call of its own.  Each row is reduced on its own (max, then
+    exp, then sum), so every value is the float that the row's pass alone
+    gives.  A vertex of zero mass adds nothing and is left out of its row.
     """
-    ranks = tree.ranks_below(base, level)
-    mass = masses[level][ranks]
-    values = f.levels[level][ranks]
-    if not mass.all():
-        nonzero = mass != 0.0
-        if not nonzero.any():
-            return [-math.inf] * len(exponents)
-        mass, values = mass[nonzero], values[nonzero]
-    p = np.array(exponents)[:, None]
-    logs = p * np.log(values) + (1.0 + p) * np.log(mass)
-    top = logs.max(axis=1)
-    return (top + np.log(np.exp(logs - top[:, None]).sum(axis=1))).tolist()
+    if not levels:  # a shape of one particle has no slot
+        return []
+    values, weights, sliced = [], [], {}
+    for level in levels:  # the rows of one level share its slices
+        if level not in sliced:
+            ranks = tree.ranks_below(base, level)
+            sliced[level] = f.levels[level][ranks], masses[level][ranks]
+        value, weight = sliced[level]
+        values.append(value)
+        weights.append(weight)
+    data = np.concatenate(values + weights)
+    if np.count_nonzero(data) < data.size:  # f is positive, so some mass is zero
+        nonzero = [w != 0.0 for w in weights]
+        if not all(keep.any() for keep in nonzero):
+            return None
+        values = [v[keep] for v, keep in zip(values, nonzero)]
+        weights = [w[keep] for w, keep in zip(weights, nonzero)]
+        data = np.concatenate(values + weights)
+    sizes = [v.size for v in values]
+    lengths, bounds = np.array(sizes), [0, *itertools.accumulate(sizes)]
+    starts = bounds[:-1]
+    # a row of p * log f over a row of (1 + p) * log mass, each exponent repeated
+    # over its row's vertices, then the two added
+    logs = np.log(data).reshape(2, -1)
+    logs *= np.array([exponents, [1.0 + p for p in exponents]]).repeat(lengths, axis=1)
+    logs = logs[0] + logs[1]
+    top = np.maximum.reduceat(logs, starts)
+    terms = np.exp(logs - top.repeat(lengths))
+    # reduceat adds left to right, which sums a row of one or two terms as the
+    # row alone does; a longer row is summed alone, pairwise as numpy sums an array
+    sums = np.add.reduceat(terms, starts)
+    for row, (start, stop) in enumerate(itertools.pairwise(bounds)):
+        if stop - start > 2:
+            sums[row] = np.add.reduce(terms[start:stop])
+    return (top + np.log(sums)).tolist()
 
 
 def rhs_product(
@@ -226,21 +263,13 @@ def rhs_product(
     Factors are combined in the log domain so large sampled exponents cannot
     overflow intermediate sums.  Where the product alone overflows, ``K``
     joins it in the log domain; a right side beyond the float range is refused.
-    The slots that share a join level take one pass over that level; their
-    factors still join the product in slot order.
+    Every slot's level power sum comes from one pass over all the slots.
     """
     _require_slot_count(shape, pa)
-    slots_at: dict[int, list[int]] = {}
-    for slot, level in enumerate(shape_join_levels(shape, base.level)):
-        slots_at.setdefault(level, []).append(slot)
-    log_sums = [0.0] * pa.n_slots
-    for level, slots in slots_at.items():
-        exponents = [pa.exponents[slot] for slot in slots]
-        level_sums = _log_level_power_sums(tree, masses, f, base, level, exponents)
-        if -math.inf in level_sums:
-            return 0.0
-        for slot, log_sum in zip(slots, level_sums):
-            log_sums[slot] = log_sum
+    levels = shape_join_levels(shape, base.level)
+    log_sums = _log_level_power_sums(tree, masses, f, base, levels, pa.exponents)
+    if log_sums is None:
+        return 0.0
     log_total = 0.0
     for log_sum, p in zip(log_sums, pa.exponents):
         log_total += log_sum / p
@@ -298,7 +327,7 @@ def regime_constant(
     elif regime == "binary_optimal":
         if shape.walk.max_degree > 2:
             raise ConfigurationError("the sharp binary constant needs a binary shape")
-        sums = (s for _, _, branch_sums in _reciprocal_sums(shape, pa) for s in branch_sums)
+        sums = (s for _, _, branch_sums, _ in _reciprocal_sums(shape, pa) for s in branch_sums)
         if all(s <= 0.5 + HALF_TOL for s in sums):
             k = 2.0 ** -(shape.n_particles - 1)
         else:
@@ -430,7 +459,7 @@ def _muirhead_case(spec: MuirheadSpec) -> str:
         raise ConfigurationError("the constant needs a positive exponent sum")
     if s <= 1.0:
         return "i"
-    if all(ai >= (s - 1.0) / m for ai in a):
+    if min(a) >= (s - 1.0) / m:  # the entries are checked numbers, never NaN
         return "iii"
     if m == 2 and (a[0] - a[1]) ** 2 <= s:
         return "iv"
@@ -598,15 +627,14 @@ def k_inductive(shape: JoinShape, pa: ExponentAssignment, arity: int) -> KInduct
     checked_join_nodes(shape, m)
     log_upper = math.lgamma(m)  # log (m-1)!
     entries: list[NodeAccount] = []
-    for record, own, branch_sums in _reciprocal_sums(shape, pa):
-        alpha_inv = tuple(1.0 - s for s in branch_sums)
-        subtree = own + sum(branch_sums)
+    for record, own, branch_sums, subtree in _reciprocal_sums(shape, pa):
         beta_inv = own + (1.0 - subtree)
         if not beta_inv > 0.0:
             raise ConfigurationError(
                 f"nonpositive 1/beta at node {record.path}: exponents are not conjugate"
             )
         d = record.degree
+        alpha_inv = tuple(1.0 - s for s in branch_sums)
         a_vec = tuple(ai / beta_inv for ai in alpha_inv) + (0.0,) * (m - d)
         mspec = MuirheadSpec(a_vec)
         case = _muirhead_case(mspec)

@@ -27,7 +27,9 @@ import itertools
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
+from operator import attrgetter
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,6 +38,7 @@ from .tree import (
     TreeParams,
     Vertex,
     Word,
+    cached_attribute,
     join,
     join_multiset,
 )
@@ -87,7 +90,7 @@ class Configuration:
     def join_multiset(self) -> dict[Vertex, int]:
         return join_multiset(self.particles)
 
-    @cached_property
+    @cached_attribute
     def shape(self) -> JoinShape:
         """Canonical join shape (see :func:`extract_shape`), extracted once."""
         return extract_shape(self)
@@ -96,7 +99,7 @@ class Configuration:
         return "(" + ", ".join(p.to_text() for p in self.particles) + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ShapeLeaf:
     """A branch holding a single particle.
 
@@ -106,26 +109,24 @@ class ShapeLeaf:
 
     gap: int
     index: int
+    # set once by __init__; not part of equality, hash or repr
+    skeleton: str = field(init=False, repr=False, compare=False)
+    serialized: str = field(init=False, repr=False, compare=False)
+    indices: frozenset[int] = field(init=False, repr=False, compare=False)
+    min_index: int = field(init=False, repr=False, compare=False)
+    n_particles: ClassVar[int] = 1
 
-    @property
-    def min_index(self) -> int:
-        return self.index
-
-    @property
-    def n_particles(self) -> int:
-        return 1
-
-    @property
-    def indices(self) -> frozenset[int]:
-        return frozenset((self.index,))
-
-    @property
-    def skeleton(self) -> str:
-        return f"{self.gap}#"
-
-    @property
-    def serialized(self) -> str:
-        return f"{self.gap}#{self.index}"
+    def __init__(self, gap: int, index: int) -> None:
+        skeleton = f"{gap}#"
+        # frozen: every field is written to the instance dict once, here
+        self.__dict__.update(
+            gap=gap,
+            index=index,
+            skeleton=skeleton,
+            serialized=f"{skeleton}{index}",
+            indices=frozenset((index,)),
+            min_index=index,
+        )
 
     @property
     def walk(self) -> "JoinWalk":
@@ -136,7 +137,7 @@ class ShapeLeaf:
         return ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ShapeNode:
     """A join point with its branches.
 
@@ -149,29 +150,34 @@ class ShapeNode:
 
     gap: int
     branches: tuple["JoinShape", ...]
-    # set by __post_init__ from the branches; not part of equality, hash or repr
+    # set once by __init__ from the branches' own; not part of equality, hash or repr
     skeleton: str = field(init=False, repr=False, compare=False)
     serialized: str = field(init=False, repr=False, compare=False)
     indices: frozenset[int] = field(init=False, repr=False, compare=False)
     min_index: int = field(init=False, repr=False, compare=False)
     n_particles: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if len(self.branches) < 2:
+    def __init__(self, gap: int, branches: tuple["JoinShape", ...]) -> None:
+        if len(branches) < 2:
             raise ConfigurationError("a join node needs at least two branches")
-        keys = [_branch_key(b) for b in self.branches]
+        keys = list(map(_branch_key, branches))
         if keys != sorted(keys):
             raise ConfigurationError("branches are not in canonical order")
-        indices = frozenset().union(*[b.indices for b in self.branches])
-        if len(indices) != sum([b.n_particles for b in self.branches]):
+        index_sets = [b.indices for b in branches]
+        indices = frozenset().union(*index_sets)
+        if len(indices) != sum(map(len, index_sets)):
             raise ConfigurationError("branch index sets overlap")
-        skeletons = ",".join([skeleton for skeleton, _ in keys])
-        serials = ",".join([b.serialized for b in self.branches])
-        object.__setattr__(self, "skeleton", f"{self.gap}({skeletons})")
-        object.__setattr__(self, "serialized", f"{self.gap}({serials})")
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "min_index", min(indices))
-        object.__setattr__(self, "n_particles", len(indices))
+        skeletons, min_indices = zip(*keys)
+        serials = ",".join([b.serialized for b in branches])
+        self.__dict__.update(
+            gap=gap,
+            branches=branches,
+            skeleton=f"{gap}({','.join(skeletons)})",
+            serialized=f"{gap}({serials})",
+            indices=indices,
+            min_index=min(min_indices),
+            n_particles=len(indices),
+        )
 
     @property
     def degree(self) -> int:
@@ -181,7 +187,7 @@ class ShapeNode:
     def multiplicity(self) -> int:
         return len(self.branches) - 1
 
-    @cached_property
+    @cached_attribute
     def walk(self) -> "JoinWalk":
         """The one walk over the shape's join nodes (see :class:`JoinWalk`), made once."""
         return _join_nodes(self)
@@ -194,35 +200,39 @@ class ShapeNode:
 
 JoinShape = ShapeLeaf | ShapeNode
 
-
-def _branch_key(shape: JoinShape) -> tuple[str, int]:
-    return (shape.skeleton, shape.min_index)
+# a branch's place in canonical order: its skeleton, then its smallest index
+_branch_key = attrgetter("skeleton", "min_index")
 
 
 def extract_shape(config: Configuration) -> JoinShape:
     """Canonical join shape of a configuration; equal across exactly one orbit."""
-    items = [(index, p.word) for index, p in enumerate(config.particles)]
-    level = config.base.level
-    return _shape_of(items, level, level, config.tree.depth)
+    level, depth = config.base.level, config.tree.depth
+    if config.n == 1:
+        return ShapeLeaf(depth - level, 0)
+    items = sorted([(p.word, index) for index, p in enumerate(config.particles)])
+    return _shape_of(items, level, level, depth)
 
 
 def _shape_of(
-    items: list[tuple[int, Word]], parent_level: int, level: int, depth: int
-) -> JoinShape:
-    """Shape of distinct leaf words that agree above ``level``, hung ``parent_level`` down."""
-    if len(items) == 1:
-        return ShapeLeaf(gap=depth - parent_level, index=items[0][0])
-    first = items[0][1]
-    while all(word[level] == first[level] for _, word in items):
+    items: list[tuple[Word, int]], parent_level: int, level: int, depth: int
+) -> ShapeNode:
+    """Shape of two or more distinct leaf words, sorted and each with its
+    index, that agree above ``level``, hung ``parent_level`` down."""
+    # sorted words agree at a level exactly where the first and the last do
+    first, last = items[0][0], items[-1][0]
+    while first[level] == last[level]:
         level += 1
-    parts: dict[int, list[tuple[int, Word]]] = {}
-    for item in items:
-        parts.setdefault(item[1][level], []).append(item)
-    branches = sorted(
-        (_shape_of(part, level, level + 1, depth) for part in parts.values()),
-        key=_branch_key,
-    )
-    return ShapeNode(gap=level - parent_level, branches=tuple(branches))
+    branches, start = [], 0
+    for stop in range(1, len(items) + 1):  # each run of one symbol at the level is a branch
+        if stop < len(items) and items[stop][0][level] == items[start][0][level]:
+            continue
+        if stop - start == 1:
+            branches.append(ShapeLeaf(depth - level, items[start][1]))
+        else:
+            branches.append(_shape_of(items[start:stop], level, level + 1, depth))
+        start = stop
+    branches.sort(key=_branch_key)
+    return ShapeNode(level - parent_level, tuple(branches))
 
 
 @dataclass(frozen=True)

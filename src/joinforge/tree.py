@@ -24,7 +24,7 @@ import itertools
 import math
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from typing import Any
 
 import numpy as np
@@ -45,6 +45,32 @@ _MAX_SYMBOL_DIGITS = 18
 
 class ConfigurationError(ValueError):
     """Malformed tree data: bad vertices, weights, or particle tuples."""
+
+
+class cached_attribute:
+    """A method's value, computed on the first read and stored in the
+    instance dict under the method's name, where every later read finds it
+    without calling back here.
+
+    This is ``functools.cached_property`` without the lock that Python 3.12
+    took out of it.  Before 3.12 that lock is taken on each first read, and
+    a fuzz seed makes three (the shape, its walk and the masses): about 3 µs
+    of a 180 µs seed on Python 3.11.  Two threads that read at once may both
+    compute the value; the objects here are immutable, so both find equal
+    values.  Once Python 3.10 and 3.11 are no longer supported, this class
+    can go and ``functools.cached_property`` take its place.
+    """
+
+    def __init__(self, method: Any) -> None:
+        self.method = method
+        self.name = method.__name__
+        self.__doc__ = method.__doc__
+
+    def __get__(self, instance: Any, owner: type | None = None) -> Any:
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.method(instance)
+        return value
 
 
 Word = tuple[int, ...]
@@ -548,9 +574,9 @@ def _held(
     An array that owns its float64 data is taken over as it is; anything
     else is copied first, a view included, since its base stays writable.
     """
-    held = []
+    held, label = [], f"{what}s"
     for a in arrays:
-        a = _numbers(a, f"{what}s")
+        a = _numbers(a, label)
         held.append(a if a.base is None else a.copy())
     if [a.shape for a in held] != [(tree.arity**l,) for l in range(first_level, tree.depth + 1)]:
         raise ConfigurationError(
@@ -574,7 +600,7 @@ def _held(
                 f"got {float(out[bad])!r}"
             )
     for out in held:
-        out.flags.writeable = False
+        out.setflags(write=False)
     return tuple(held)
 
 
@@ -630,7 +656,7 @@ class WeightAssignment:
     def weight(self, leaf: Vertex) -> float:
         return _level_item(self.tree, (self.leaf_array,), leaf)
 
-    @cached_property
+    @cached_attribute
     def masses(self) -> tuple[np.ndarray, ...]:
         """Cylinder masses below every vertex (see :func:`cylinder_masses`), computed once."""
         return cylinder_masses(self.tree, self)

@@ -342,13 +342,12 @@ def check_inequality(inst: Instance, method: str = "factorized") -> Report:
         return refusal
 
     k_constant, flags = resolve_constant(inst)
-    flags = list(flags)
 
     if method == "brute":
         try:
             energy = orbit_energy_bruteforce(inst.config, inst.weights, inst.f)
         except EnumerationGuardError:
-            flags.append(FLAG_ENUMERATION_GUARD)
+            flags += (FLAG_ENUMERATION_GUARD,)
             energy = orbit_energy_factorized(inst.config, inst.weights, inst.f)
     elif method == "factorized":
         energy = orbit_energy_factorized(inst.config, inst.weights, inst.f)
@@ -366,7 +365,7 @@ def check_inequality(inst: Instance, method: str = "factorized") -> Report:
         k_constant=k_constant,
         ratio=_ratio(lhs, rhs),
         passed=lhs <= rhs * (1.0 + DEFAULT_REL_TOL),
-        flags=tuple(flags),
+        flags=flags,
         metadata=metadata,
     )
 
@@ -752,7 +751,8 @@ def _evaluate_seed(args: tuple[int, InstanceRanges]) -> tuple[SeedResult, dict |
     seed, ranges = args
     inst = random_instance(seed, ranges)
     report = check_inequality(inst)
-    positive = bool((inst.weights.leaf_array > 0.0).all())
+    weights = inst.weights.leaf_array
+    positive = np.count_nonzero(weights) == weights.size  # weights are >= 0
     violation = None
     if not report.passed:
         violation = {

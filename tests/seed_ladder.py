@@ -17,7 +17,20 @@ them:
   constant estimates (inductive only; ``numeric_per_seed`` says how many
   there are per seed);
 - ``rhs_product``: the right side;
-- ``seed``: ``check_inequality(random_instance(seed))``, the whole seed.
+- ``check``: ``check_inequality`` with the shape, its walk and the masses
+  already cached;
+- ``check_glue``: ``check`` less ``factorized_from_shape``, ``constant``
+  and ``rhs_product``, which leaves the report, its metadata, the exponent
+  check, the orbit size and the calls between them;
+- ``seed``: ``check_inequality(random_instance(seed))``, the whole seed;
+- ``interleaved_draw`` and ``interleaved_check``: the two halves of the
+  whole seed, timed apart inside one loop over the seeds, as a campaign
+  runs them.
+
+A seed costs more than ``random_instance``, ``extract_shape``,
+``join_nodes``, ``cylinder_masses`` and ``check`` timed alone add up to,
+since a stage that runs over and over finds its code and data warm; the
+interleaved pair shows which half the difference falls on.
 
 The fastest round's time per call is printed, so that noise from other
 processes only ever adds.  Run with the package on the path:
@@ -31,6 +44,7 @@ microseconds.  pytest does not collect this file.
 import argparse
 import gc
 import json
+import math
 import time
 
 from joinforge.bounds import (
@@ -64,6 +78,27 @@ def per_call_us(calls: list, rounds: int) -> float:
             call()
         best = min(best, (time.perf_counter() - start) / len(calls))
     return best * 1e6
+
+
+def interleaved_us(ranges: InstanceRanges, rounds: int) -> tuple[float, float]:
+    """The draw and the check of each seed of ``SEEDS``, timed apart inside
+    one loop over the seeds; the fastest round by their total, each half in
+    microseconds per seed."""
+    clock = time.perf_counter
+    best = (math.inf, math.inf)
+    for _ in range(rounds):
+        gc.collect()
+        draw = check = 0.0
+        for seed in SEEDS:
+            start = clock()
+            inst = random_instance(seed, ranges)
+            drawn = clock()
+            check_inequality(inst)
+            check += clock() - drawn
+            draw += drawn - start
+        if draw + check < sum(best):
+            best = (draw, check)
+    return best[0] / len(SEEDS) * 1e6, best[1] / len(SEEDS) * 1e6
 
 
 def estimated_specs(inst) -> list[MuirheadSpec]:
@@ -101,9 +136,14 @@ def regime_times(regime: str, ranges: InstanceRanges, rounds: int) -> dict[str, 
             )
             for i in instances
         ],
+        "check": [lambda i=i: check_inequality(i) for i in instances],
         "seed": [lambda s=s: check_inequality(random_instance(s, ranges)) for s in SEEDS],
     }
     times = {name: round(per_call_us(calls, rounds), 2) for name, calls in stages.items()}
+    parts = times["factorized_from_shape"] + times["constant"] + times["rhs_product"]
+    times["check_glue"] = round(times["check"] - parts, 2)
+    draw, check = interleaved_us(ranges, rounds)
+    times["interleaved_draw"], times["interleaved_check"] = round(draw, 2), round(check, 2)
     if regime == "inductive":
         specs = [spec for i in instances for spec in estimated_specs(i)]
         times["muirhead_numeric"] = round(

@@ -180,6 +180,20 @@ class TestValidateExponents:
         violation = validate_exponents(worked_shape, ExponentAssignment((3.0, -3.0, 3.0)))
         assert violation is not None and violation.constraint == "positivity"
 
+    @pytest.mark.parametrize(
+        "exponents, constraint, message",
+        [
+            ((math.inf, 1.0, 1.0e300), "finiteness", "exponents must be finite, found [inf]"),
+            ((math.inf, math.nan, 2.0), "positivity", "exponents must be positive, found [nan]"),
+            ((-math.inf, 2.0, 2.0), "positivity", "exponents must be positive, found [-inf]"),
+        ],
+        ids=["inf", "inf-and-nan", "minus-inf"],
+    )
+    def test_nonfinite(self, worked_shape, exponents, constraint, message):
+        violation = validate_exponents(worked_shape, ExponentAssignment(exponents))
+        assert (violation.constraint, violation.message) == (constraint, message)
+        assert violation.residual == 1.0
+
     def test_coexponent_enters_the_sum(self, worked_shape):
         pa = ExponentAssignment((6.0, 6.0, 6.0), coexponent=0.5)
         assert validate_exponents(worked_shape, pa) is None
@@ -289,6 +303,18 @@ class TestRhsProduct:
         two = rhs_product(binary3, doubled.masses, f, ROOT, worked_shape, pa, 1.0)
         assert two == pytest.approx(2.0**4 * one, rel=1e-10)
 
+    def test_one_particle_has_no_slot(self, binary3):
+        # no slot: the right side is K times the base mass to the coexponent 1,
+        # through the log domain, which gives 10.000000000000002 for 10
+        weights = WeightAssignment(binary3, [1.0, 0.0, 3.0, 0.0, 0.0, 6.0, 0.0, 0.0])
+        config = Configuration(binary3, ROOT, (vx(1, 2, 1),))
+        pa = ExponentAssignment((), 1.0)
+        assert validate_exponents(config.shape, pa) is None
+        f = LevelFunction.constant(binary3)
+        got = rhs_product(binary3, weights.masses, f, ROOT, config.shape, pa, 0.5)
+        assert got == 0.5 * math.exp(math.log(10.0)) == 5.000000000000001
+        assert bounds._log_level_power_sums(binary3, weights.masses, f, ROOT, [], []) == []
+
     def test_extreme_exponents_stay_finite(self, binary3, worked_shape):
         masses = cylinder_masses(binary3, WeightAssignment.constant(binary3, 1e3))
         f = LevelFunction.constant(binary3, 1e3)
@@ -372,11 +398,66 @@ def rhs_cases(draw):
     return tree, weights.masses, f, base, config.shape, pa, k_constant
 
 
+@st.composite
+def level_rows(draw):
+    """Data on a small tree, a base, and rows of a level below the base
+    with an exponent: one or several exponents per level, in any order.
+
+    Weights may be zero, or zero on the whole base cylinder, so that a row
+    loses vertices or every one of them.
+    """
+    m = draw(st.integers(2, 4), label="m")
+    k = draw(st.integers(1, 3 if m > 2 else 6), label="k")
+    tree = TreeParams(m, k)
+    base = Vertex(tuple(draw(st.lists(st.integers(1, m), max_size=k), label="base")))
+    levels = draw(st.lists(st.integers(base.level, k), min_size=1, max_size=4), label="levels")
+    rows = [
+        (level, p)
+        for level in levels
+        for p in draw(st.lists(st.floats(0.05, 40.0), min_size=1, max_size=3), label="p")
+    ]
+    rows = draw(st.permutations(rows), label="row order")
+    rng = random.Random(draw(st.integers(0, 2**32), label="rng"))
+    zero_share = draw(st.sampled_from([0.0, 0.3, 1.0]), label="zero share")
+    leaf_array = np.array(
+        [0.0 if rng.random() < zero_share else rng.uniform(0.1, 3.0) for _ in tree.leaves()]
+    )
+    f = LevelFunction(tree, per_vertex(tree, lambda: 10.0 ** rng.uniform(-3.0, 3.0)))
+    return tree, WeightAssignment(tree, leaf_array).masses, f, base, rows
+
+
 class TestGroupedRhs:
     @settings(max_examples=300, deadline=None)
     @given(case=rhs_cases())
     def test_equals_the_per_slot_loop(self, case):
         assert outcome(rhs_product, *case) == outcome(per_slot_rhs, *case)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=level_rows())
+    def test_rows_equal_the_per_slot_sums(self, case):
+        tree, masses, f, base, rows = case
+        levels, exponents = [level for level, _ in rows], [p for _, p in rows]
+        got = bounds._log_level_power_sums(tree, masses, f, base, levels, exponents)
+        expected = [per_slot_log_sum(tree, masses, f, base, level, p) for level, p in rows]
+        assert got == (None if -math.inf in expected else expected)
+
+    @pytest.mark.parametrize("zero_share", [0.0, 0.25])
+    def test_rows_of_every_length(self, zero_share):
+        # rows of 1, 3, 9 and 27 vertices on the ternary depth-4 tree, two
+        # exponents on one level, and rows of 2 on the binary one
+        for m, levels in ((3, [0, 1, 2, 2, 3]), (2, [1, 0, 1, 3])):
+            tree = TreeParams(m, 4)
+            rng = np.random.default_rng(m)
+            leaf_array = rng.uniform(0.1, 3.0, tree.leaf_count)
+            leaf_array[rng.random(tree.leaf_count) < zero_share] = 0.0
+            masses = WeightAssignment(tree, leaf_array).masses
+            f = LevelFunction(tree, [rng.uniform(0.5, 2.0, m**level) for level in range(5)])
+            exponents = [1.5 + level + 0.25 * i for i, level in enumerate(levels)]
+            got = bounds._log_level_power_sums(tree, masses, f, ROOT, levels, exponents)
+            assert got == [
+                per_slot_log_sum(tree, masses, f, ROOT, level, p)
+                for level, p in zip(levels, exponents)
+            ]
 
     def test_small_constant_with_an_overflowing_product(self):
         # a full star on the root of the 4-ary depth-2 tree: three slots at
@@ -409,7 +490,7 @@ class TestGroupedRhs:
         pa = ExponentAssignment((2.5, 5.0, 2.5))
         got = rhs_product(tree, masses, f, ROOT, shape, pa, 1.0)
         assert got == per_slot_rhs(tree, masses, f, ROOT, shape, pa, 1.0)
-        assert bounds._log_level_power_sums(tree, masses, f, ROOT, 15, [2.5, 5.0]) == [
+        assert bounds._log_level_power_sums(tree, masses, f, ROOT, [15, 15], [2.5, 5.0]) == [
             per_slot_log_sum(tree, masses, f, ROOT, 15, p) for p in (2.5, 5.0)
         ]
 

@@ -167,8 +167,10 @@ class TestSubcommands:
             (["0", "1", "1"], "positivity"),  # 1/0 in the displayed constant
             (["nan", "3", "3"], "positivity"),
             (["1e-320", "3", "3"], "conjugacy"),  # 1/p overflows
+            (["inf", "2", "2"], "finiteness"),  # 1/inf is 0, and 1/2 + 1/2 is 1
         ],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_example_invalid_exponents(self, capsys, p, constraint):
         code = main(["example", "--p", *p])
         captured = capsys.readouterr()
@@ -251,6 +253,49 @@ class TestCliContract:
             else:
                 assert payload["flags"] == [f"invalid-exponents:{constraint}"]
                 assert payload["pass"] is False
+
+    @pytest.mark.parametrize("regime", ["general", "binary_optimal", "inductive"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_exponent_refused_by_every_command(self, capsys, tmp_path, regime):
+        # three particles: 1/inf + 1/1 sums to 1, so only finiteness fails
+        doc = {**README_INSTANCE, "config": README_INSTANCE["config"][:3]}
+        path = tmp_path / "infinite.json"
+        path.write_text(json.dumps({**doc, "p": [math.inf, 1.0], "regime": regime}))
+        assert "Infinity" in path.read_text()
+        for command in ("verify", "bound", "equality-check"):
+            assert main([command, str(path)]) == 1, command
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            payload = json.loads(captured.out)
+            if command == "bound":
+                assert payload == {
+                    "constraint": "finiteness",
+                    "error": "exponents must be finite, found [inf]",
+                }
+            else:
+                assert payload["flags"] == ["invalid-exponents:finiteness"]
+                assert payload["pass"] is False and payload["rhs"] is None
+
+    @pytest.mark.parametrize("regime", ["general", "binary_optimal", "inductive"])
+    def test_one_particle_without_slots(self, capsys, tmp_path, regime):
+        # one particle, no exponent and coexponent 1: K = 1, and the right
+        # side is the base mass 10 through the log domain
+        doc = {
+            "m": 2, "k": 3, "base": "", "config": [[1, 2, 1]],
+            "mu": {"1.1.1": 1.0, "1.2.1": 3.0}, "f": {"2.1": 1.0},
+            "p": [], "coexponent": 1.0, "regime": regime,
+        }
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(doc))
+        code, payload = run_cli(capsys, "bound", str(path))
+        assert code == 0
+        assert payload == {
+            "K": 1.0, "flags": [], "join_levels": [], "regime": regime,
+            "rhs": 10.000000000000002,
+        }
+        code, payload = run_cli(capsys, "verify", str(path))
+        assert code == 0 and payload["pass"] is True
+        assert (payload["lhs"], payload["rhs"]) == (10.0, 10.000000000000002)
 
     def test_byte_identical_output(self, capsys, worked_file):
         main(["verify", worked_file])

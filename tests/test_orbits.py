@@ -12,6 +12,8 @@ tuples by shape, which is the definition-level count.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -31,6 +33,7 @@ from joinforge import (
     Configuration,
     ConfigurationError,
     EnumerationGuardError,
+    InstanceRanges,
     ROOT,
     ShapeLeaf,
     ShapeNode,
@@ -42,6 +45,7 @@ from joinforge import (
     join_multiset,
     orbit_enumerate,
     orbit_size,
+    random_instance,
     shape_join_levels,
     shape_orbit_size,
 )
@@ -176,6 +180,58 @@ class TestShapeFields:
     def test_validation_errors(self, branches, message):
         with pytest.raises(ConfigurationError, match=f"^{message}$"):
             ShapeNode(0, branches)
+
+    def test_hand_built_nodes_over_extracted_branches_refused(self, worked_config):
+        left, right = extract_shape(worked_config).branches
+        with pytest.raises(ConfigurationError, match="^branches are not in canonical order$"):
+            ShapeNode(0, (right, left))
+        with pytest.raises(ConfigurationError, match="^branch index sets overlap$"):
+            ShapeNode(0, (left, left))
+        # deeper down: index 1 sits in both branches, each canonical on its own
+        shared = ShapeNode(2, (ShapeLeaf(1, 1), ShapeLeaf(1, 3)))
+        with pytest.raises(ConfigurationError, match="^branch index sets overlap$"):
+            ShapeNode(0, (left, shared))
+
+    def test_replace_derives_the_fields_again(self, worked_config):
+        shape = extract_shape(worked_config)
+        moved = dataclasses.replace(shape, gap=2)
+        assert moved.serialized == "2" + shape.serialized[1:]
+        assert moved.skeleton == "2" + shape.skeleton[1:]
+        leaf = dataclasses.replace(ShapeLeaf(2, 0), index=5)
+        assert (leaf.serialized, leaf.indices, leaf.min_index) == ("2#5", frozenset({5}), 5)
+        assert ShapeLeaf(gap=2, index=5) == leaf and leaf.n_particles == 1
+
+    @pytest.mark.parametrize(
+        "regime, arities, digest",
+        [
+            ("general", (2, 3),
+             "f954a0b3d211fb1ab72459019b54a7dc7ba4f2b718538067c99d97f35805232c"),
+            ("binary_optimal", (2,),
+             "1db4a6bec634b9211c5fdd48ebc30340fa33cc73541bf4e73a07acb40fefe60b"),
+            ("inductive", (2, 3),
+             "f954a0b3d211fb1ab72459019b54a7dc7ba4f2b718538067c99d97f35805232c"),
+        ],
+    )
+    def test_seeded_shapes_match_the_recorded_digest(self, regime, arities, digest):
+        # The digest was taken from shapes that built every field on
+        # reading it, over the fuzz defaults' seeds 0..2999: each node's
+        # fields, its hash and repr, and equality with the shape extracted
+        # again and with the previous seed's.  Hashes of ints and tuples of
+        # them do not depend on the process.
+        ranges = InstanceRanges(arities=arities, regime=regime)
+        h = hashlib.sha256()
+        previous = None
+        for seed in range(3000):
+            config = random_instance(seed, ranges).config
+            shape, again = config.shape, extract_shape(config)
+            fields = [shape == again, hash(shape) == hash(again), shape == previous,
+                      shape != previous]
+            for node in shape_nodes(shape):
+                fields.append((node.serialized, node.skeleton, sorted(node.indices),
+                               node.min_index, node.n_particles, hash(node), repr(node)))
+            h.update(repr(fields).encode())
+            previous = shape
+        assert h.hexdigest() == digest
 
 
 class TestEquivalent:

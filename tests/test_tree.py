@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import functools
 import random
 import tracemalloc
 from unittest import mock
@@ -29,6 +30,7 @@ import joinforge.tree as tree_module
 from joinforge.tree import (
     KEY_CHUNK,
     MAX_TREE_VERTICES,
+    cached_attribute,
     keyed_levels,
     keyed_map,
     level_arrays,
@@ -57,6 +59,29 @@ class TestVertex:
     def test_bad_encoding(self):
         with pytest.raises(ConfigurationError):
             Vertex.from_text("1.x.2")
+
+
+class TestCachedAttribute:
+    @pytest.mark.parametrize("decorator", [cached_attribute, functools.cached_property])
+    def test_behaves_as_cached_property(self, decorator):
+        class Counted:
+            calls = 0
+
+            @decorator
+            def value(self):
+                """The doc."""
+                Counted.calls += 1
+                return [Counted.calls]
+
+        # read through the class, the descriptor itself, with the method's doc
+        assert isinstance(Counted.value, decorator)
+        assert Counted.value.__doc__ == "The doc."
+        one, two = Counted(), Counted()
+        first = one.value
+        assert one.value is first and one.__dict__ == {"value": first}
+        assert two.value == [2] and Counted.calls == 2
+        del one.value  # a deleted value is computed again on the next read
+        assert one.value == [3]
 
 
 class TestTreeParams:

@@ -282,6 +282,23 @@ class TestCheckInequality:
         assert any(flag.startswith("invalid-exponents") for flag in report.flags)
         assert math.isnan(report.lhs)
 
+    @pytest.mark.parametrize("regime", ["general", "binary_optimal", "inductive"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_exponent_reported_invalid(self, worked_config, regime):
+        # 1/inf + 1/1 sums to 1, which conjugacy alone would accept
+        tree = worked_config.tree
+        inst = Instance(
+            config=Configuration(tree, ROOT, worked_config.particles[:3]),
+            weights=WeightAssignment.constant(tree),
+            f=LevelFunction.constant(tree),
+            exponents=ExponentAssignment((math.inf, 1.0)),
+            regime=regime,
+        )
+        report = check_inequality(inst)
+        assert report.flags == ("invalid-exponents:finiteness",) and not report.passed
+        assert report.metadata["violation"] == "exponents must be finite, found [inf]"
+        assert all(math.isnan(x) for x in (report.lhs, report.rhs, report.k_constant))
+
     def test_bruteforce_method(self):
         report = check_inequality(worked_instance(), method="brute")
         assert report.metadata["method"] == "bruteforce"
@@ -675,9 +692,14 @@ def test_seed_ladder_runs():
     assert sorted(times) == ["binary_optimal", "general", "inductive"]
     stages = {
         "random_instance", "extract_shape", "join_nodes", "cylinder_masses",
-        "factorized_from_shape", "constant", "rhs_product", "seed",
+        "factorized_from_shape", "constant", "rhs_product", "check", "seed",
+        "interleaved_draw", "interleaved_check",
     }
     for regime, got in times.items():
         extra = {"muirhead_numeric", "numeric_per_seed"} if regime == "inductive" else set()
-        assert set(got) == stages | extra, regime
-        assert all(us > 0.0 for us in got.values()), regime
+        assert set(got) == stages | extra | {"check_glue"}, regime
+        assert all(got[stage] > 0.0 for stage in stages | extra), regime
+        # a difference of timings, so a single noisy round may leave it at or below 0
+        assert math.isfinite(got["check_glue"]), regime
+        parts = got["factorized_from_shape"] + got["constant"] + got["rhs_product"]
+        assert got["check_glue"] == pytest.approx(got["check"] - parts, abs=0.01), regime

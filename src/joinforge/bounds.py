@@ -388,9 +388,12 @@ class MuirheadSpec:
 def symmetric_sum(x: Sequence[float], spec: MuirheadSpec) -> float:
     """Exact sum over all ``m!`` permutations, with the ``0**0 = 1`` convention.
 
-    Each power ``x_j**a_i`` is taken once.  A zero exponent's factor is
-    exactly 1.0, so it is left out; the other factors multiply in row order
-    and the terms add in ``itertools.permutations`` order.
+    Each power ``x_j**a_i`` is taken once, as a Python float, and
+    :func:`injective_sum` adds the ``m``-row table's terms in
+    ``itertools.permutations`` order, so the result rounds as a loop over the
+    permutations would.  An overflowing product gives ``inf`` and an infinite
+    variable times zero ``nan``, without a warning.  Sums of over
+    ``MAX_INJECTIVE_TERMS`` terms (m >= 12) are refused.
     """
     a = spec.a
     if len(x) != len(a):
@@ -398,14 +401,9 @@ def symmetric_sum(x: Sequence[float], spec: MuirheadSpec) -> float:
     xs = [float(v) for v in x]
     if any(not v >= 0.0 for v in xs):
         raise ConfigurationError(f"variables must be >= 0, got {xs}")
-    rows = [(i, [v**ai for v in xs]) for i, ai in enumerate(a) if ai != 0.0]
-    total = 0.0
-    for sigma in itertools.permutations(range(len(a))):
-        term = 1.0
-        for i, powers in rows:
-            term *= powers[sigma[i]]
-        total += term
-    return total
+    table = np.array([[v**ai for v in xs] for ai in a])[:, :, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(injective_sum(table)[0])
 
 
 @dataclass(frozen=True)

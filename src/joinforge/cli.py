@@ -216,7 +216,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_equality_check(args) -> int:
     inst = load_instance(args.instance)
-    report = check_equality_case(inst.config, inst.exponents.exponents, seed=args.seed)
+    report = check_equality_case(inst.config, inst.exponents, seed=args.seed)
     _emit(report.to_json_dict())
     return EXIT_OK if report.passed else EXIT_VIOLATION
 

@@ -39,7 +39,6 @@ from .tree import (
     TreeParams,
     Vertex,
     WeightAssignment,
-    join_multiset,
 )
 
 
@@ -57,9 +56,7 @@ class EnergyResult:
 
 def interaction_value(f: LevelFunction, config: Configuration) -> float:
     """Product of ``f`` over the join multiset; 1 for a single particle."""
-    if config.n == 1:
-        return 1.0
-    return math.prod(f(w) ** r for w, r in join_multiset(config.particles).items())
+    return math.prod((f(w) ** r for w, r in config.join_multiset().items()), start=1.0)
 
 
 def orbit_energy_bruteforce(

@@ -88,7 +88,8 @@ class Configuration:
         return len(self.particles)
 
     def join_multiset(self) -> dict[Vertex, int]:
-        return join_multiset(self.particles)
+        """The particles' join points with multiplicities; none for one particle."""
+        return join_multiset(self.particles) if self.n > 1 else {}
 
     @cached_attribute
     def shape(self) -> JoinShape:

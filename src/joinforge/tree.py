@@ -329,8 +329,7 @@ def check_tree_size(tree: TreeParams) -> None:
 def level_arrays(tree: TreeParams, first_level: int, fill: float) -> list[np.ndarray]:
     """Fresh float64 arrays for levels ``first_level..depth``, filled with ``fill``.
 
-    Every per-vertex array is allocated here, so this is where a tree too
-    large to hold is refused, before anything is allocated.
+    A tree too large to hold is refused here, before anything is allocated.
     """
     check_tree_size(tree)
     return [

@@ -397,16 +397,16 @@ def _sideless_report(passed: bool, flag: str, metadata: dict[str, Any]) -> Repor
 
 def check_equality_case(
     config: Configuration,
-    exponents: tuple[float, ...] | list[float],
+    exponents: ExponentAssignment,
     seed: int = 0,
 ) -> Report:
     """Verify the equality case of the sharp binary constant.
 
-    Builds the instance on ``config`` with constant leaf weights and a
+    Builds the instance on ``config`` with constant leaf weights, a
     level-constant vertex function (random positive level values from the
-    non-negative ``seed``), then requires the two sides to agree to
-    ``DEFAULT_REL_TOL``; ``passed`` means the ratio equals 1 within
-    tolerance.  Any base works, not only the root.  When the halves
+    non-negative ``seed``) and the given exponents, coexponent included, then
+    requires the two sides to agree to ``DEFAULT_REL_TOL``; ``passed`` means
+    the ratio equals 1 within tolerance.  Any base works, not only the root.  When the halves
     condition fails the check is skipped with a reason rather than reported
     as a failure.  Invalid exponents give the failing report of
     :func:`check_inequality`.
@@ -422,7 +422,7 @@ def check_equality_case(
         config=config,
         weights=WeightAssignment.constant(tree, 1.0),
         f=LevelFunction.by_level(tree, level_values),
-        exponents=ExponentAssignment(tuple(exponents)),
+        exponents=exponents,
         regime="binary_optimal",
         seed=seed,
     )

@@ -7,6 +7,7 @@ import itertools
 import math
 import random
 import re
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from joinforge import (
     Configuration,
     ConfigurationError,
     ExponentAssignment,
+    InstanceRanges,
     LevelFunction,
     MuirheadSpec,
     NodeAccount,
@@ -32,6 +34,7 @@ from joinforge import (
     muirhead_closed_form,
     muirhead_numeric,
     orbit_enumerate,
+    random_instance,
     regime_constant,
     rhs_product,
     shape_join_levels,
@@ -583,14 +586,39 @@ class TestSymmetricSum:
         got = symmetric_sum((0.0, 1.0), MuirheadSpec((2.0, 0.0)))
         assert got == pytest.approx(1.0)  # 0^2*1^0 + 1^2*0^0 = 0 + 1
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("m", range(1, 10))
     def test_bit_identical_to_permutation_loop(self, m):
         rng = random.Random(100 + m)
-        for _ in range(300):
+        # the reference loop takes about 0.2 s per call at m = 9
+        for _ in range({6: 60, 7: 12, 8: 3, 9: 2}.get(m, 300)):
             x = [rng.uniform(0.0, 2.0) if rng.random() > 0.3 else 0.0 for _ in range(m)]
             a = [rng.uniform(0.0, 3.0) if rng.random() > 0.4 else 0.0 for _ in range(m)]
             got = symmetric_sum(x, MuirheadSpec(tuple(a)))
             assert got == reference_symmetric_sum(x, a)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "x, a, want",
+        [
+            ((1e200, 1e200), (1.0, 1.0), math.inf),  # the product overflows
+            ((math.inf, 0.0), (1.0, 1.0), math.nan),  # inf * 0
+            ((math.inf, 2.0), (0.0, 1.0), math.inf),  # inf**0 is 1
+        ],
+    )
+    def test_nonfinite_products_as_the_loop_gives_them(self, x, a, want):
+        got = symmetric_sum(x, MuirheadSpec(a))
+        ref = reference_symmetric_sum(x, a)
+        if math.isnan(want):
+            assert math.isnan(got) and math.isnan(ref)
+        else:
+            assert got == ref == want
+
+    def test_refuses_more_terms_than_the_limit(self):
+        spec = MuirheadSpec((1.0,) * 12)
+        start = time.perf_counter()
+        with pytest.raises(ConfigurationError, match="exceeds the limit of 100000000 terms"):
+            symmetric_sum((0.5,) * 12, spec)
+        assert time.perf_counter() - start < 1.0
 
     def test_refuses_bad_variables(self):
         spec = MuirheadSpec((2.0, 0.0))
@@ -614,7 +642,7 @@ class TestSymmetricSumGrid:
             a[rng.random(m) < 0.4] = 0.0
             spec = MuirheadSpec(tuple(a))
             got = _symmetric_sum_grid(points, spec.a)
-            want = [symmetric_sum(x, spec) for x in points]
+            want = [reference_symmetric_sum(x, spec.a) for x in points]
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
@@ -889,6 +917,20 @@ class TestKInductive:
             assert inductive <= general * (1 + 1e-9)
             arities.add(m)
         assert arities == set(range(2, 8))
+
+    def test_equals_binary_optimal_under_halves_at_m2(self):
+        # at m = 2 a case-iii node's factor is 2**(1/beta - 1/alpha_1 - 1/alpha_2),
+        # and the exponents telescope to -(n - 1)
+        ranges = InstanceRanges(arities=(2,), regime="binary_optimal")
+        for seed in range(1000):
+            inst = random_instance(seed, ranges)
+            sharp, sharp_flags = regime_constant(inst.shape, inst.exponents, 2, "binary_optimal")
+            assert sharp_flags == () and sharp == 2.0 ** -(inst.shape.n_particles - 1)
+            k, flags = regime_constant(inst.shape, inst.exponents, 2, "inductive")
+            assert flags == ()
+            assert k == pytest.approx(sharp, rel=1e-14, abs=0.0), seed
+            ledger = k_inductive(inst.shape, inst.exponents, 2).ledger
+            assert {e.muirhead_case for e in ledger} == {"iii"}, seed
 
     def test_ternary_pair_is_estimated(self):
         # a pair beside a lone particle at a ternary root: the pair's node has

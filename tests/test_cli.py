@@ -153,6 +153,20 @@ class TestSubcommands:
         assert abs(payload["ratio"] - 1.0) <= 1e-9
         assert payload["metadata"]["join_levels"] == [1, 2]
 
+    @pytest.mark.parametrize("k, base", [(3, ""), (4, "1")], ids=["root", "below-1"])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_equality_check_keeps_the_coexponent(self, capsys, tmp_path, k, base, seed):
+        # recursive form: reciprocals 1/4 + 1/8 + 1/8 = 0.5, plus the coexponent 0.5
+        lead = [int(base)] if base else []
+        config = [lead + word for word in ([1, 1, 1], [1, 2, 1], [2, 1, 1], [2, 1, 2])]
+        doc = {"m": 2, "k": k, "base": base, "config": config,
+               "p": [4, 8, 8], "coexponent": 0.5, "regime": "binary_optimal"}
+        path = tmp_path / "recursive.json"
+        path.write_text(json.dumps(doc))
+        code, payload = run_cli(capsys, "equality-check", str(path), "--seed", str(seed))
+        assert code == 0 and payload["pass"] is True and payload["flags"] == []
+        assert abs(payload["ratio"] - 1.0) <= 1e-15
+
     def test_example(self, capsys):
         code, payload = run_cli(capsys, "example")
         assert code == 0
@@ -296,6 +310,14 @@ class TestCliContract:
         code, payload = run_cli(capsys, "verify", str(path))
         assert code == 0 and payload["pass"] is True
         assert (payload["lhs"], payload["rhs"]) == (10.0, 10.000000000000002)
+
+    def test_one_particle_join_set_is_empty(self, capsys, tmp_path):
+        doc = {"m": 2, "k": 3, "config": [[1, 2, 1]], "p": [], "coexponent": 1.0}
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(doc))
+        code, payload = run_cli(capsys, "join-set", str(path))
+        assert code == 0
+        assert payload == {"joins": {}, "levels": [], "total_multiplicity": 0}
 
     def test_byte_identical_output(self, capsys, worked_file):
         main(["verify", worked_file])

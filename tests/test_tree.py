@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import functools
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -38,6 +43,8 @@ from joinforge.tree import (
 )
 
 from conftest import vx
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 words = st.lists(st.integers(min_value=1, max_value=3), min_size=0, max_size=6).map(tuple)
@@ -845,3 +852,19 @@ class TestKeyedLevels:
         else:
             arrays = keyed_levels(tree, 0, {key: 2.0}, 1.0)
             assert arrays[len(word)][tree.rank(word)] == 2.0
+
+
+def test_load_ladder_runs():
+    # the timing script outside pytest's collection, one round per step
+    paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    result = subprocess.run(
+        [sys.executable, str(REPO / "tests" / "load_ladder.py"), "--rounds", "1"],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    times = json.loads(result.stdout)
+    assert list(times) == ["m2k10", "m2k12", "m2k14", "m2k16", "m8k2", "m9k2", "m11k4"]
+    for rung, got in times.items():
+        assert set(got) == {"json_load", "keyed_mu", "keyed_f", "load_instance"}, rung
+        assert all(ms > 0.0 for ms in got.values()), rung

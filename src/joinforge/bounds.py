@@ -82,7 +82,7 @@ class ExponentAssignment:
         return len(self.exponents)
 
     def reciprocals(self) -> tuple[float, ...]:
-        return tuple(1.0 / p for p in self.exponents)
+        return tuple([1.0 / p for p in self.exponents])
 
 
 @dataclass(frozen=True)
@@ -147,13 +147,19 @@ def _reciprocal_sums(
     """
     _require_slot_count(shape, pa)
     q = pa.reciprocals()
-    subtree: dict[tuple[int, ...], float] = {}
+    # (path, subtree sum) of each node whose parent is still to come; in
+    # post-order those deeper than a node are its child join nodes, on top
+    waiting: list[tuple[tuple[int, ...], float]] = []
     sums = []
     for record in shape.join_nodes:
-        own = sum(q[slot] for slot in record.slots)
-        path = record.path
-        branch_sums = [subtree.get((*path, j), 0.0) for j in range(record.degree)]
-        subtree[path] = total = own + sum(branch_sums)
+        slots, depth = record.slots, len(record.path)
+        own = sum(q[slots.start : slots.stop])
+        branch_sums = [0.0] * record.degree
+        while waiting and len(waiting[-1][0]) > depth:
+            path, total = waiting.pop()
+            branch_sums[path[-1]] = total
+        total = own + sum(branch_sums)
+        waiting.append((record.path, total))
         sums.append((record, own, branch_sums, total))
     return sums
 
@@ -372,17 +378,23 @@ class MuirheadSpec:
         a = tuple(_float_value(x, "an exponent") for x in self.a)
         if not a:
             raise ConfigurationError("exponent vector must be nonempty")
-        if any(not x >= 0.0 for x in a):
-            raise ConfigurationError(f"exponents must be >= 0, got {a}")
-        s = sum(a)
-        if not math.isfinite(s):
-            raise ConfigurationError(f"exponents and their sum must be finite, got {a}")
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "s", _exponent_sum(a))
 
     @property
     def m(self) -> int:
         return len(self.a)
+
+
+def _exponent_sum(a: tuple[float, ...]) -> float:
+    """The sum of a vector of float exponents, refusing a negative or NaN
+    entry, then an infinite sum, as :class:`MuirheadSpec` does."""
+    s = sum(a)
+    if not (math.isfinite(s) and min(a) >= 0.0):  # a finite sum has no NaN entry
+        if any(not x >= 0.0 for x in a):
+            raise ConfigurationError(f"exponents must be >= 0, got {a}")
+        raise ConfigurationError(f"exponents and their sum must be finite, got {a}")
+    return s
 
 
 def symmetric_sum(x: Sequence[float], spec: MuirheadSpec) -> float:
@@ -428,7 +440,7 @@ def muirhead_closed_form(spec: MuirheadSpec) -> MuirheadValue:
     need ``m!`` as a float, so an arity whose ``m!`` lies beyond the float
     range (m >= 171) is refused.
     """
-    case, m, s = _muirhead_case(spec), spec.m, spec.s
+    case, m, s = _muirhead_case(spec.a, spec.s), spec.m, spec.s
     if case == "iv":
         v = 2.0 ** (1.0 - s)
         return MuirheadValue("iv", True, v, v)
@@ -441,8 +453,9 @@ def muirhead_closed_form(spec: MuirheadSpec) -> MuirheadValue:
     return MuirheadValue(case, True, uniform, uniform)
 
 
-def _muirhead_case(spec: MuirheadSpec) -> str:
-    """Which closed form applies, tested in this order, else "ii" (the bracket only).
+def _muirhead_case(a: tuple[float, ...], s: float) -> str:
+    """Which closed form applies to a spec's ``a`` and ``s``, tested in this
+    order, else "ii" (the bracket only).
 
     * "i": ``s <= 1``;
     * "iii": every ``a_i >= (s-1)/m``;
@@ -452,7 +465,7 @@ def _muirhead_case(spec: MuirheadSpec) -> str:
       ``e_d(y)`` by ``C(m,d) (e_1(y)/m)**d``, and the power mean bounds
       ``sum x_j**c`` by ``m**(1-c)`` on the simplex, so ``K = m! m**-s``.
     """
-    m, s, a = spec.m, spec.s, spec.a
+    m = len(a)
     if not s > 0.0:
         raise ConfigurationError("the constant needs a positive exponent sum")
     if s <= 1.0:
@@ -510,27 +523,37 @@ def muirhead_numeric(spec: MuirheadSpec) -> MuirheadEstimate:
     if m == 1:
         return MuirheadEstimate(1.0, (1.0,), 0.0, n_grid)
 
-    points = _simplex_grid(m)
-    values = _symmetric_sum_grid(points, spec.a)
-    best = int(np.argmax(values))
+    # each coordinate's power taken once, and laid out by one take as the
+    # kernel's table, a row per exponent and a column per point (numpy's 0**0
+    # is 1, the sum's convention).  A last row of x**0 = 1 is left out: the
+    # (m-1)-prefixes of the permutations are the permutations, in their order,
+    # so every term and sum is the same float.  A zero elsewhere stays, since
+    # leaving it out would reorder the terms.
+    coordinates, index = _grid_coordinates(m)
+    a = spec.a[:-1] if spec.a[-1] == 0.0 else spec.a
+    values = injective_sum((coordinates ** np.array(a)[:, None]).take(index, axis=1))
+    best = int(values.argmax())
     uncertainty = math.factorial(m) * sum(
         _continuity_step(1.0 / n_grid, ai) for ai in spec.a
     )
     return MuirheadEstimate(
-        float(values[best]), tuple(float(v) for v in points[best]), uncertainty, n_grid
+        float(values[best]), tuple(_simplex_grid(m)[best].tolist()), uncertainty, n_grid
     )
 
 
 @cache
-def _simplex_grid(m: int) -> np.ndarray:
-    """The estimator's simplex points on ``m`` variables, a read-only array.
+def _grid_coordinates(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The estimator's simplex grid on ``m`` variables: its distinct
+    coordinates, ascending, and the ``(m, P)`` index of each point's
+    coordinates into them, both read-only.
 
     The symmetric sum is invariant under permuting ``x``, so the grid is its
     sorted chamber: the compositions of ``n = _RESOLUTION[m]`` into ``m``
     parts over ``n`` with ``x_1 >= x_2 >= ... >= x_m``, in lexicographic
     order, then the barycentre, ``e_1`` and ``(1/2, 1/2, 0, ...)``.  Every
     composition sorts into the chamber, so its maximum is that of all
-    compositions.  At most 820 points are kept (m = 3).
+    compositions.  At most 820 points are kept (m = 3).  Each coordinate is
+    a ``c/n`` or ``1/m`` (``n`` is even): 513, 97, 41 and 26 at m = 2..5.
     """
     n_grid = _RESOLUTION[m]
     count = math.comb(n_grid + m - 1, m - 1)
@@ -539,19 +562,30 @@ def _simplex_grid(m: int) -> np.ndarray:
     )
     bars = np.fromiter(flat, dtype=np.intp, count=count * (m - 1)).reshape(count, m - 1)
     parts = np.diff(bars, axis=1, prepend=-1, append=n_grid + m - 1) - 1
-    chamber = parts[(np.diff(parts, axis=1) <= 0).all(axis=1)] / n_grid
-    extras = np.zeros((3, m))
-    extras[0] = 1.0 / m
-    extras[1, 0] = 1.0
-    extras[2, :2] = 0.5
-    points = np.vstack([chamber, extras])
+    chamber = parts[(np.diff(parts, axis=1) <= 0).all(axis=1)]
+    extras = np.zeros((3, m), dtype=np.intp)  # numerators c of c/n, the barycentre's set below
+    extras[1, 0], extras[2, :2] = n_grid, n_grid // 2
+    index = np.vstack([chamber, extras]).T.copy()
+    coordinates = np.arange(n_grid + 1) / n_grid
+    centre = n_grid // m  # where 1/m goes among the c/n: at c = n/m, else after floor(n/m)
+    if n_grid % m:
+        centre += 1
+        coordinates = np.insert(coordinates, centre, 1.0 / m)
+        index += index >= centre
+    index[:, -3] = centre
+    coordinates.setflags(write=False)
+    index.setflags(write=False)
+    return coordinates, index
+
+
+@cache
+def _simplex_grid(m: int) -> np.ndarray:
+    """The estimator's simplex points on ``m`` variables (see
+    :func:`_grid_coordinates`), one per row, a read-only array."""
+    coordinates, index = _grid_coordinates(m)
+    points = coordinates[index.T]
     points.setflags(write=False)
     return points
-
-
-def _symmetric_sum_grid(points: np.ndarray, a: tuple[float, ...]) -> np.ndarray:
-    # one injective-sum column per point; numpy's 0**0 is 1, the sum's convention
-    return injective_sum(points.T[None] ** np.array(a)[:, None, None])
 
 
 def _continuity_step(delta: float, a: float) -> float:
@@ -568,7 +602,7 @@ def _continuity_step(delta: float, a: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NodeAccount:
     """Per-node conjugacy bookkeeping and the factor it contributes."""
 
@@ -581,6 +615,16 @@ class NodeAccount:
     log_muirhead: float
     estimated: bool
     log_factor: float
+
+    def __init__(self, node_path, level_offset, degree, alpha_inv, beta_inv,
+                 muirhead_case, log_muirhead, estimated, log_factor):
+        # one update of the instance dict, at half the cost of a frozen
+        # dataclass's __init__, which sets each field by object.__setattr__
+        vars(self).update(
+            node_path=node_path, level_offset=level_offset, degree=degree,
+            alpha_inv=alpha_inv, beta_inv=beta_inv, muirhead_case=muirhead_case,
+            log_muirhead=log_muirhead, estimated=estimated, log_factor=log_factor,
+        )
 
     @property
     def factor(self) -> float:
@@ -632,47 +676,29 @@ def k_inductive(shape: JoinShape, pa: ExponentAssignment, arity: int) -> KInduct
                 f"nonpositive 1/beta at node {record.path}: exponents are not conjugate"
             )
         d = record.degree
-        alpha_inv = tuple(1.0 - s for s in branch_sums)
-        a_vec = tuple(ai / beta_inv for ai in alpha_inv) + (0.0,) * (m - d)
-        mspec = MuirheadSpec(a_vec)
-        case = _muirhead_case(mspec)
+        alpha_inv = tuple([1.0 - s for s in branch_sums])
+        a_vec = tuple([ai / beta_inv for ai in alpha_inv]) + (0.0,) * (m - d)
+        s = _exponent_sum(a_vec)  # a MuirheadSpec's sum, built only for the estimator
+        case = _muirhead_case(a_vec, s)
         estimated = case == "ii" and m in _RESOLUTION
         if case != "ii":
-            log_k = _log_closed_form(case, m, mspec.s)
+            log_k = _log_closed_form(case, m, s)
         elif not estimated:
             log_k = log_upper
         else:
-            log_k = min(math.log(muirhead_numeric(mspec).upper), log_upper)
-        log_factor = (
-            beta_inv * log_k
-            + (1.0 - beta_inv) * log_upper
-            - math.lgamma(m - d + 1)
-        )
-        entries.append(
-            NodeAccount(
-                node_path=record.path,
-                level_offset=record.offset,
-                degree=d,
-                alpha_inv=alpha_inv,
-                beta_inv=beta_inv,
-                muirhead_case=case,
-                log_muirhead=log_k,
-                estimated=estimated,
-                log_factor=log_factor,
-            )
-        )
+            log_k = min(math.log(muirhead_numeric(MuirheadSpec(a_vec)).upper), log_upper)
+        log_factor = beta_inv * log_k + (1.0 - beta_inv) * log_upper - math.lgamma(m - d + 1)
+        entries.append(NodeAccount(
+            record.path, record.offset, d, alpha_inv, beta_inv, case, log_k, estimated, log_factor
+        ))
     entries.reverse()  # ledger reads top-down; join nodes come children first
     total_log = sum(e.log_factor for e in entries)
     return KInductiveResult(_exp_or_inf(total_log), tuple(entries))
 
 
-def _log_uniform_constant(m: int, s: float) -> float:
-    return math.lgamma(m + 1) - s * math.log(m)
-
-
 def _log_closed_form(case: str, m: int, s: float) -> float:
     if case in ("i", "iii", "v"):
-        return _log_uniform_constant(m, s)
+        return math.lgamma(m + 1) - s * math.log(m)
     if case == "iv":
         return (1.0 - s) * math.log(2.0)
     raise ConfigurationError(f"case {case!r} has no closed form")

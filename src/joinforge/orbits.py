@@ -383,8 +383,8 @@ def injective_sum(table: np.ndarray) -> np.ndarray:
     terms = math.perm(m, d) * n
     if terms > MAX_INJECTIVE_TERMS:
         raise ConfigurationError(
-            f"summing {terms} injective assignments ({d} branches on {m} children, "
-            f"{n} join vertices) exceeds the limit of {MAX_INJECTIVE_TERMS} terms"
+            f"summing {terms} injective assignments ({d} rows of {m} entries, over {n} "
+            f"columns) exceeds the limit of {MAX_INJECTIVE_TERMS} terms"
         )
     if d == 0 or d > m or n == 0:
         return np.full(n, float(d == 0))  # one empty map (product 1) or none: form no product

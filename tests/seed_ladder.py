@@ -15,7 +15,11 @@ them:
   walk already cached, as in a check);
 - ``muirhead_numeric``: the estimator on each symmetric sum the inductive
   constant estimates (inductive only; ``numeric_per_seed`` says how many
-  there are per seed);
+  there are per seed), and ``muirhead_numeric_m2`` and
+  ``muirhead_numeric_m3`` with ``numeric_per_seed_m2`` and
+  ``numeric_per_seed_m3``, the same on the sums of each arity;
+- ``k_inductive``: the inductive constant's ledger alone, the estimator's
+  results looked up from a cache (inductive only);
 - ``rhs_product``: the right side;
 - ``check``: ``check_inequality`` with the shape, its walk and the masses
   already cached;
@@ -42,11 +46,13 @@ microseconds.  pytest does not collect this file.
 """
 
 import argparse
+import functools
 import gc
 import json
 import math
 import time
 
+from joinforge import bounds
 from joinforge.bounds import (
     MuirheadSpec,
     k_inductive,
@@ -146,11 +152,28 @@ def regime_times(regime: str, ranges: InstanceRanges, rounds: int) -> dict[str, 
     times["interleaved_draw"], times["interleaved_check"] = round(draw, 2), round(check, 2)
     if regime == "inductive":
         specs = [spec for i in instances for spec in estimated_specs(i)]
-        times["muirhead_numeric"] = round(
-            per_call_us([lambda s=s: muirhead_numeric(s) for s in specs], rounds), 2
-        )
-        times["numeric_per_seed"] = round(len(specs) / len(instances), 3)
+        for suffix, arity in (("", None), ("_m2", 2), ("_m3", 3)):
+            chosen = [s for s in specs if arity in (None, s.m)]
+            times["muirhead_numeric" + suffix] = round(
+                per_call_us([lambda s=s: muirhead_numeric(s) for s in chosen], rounds), 2
+            )
+            times["numeric_per_seed" + suffix] = round(len(chosen) / len(instances), 3)
+        times["k_inductive"] = round(ledger_us(instances, rounds), 2)
     return times
+
+
+def ledger_us(instances: list, rounds: int) -> float:
+    """``k_inductive`` per instance, with ``muirhead_numeric`` answered from
+    a cache filled before the timed rounds."""
+    calls = [lambda i=i: k_inductive(i.shape, i.exponents, i.tree.arity) for i in instances]
+    estimator = bounds.muirhead_numeric
+    bounds.muirhead_numeric = functools.cache(estimator)
+    try:
+        for call in calls:
+            call()
+        return per_call_us(calls, rounds)
+    finally:
+        bounds.muirhead_numeric = estimator
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -44,7 +45,8 @@ from joinforge import (
 )
 
 from joinforge import bounds
-from joinforge.bounds import _simplex_grid, _symmetric_sum_grid
+from joinforge.bounds import _grid_coordinates, _simplex_grid
+from joinforge.orbits import injective_sum
 
 from conftest import per_vertex, vx
 
@@ -58,6 +60,12 @@ def reference_symmetric_sum(x, a):
             term *= 1.0 if a[i] == 0.0 else float(x[j]) ** a[i]
         total += term
     return total
+
+
+def grid_sums(points, a):
+    """The symmetric sum at each row of ``points``: each point's own powers,
+    one injective-sum column per point (numpy's 0**0 is 1)."""
+    return injective_sum(points.T[None] ** np.array(a)[:, None, None])
 
 
 def reference_grid(m, n_grid):
@@ -641,7 +649,7 @@ class TestSymmetricSumGrid:
             a = rng.uniform(0.0, 3.0, m)
             a[rng.random(m) < 0.4] = 0.0
             spec = MuirheadSpec(tuple(a))
-            got = _symmetric_sum_grid(points, spec.a)
+            got = grid_sums(points, spec.a)
             want = [reference_symmetric_sum(x, spec.a) for x in points]
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
@@ -747,7 +755,7 @@ class TestCaseV:
         points = _simplex_grid(m)
         for spec in case_v_specs(m, 12, seed=10 + m):
             k = muirhead_closed_form(spec).value
-            grid = _symmetric_sum_grid(points, spec.a)
+            grid = grid_sums(points, spec.a)
             assert grid.max() <= k * (1.0 + bounds.ROUNDING_ALLOWANCE)
 
     @pytest.mark.parametrize("m", [3, 4, 5])
@@ -829,8 +837,8 @@ class TestMuirheadNumeric:
         for spec in case_ii_specs(m, zeros, count, seed=10 * m + zeros):
             got = muirhead_numeric(spec)
             assert got.resolution == n_grid
-            assert got.value == _symmetric_sum_grid(sorted_grid, spec.a).max()
-            full = _symmetric_sum_grid(grid, spec.a).max()
+            assert got.value == grid_sums(sorted_grid, spec.a).max()
+            full = grid_sums(grid, spec.a).max()
             assert got.value == pytest.approx(full, rel=bounds.ROUNDING_ALLOWANCE, abs=0.0)
             assert list(got.maximizer) == sorted(got.maximizer, reverse=True)
 
@@ -842,6 +850,62 @@ class TestMuirheadNumeric:
         assert not grid.flags.writeable
         with pytest.raises(ValueError):
             grid[0, 0] = 1.0
+
+    @pytest.mark.parametrize("m, n_grid, count", [(2, 512, 513), (3, 96, 97), (4, 40, 41),
+                                                  (5, 24, 26)])
+    def test_coordinates_rebuild_the_grid(self, m, n_grid, count):
+        # the sorted full grid's rows, in order, bit for bit: the compositions,
+        # then the barycentre, e_1 and (1/2, 1/2, 0, ...)
+        full = reference_grid(m, n_grid)
+        want = full[(np.diff(full, axis=1) <= 0).all(axis=1)]
+        coordinates, index = _grid_coordinates(m)
+        assert len(coordinates) == count and (np.diff(coordinates) > 0.0).all()
+        assert index.shape == (m, len(want))
+        assert coordinates[index].T.tobytes() == want.tobytes()
+        assert _simplex_grid(m).tobytes() == want.tobytes()
+        assert not coordinates.flags.writeable and not index.flags.writeable
+
+    @pytest.mark.parametrize("m, zeros", [(m, z) for m in range(2, 6) for z in range(1, m)])
+    def test_last_zero_row_changes_no_sum(self, m, zeros):
+        # the (m-1)-prefixes of the permutations are the permutations, in order
+        coordinates, index = _grid_coordinates(m)
+        for spec in case_ii_specs(m, zeros, 4, seed=40 + 10 * m + zeros):
+            table = (coordinates ** np.array(spec.a)[:, None]).take(index, axis=1)
+            assert injective_sum(table[:-1]).tobytes() == injective_sum(table).tobytes()
+
+    @pytest.mark.parametrize("a", [(0.0, 3.0, 0.5), (0.5, 0.0, 3.0), (0.0, 2.0, 0.5, 1.0, 0.0)])
+    def test_zero_not_last_keeps_its_row(self, a):
+        # leaving out the first zero's row instead reorders the terms, and on
+        # these vectors moves the maximum by an ulp
+        grid = _simplex_grid(len(a))
+        sums = grid_sums(grid, a)
+        estimate = muirhead_numeric(MuirheadSpec(a))
+        assert estimate.value == sums.max()
+        assert estimate.maximizer == tuple(grid[sums.argmax()])
+
+    @pytest.mark.parametrize("a, value, maximizer", [
+        ((2.0, 0.0), "0x1.0000000000000p+0", (1.0, 0.0)),
+        ((3.0, 0.5), "0x1.ed861fd56b700p-3", (0.84765625, 0.15234375)),
+        ((0.5, 3.0), "0x1.ed861fd56b700p-3", (0.84765625, 0.15234375)),
+        ((1.37, 2.91), "0x1.a5adb8c8e31f3p-4", (0.5, 0.5)),
+        ((1.0, 2.0, 0.0), "0x1.0000000000000p-2", (0.5, 0.5, 0.0)),
+        ((3.0, 0.5, 0.0), "0x1.5997b465d91e1p-2", (41 / 48, 7 / 96, 7 / 96)),
+        ((2.0, 2.0, 0.0), "0x1.0000000000000p-3", (0.5, 0.5, 0.0)),
+        ((0.0, 3.0, 0.5), "0x1.5997b465d91e0p-2", (41 / 48, 7 / 96, 7 / 96)),
+        ((1.0, 2.0, 3.0), "0x1.0db20a88f4693p-7", (1 / 3,) * 3),
+        ((2.0, 1.0, 0.0, 0.0), "0x1.0000000000000p-1", (0.5, 0.5, 0.0, 0.0)),
+        ((3.0, 3.0, 0.5, 0.0), "0x1.ec166ab641bc3p-8", (0.45, 0.45, 0.05, 0.05)),
+        ((0.5, 1.0, 2.0, 3.0), "0x1.8000000000000p-9", (0.25,) * 4),
+        ((1.25, 2.5, 0.0, 0.0), "0x1.306fe0a31b715p-2", (0.5, 0.5, 0.0, 0.0)),
+        ((2.0, 2.0, 1.0, 0.0, 0.0), "0x1.948b0fcd6e9dcp-5", (1 / 3,) * 3 + (0.0, 0.0)),
+        ((3.0, 0.5, 0.0, 1.0, 0.0), "0x1.671f6d950aaeap-3", (2 / 3,) + (1 / 12,) * 4),
+        ((1.0, 1.0, 1.0, 3.0, 2.0), "0x1.421f5f40d836fp-12", (0.2,) * 5),
+    ])
+    def test_pinned_estimates(self, a, value, maximizer):
+        # the grid maxima as a table of each point's own powers gave them
+        estimate = muirhead_numeric(MuirheadSpec(a))
+        assert estimate.value == float.fromhex(value)
+        assert estimate.maximizer == maximizer
 
     def test_inequality_samples(self):
         rng = np.random.default_rng(12)
@@ -896,6 +960,25 @@ class TestKInductive:
             lhs = sum(entry.alpha_inv)
             rhs = entry.degree - 1 + entry.beta_inv
             assert lhs == pytest.approx(rhs, abs=1e-12)
+
+    def test_negative_branch_exponent_refused(self, worked_shape):
+        # a branch whose reciprocals pass 1, offset by a negative one in the
+        # other branch, leaves the top node 1/beta = 1/2 but a negative 1/alpha
+        with pytest.raises(ConfigurationError, match="exponents must be >= 0"):
+            k_inductive(worked_shape, ExponentAssignment((1.0, 2.0 / 3.0, -1.0)), 2)
+
+    def test_node_account_is_a_frozen_dataclass(self):
+        fields = dict(node_path=(0,), level_offset=1, degree=2, alpha_inv=(1.0, 0.5),
+                      beta_inv=0.5, muirhead_case="iii", log_muirhead=-0.25, estimated=False,
+                      log_factor=-0.125)
+        entry = NodeAccount(**fields)
+        assert entry == NodeAccount(*fields.values())
+        assert hash(entry) == hash(NodeAccount(*fields.values()))
+        assert dataclasses.asdict(entry) == fields
+        assert repr(entry) == f"NodeAccount({', '.join(f'{k}={v!r}' for k, v in fields.items())})"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            entry.degree = 3
+        assert dataclasses.replace(entry, degree=3) == NodeAccount(**{**fields, "degree": 3})
 
     def test_single_particle_branch_has_unit_coexponent(self, binary3):
         config = Configuration(binary3, ROOT, (vx(1, 1, 1), vx(1, 2, 1), vx(2, 1, 1)))
@@ -1200,7 +1283,7 @@ class TestJoinNodeWalk:
         @functools.cache
         def finer_lower_log_k(mspec):
             points = reference_chamber(mspec.m, 4 * bounds._RESOLUTION[mspec.m])
-            lower = float(_symmetric_sum_grid(points, mspec.a).max())
+            lower = float(grid_sums(points, mspec.a).max())
             log_bracket = math.lgamma(mspec.m + 1) - mspec.s * math.log(mspec.m)
             return min(max(math.log(lower), log_bracket), math.lgamma(mspec.m))
 

@@ -696,10 +696,18 @@ def test_seed_ladder_runs():
         "interleaved_draw", "interleaved_check",
     }
     for regime, got in times.items():
-        extra = {"muirhead_numeric", "numeric_per_seed"} if regime == "inductive" else set()
+        extra = set()
+        if regime == "inductive":
+            extra = {"k_inductive"} | {
+                f"{name}{suffix}" for name in ("muirhead_numeric", "numeric_per_seed")
+                for suffix in ("", "_m2", "_m3")
+            }
         assert set(got) == stages | extra | {"check_glue"}, regime
         assert all(got[stage] > 0.0 for stage in stages | extra), regime
         # a difference of timings, so a single noisy round may leave it at or below 0
         assert math.isfinite(got["check_glue"]), regime
+        if regime == "inductive":  # every estimated sum has one of the two arities
+            per_arity = got["numeric_per_seed_m2"] + got["numeric_per_seed_m3"]
+            assert per_arity == pytest.approx(got["numeric_per_seed"], abs=0.002)
         parts = got["factorized_from_shape"] + got["constant"] + got["rhs_product"]
         assert got["check_glue"] == pytest.approx(got["check"] - parts, abs=0.01), regime

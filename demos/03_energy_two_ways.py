@@ -34,10 +34,9 @@ for trial in range(5):
     n = rng.randint(2, 4)
     config = Configuration(tree, ROOT, tuple(rng.sample(leaves, n)))
     # per-vertex data as arrays in word-rank order, the order in which
-    # tree.leaves() and tree.vertices_at(level) visit the vertices
+    # tree.leaves() and tree.vertices() visit the vertices; f is root first
     weights = WeightAssignment(tree, [rng.uniform(0.1, 3.0) for _ in leaves])
-    levels = [tree.vertices_at(level) for level in range(tree.depth + 1)]
-    f = LevelFunction(tree, [[rng.uniform(0.2, 2.0) for _ in vs] for vs in levels])
+    f = LevelFunction(tree, [rng.uniform(0.2, 2.0) for _ in tree.vertices()])
     brute = orbit_energy_bruteforce(config, weights, f)
     fact = orbit_energy_factorized(config, weights, f)
     rel = abs(fact.value - brute.value) / brute.value

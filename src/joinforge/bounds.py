@@ -49,7 +49,6 @@ from .orbits import (
     JoinShape,
     checked_join_nodes,
     injective_sum,
-    shape_join_levels,
 )
 from .tree import ConfigurationError, LevelFunction, TreeParams, Vertex, _float_value
 
@@ -70,8 +69,10 @@ class ExponentAssignment:
     coexponent: float = 0.0
 
     def __post_init__(self) -> None:
-        exponents = tuple(_float_value(p, "an exponent") for p in self.exponents)
-        object.__setattr__(self, "exponents", exponents)
+        # a tuple of floats is kept: _float_value returns a float as it is
+        if type(self.exponents) is not tuple or not set(map(type, self.exponents)) <= {float}:
+            exponents = tuple(_float_value(p, "an exponent") for p in self.exponents)
+            object.__setattr__(self, "exponents", exponents)
         co = _float_value(self.coexponent, "the coexponent")
         if not 0.0 <= co <= 1.0:
             raise ConfigurationError(f"coexponent must lie in [0, 1], got {co!r}")
@@ -181,7 +182,7 @@ def level_power_sum(
 
     A sum beyond the float range is refused.
     """
-    log_sums = _log_level_power_sums(tree, masses, f, base, [level], [p])
+    log_sums = _log_level_power_sums(tree, masses, f, base, [level - base.level], [p])
     if log_sums is None:
         return 0.0
     value = _exp_or_inf(log_sums[0])
@@ -203,12 +204,12 @@ def _log_level_power_sums(
     masses: Sequence[np.ndarray],
     f: LevelFunction,
     base: Vertex,
-    levels: Sequence[int],
+    offsets: Sequence[int],
     exponents: Sequence[float],
 ) -> list[float] | None:
-    """log of level_power_sum for each level and its exponent, or None
-    when one of the levels holds no mass (its sum vanishes); safe for
-    extreme exponents.
+    """log of level_power_sum for each level, ``offsets`` below ``base``, and
+    its exponent, or None when one of the levels holds no mass (its sum
+    vanishes); safe for extreme exponents.
 
     Each level and its exponent make a row of the level's vertices below
     ``base``.  The rows are laid end to end, so that each step is one numpy
@@ -217,14 +218,15 @@ def _log_level_power_sums(
     exp, then sum), so every value is the float that the row's pass alone
     gives.  A vertex of zero mass adds nothing and is left out of its row.
     """
-    if not levels:  # a shape of one particle has no slot
+    if not offsets:  # a shape of one particle has no slot
         return []
     values, weights, sliced = [], [], {}
-    for level in levels:  # the rows of one level share its slices
-        if level not in sliced:
+    for offset in offsets:  # the rows of one level share its slices
+        if offset not in sliced:
+            level = base.level + offset
             ranks = tree.ranks_below(base, level)
-            sliced[level] = f.levels[level][ranks], masses[level][ranks]
-        value, weight = sliced[level]
+            sliced[offset] = f.levels[level][ranks], masses[level][ranks]
+        value, weight = sliced[offset]
         values.append(value)
         weights.append(weight)
     data = np.concatenate(values + weights)
@@ -272,8 +274,8 @@ def rhs_product(
     Every slot's level power sum comes from one pass over all the slots.
     """
     _require_slot_count(shape, pa)
-    levels = shape_join_levels(shape, base.level)
-    log_sums = _log_level_power_sums(tree, masses, f, base, levels, pa.exponents)
+    offsets = shape.walk.slot_offsets
+    log_sums = _log_level_power_sums(tree, masses, f, base, offsets, pa.exponents)
     if log_sums is None:
         return 0.0
     log_total = 0.0

@@ -117,7 +117,7 @@ def _seed_range(text: str) -> tuple[int, int]:
         start, stop = int(lo), int(hi)
     except ValueError as exc:
         raise ConfigurationError(f"bad seed range {text!r}") from exc
-    if stop < start:
+    if stop <= start:  # B is exclusive, so A..A holds no seed
         raise ConfigurationError(f"empty seed range {text!r}")
     return start, stop - start
 

@@ -85,8 +85,8 @@ def orbit_energy_factorized(
     config: Configuration, weights: WeightAssignment, f: LevelFunction
 ) -> EnergyResult:
     """Evaluate the orbit energy by recursion over the cached join shape and masses."""
-    tree, shape = config.tree, config.shape
-    if weights.tree != tree or f.tree != tree:
+    tree, shape = config.tree, config.shape  # a tuple compares its items by identity first
+    if (weights.tree, f.tree) != (tree, tree):
         raise ConfigurationError("weights and vertex function must share the tree")
     value = factorized_from_shape(tree, config.base, shape, weights.masses, f)
     return EnergyResult(value, "factorized", shape_orbit_size(shape, tree.arity))

@@ -69,17 +69,23 @@ class Configuration:
     particles: tuple[Vertex, ...]
 
     def __post_init__(self) -> None:
-        self.tree.validate_vertex(self.base)
+        tree, base = self.tree, self.base
+        tree.validate_vertex(base)
         particles = tuple(self.particles)
         if not particles:
             raise ConfigurationError("a configuration needs at least one particle")
-        for p in particles:
-            self.tree.validate_vertex(p)
-            if not self.tree.is_leaf(p):
-                raise ConfigurationError(f"particle {p!r} is not a leaf")
-            if not self.base.ancestor_of(p):
-                raise ConfigurationError(f"particle {p!r} does not descend from {self.base!r}")
-        if len(set(particles)) != len(particles):
+        m, k, prefix = tree.arity, tree.depth, base.word
+        for p in particles:  # one pass over a word: leaf length, base prefix, int symbols in 1..m
+            w = p.word
+            if len(w) != k or w[: len(prefix)] != prefix or not all(
+                type(s) is int and 0 < s <= m for s in w
+            ):  # the refusals in their order, or a word of numpy symbols
+                tree.validate_vertex(p)
+                if not tree.is_leaf(p):
+                    raise ConfigurationError(f"particle {p!r} is not a leaf")
+                if not base.ancestor_of(p):
+                    raise ConfigurationError(f"particle {p!r} does not descend from {base!r}")
+        if len({p.word for p in particles}) != len(particles):
             raise ConfigurationError("particles must be pairwise distinct")
         object.__setattr__(self, "particles", particles)
 

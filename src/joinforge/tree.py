@@ -8,10 +8,11 @@ longest common prefix.  Leaves carry nonnegative weights; the mass of the
 cylinder below an arbitrary vertex is the sum of the leaf weights under it.
 
 Per-vertex data (leaf weights, vertex functions, cylinder masses) is held
-as one float64 array per level, indexed by word rank: the word's symbols
-minus one, read as a base-``m`` number.  Ranks number each level in
-lexicographic order, and the vertices at one level below a vertex fill one
-contiguous slice of that level's array.
+as one float64 array, root first, cut into one view per level (see
+``level_views``) and indexed by word rank: the word's symbols minus one,
+read as a base-``m`` number.  Ranks number each level in lexicographic
+order, and the vertices at one level below a vertex fill one contiguous
+slice of that level's view.
 
 Everything here is immutable after construction (the arrays are read-only)
 and all operations are pure, so values can be shared freely between threads
@@ -33,9 +34,8 @@ import numpy as np
 # 32 MB per set of level arrays.
 MAX_TREE_VERTICES = 2**22
 
-# Keys of a word-keyed map are read this many at a time, and level arrays
-# of fewer values are checked together, so the temporaries of one numpy pass
-# stay small next to the map itself.
+# Keys of a word-keyed map are read this many at a time, so the temporaries
+# of one numpy pass stay small next to the map itself.
 KEY_CHUNK = 2048
 
 # Longest symbol a word may hold: its value must fit an int64, and no tree
@@ -326,22 +326,24 @@ def check_tree_size(tree: TreeParams) -> None:
     )
 
 
-def level_arrays(tree: TreeParams, first_level: int, fill: float) -> list[np.ndarray]:
-    """Fresh float64 arrays for levels ``first_level..depth``, filled with ``fill``.
-
-    A tree too large to hold is refused here, before anything is allocated.
-    """
-    check_tree_size(tree)
-    return [
-        np.full(tree.arity**level, fill, dtype=np.float64)
-        for level in range(first_level, tree.depth + 1)
-    ]
+def level_views(
+    tree: TreeParams, first_level: int, buffer: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Views of a buffer that holds levels ``first_level..depth`` root first,
+    one per level: level ``l`` is the ``m**l`` values after those of the
+    levels above it, in word-rank order."""
+    m, start, views = tree.arity, 0, []
+    for level in range(first_level, tree.depth + 1):
+        views.append(buffer[start : start + m**level])
+        start += m**level
+    return tuple(views)
 
 
 def keyed_levels(
     tree: TreeParams, first_level: int, mapping: Mapping[str, Any], fill: float
-) -> list[np.ndarray]:
-    """Level arrays ``first_level..depth`` from values keyed by word text.
+) -> np.ndarray:
+    """One buffer of levels ``first_level..depth``, root first (see
+    ``level_views``), from values keyed by word text.
 
     Keys are words as ``parse_word`` reads them, naming vertices at levels
     ``first_level..depth``; values are JSON numbers (``int`` or ``float``,
@@ -349,9 +351,13 @@ def keyed_levels(
     leaves out hold ``fill``.  Keys are read ``KEY_CHUNK`` at a time, each
     chunk in one numpy pass (see ``_read_chunk``); a chunk that does not
     read is read again key by key, only for the message that names its
-    first bad entry.
+    first bad entry.  A tree too large to hold is refused before anything
+    is allocated.
     """
-    arrays = level_arrays(tree, first_level, _numbers(fill, "fill values"))
+    fill = _numbers(fill, "fill values")
+    check_tree_size(tree)
+    buffer = np.full(_level_span(tree, first_level), fill, dtype=np.float64)
+    arrays = level_views(tree, first_level, buffer)
     keys, values = iter(mapping), iter(mapping.values())
     while chunk := list(itertools.islice(keys, KEY_CHUNK)):
         raw = list(itertools.islice(values, KEY_CHUNK))
@@ -360,7 +366,12 @@ def keyed_levels(
             raise _first_bad_entry(tree, first_level, chunk, raw)
         for level, ranks, numbers in read:
             arrays[level - first_level][ranks] = numbers
-    return arrays
+    return buffer
+
+
+def _level_span(tree: TreeParams, first_level: int) -> int:
+    """The number of vertices on levels ``first_level..depth``."""
+    return (tree.arity ** (tree.depth + 1) - tree.arity**first_level) // (tree.arity - 1)
 
 
 def keyed_map(tree: TreeParams, arrays: Sequence[np.ndarray]) -> dict[str, float]:
@@ -554,63 +565,54 @@ def _numbers(values: Any, what: str) -> np.ndarray:
     list or tuple holding a boolean, which numpy would read as a number."""
     if isinstance(values, (list, tuple)) and any(isinstance(v, (bool, np.bool_)) for v in values):
         raise ConfigurationError(f"{what} must be integers or floats, got a boolean")
-    array = np.asarray(values)
+    try:
+        array = np.asarray(values)
+    except ValueError:  # a ragged sequence, such as a list of levels
+        raise ConfigurationError(f"{what} must be one flat array of numbers") from None
     if array.dtype.kind not in "iuf":
         raise ConfigurationError(f"{what} must be integers or floats, got {array.dtype} data")
     return array.astype(np.float64, copy=False)
 
 
 def _held(
-    tree: TreeParams,
-    first_level: int,
-    arrays: Sequence[np.ndarray],
-    what: str,
-    positive: bool,
-) -> tuple[np.ndarray, ...]:
-    """Level arrays ``first_level..depth``, every value checked (finite, and
-    ``> 0`` when ``positive``, else ``>= 0``), then made read-only.
+    tree: TreeParams, first_level: int, values: Any, what: str, positive: bool
+) -> np.ndarray:
+    """The values of levels ``first_level..depth`` as one buffer, root first
+    (see ``level_views``), every value checked (finite, and ``> 0`` when
+    ``positive``, else ``>= 0``), then made read-only.
 
     An array that owns its float64 data is taken over as it is; anything
     else is copied first, a view included, since its base stays writable.
     """
-    held, label = [], f"{what}s"
-    for a in arrays:
-        a = _numbers(a, label)
-        held.append(a if a.base is None else a.copy())
-    if [a.shape for a in held] != [(tree.arity**l,) for l in range(first_level, tree.depth + 1)]:
+    held = _numbers(values, f"{what}s")
+    held = held if held.base is None else held.copy()
+    check_tree_size(tree)
+    if held.shape != (_level_span(tree, first_level),):
         raise ConfigurationError(
-            f"{what}s need one array of m**level values per level {first_level}..{tree.depth}"
+            f"{what}s need one array of the m**level values of each level "
+            f"{first_level}..{tree.depth}, root first"
         )
-    # the levels of under KEY_CHUNK values are checked in one pass over a
-    # small copy and the others in place; a NaN minimum fails both tests
-    few = sum(a.size < KEY_CHUNK for a in held)  # the levels grow, so these come first
-    parts = [np.concatenate(held[:few]), *held[few:]] if few > 1 else held
-    if not all(
-        (a.min() > 0.0 if positive else a.min() >= 0.0) and a.max() < math.inf for a in parts
-    ):
-        for level, out in enumerate(held, first_level):  # the first bad value names its vertex
-            ok = np.isfinite(out) & (out > 0.0 if positive else out >= 0.0)
-            if ok.all():
-                continue
-            bad = int(np.flatnonzero(~ok)[0])
-            v = Vertex(_word_of_rank(tree, level, bad))
-            raise ConfigurationError(
-                f"{what} at {v!r} must be finite and {'>' if positive else '>='} 0, "
-                f"got {float(out[bad])!r}"
-            )
-    for out in held:
-        out.setflags(write=False)
-    return tuple(held)
+    # a NaN minimum fails both tests
+    if not ((held.min() > 0.0 if positive else held.min() >= 0.0) and held.max() < math.inf):
+        ok = np.isfinite(held) & (held > 0.0 if positive else held >= 0.0)
+        bad = int(np.flatnonzero(~ok)[0])  # the first bad value names its vertex
+        v = Vertex(_word_at(tree, first_level, bad))
+        raise ConfigurationError(
+            f"{what} at {v!r} must be finite and {'>' if positive else '>='} 0, "
+            f"got {float(held[bad])!r}"
+        )
+    held.setflags(write=False)
+    return held
 
 
-def _word_of_rank(tree: TreeParams, level: int, rank: int) -> Word:
-    """The word of the vertex at ``level`` with this rank: its base-``m``
-    digits, plus one each, the inverse of ``TreeParams.rank``."""
-    symbols = []
-    for _ in range(level):
-        rank, digit = divmod(rank, tree.arity)
-        symbols.append(digit + 1)
-    return tuple(reversed(symbols))
+def _word_at(tree: TreeParams, first_level: int, index: int) -> Word:
+    """The word at ``index`` in a buffer of levels ``first_level..depth``:
+    the inverse of ``level_views`` and ``TreeParams.rank``."""
+    m, level = tree.arity, first_level
+    while index >= m**level:
+        index -= m**level
+        level += 1
+    return tuple(index // m ** (level - 1 - i) % m + 1 for i in range(level))
 
 
 def _level_item(tree: TreeParams, arrays: tuple[np.ndarray, ...], v: Vertex) -> float:
@@ -635,7 +637,7 @@ class WeightAssignment:
 
     def __init__(self, tree: TreeParams, leaf_array: np.ndarray) -> None:
         """From the m**k leaf weights in word-rank order."""
-        (array,) = _held(tree, tree.depth, [leaf_array], "weight", positive=False)
+        array = _held(tree, tree.depth, leaf_array, "weight", positive=False)
         object.__setattr__(self, "tree", tree)
         object.__setattr__(self, "leaf_array", array)
 
@@ -649,8 +651,7 @@ class WeightAssignment:
     ) -> "WeightAssignment":
         """From leaf weights keyed by word text, as in an instance file (see
         :func:`keyed_levels`); unmentioned leaves hold ``default``."""
-        (array,) = keyed_levels(tree, tree.depth, words, default)
-        return cls(tree, array)
+        return cls(tree, keyed_levels(tree, tree.depth, words, default))
 
     def weight(self, leaf: Vertex) -> float:
         return _level_item(self.tree, (self.leaf_array,), leaf)
@@ -677,28 +678,24 @@ def cylinder_masses(tree: TreeParams, weights: WeightAssignment) -> tuple[np.nda
     check_tree_size(tree)
     m = tree.arity
     buffer = np.zeros(tree.vertex_count)
-    masses = []
-    for level in range(tree.depth + 1):
-        start = (m**level - 1) // (m - 1)  # the vertices above this level
-        masses.append(buffer[start : start + m**level])
+    masses = level_views(tree, 0, buffer)
     masses[-1][:] = weights.leaf_array
     try:
         with np.errstate(over="raise"):
             for level in range(tree.depth - 1, -1, -1):
-                children = masses[level + 1].reshape(-1, m)
+                total, children = masses[level], masses[level + 1].reshape(-1, m)
                 for symbol in range(m):
-                    masses[level] += children[:, symbol]
+                    total += children[:, symbol]
     except FloatingPointError:
         raise ConfigurationError("a cylinder mass exceeds the float range") from None
     buffer.flags.writeable = False
-    for array in masses:
-        array.flags.writeable = False
-    return tuple(masses)
+    return level_views(tree, 0, buffer)  # views of a read-only array are read-only
 
 
 @dataclass(frozen=True, init=False, eq=False)
 class LevelFunction:
-    """A positive value at every vertex, held as one array per level in word-rank order.
+    """A positive value at every vertex, held as one read-only array, root
+    first, cut into a view per level (see ``level_views``).
 
     ``levels[l][r]`` is the value at the vertex of level ``l`` with rank ``r``.
     """
@@ -706,10 +703,11 @@ class LevelFunction:
     tree: TreeParams
     levels: tuple[np.ndarray, ...]
 
-    def __init__(self, tree: TreeParams, levels: Sequence[np.ndarray]) -> None:
-        """From the k+1 level arrays, each in word-rank order."""
+    def __init__(self, tree: TreeParams, values: np.ndarray) -> None:
+        """From all ``vertex_count`` values, root first; ``np.concatenate`` joins levels."""
+        held = _held(tree, 0, values, "vertex value", positive=True)
         object.__setattr__(self, "tree", tree)
-        object.__setattr__(self, "levels", _held(tree, 0, levels, "vertex value", positive=True))
+        object.__setattr__(self, "levels", level_views(tree, 0, held))
 
     @classmethod
     def constant(cls, tree: TreeParams, value: float = 1.0) -> "LevelFunction":
@@ -730,10 +728,9 @@ class LevelFunction:
             raise ConfigurationError(
                 f"need {tree.depth + 1} level values, got {len(level_values)}"
             )
-        arrays = level_arrays(tree, 0, 0.0)
-        for array, value in zip(arrays, _numbers(level_values, "level values")):
-            array[:] = value
-        return cls(tree, arrays)
+        check_tree_size(tree)
+        values = _numbers(level_values, "level values")
+        return cls(tree, values.repeat([tree.arity**level for level in range(tree.depth + 1)]))
 
     def __call__(self, v: Vertex) -> float:
         return _level_item(self.tree, self.levels, v)

@@ -90,7 +90,8 @@ class Instance:
             object.__setattr__(self, "explicit_k", _checked_constant(k, "explicit"))
         elif self.regime == "explicit":
             raise ConfigurationError("explicit regime needs 'K' or 'explicit=VALUE'")
-        if self.weights.tree != self.config.tree or self.f.tree != self.config.tree:
+        tree = self.config.tree  # a tuple compares its items by identity before ==
+        if (self.weights.tree, self.f.tree) != (tree, tree):
             raise ConfigurationError("weights and vertex function must share the tree")
 
     @property
@@ -134,7 +135,7 @@ class Instance:
         for i, entry in enumerate(_array_field(data, "config")):
             particles.append(_vertex_field(entry, f"config[{i}]"))
         config = Configuration(tree, base, tuple(particles))
-        (mu,) = _vertex_values(data.get("mu", {}), "mu", tree, tree.depth)
+        mu = _vertex_values(data.get("mu", {}), "mu", tree, tree.depth)
         weights = WeightAssignment(tree, mu)
         f = LevelFunction(tree, _vertex_values(data.get("f", {}), "f", tree, 0))
         p_list = _array_field(data, "p", lambda x: _float_value(x, "an exponent"))
@@ -197,12 +198,10 @@ def _integer(value: Any) -> int:
     return value
 
 
-def _vertex_values(
-    raw: Any, where: str, tree: TreeParams, first_level: int
-) -> list[np.ndarray]:
-    """Level arrays ``first_level..k`` from an object keyed by dotted words.
+def _vertex_values(raw: Any, where: str, tree: TreeParams, first_level: int) -> np.ndarray:
+    """The buffer of levels ``first_level..k`` from an object keyed by words.
 
-    Unmentioned vertices hold 1.0.  Values are checked where the arrays are
+    Unmentioned vertices hold 1.0.  Values are checked where the buffer is
     held.
     """
     if not isinstance(raw, dict):
@@ -615,11 +614,7 @@ def random_instance(seed: int, ranges: InstanceRanges = InstanceRanges()) -> Ins
 
     f_lo, f_hi = math.log10(F_LOW), math.log10(F_HIGH)
     f_values = [10.0**x for x in rng.uniform(f_lo, f_hi, size=tree.vertex_count).tolist()]
-    f_levels, start = [], 0
-    for level in range(k + 1):
-        f_levels.append(np.array(f_values[start : start + m**level]))
-        start += m**level
-    f = LevelFunction(tree, f_levels)
+    f = LevelFunction(tree, np.array(f_values))
 
     if ranges.regime == "binary_optimal":
         exponents = _binary_optimal_exponents(config.shape, rng)

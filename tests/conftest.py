@@ -74,7 +74,7 @@ def unit_data(tree: TreeParams) -> tuple[WeightAssignment, LevelFunction]:
     return WeightAssignment.constant(tree, 1.0), LevelFunction.constant(tree, 1.0)
 
 
-def per_vertex(tree: TreeParams, draw) -> list[list[float]]:
-    """One list of ``draw()`` values per level, drawn in rank order, the
-    order in which ``tree.vertices()`` visits the vertices."""
-    return [[draw() for _ in tree.vertices_at(level)] for level in range(tree.depth + 1)]
+def per_vertex(tree: TreeParams, draw) -> list[float]:
+    """One ``draw()`` value per vertex, root first and each level in rank
+    order, the order in which ``tree.vertices()`` visits the vertices."""
+    return [draw() for _ in tree.vertices()]

@@ -7,6 +7,10 @@ the seeds ``SEEDS``, and then each stage is timed in rounds over all of
 them:
 
 - ``random_instance``: drawing the instance;
+- ``draw_checks``: the ``Configuration``, ``WeightAssignment``,
+  ``LevelFunction``, ``ExponentAssignment`` and ``Instance`` constructors
+  that end a draw, on values drawn before the rounds, so that the draw's
+  share spent checking its values is timed apart from the drawing;
 - ``extract_shape`` and ``join_nodes``: the shape, and the one walk over
   its join nodes (``orbits._join_nodes``);
 - ``cylinder_masses`` and ``factorized_from_shape``: the masses, and the
@@ -52,8 +56,11 @@ import json
 import math
 import time
 
+import numpy as np
+
 from joinforge import bounds
 from joinforge.bounds import (
+    ExponentAssignment,
     MuirheadSpec,
     k_inductive,
     muirhead_numeric,
@@ -61,9 +68,9 @@ from joinforge.bounds import (
     rhs_product,
 )
 from joinforge.energy import factorized_from_shape
-from joinforge.orbits import _join_nodes, extract_shape
-from joinforge.tree import cylinder_masses
-from joinforge.verify import InstanceRanges, check_inequality, random_instance
+from joinforge.orbits import Configuration, _join_nodes, extract_shape
+from joinforge.tree import LevelFunction, WeightAssignment, cylinder_masses
+from joinforge.verify import Instance, InstanceRanges, check_inequality, random_instance
 
 SEEDS = range(1000, 1300)
 REGIMES = {
@@ -107,6 +114,20 @@ def interleaved_us(ranges: InstanceRanges, rounds: int) -> tuple[float, float]:
     return best[0] / len(SEEDS) * 1e6, best[1] / len(SEEDS) * 1e6
 
 
+def checked_again(inst: Instance, f_values: np.ndarray) -> Instance:
+    """The constructors that end ``random_instance``, on the values ``inst``
+    holds and the root-first buffer ``f_values`` of its ``f``."""
+    tree = inst.tree
+    return Instance(
+        config=Configuration(tree, inst.base, inst.config.particles),
+        weights=WeightAssignment(tree, inst.weights.leaf_array),
+        f=LevelFunction(tree, f_values),
+        exponents=ExponentAssignment(inst.exponents.exponents, inst.exponents.coexponent),
+        regime=inst.regime,
+        seed=inst.seed,
+    )
+
+
 def estimated_specs(inst) -> list[MuirheadSpec]:
     """The symmetric sums whose constants ``k_inductive`` estimates on the
     instance, rebuilt from its ledger."""
@@ -125,6 +146,9 @@ def regime_times(regime: str, ranges: InstanceRanges, rounds: int) -> dict[str, 
         inst.shape.join_nodes, inst.weights.masses
     stages = {
         "random_instance": [lambda s=s: random_instance(s, ranges) for s in SEEDS],
+        "draw_checks": [
+            lambda i=i, f=np.concatenate(i.f.levels): checked_again(i, f) for i in instances
+        ],
         "extract_shape": [lambda c=i.config: extract_shape(c) for i in instances],
         "join_nodes": [lambda s=i.shape: _join_nodes(s) for i in instances],
         "cylinder_masses": [lambda i=i: cylinder_masses(i.tree, i.weights) for i in instances],

@@ -122,10 +122,7 @@ def _orbit_oracle_family(arity: int, depth: int, max_n: int, draws: int, seed: i
             mu = {leaf: float(10.0 ** rng.uniform(-2, 2)) for leaf in leaves}
             fv = {v: float(10.0 ** rng.uniform(-2, 2)) for v in tree.vertices()}
             weights = WeightAssignment(tree, list(mu.values()))  # leaves in rank order
-            f = LevelFunction(
-                tree,
-                [[fv[v] for v in tree.vertices_at(level)] for level in range(tree.depth + 1)],
-            )
+            f = LevelFunction(tree, [fv[v] for v in tree.vertices()])  # root first
             masses = cylinder_masses(tree, weights)
             for shape, members in groups.items():
                 brute = math.fsum(

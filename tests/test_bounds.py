@@ -234,6 +234,12 @@ class TestValidateExponents:
         assert pa.exponents == (3.0, 2.0, 1.5, 6.0) and pa.coexponent == 0.5
         assert all(type(p) is float for p in pa.exponents + (pa.coexponent,))
 
+    def test_a_tuple_of_floats_is_held_as_given(self):
+        given = (3.0, 1.5, 3.0)
+        assert ExponentAssignment(given).exponents is given
+        from_list = ExponentAssignment([3.0, 1.5, 3.0]).exponents
+        assert type(from_list) is tuple and from_list == given
+
     @pytest.mark.skipif(
         np.finfo(np.longdouble).max <= np.finfo(np.float64).max,
         reason="longdouble is no wider than float64 here",
@@ -447,8 +453,8 @@ class TestGroupedRhs:
     @given(case=level_rows())
     def test_rows_equal_the_per_slot_sums(self, case):
         tree, masses, f, base, rows = case
-        levels, exponents = [level for level, _ in rows], [p for _, p in rows]
-        got = bounds._log_level_power_sums(tree, masses, f, base, levels, exponents)
+        offsets, exponents = [level - base.level for level, _ in rows], [p for _, p in rows]
+        got = bounds._log_level_power_sums(tree, masses, f, base, offsets, exponents)
         expected = [per_slot_log_sum(tree, masses, f, base, level, p) for level, p in rows]
         assert got == (None if -math.inf in expected else expected)
 
@@ -462,7 +468,9 @@ class TestGroupedRhs:
             leaf_array = rng.uniform(0.1, 3.0, tree.leaf_count)
             leaf_array[rng.random(tree.leaf_count) < zero_share] = 0.0
             masses = WeightAssignment(tree, leaf_array).masses
-            f = LevelFunction(tree, [rng.uniform(0.5, 2.0, m**level) for level in range(5)])
+            f = LevelFunction(
+                tree, np.concatenate([rng.uniform(0.5, 2.0, m**level) for level in range(5)])
+            )
             exponents = [1.5 + level + 0.25 * i for i, level in enumerate(levels)]
             got = bounds._log_level_power_sums(tree, masses, f, ROOT, levels, exponents)
             assert got == [
@@ -494,7 +502,9 @@ class TestGroupedRhs:
         leaf_array = rng.uniform(0.1, 3.0, tree.leaf_count)
         leaf_array[rng.random(tree.leaf_count) < zero_share] = 0.0
         masses = WeightAssignment(tree, leaf_array).masses
-        f = LevelFunction(tree, [rng.uniform(0.5, 2.0, 2**level) for level in range(17)])
+        f = LevelFunction(
+            tree, np.concatenate([rng.uniform(0.5, 2.0, 2**level) for level in range(17)])
+        )
         particles = tuple(vx(*[c] * 15, s) for c in (1, 2) for s in (1, 2))
         shape = Configuration(tree, ROOT, particles).shape
         assert sorted(shape_join_levels(shape, 0)) == [0, 15, 15]

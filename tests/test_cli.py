@@ -812,8 +812,13 @@ class TestCliContract:
             (["fuzz", "--seeds=-3..0"], "non-negative"),
             (["equality-check", "WORKED", "--seed", "-1"], "non-negative"),
             (["fuzz", "--seeds", "0..5", "--jobs", "0"], "jobs"),
+            (["fuzz", "--seeds", "3..3"], "empty seed range '3..3'"),
+            (["fuzz", "--seeds", "5..3"], "empty seed range '5..3'"),
         ],
-        ids=["fuzz-negative-seed", "equality-check-negative-seed", "fuzz-zero-jobs"],
+        ids=[
+            "fuzz-negative-seed", "equality-check-negative-seed", "fuzz-zero-jobs",
+            "fuzz-no-seed", "fuzz-reversed-seeds",
+        ],
     )
     def test_out_of_range_setting_exit_two(self, capsys, worked_file, argv, message):
         code = main([worked_file if a == "WORKED" else a for a in argv])

@@ -155,7 +155,7 @@ class TestEnergyProperties:
         rng = random.Random(4)
         weights, f = random_data(tree, rng)
         base = orbit_energy_factorized(config, weights, f).value
-        scaled_f = LevelFunction(tree, [array * c for array in f.levels])
+        scaled_f = LevelFunction(tree, np.concatenate(f.levels) * c)
         scaled = orbit_energy_factorized(config, weights, scaled_f).value
         assert scaled == pytest.approx(c ** (config.n - 1) * base, rel=1e-10)
 
@@ -169,7 +169,7 @@ class TestEnergyProperties:
         for v in [ROOT, vx(1), vx(2, 1), vx(1, 1, 1)]:
             levels = [array.copy() for array in f.levels]
             levels[v.level][binary3.rank(v.word)] *= 2.0
-            bump_f = LevelFunction(binary3, levels)
+            bump_f = LevelFunction(binary3, np.concatenate(levels))
             assert orbit_energy_factorized(config, weights, bump_f).value >= base
         for leaf in [vx(1, 1, 1), vx(2, 2, 2)]:
             leaf_array = weights.leaf_array.copy()
@@ -197,7 +197,7 @@ def small_instances(draw):
         np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=m**level, max_size=m**level)))
         for level in range(tree.depth + 1)
     ]
-    return config, WeightAssignment(tree, leaf_array), LevelFunction(tree, levels)
+    return config, WeightAssignment(tree, leaf_array), LevelFunction(tree, np.concatenate(levels))
 
 
 @given(instance=small_instances())

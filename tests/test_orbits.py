@@ -19,6 +19,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -65,6 +66,40 @@ def orbits_by_shape(tree: TreeParams, n: int):
     for config in all_configs(tree, n):
         groups.setdefault(extract_shape(config), []).append(config)
     return groups
+
+
+class TestConfigurationChecks:
+    """One pass over each word gives the refusals the three checks gave."""
+
+    @pytest.mark.parametrize(
+        "base, words, message",
+        [
+            ((), [(1, 1, 1), (1, 1)], "particle Vertex('1.1') is not a leaf"),
+            ((), [(1, 1, 1), (1, 1, 1, 1)], "unexpected word '1.1.1.1'"),
+            ((), [(1, 3, 1)], "unexpected word '1.3.1'"),
+            ((), [(1, 1.0, 1)], "unexpected word '1.1.0.1'"),
+            ((), [(True, 1, 1)], "unexpected word 'True.1.1'"),
+            ((2,), [(2, 1, 1), (1, 2, 2)], "particle Vertex('1.2.2') does not descend from"),
+            ((2,), [(2.0, 1, 1)], "unexpected word '2.0.1.1'"),
+            ((2, 1), [(1, 2, 3)], "unexpected word '1.2.3'"),
+            ((), [(1, 1, 1), (2, 1, 2), (1, 1, 1)], "particles must be pairwise distinct"),
+            ((), [], "a configuration needs at least one particle"),
+        ],
+        ids=[
+            "short", "long", "symbol-over-m", "float-symbol", "bool-symbol", "off-base",
+            "float-in-base-prefix", "bad-symbol-below-base", "repeated", "none",
+        ],
+    )
+    def test_refusals_in_their_order(self, binary3, base, words, message):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}"):
+            Configuration(binary3, Vertex(base), tuple(map(Vertex, words)))
+
+    def test_numpy_symbols_are_taken(self, binary3):
+        word = tuple(np.array([2, 1, 2]))
+        config = Configuration(binary3, vx(2), (Vertex(word), vx(2, 2, 1)))
+        assert config.particles[0] == vx(2, 1, 2)
+        with pytest.raises(ConfigurationError, match="pairwise distinct"):
+            Configuration(binary3, vx(2), (Vertex(word), vx(2, 1, 2)))
 
 
 class TestExtractShape:

@@ -27,7 +27,6 @@ from joinforge import (
     extract_shape,
     random_instance,
 )
-from joinforge.tree import level_arrays
 import joinforge.verify as verify_mod
 
 
@@ -48,15 +47,14 @@ def one_draw_at_a_time(seed: int, ranges: InstanceRanges) -> Instance:
     config = Configuration(tree, ROOT, tuple(chosen))
 
     w_lo, w_hi = math.log10(verify_mod.WEIGHT_LOW), math.log10(verify_mod.WEIGHT_HIGH)
-    (mu,) = level_arrays(tree, k, 0.0)
+    mu = np.zeros(tree.leaf_count)
     mu[:] = [
         0.0 if rng.random() < verify_mod.ZERO_WEIGHT_PROB else 10.0 ** rng.uniform(w_lo, w_hi)
         for _ in range(mu.size)
     ]
     f_lo, f_hi = math.log10(verify_mod.F_LOW), math.log10(verify_mod.F_HIGH)
-    f_levels = level_arrays(tree, 0, 0.0)
-    for values in f_levels:
-        values[:] = [10.0 ** rng.uniform(f_lo, f_hi) for _ in range(values.size)]
+    f_values = np.zeros(tree.vertex_count)  # root first, each level in rank order
+    f_values[:] = [10.0 ** rng.uniform(f_lo, f_hi) for _ in range(f_values.size)]
 
     shape = extract_shape(config)
     if ranges.regime == "binary_optimal":
@@ -68,7 +66,7 @@ def one_draw_at_a_time(seed: int, ranges: InstanceRanges) -> Instance:
     return Instance(
         config=config,
         weights=WeightAssignment(tree, mu),
-        f=LevelFunction(tree, f_levels),
+        f=LevelFunction(tree, f_values),
         exponents=exponents,
         regime=ranges.regime,
         seed=seed,

@@ -38,7 +38,7 @@ from joinforge.tree import (
     cached_attribute,
     keyed_levels,
     keyed_map,
-    level_arrays,
+    level_views,
     parse_word,
 )
 
@@ -343,11 +343,13 @@ class TestLevelArrays:
         with pytest.raises(ConfigurationError):
             WeightAssignment(binary3, np.ones(4))
         levels = [np.ones(2**level) for level in range(4)]
-        with pytest.raises(ConfigurationError):
-            LevelFunction(binary3, levels[2:])
+        with pytest.raises(ConfigurationError, match="need one array"):
+            LevelFunction(binary3, np.concatenate(levels[2:]))
+        with pytest.raises(ConfigurationError, match="one flat array"):
+            LevelFunction(binary3, levels)  # the level list, not its concatenation
         levels[2][3] = 0.0
         with pytest.raises(ConfigurationError, match="2.2"):
-            LevelFunction(binary3, levels)
+            LevelFunction(binary3, np.concatenate(levels))
 
     def test_mapping_constructors_refuse_words_below_the_leaves(self, binary3):
         with pytest.raises(ConfigurationError, match="no such vertex"):
@@ -371,10 +373,8 @@ class TestLevelArrays:
             LevelFunction.from_mapping(binary3, {"2.1": bad})
         with pytest.raises(ConfigurationError, match="integers or floats"):
             WeightAssignment(binary3, np.full(8, bad))
-        levels = [np.ones(2**level) for level in range(4)]
-        levels[2] = np.full(4, bad)
         with pytest.raises(ConfigurationError, match="integers or floats"):
-            LevelFunction(binary3, levels)
+            LevelFunction(binary3, np.full(15, bad))
 
     @pytest.mark.parametrize("kind", [np.float64, np.float32, np.int64])
     def test_numpy_scalars_in_maps_read_as_plain_numbers(self, binary3, kind):
@@ -399,7 +399,7 @@ class TestLevelArrays:
         with pytest.raises(ConfigurationError, match="got a boolean"):
             WeightAssignment(tree, [1.0, flag, 1, 1])
         with pytest.raises(ConfigurationError, match="got a boolean"):
-            LevelFunction(tree, [[1.0], (2.0, 1), [1, flag, 3.0, 1.0]])
+            LevelFunction(tree, [1.0, 2.0, 1, 1, flag, 3.0, 1.0])
         assert WeightAssignment(tree, [1.0, 2, 1, 1]).leaf_array.tolist() == [1.0, 2.0, 1.0, 1.0]
 
     def test_owned_arrays_are_taken_over_and_views_copied(self, binary3):
@@ -415,7 +415,7 @@ class TestLevelArrays:
         assert TreeParams(2, 21).vertex_count <= MAX_TREE_VERTICES
         for tree in (TreeParams(2, 22), TreeParams(10, 10)):
             with pytest.raises(ConfigurationError, match="limit"):
-                level_arrays(tree, tree.depth, 0.0)
+                keyed_levels(tree, tree.depth, {}, 0.0)
         with pytest.raises(ConfigurationError, match="limit"):
             WeightAssignment.constant(TreeParams(10, 10))
         with pytest.raises(ConfigurationError, match="limit"):
@@ -430,7 +430,7 @@ class TestLevelArrays:
     def test_huge_tree_refused_by_a_bound(self, m, k, size):
         # from 2**1000 leaves on, the count is neither computed nor printed
         with pytest.raises(ConfigurationError) as refusal:
-            level_arrays(TreeParams(m, k), k, 0.0)
+            keyed_levels(TreeParams(m, k), k, {}, 0.0)
         assert f"with m={m}, k={k} has {size} vertices, over the limit" in str(refusal.value)
 
     @pytest.mark.parametrize("m, k", [(2, 3), (3, 2), (4, 2)])
@@ -441,7 +441,7 @@ class TestLevelArrays:
                 levels = [np.ones(m**l) for l in range(k + 1)]
                 levels[level][rank] = -1.0
                 with pytest.raises(ConfigurationError) as info:
-                    LevelFunction(tree, levels)
+                    LevelFunction(tree, np.concatenate(levels))
                 assert str(info.value) == f"vertex value at {v!r} must be finite and > 0, got -1.0"
 
     def test_first_bad_level_named(self):
@@ -452,33 +452,34 @@ class TestLevelArrays:
         levels[2][4] = 0.0
         levels[2][7] = math.nan
         with pytest.raises(ConfigurationError) as info:
-            LevelFunction(tree, levels)
+            LevelFunction(tree, np.concatenate(levels))
         want = f"vertex value at {Vertex((2, 2))!r} must be finite and > 0, got 0.0"
         assert str(info.value) == want
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
     @pytest.mark.parametrize("level", [1, 11, 12])
     def test_one_bad_value_refused_in_any_part(self, level, bad):
-        # levels under KEY_CHUNK values are checked together and the others
-        # one by one; a lone bad value in any of them is found
+        # one pass over the whole buffer finds a lone bad value on any level,
+        # of fewer or more than KEY_CHUNK values
         tree = TreeParams(2, 12)
         levels = [np.ones(2**l) for l in range(13)]
         levels[level][1] = bad
         with pytest.raises(ConfigurationError, match=f"got {bad!r}"):
-            LevelFunction(tree, levels)
+            LevelFunction(tree, np.concatenate(levels))
 
-    def test_check_copies_only_small_levels(self):
-        # the levels under KEY_CHUNK values, 2047 in all, are copied to be
-        # checked together; the leaves alone hold 65536
+    def test_owned_buffer_checked_in_place(self):
+        # an owned buffer is taken over and checked in place, so no level is
+        # copied; the leaves alone hold 65536 values
         tree = TreeParams(2, 16)
-        levels = [np.ones(2**l) for l in range(17)]
+        values = np.ones(tree.vertex_count)
         tracemalloc.start()
         try:
-            LevelFunction(tree, levels)
+            f = LevelFunction(tree, values)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < levels[-1].nbytes / 8
+        assert f.levels[0].base is values
+        assert peak < f.levels[-1].nbytes / 8
 
     def test_bad_last_leaf_refused_without_walking_the_level(self, monkeypatch):
         def no_walk(tree, level):
@@ -501,11 +502,76 @@ class TestLevelArrays:
         levels = [np.ones(2**level) for level in range(4)]
         levels[1][0] = math.inf
         with pytest.raises(ConfigurationError, match="finite"):
-            LevelFunction(binary3, levels)
+            LevelFunction(binary3, np.concatenate(levels))
+
+
+class TestOneBuffer:
+    """``f`` is one root-first array cut into level views, as the masses are."""
+
+    @pytest.mark.parametrize("m, k", [(2, 3), (3, 2), (5, 1)])
+    def test_views_their_base_and_the_leaf_array_refuse_writes(self, m, k):
+        tree = TreeParams(m, k)
+        f = LevelFunction(tree, np.arange(1.0, tree.vertex_count + 1))
+        held = f.levels[0].base
+        assert held.shape == (tree.vertex_count,)
+        assert all(level.base is held for level in f.levels)
+        assert [level.size for level in f.levels] == [m**l for l in range(k + 1)]
+        assert np.array_equal(np.concatenate(f.levels), held)  # root first, levels in order
+        weights = WeightAssignment(tree, np.ones(tree.leaf_count))
+        for array in (*f.levels, held, weights.leaf_array):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[-1] = 2.0
+
+    def test_a_writable_view_is_copied(self, binary3):
+        given = np.ones(40)
+        f = LevelFunction(binary3, given[:15])
+        weights = WeightAssignment(binary3, given[20:28])
+        given[:] = 3.0
+        assert given.flags.writeable
+        assert all((level == 1.0).all() for level in f.levels)
+        assert (weights.leaf_array == 1.0).all()
+        assert f.levels[0].base is not given and weights.leaf_array.base is None
+
+    @pytest.mark.parametrize("m, k", [(2, 3), (3, 2)])
+    def test_keyed_levels_and_by_level_give_the_bytes_of_level_arrays(self, m, k):
+        # the bytes of one array per level, as these were held, joined root first
+        tree = TreeParams(m, k)
+        values = [0.5 * (level + 1) for level in range(k + 1)]
+        want = [np.full(m**level, value) for level, value in enumerate(values)]
+        by_level = LevelFunction.by_level(tree, values)
+        assert as_bytes(list(by_level.levels)) == as_bytes(want)
+        mapping = {v.to_text(): float(i) for i, v in enumerate(tree.vertices()) if i % 3}
+        for first_level in range(k + 1):
+            keyed = {w: x for w, x in mapping.items() if len(parse_word(w)) >= first_level}
+            got = keyed_levels(tree, first_level, keyed, 1.0)
+            assert as_bytes(got) == as_bytes(reference_levels(tree, first_level, keyed, 1.0))
+        from_map = LevelFunction.from_mapping(tree, mapping)
+        assert as_bytes(list(from_map.levels)) == as_bytes(reference_levels(tree, 0, mapping, 1.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+    @pytest.mark.parametrize("m, k", [(2, 3), (3, 2)])
+    def test_bad_value_at_either_end_of_a_level_named(self, m, k, bad):
+        tree = TreeParams(m, k)
+        for level in range(k + 1):
+            vertices = list(tree.vertices_at(level))
+            for rank in sorted({0, len(vertices) - 1}):
+                levels = [np.ones(m**l) for l in range(k + 1)]
+                levels[level][rank] = bad
+                with pytest.raises(ConfigurationError) as info:
+                    LevelFunction(tree, np.concatenate(levels))
+                want = f"vertex value at {vertices[rank]!r} must be finite and > 0, got {bad!r}"
+                assert str(info.value) == want
+                if level == k and bad != 0.0:  # a weight of 0 is allowed
+                    with pytest.raises(ConfigurationError) as info:
+                        WeightAssignment(tree, levels[k])
+                    want = f"weight at {vertices[rank]!r} must be finite and >= 0, got {bad!r}"
+                    assert str(info.value) == want
 
 
 def reference_levels(tree, first_level, mapping, fill):
-    """Per-key reading of canonical keys: split on dots, rank symbol by symbol."""
+    """Per-key reading of canonical keys, split on dots and ranked symbol by
+    symbol, into one array per level; ``keyed_levels`` gives them joined."""
     arrays = [np.full(tree.arity**level, fill) for level in range(first_level, tree.depth + 1)]
     for key, value in mapping.items():
         word = tuple(int(s) for s in key.split(".")) if key else ()
@@ -521,7 +587,8 @@ def text(word) -> str:
 
 
 def as_bytes(arrays):
-    return [a.tobytes() for a in arrays]
+    """The bytes of a buffer, or of a list of level arrays joined root first."""
+    return np.concatenate(arrays).tobytes() if isinstance(arrays, list) else arrays.tobytes()
 
 
 def read_keyed(tree, first_level, mapping, rows=True):
@@ -597,7 +664,7 @@ class TestKeyedLevels:
         }
         got = keyed_levels(tree, first_level, mapping, 1.0)
         want = reference_levels(tree, first_level, mapping, 1.0)
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert as_bytes(got) == as_bytes(want)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), m=st.integers(2, 12), k=st.integers(1, 5))
@@ -622,7 +689,7 @@ class TestKeyedLevels:
         mapping = {key: float(i) for i, key in enumerate(keys)}
         got, taken = read_keyed(tree, first_level, mapping)
         assert (got, [False]) == read_keyed(tree, first_level, mapping, rows=False)
-        if isinstance(got, list):
+        if isinstance(got, bytes):
             want = reference_levels(tree, first_level, mapping, 1.0)
             assert got == as_bytes(want)
             one_digit = all(len(parse_word(key)) * 2 - 1 == len(key) for key in keys)
@@ -693,7 +760,7 @@ class TestKeyedLevels:
 
     def test_two_levels_in_one_chunk_read_as_rows(self):
         tree = TreeParams(3, 3)
-        mapping = keyed_map(tree, level_arrays(tree, 2, 2.5))
+        mapping = keyed_map(tree, [np.full(3**level, 2.5) for level in (2, 3)])
         got, taken = read_keyed(tree, 2, mapping)
         assert got == as_bytes(reference_levels(tree, 2, mapping, 1.0)) and taken == [True]
 
@@ -717,10 +784,10 @@ class TestKeyedLevels:
         mapping = {key: float(i) for i, key in enumerate(keys)}
         got, taken = read_keyed(tree, first_level, mapping)
         assert (got, [False]) == read_keyed(tree, first_level, mapping, rows=False)
-        if isinstance(got, list):
+        if isinstance(got, bytes):
             assert got == as_bytes(reference_levels(tree, first_level, mapping, 1.0))
         if not changed:
-            assert isinstance(got, list) and taken == [True]
+            assert isinstance(got, bytes) and taken == [True]
 
     @pytest.mark.parametrize("chunk", [KEY_CHUNK, 7, 100])
     @pytest.mark.parametrize("m", range(2, 13))
@@ -745,15 +812,15 @@ class TestKeyedLevels:
         # a chunk of leaf keys read by _scan_words takes a few arrays of one
         # int64 per symbol; the whole map read at once takes 85 MiB
         tree = TreeParams(2, 16)
-        mapping = keyed_map(tree, level_arrays(tree, 0, 1.5))
+        mapping = keyed_map(tree, [np.full(2**level, 1.5) for level in range(17)])
         tracemalloc.start()
         try:
-            arrays = keyed_levels(tree, 0, mapping, 1.0)
+            buffer = keyed_levels(tree, 0, mapping, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         one_array = KEY_CHUNK * tree.depth * 8
-        assert peak - sum(a.nbytes for a in arrays) < 8 * one_array
+        assert peak - buffer.nbytes < 8 * one_array
 
     def test_chunks_that_straddle_two_levels(self):
         # levels 10..12 in level order: 1024 + 2048 + 4096 keys, so the first
@@ -766,7 +833,7 @@ class TestKeyedLevels:
         assert 1024 < KEY_CHUNK < 1024 + 2048
         got = keyed_levels(tree, 10, mapping, 1.0)
         want = reference_levels(tree, 10, mapping, 1.0)
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert as_bytes(got) == as_bytes(want)
 
     def test_two_digit_symbols_over_many_chunks(self):
         tree = TreeParams(11, 4)
@@ -774,8 +841,8 @@ class TestKeyedLevels:
         assert len(mapping) > 7 * KEY_CHUNK
         got = keyed_levels(tree, 0, mapping, 1.0)
         want = reference_levels(tree, 0, mapping, 1.0)
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-        assert got[2][tree.rank((11, 10))] == mapping["11.10"]
+        assert as_bytes(got) == as_bytes(want)
+        assert level_views(tree, 0, got)[2][tree.rank((11, 10))] == mapping["11.10"]
 
     @pytest.mark.parametrize(
         "key",
@@ -850,7 +917,7 @@ class TestKeyedLevels:
             with pytest.raises(ConfigurationError):
                 keyed_levels(tree, 0, {key: 2.0}, 1.0)
         else:
-            arrays = keyed_levels(tree, 0, {key: 2.0}, 1.0)
+            arrays = level_views(tree, 0, keyed_levels(tree, 0, {key: 2.0}, 1.0))
             assert arrays[len(word)][tree.rank(word)] == 2.0
 
 

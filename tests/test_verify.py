@@ -226,7 +226,7 @@ class TestInstanceJson:
         inst = Instance(
             config=Configuration(tree, Vertex.from_text(base), particles),
             weights=WeightAssignment(tree, mu),
-            f=LevelFunction(tree, [rng.uniform(0.5, 2.0, m**l) for l in range(k + 1)]),
+            f=LevelFunction(tree, rng.uniform(0.5, 2.0, tree.vertex_count)),
             exponents=ExponentAssignment((2.0, 2.0)),
         )
         data = inst.to_json_dict()
@@ -443,7 +443,7 @@ class TestNoReferenceCycles:
         doc = {
             "m": 8, "k": 2, "base": "", "config": [[1, 2], [3, 4], [5, 6], [8, 8]],
             "mu": tree_mod.keyed_map(tree, [np.linspace(0.5, 2.0, 64)]),
-            "f": tree_mod.keyed_map(tree, tree_mod.level_arrays(tree, 0, 1.5)),
+            "f": tree_mod.keyed_map(tree, [np.full(8**level, 1.5) for level in range(3)]),
             "p": [3.0, 3.0, 3.0], "regime": regime,
         }
         path = tmp_path / "star.json"
@@ -595,7 +595,7 @@ class TestRandomInstance:
         InstanceRanges(arities=(2,), max_depth=21)  # 4,194,303 vertices: held
         tree = TreeParams(3, 22)
         with pytest.raises(ConfigurationError) as from_arrays:
-            tree_mod.level_arrays(tree, tree.depth, 0.0)
+            tree_mod.keyed_levels(tree, tree.depth, {}, 0.0)
         with pytest.raises(ConfigurationError) as from_ranges:
             InstanceRanges(arities=(2, 3), max_depth=22)
         assert str(from_ranges.value) == str(from_arrays.value)
@@ -644,7 +644,8 @@ class TestFuzzCampaign:
             fuzz_campaign(CampaignSpec(**{"seed_count": 5, **settings}))
 
     def test_empty_campaign_allowed(self):
-        # `fuzz --seeds 5..5` asks for no seeds; only a negative count is refused
+        # a count of 0 checks nothing and passes; only a negative count is
+        # refused (the command line refuses `fuzz --seeds 5..5` before this)
         summary = fuzz_campaign(CampaignSpec(seed_start=5, seed_count=0))
         assert summary.count == 0 and summary.passed
 
@@ -691,7 +692,7 @@ def test_seed_ladder_runs():
     times = json.loads(result.stdout)
     assert sorted(times) == ["binary_optimal", "general", "inductive"]
     stages = {
-        "random_instance", "extract_shape", "join_nodes", "cylinder_masses",
+        "random_instance", "draw_checks", "extract_shape", "join_nodes", "cylinder_masses",
         "factorized_from_shape", "constant", "rhs_product", "check", "seed",
         "interleaved_draw", "interleaved_check",
     }

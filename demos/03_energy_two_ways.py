@@ -1,9 +1,9 @@
-"""Orbit energy two ways: enumeration against the factorized recursion.
+"""Orbit energy two ways: enumeration against the factorized evaluator.
 
 The brute-force evaluator walks every ordered tuple in the orbit; the
-factorized one recurses over the join shape, summing descents over
-same-level vertices and injective branch-to-child assignments at each join
-point.  They agree to floating-point reassociation, while the factorized
+factorized one goes over the shape's join nodes, children first, summing
+descents over same-level vertices and injective branch-to-child
+assignments at each join point.  They agree to floating-point reassociation, while the factorized
 path also handles orbits far beyond any enumeration guard.
 
 Run:  python3 demos/03_energy_two_ways.py

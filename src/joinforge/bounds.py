@@ -12,10 +12,11 @@ Constant regimes, each read off the shape's join nodes by ``regime_constant``:
 * ``general`` — a product of factorial ratios over the distinct join
   nodes; always valid, equal to 1 on binary shapes, never larger than
   ``(m - 1)**(n - 1)``.
-* ``binary_optimal`` — the sharp ``2**-(n-1)`` for binary shapes whose
-  branch reciprocal sums stay at or below one half at every join node (the
-  "halves" condition); falls back to the general binary constant 1
-  otherwise.
+* ``binary_optimal`` — the sharp ``2**-(n-1)`` on binary trees (``m = 2``)
+  only, when the branch reciprocal sums stay at or below one half at every
+  join node (the "halves" condition); falls back to the general binary
+  constant 1 otherwise.  A binary shape on a wider tree is refused: the
+  sharp constant is no bound there.
 * ``inductive`` — the constant that ``k_inductive`` accumulates by the proof
   recursion: one factor per join node built from the symmetric-sum
   constants ``K(m; a)`` together with branch conjugacy bookkeeping.  Nodes
@@ -148,20 +149,13 @@ def _reciprocal_sums(
     """
     _require_slot_count(shape, pa)
     q = pa.reciprocals()
-    # (path, subtree sum) of each node whose parent is still to come; in
-    # post-order those deeper than a node are its child join nodes, on top
-    waiting: list[tuple[tuple[int, ...], float]] = []
+    totals: list[float] = []  # each node's subtree sum, by record index
     sums = []
     for record in shape.join_nodes:
-        slots, depth = record.slots, len(record.path)
-        own = sum(q[slots.start : slots.stop])
-        branch_sums = [0.0] * record.degree
-        while waiting and len(waiting[-1][0]) > depth:
-            path, total = waiting.pop()
-            branch_sums[path[-1]] = total
-        total = own + sum(branch_sums)
-        waiting.append((record.path, total))
-        sums.append((record, own, branch_sums, total))
+        own = sum(q[record.slots.start : record.slots.stop])
+        branch_sums = [0.0 if c is None else totals[c] for c in record.children]
+        totals.append(own + sum(branch_sums))
+        sums.append((record, own, branch_sums, totals[-1]))
     return sums
 
 
@@ -312,10 +306,11 @@ def regime_constant(
 
     * ``general``: the product over distinct join nodes of ``(m-1)!/(m-d)!``,
       exact in integers; 1 on binary shapes.
-    * ``binary_optimal``: the sharp ``2**-(n-1)`` on a binary shape when every
-      branch reciprocal sum is at most one half, checked at every join node
-      (for positive exponents the deeper checks follow from the top one);
-      otherwise 1, flagged ``halves-condition-failure``.
+    * ``binary_optimal``: the sharp ``2**-(n-1)`` on a binary tree (arity 2;
+      any other arity is refused) when every branch reciprocal sum is at
+      most one half, checked at every join node (for positive exponents the
+      deeper checks follow from the top one); otherwise 1, flagged
+      ``halves-condition-failure``.
     * ``inductive``: the proof-recursion constant of :func:`k_inductive`,
       flagged ``estimated-K`` and ``bracket-upper-K`` by its ledger.
 
@@ -333,8 +328,11 @@ def regime_constant(
         except OverflowError:
             k = math.inf
     elif regime == "binary_optimal":
-        if shape.walk.max_degree > 2:
-            raise ConfigurationError("the sharp binary constant needs a binary shape")
+        if arity != 2:
+            raise ConfigurationError(
+                f"the sharp binary constant holds on binary trees only, not arity {arity}"
+            )
+        checked_join_nodes(shape, arity)
         sums = (s for _, _, branch_sums, _ in _reciprocal_sums(shape, pa) for s in branch_sums)
         if all(s <= 0.5 + HALF_TOL for s in sums):
             k = 2.0 ** -(shape.n_particles - 1)

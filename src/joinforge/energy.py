@@ -7,13 +7,13 @@ sum, over every ordered tuple in the orbit, of the product of the particle
 weights times the interaction value.
 
 Two evaluators are provided.  The brute-force one literally enumerates the
-orbit and adds terms; it is the oracle.  The factorized one recurses over
-the canonical join shape: a join node with ``d`` branches contributes the
-vertex value to the power ``d - 1`` and a sum over injective assignments of
-branches to children (``orbits.injective_sum``, once for all join vertices
-at a level), a descent segment sums the branch value over all
-same-level descendants, and a lone particle contributes the cylinder mass
-below its anchor.  Both agree to floating-point reassociation.
+orbit and adds terms; it is the oracle.  The factorized one loops over the
+shape's join nodes, children first: a join node with ``d`` branches
+contributes the vertex value to the power ``d - 1`` and a sum over
+injective assignments of branches to children (``orbits.injective_sum``,
+once for all join vertices at a level), a descent segment sums the branch
+value over all same-level descendants, and a lone particle contributes the
+cylinder mass below its anchor.  Both agree to floating-point reassociation.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .orbits import (
     Configuration,
     JoinShape,
     ShapeLeaf,
-    ShapeNode,
     injective_sum,
     orbit_enumerate,
     shape_orbit_size,
@@ -84,7 +83,7 @@ def orbit_energy_bruteforce(
 def orbit_energy_factorized(
     config: Configuration, weights: WeightAssignment, f: LevelFunction
 ) -> EnergyResult:
-    """Evaluate the orbit energy by recursion over the cached join shape and masses."""
+    """Evaluate the orbit energy over the cached join shape's walk and masses."""
     tree, shape = config.tree, config.shape  # a tuple compares its items by identity first
     if (weights.tree, f.tree) != (tree, tree):
         raise ConfigurationError("weights and vertex function must share the tree")
@@ -101,63 +100,46 @@ def factorized_from_shape(
 ) -> float:
     """Shape-level evaluator behind :func:`orbit_energy_factorized`.
 
-    Works one level at a time on contiguous rank ranges: each call returns
-    one value per vertex of ranks ``lo..hi-1`` at its level, so a descent
-    is a block sum over the level below and a leaf branch is a slice of the
-    masses.  An energy beyond the float range is refused.
+    One pass over the shape's join nodes, children first, gives each node
+    one value per vertex of its level below the base: a lone-particle branch
+    is a slice of the masses (every leaf below a child is a valid placement,
+    whatever the branch's gap), a node branch its child's values block-summed
+    over the child's free levels.  An energy beyond the float range is refused.
     """
-    lo = tree.rank(base.word)
+    m, lo = tree.arity, tree.rank(base.word)
+    if isinstance(shape, ShapeLeaf):
+        return float(masses[base.level][lo])
+    records = shape.join_nodes
+    values: list[np.ndarray] = []
     try:
         with np.errstate(over="raise"):
-            value = _over_descents(tree.arity, masses, f, shape, base.level, shape.gap, lo, lo + 1)
-            return float(value[0])
+            for record in records:
+                level, width = base.level + record.offset, m**record.offset
+                start, stop = lo * width, (lo + 1) * width
+                below = record.offset + 1  # the children's depth below the base
+                # row b: branch b's value on each child of every join vertex
+                table = np.array(
+                    [
+                        (
+                            masses[level + 1][start * m : stop * m]
+                            if c is None
+                            else _block_sums(values[c], m ** (records[c].offset - below))
+                        )
+                        .reshape(-1, m)
+                        .T
+                        for c in record.children
+                    ]
+                )
+                joins = f.levels[level][start:stop]
+                if record.degree > 2:  # a binary node takes f itself, its power 1 being exact
+                    # Python's float power: numpy's differs in the last bit on some values
+                    joins = np.array([fw ** (record.degree - 1) for fw in joins.tolist()])
+                values.append(joins * injective_sum(table))
+            return float(_block_sums(values[-1], m ** records[-1].offset)[0])
     except (FloatingPointError, OverflowError):
         raise ConfigurationError(_OVERFLOW) from None
 
 
-def _over_descents(
-    m: int,
-    masses: Sequence[np.ndarray],
-    f: LevelFunction,
-    node: JoinShape,
-    level: int,
-    free_levels: int,
-    lo: int,
-    hi: int,
-) -> np.ndarray:
-    """One value per vertex of ranks ``lo..hi-1`` at ``level``: ``node``
-    hung ``free_levels`` free levels below it."""
-    if isinstance(node, ShapeLeaf):
-        # every leaf below a start vertex is a valid placement; their
-        # weights sum to its cylinder mass regardless of the remaining gap
-        return masses[level][lo:hi]
-    width = m**free_levels
-    joins = _at_join(m, masses, f, node, level + free_levels, lo * width, hi * width)
-    if width == 1:  # no free level: each start vertex is its one join vertex
-        return joins
-    return joins.reshape(-1, width).sum(axis=1)
-
-
-def _at_join(
-    m: int,
-    masses: Sequence[np.ndarray],
-    f: LevelFunction,
-    node: ShapeNode,
-    level: int,
-    lo: int,
-    hi: int,
-) -> np.ndarray:
-    """One value per join vertex of ranks ``lo..hi-1`` at ``level``."""
-    table = np.array(
-        [
-            _over_descents(m, masses, f, branch, level + 1, branch.gap - 1, lo * m, hi * m)
-            .reshape(-1, m)
-            .T
-            for branch in node.branches
-        ]
-    )
-    values = f.levels[level][lo:hi]
-    if node.degree > 2:  # a binary node takes f itself, its power 1 being exact
-        # Python's float power: numpy's differs in the last bit on some values
-        values = np.array([fw ** (node.degree - 1) for fw in values.tolist()])
-    return values * injective_sum(table)
+def _block_sums(values: np.ndarray, width: int) -> np.ndarray:
+    """Sums of consecutive blocks of ``width`` values; the values themselves at width 1."""
+    return values if width == 1 else values.reshape(-1, width).sum(axis=1)

@@ -11,7 +11,7 @@ Shapes are kept in a canonical form (branches sorted by a fixed total
 order), so orbit equality is shape equality and orbit size is a product over
 the shape.  The brute-force oracles, :func:`equivalent` and
 :func:`orbit_enumerate`, deliberately read no shape, so the counting formula
-and the factorized energy recursion are judged against an independent
+and the factorized energy are judged against an independent
 route.  They decide membership by pairwise join levels alone: two tuples
 lie in one orbit exactly when every pair of them joins at the same level.
 Automorphisms keep join levels.  Conversely, equal levels extend to an
@@ -245,9 +245,12 @@ def _shape_of(
 @dataclass(frozen=True)
 class JoinNode:
     """A join node's branch ``path`` from the top node, its depth ``offset``
-    in levels below the base, its ``degree`` (number of branches), and the
-    ``degree - 1`` exponent slots it owns.
+    in levels below the base, its ``children``, and the ``degree - 1``
+    exponent slots it owns.
 
+    ``children`` holds, per branch in canonical order, the index of the
+    branch's join node among the walk's records, or None for a lone
+    particle; children come first, so each index is below the node's own.
     Slots are numbered in preorder over join nodes, a node's before its
     branches'.  A record holds no node, so the shape that caches its records
     is not a reference cycle.
@@ -255,8 +258,12 @@ class JoinNode:
 
     path: tuple[int, ...]
     offset: int
-    degree: int
+    children: tuple[int | None, ...]
     slots: range
+
+    @property
+    def degree(self) -> int:
+        return len(self.children)
 
 
 @dataclass(frozen=True)
@@ -301,12 +308,15 @@ def _walk_join_nodes(
     slots = range(len(offsets), len(offsets) + node.multiplicity)
     offsets += [offset] * node.multiplicity  # a node's slots come before its branches'
     free_levels = node.gap - 1
+    children: list[int | None] = []
     for j, branch in enumerate(node.branches):
         if isinstance(branch, ShapeNode):
             free_levels += _walk_join_nodes(branch, path + (j,), offset, records, offsets)
+            children.append(len(records) - 1)  # the branch's own record comes last
         else:
             free_levels += branch.gap - 1
-    records.append(JoinNode(path, offset, node.degree, slots))
+            children.append(None)
+    records.append(JoinNode(path, offset, tuple(children), slots))
     return free_levels
 
 

@@ -156,7 +156,8 @@ class Instance:
             seed=_optional_field(data, "seed", _integer),
         )
         if k_field is not None and k_field != explicit_k:
-            replace(inst, explicit_k=k_field)  # a 'K' that 'explicit=V' overrides is checked too
+            # a 'K' that 'explicit=V' overrides is checked too
+            _checked_constant(k_field, "explicit")
         return inst
 
 

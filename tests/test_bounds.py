@@ -139,6 +139,7 @@ class TestSlots:
         assert [r.path for r in records] == [(0,), (1,), ()]
         assert [r.slots for r in records] == [range(1, 2), range(2, 3), range(0, 1)]
         assert [r.offset for r in records] == [1, 2, 0]
+        assert [r.children for r in records] == [(None, None), (None, None), (0, 1)]
         assert shape_join_levels(worked_shape, 0) == [0, 1, 2]
 
     def test_multiplicity_two_owns_two_slots(self):
@@ -571,10 +572,11 @@ class TestKBinary:
     def test_non_binary_shape_rejected(self):
         tree = TreeParams(3, 1)
         config = Configuration(tree, ROOT, (vx(1), vx(2), vx(3)))
-        with pytest.raises(ConfigurationError, match="binary shape"):
-            regime_constant(
-                extract_shape(config), ExponentAssignment((2.0, 2.0)), 3, "binary_optimal"
-            )
+        shape, pa = extract_shape(config), ExponentAssignment((2.0, 2.0))
+        with pytest.raises(ConfigurationError, match="binary trees only, not arity 3"):
+            regime_constant(shape, pa, 3, "binary_optimal")
+        with pytest.raises(ConfigurationError, match="join node with 3 branches exceeds arity 2"):
+            regime_constant(shape, pa, 2, "binary_optimal")
 
 
 class TestRegimeConstant:
@@ -1253,6 +1255,21 @@ def random_shape_case(rng):
     return m, Configuration(TreeParams(m, k), base, tuple(particles)), pa
 
 
+def assert_children_match(shape):
+    """Each record's children name its node branches' records, in branch order."""
+    records = shape.join_nodes
+    for index, record in enumerate(records):
+        node = shape
+        for j in record.path:
+            node = node.branches[j]
+        assert record.degree == len(record.children) == node.degree
+        for j, (branch, c) in enumerate(zip(node.branches, record.children)):
+            if isinstance(branch, ShapeLeaf):
+                assert c is None
+            else:
+                assert c < index and records[c].path == record.path + (j,)
+
+
 class TestJoinNodeWalk:
     def test_matches_recursive_walks(self, monkeypatch):
         # both sides ask for the same estimates; take each once
@@ -1267,18 +1284,19 @@ class TestJoinNodeWalk:
                 level for level, _ in ref_slots(shape, base_level)
             ]
             assert shape_orbit_size(shape, m) == ref_orbit_size(shape, m)
+            assert_children_match(shape)
             assert regime_constant(shape, pa, m, "general") == (ref_k_general(shape, m), ())
             value, ledger = ref_k_inductive(shape, pa, m)
             result = k_inductive(shape, pa, m)
             assert result.value == value and result.ledger == ledger
-            if all(node.degree == 2 for node in ref_nodes(shape)):
+            if m == 2:
                 k, flags = regime_constant(shape, pa, m, "binary_optimal")
                 met = "halves-condition-failure" not in flags
                 assert (k, met) == ref_k_binary(shape, pa)
                 seen["binary"] += 1
                 seen["halves fail"] += not met
-            else:
-                with pytest.raises(ConfigurationError, match="binary shape"):
+            else:  # a binary shape included: the sharp constant holds on binary trees only
+                with pytest.raises(ConfigurationError, match=f"not arity {m}"):
                     regime_constant(shape, pa, m, "binary_optimal")
             seen["base 1"] += base_level == 1
             seen["multiplicity >= 2"] += any(n.multiplicity >= 2 for n in ref_nodes(shape))

@@ -386,6 +386,20 @@ class TestCliContract:
         assert code == 2 and "'p'" in err
 
     @pytest.mark.parametrize(
+        "argv",
+        [["verify"], ["bound", "--regime", "binary-optimal"]],
+        ids=["verify", "bound"],
+    )
+    def test_binary_optimal_off_binary_trees_exit_two(self, capsys, tmp_path, argv):
+        # a binary shape on a ternary tree: the sharp 1/2 would give rhs 4.5 under lhs 6
+        doc = {"m": 3, "k": 1, "config": [[1], [2]], "p": [1.0], "regime": "binary_optimal"}
+        path = tmp_path / "ternary.json"
+        path.write_text(json.dumps(doc))
+        code = main([argv[0], str(path), *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and "not arity 3" in captured.err
+
+    @pytest.mark.parametrize(
         "field, value",
         [("config", "12"), ("config", {"1": 5, "2": 7}), ("p", "3"), ("p", 3.0)],
         ids=["config-string", "config-object", "p-string", "p-number"],

@@ -472,8 +472,12 @@ def _muirhead_case(a: tuple[float, ...], s: float) -> str:
         return "i"
     if min(a) >= (s - 1.0) / m:  # the entries are checked numbers, never NaN
         return "iii"
-    if m == 2 and (a[0] - a[1]) ** 2 <= s:
-        return "iv"
+    if m == 2:
+        try:
+            if (a[0] - a[1]) ** 2 <= s:
+                return "iv"
+        except OverflowError:  # a square beyond the float range exceeds every s
+            pass
     if max(a) <= 1.0 and len(set(a) - {0.0}) == 1:
         return "v"
     return "ii"
@@ -537,7 +541,7 @@ def muirhead_numeric(spec: MuirheadSpec) -> MuirheadEstimate:
         _continuity_step(1.0 / n_grid, ai) for ai in spec.a
     )
     return MuirheadEstimate(
-        float(values[best]), tuple(_simplex_grid(m)[best].tolist()), uncertainty, n_grid
+        float(values[best]), tuple(coordinates[index[:, best]].tolist()), uncertainty, n_grid
     )
 
 
@@ -576,16 +580,6 @@ def _grid_coordinates(m: int) -> tuple[np.ndarray, np.ndarray]:
     coordinates.setflags(write=False)
     index.setflags(write=False)
     return coordinates, index
-
-
-@cache
-def _simplex_grid(m: int) -> np.ndarray:
-    """The estimator's simplex points on ``m`` variables (see
-    :func:`_grid_coordinates`), one per row, a read-only array."""
-    coordinates, index = _grid_coordinates(m)
-    points = coordinates[index.T]
-    points.setflags(write=False)
-    return points
 
 
 def _continuity_step(delta: float, a: float) -> float:

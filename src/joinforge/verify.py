@@ -37,7 +37,6 @@ from .orbits import (
     Configuration,
     EnumerationGuardError,
     JoinShape,
-    ShapeLeaf,
     shape_join_levels,
     shape_orbit_size,
 )
@@ -572,10 +571,7 @@ def random_instance(seed: int, ranges: InstanceRanges = InstanceRanges()) -> Ins
     rng = np.random.default_rng(seed)
     m = int(ranges.arities[int(rng.integers(0, len(ranges.arities)))])
     k = int(rng.integers(1, ranges.max_depth + 1))
-    cap = min(ranges.max_particles, m**k)
-    if cap < 2:
-        raise ConfigurationError(f"ranges cannot host two distinct leaves (cap {cap})")
-    n = int(rng.integers(2, cap + 1))
+    n = int(rng.integers(2, min(ranges.max_particles, m**k) + 1))
     tree = TreeParams(m, k)
 
     # The stream is read in the order of one draw after another (particle
@@ -594,7 +590,6 @@ def random_instance(seed: int, ranges: InstanceRanges = InstanceRanges()) -> Ins
     # doubles may round differently) and keep those after a nonzero test.
     # Powers are Python's: numpy's differ in the last bit on some values.
     # Each value goes straight into the array the instance holds.
-    check_tree_size(tree)
     w_lo, w_hi = math.log10(WEIGHT_LOW), math.log10(WEIGHT_HIGH)
     mu = np.zeros(m**k)
     state = rng.bit_generator.state
@@ -638,8 +633,6 @@ def _binary_optimal_exponents(
     shape: JoinShape, rng: np.random.Generator
 ) -> ExponentAssignment:
     """Slot reciprocals with both top branch budgets capped below one half."""
-    if isinstance(shape, ShapeLeaf):
-        raise ConfigurationError("need at least two particles for exponent slots")
     counts = [branch.n_particles - 1 for branch in shape.branches]
     budgets = [
         float(rng.uniform(0.05, 0.495)) if t > 0 else 0.0 for t in counts

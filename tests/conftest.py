@@ -9,6 +9,10 @@ and orbit results can be judged against first principles.
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,18 @@ from joinforge import (
     Vertex,
     WeightAssignment,
 )
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def run_python(*args: str, timeout: float | None = None) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a fresh interpreter with this checkout's ``src``
+    first on its path, and capture its output as text."""
+    paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
+    )
 
 
 def vx(*symbols: int) -> Vertex:

@@ -12,7 +12,6 @@ import sys
 import time
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import pytest
 
@@ -32,7 +31,7 @@ import joinforge.energy as energy_mod
 import joinforge.verify as verify_mod
 from joinforge.cli import main
 
-REPO = Path(__file__).resolve().parent.parent
+from conftest import REPO, run_python
 
 
 @pytest.fixture()
@@ -678,6 +677,24 @@ class TestCliContract:
         assert payload["K"] == pytest.approx(170.0 * 170.0 / 171.0, rel=1e-12)
         assert payload["flags"] == ["bracket-upper-K"]
 
+    @pytest.mark.parametrize("command", ["verify", "bound"])
+    def test_inductive_gap_past_float_squares(self, capsys, tmp_path, command):
+        # the pair's exponent gap has no float square, which exceeds every s,
+        # so its node takes the estimated bracket, not case iv
+        doc = {"m": 2, "k": 2, "config": [[1, 1], [1, 2], [2, 1]], "p": [1e300, 1.0],
+               "regime": "inductive"}
+        path = tmp_path / "gap.json"
+        path.write_text(json.dumps(doc))
+        code, payload = run_cli(capsys, command, str(path))
+        assert code == 0 and payload["flags"] == ["estimated-K"]
+        assert math.isfinite(payload["K"]) and payload["K"] > 0.0
+        assert payload.get("pass", True) is True
+
+    @pytest.mark.parametrize("numeric", [[], ["--numeric"]], ids=["closed", "numeric"])
+    def test_kconst_gap_past_float_squares(self, capsys, numeric):
+        code, payload = run_cli(capsys, "kconst", "--a", "1e300", "0", *numeric)
+        assert code == 0 and payload["case"] == "ii"
+
     @pytest.mark.parametrize(
         "a, message",
         [(["1"] * 171, "171! lies beyond the float range"),
@@ -842,10 +859,7 @@ class TestCliContract:
     def test_console_entry_point(self, worked_file):
         exe = shutil.which("joinforge")
         if exe is None:
-            result = subprocess.run(
-                [sys.executable, "-m", "joinforge.cli", "orbit", "size", worked_file],
-                capture_output=True, text=True,
-            )
+            result = run_python("-m", "joinforge.cli", "orbit", "size", worked_file)
         else:
             result = subprocess.run(
                 [exe, "orbit", "size", worked_file], capture_output=True, text=True
@@ -854,13 +868,28 @@ class TestCliContract:
         assert json.loads(result.stdout) == {"size": 64}
 
     def test_cold_import_loads_no_fuzz_only_module(self):
-        paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-        result = subprocess.run(
-            [sys.executable, str(REPO / "tests" / "cold_imports.py")],
-            capture_output=True, text=True, env=env,
-        )
+        # only fuzz uses process pools, CSV output and the median, so verify.py
+        # imports them inside the functions that need them, and every other
+        # command starts without them
+        fuzz_only = ("concurrent.futures", "multiprocessing", "socket", "csv", "statistics")
+        result = run_python("-c", (
+            "import sys, joinforge, joinforge.cli\n"
+            f"loaded = [name for name in {fuzz_only!r} if name in sys.modules]\n"
+            "if loaded:\n"
+            "    sys.exit(f\"import joinforge, joinforge.cli loaded {', '.join(loaded)}\")\n"
+        ))
         assert result.returncode == 0, result.stderr
+
+    def test_sources_compile_without_warnings(self):
+        # a SyntaxWarning, such as the invalid escape sequence that Python 3.12
+        # and later report, is an error here, on every supported Python
+        tops = ("src", "tests", "bench", "demos")
+        sources = [path for top in tops for path in sorted((REPO / top).rglob("*.py"))]
+        assert {path.relative_to(REPO).parts[0] for path in sources} == set(tops)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for path in sources:
+                compile(path.read_bytes(), str(path), "exec", dont_inherit=True)
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for --jobs 2")
     def test_fuzz_jobs_two_matches_one(self, capsys, tmp_path):

@@ -2,14 +2,10 @@
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-REPO = Path(__file__).resolve().parent.parent
+from conftest import REPO, run_python
+
 DEMOS = sorted((REPO / "demos").glob("*.py"))
 
 
@@ -19,9 +15,5 @@ def test_all_six_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_exits_zero(demo):
-    paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    result = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=300
-    )
+    result = run_python(str(demo), timeout=300)
     assert result.returncode == 0, result.stderr[-2000:]

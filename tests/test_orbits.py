@@ -17,13 +17,9 @@ import hashlib
 import itertools
 import json
 import math
-import os
 import random
 import re
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,9 +47,7 @@ from joinforge import (
     shape_orbit_size,
 )
 
-from conftest import all_automorphisms, apply_automorphism, vx
-
-REPO = Path(__file__).resolve().parent.parent
+from conftest import REPO, all_automorphisms, apply_automorphism, run_python, vx
 
 
 def all_configs(tree: TreeParams, n: int, base: Vertex = ROOT):
@@ -572,12 +566,7 @@ class TestInjectiveSum:
 
     def test_kernel_ladder_runs(self):
         # the timing script outside pytest's collection, run once per rung
-        paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-        result = subprocess.run(
-            [sys.executable, str(REPO / "tests" / "kernel_ladder.py"), "--rounds", "1"],
-            capture_output=True, text=True, env=env,
-        )
+        result = run_python(str(REPO / "tests" / "kernel_ladder.py"), "--rounds", "1")
         assert result.returncode == 0, result.stderr
         times = json.loads(result.stdout)
         assert "9x9x1" in times and "2x2x8192" in times and len(times) == 14

@@ -6,12 +6,8 @@ import itertools
 import json
 import math
 import functools
-import os
 import random
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -42,9 +38,7 @@ from joinforge.tree import (
     parse_word,
 )
 
-from conftest import vx
-
-REPO = Path(__file__).resolve().parent.parent
+from conftest import REPO, run_python, vx
 
 
 words = st.lists(st.integers(min_value=1, max_value=3), min_size=0, max_size=6).map(tuple)
@@ -923,12 +917,7 @@ class TestKeyedLevels:
 
 def test_load_ladder_runs():
     # the timing script outside pytest's collection, one round per step
-    paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    result = subprocess.run(
-        [sys.executable, str(REPO / "tests" / "load_ladder.py"), "--rounds", "1"],
-        capture_output=True, text=True, env=env,
-    )
+    result = run_python(str(REPO / "tests" / "load_ladder.py"), "--rounds", "1")
     assert result.returncode == 0, result.stderr
     times = json.loads(result.stdout)
     assert list(times) == ["m2k10", "m2k12", "m2k14", "m2k16", "m8k2", "m9k2", "m11k4"]

@@ -7,11 +7,8 @@ import gc
 import json
 import math
 import os
-import subprocess
-import sys
 import types
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,9 +41,7 @@ import joinforge.orbits as orbits_mod
 import joinforge.tree as tree_mod
 import joinforge.verify as verify_mod
 
-from conftest import per_vertex, vx
-
-REPO = Path(__file__).resolve().parent.parent
+from conftest import REPO, per_vertex, run_python, vx
 
 
 SHAPE_TYPES = (orbits_mod.ShapeNode, orbits_mod.ShapeLeaf, orbits_mod.JoinNode)
@@ -682,12 +677,7 @@ class TestFuzzCampaign:
 
 def test_seed_ladder_runs():
     # the timing script outside pytest's collection, one round per stage
-    paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    result = subprocess.run(
-        [sys.executable, str(REPO / "tests" / "seed_ladder.py"), "--rounds", "1"],
-        capture_output=True, text=True, env=env,
-    )
+    result = run_python(str(REPO / "tests" / "seed_ladder.py"), "--rounds", "1")
     assert result.returncode == 0, result.stderr
     times = json.loads(result.stdout)
     assert sorted(times) == ["binary_optimal", "general", "inductive"]

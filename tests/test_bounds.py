@@ -856,6 +856,18 @@ class TestMuirheadNumeric:
             assert got.value == pytest.approx(full, rel=bounds.ROUNDING_ALLOWANCE, abs=0.0)
             assert list(got.maximizer) == sorted(got.maximizer, reverse=True)
 
+    def test_grid_cached_read_only(self):
+        grid = _grid_coordinates(3)
+        assert _grid_coordinates(3) is grid
+        coordinates, index = grid
+        full = reference_grid(3, 96)
+        assert np.array_equal(coordinates[index].T, full[(np.diff(full, axis=1) <= 0).all(axis=1)])
+        assert not coordinates.flags.writeable and not index.flags.writeable
+        with pytest.raises(ValueError):
+            coordinates[0] = 1.0
+        with pytest.raises(ValueError):
+            index[0, 0] = 1
+
     @pytest.mark.parametrize("m, n_grid, count", [(2, 512, 513), (3, 96, 97), (4, 40, 41),
                                                   (5, 24, 26)])
     def test_coordinates_rebuild_the_grid(self, m, n_grid, count):

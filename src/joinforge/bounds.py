@@ -23,8 +23,8 @@ Constant regimes, each read off the shape's join nodes by ``regime_constant``:
   whose symmetric-sum constant has no closed form take the numeric
   estimator's certified upper end, capped at the bracket's upper end
   ``(m-1)!``, and are flagged, since that end is certified but possibly
-  loose; beyond the estimator's arities (``m > 5``) they take ``(m-1)!``
-  itself.
+  loose; where the cap holds, or beyond the estimator's arities
+  (``m > 5``), they take ``(m-1)!`` itself and are flagged as such.
 
 The symmetric-sum constant ``K(m; a)`` is the least ``C`` with
 ``sum over permutations of x_sigma(1)**a_1 ... <= C * (sum x_i)**s`` for
@@ -554,10 +554,12 @@ def _grid_coordinates(m: int) -> tuple[np.ndarray, np.ndarray]:
     The symmetric sum is invariant under permuting ``x``, so the grid is its
     sorted chamber: the compositions of ``n = _RESOLUTION[m]`` into ``m``
     parts over ``n`` with ``x_1 >= x_2 >= ... >= x_m``, in lexicographic
-    order, then the barycentre, ``e_1`` and ``(1/2, 1/2, 0, ...)``.  Every
-    composition sorts into the chamber, so its maximum is that of all
-    compositions.  At most 820 points are kept (m = 3).  Each coordinate is
-    a ``c/n`` or ``1/m`` (``n`` is even): 513, 97, 41 and 26 at m = 2..5.
+    order.  Every composition sorts into the chamber, so its maximum is that
+    of all compositions.  The chamber holds ``e_1`` and, ``n`` being even,
+    ``(1/2, 1/2, 0, ...)``; it holds the barycentre where ``m`` divides
+    ``n``, and only at m = 5 is the barycentre appended, as a last point.
+    At most 817 points are kept (m = 3): 257, 817, 632 and 334 at m = 2..5.
+    Each coordinate is a ``c/n`` or ``1/m``: 513, 97, 41 and 26 at m = 2..5.
     """
     n_grid = _RESOLUTION[m]
     count = math.comb(n_grid + m - 1, m - 1)
@@ -566,17 +568,13 @@ def _grid_coordinates(m: int) -> tuple[np.ndarray, np.ndarray]:
     )
     bars = np.fromiter(flat, dtype=np.intp, count=count * (m - 1)).reshape(count, m - 1)
     parts = np.diff(bars, axis=1, prepend=-1, append=n_grid + m - 1) - 1
-    chamber = parts[(np.diff(parts, axis=1) <= 0).all(axis=1)]
-    extras = np.zeros((3, m), dtype=np.intp)  # numerators c of c/n, the barycentre's set below
-    extras[1, 0], extras[2, :2] = n_grid, n_grid // 2
-    index = np.vstack([chamber, extras]).T.copy()
+    index = parts[(np.diff(parts, axis=1) <= 0).all(axis=1)].T.copy()
     coordinates = np.arange(n_grid + 1) / n_grid
-    centre = n_grid // m  # where 1/m goes among the c/n: at c = n/m, else after floor(n/m)
-    if n_grid % m:
-        centre += 1
+    if n_grid % m:  # 1/m goes among the c/n after floor(n/m)/n
+        centre = n_grid // m + 1
         coordinates = np.insert(coordinates, centre, 1.0 / m)
         index += index >= centre
-    index[:, -3] = centre
+        index = np.column_stack([index, np.full(m, centre)])
     coordinates.setflags(write=False)
     index.setflags(write=False)
     return coordinates, index
@@ -626,7 +624,8 @@ class NodeAccount:
 
     @property
     def bracket_upper(self) -> bool:
-        """The symmetric-sum constant is the bracket's upper end, unestimated."""
+        """The symmetric-sum constant is the bracket's upper end ``(m-1)!``:
+        no estimate was made, or none fell below it."""
         return self.muirhead_case == "ii" and not self.estimated
 
 
@@ -654,9 +653,10 @@ def k_inductive(shape: JoinShape, pa: ExponentAssignment, arity: int) -> KInduct
 
     computed in the log domain.  Nodes falling in the bracket-only case take
     the numeric estimator's certified upper end ``MuirheadEstimate.upper``,
-    capped at the bracket's upper end ``(m-1)!``, and mark the result as
-    estimated: certified, but possibly loose.  Beyond the estimator's range
-    of arities they take ``(m-1)!`` itself and are not estimated (see
+    capped at the bracket's upper end ``(m-1)!``.  Where the estimate lies
+    below the cap the node is estimated: certified, but possibly loose.
+    Where the cap holds, or beyond the estimator's range of arities, the
+    node takes ``(m-1)!`` itself and is not estimated (see
     ``NodeAccount.bracket_upper``).
     """
     m = arity
@@ -674,13 +674,15 @@ def k_inductive(shape: JoinShape, pa: ExponentAssignment, arity: int) -> KInduct
         a_vec = tuple([ai / beta_inv for ai in alpha_inv]) + (0.0,) * (m - d)
         s = _exponent_sum(a_vec)  # a MuirheadSpec's sum, built only for the estimator
         case = _muirhead_case(a_vec, s)
-        estimated = case == "ii" and m in _RESOLUTION
+        estimated = False
         if case != "ii":
             log_k = _log_closed_form(case, m, s)
-        elif not estimated:
+        elif m not in _RESOLUTION:
             log_k = log_upper
         else:
-            log_k = min(math.log(muirhead_numeric(MuirheadSpec(a_vec)).upper), log_upper)
+            log_estimate = math.log(muirhead_numeric(MuirheadSpec(a_vec)).upper)
+            estimated = log_estimate < log_upper
+            log_k = min(log_estimate, log_upper)
         log_factor = beta_inv * log_k + (1.0 - beta_inv) * log_upper - math.lgamma(m - d + 1)
         entries.append(NodeAccount(
             record.path, record.offset, d, alpha_inv, beta_inv, case, log_k, estimated, log_factor

@@ -561,10 +561,22 @@ def _first_bad_entry(
 
 
 def _numbers(values: Any, what: str) -> np.ndarray:
-    """``values`` as float64, refusing any dtype but integer and float, and a
-    list or tuple holding a boolean, which numpy would read as a number."""
-    if isinstance(values, (list, tuple)) and any(isinstance(v, (bool, np.bool_)) for v in values):
-        raise ConfigurationError(f"{what} must be integers or floats, got a boolean")
+    """``values`` as float64, refusing any dtype but integer and float.
+
+    A list or tuple is read as map values are (see ``_is_number_type``), so
+    a boolean in it is refused, which numpy would read as a number, and an
+    int too large for numpy's integers reads as a float.  A list holding
+    anything else falls to numpy's dtype, and is refused by it.
+    """
+    if isinstance(values, (list, tuple)):
+        types = set(map(type, values))
+        if bool in types or np.bool_ in types:
+            raise ConfigurationError(f"{what} must be integers or floats, got a boolean")
+        if all(map(_is_number_type, types)):
+            try:
+                return _float_array(values)
+            except (OverflowError, FloatingPointError):
+                raise ConfigurationError(f"{what}: a value is too large for a float") from None
     try:
         array = np.asarray(values)
     except ValueError:  # a ragged sequence, such as a list of levels
@@ -675,7 +687,6 @@ def cylinder_masses(tree: TreeParams, weights: WeightAssignment) -> tuple[np.nda
     """
     if weights.tree != tree:
         raise ConfigurationError("weight assignment belongs to a different tree")
-    check_tree_size(tree)
     m = tree.arity
     buffer = np.zeros(tree.vertex_count)
     masses = level_views(tree, 0, buffer)

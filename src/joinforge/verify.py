@@ -402,8 +402,8 @@ def check_equality_case(
     """Verify the equality case of the sharp binary constant.
 
     Builds the instance on ``config`` with constant leaf weights, a
-    level-constant vertex function (random positive level values from the
-    non-negative ``seed``) and the given exponents, coexponent included, then
+    level-constant vertex function (random positive level values from
+    ``seed``, a non-negative ``int``) and the given exponents, coexponent included, then
     requires the two sides to agree to ``DEFAULT_REL_TOL``; ``passed`` means
     the ratio equals 1 within tolerance.  Any base works, not only the root.  When the halves
     condition fails the check is skipped with a reason rather than reported
@@ -413,6 +413,8 @@ def check_equality_case(
     tree = config.tree
     if tree.arity != 2:
         raise ConfigurationError("the equality case is specific to binary trees")
+    if not _is_int(seed):
+        raise ConfigurationError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ConfigurationError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
@@ -650,6 +652,7 @@ def _binary_optimal_exponents(
 class CampaignSpec:
     """Seed range and settings for a verification campaign.
 
+    ``seed_start``, ``seed_count`` and ``jobs`` are ``int``, never ``bool``.
     Seeds and the seed count must be non-negative, and ``jobs`` must lie
     between 1 and the CPU count; all are refused when the spec is made,
     before any file is opened for it or any worker process starts.
@@ -661,6 +664,10 @@ class CampaignSpec:
     jobs: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("seed_start", "seed_count", "jobs"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.seed_start < 0:
             raise ConfigurationError(f"seeds must be non-negative, got {self.seed_start}")
         if self.seed_count < 0:
@@ -772,9 +779,8 @@ def fuzz_campaign(spec: CampaignSpec) -> CampaignSummary:
     else:
         outcomes = [_evaluate_seed(task) for task in tasks]
 
-    results = sorted((r for r, _ in outcomes), key=lambda r: r.seed)
+    results = [r for r, _ in outcomes]  # pool.map, like the loop, keeps seed order
     violations = [v for _, v in outcomes if v is not None]
-    violations.sort(key=lambda v: v["seed"])
     ratios = [r.ratio for r in results]
     positive_ratios = [r.ratio for r in results if r.positive_weights]
     flag_counts = Counter(flag for r in results for flag in r.flags)

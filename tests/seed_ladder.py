@@ -18,8 +18,8 @@ them:
 - ``constant``: the regime's constant (``regime_constant``, the shape's
   walk already cached, as in a check);
 - ``muirhead_numeric``: the estimator on each symmetric sum the inductive
-  constant estimates (inductive only; ``numeric_per_seed`` says how many
-  there are per seed), and ``muirhead_numeric_m2`` and
+  constant runs it on, capped or not (inductive only; ``numeric_per_seed``
+  says how many there are per seed), and ``muirhead_numeric_m2`` and
   ``muirhead_numeric_m3`` with ``numeric_per_seed_m2`` and
   ``numeric_per_seed_m3``, the same on the sums of each arity;
 - ``k_inductive``: the inductive constant's ledger alone, the estimator's
@@ -129,14 +129,15 @@ def checked_again(inst: Instance, f_values: np.ndarray) -> Instance:
 
 
 def estimated_specs(inst) -> list[MuirheadSpec]:
-    """The symmetric sums whose constants ``k_inductive`` estimates on the
-    instance, rebuilt from its ledger."""
+    """The symmetric sums that ``k_inductive`` runs the estimator on for the
+    instance (case ii at the estimator's arities), rebuilt from its ledger,
+    whether or not the estimate fell below the bracket's cap."""
     m = inst.tree.arity
     ledger = k_inductive(inst.shape, inst.exponents, m).ledger
     return [
         MuirheadSpec(tuple(a / e.beta_inv for a in e.alpha_inv) + (0.0,) * (m - e.degree))
         for e in ledger
-        if e.estimated
+        if e.muirhead_case == "ii" and m in bounds._RESOLUTION
     ]
 
 

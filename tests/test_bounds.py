@@ -84,6 +84,15 @@ def reference_grid(m, n_grid):
     return np.vstack([points, np.array(extras)])
 
 
+def reference_grid_points(m, n_grid):
+    """The sorted rows of ``reference_grid``, in order, each point kept at
+    its first row only."""
+    full = reference_grid(m, n_grid)
+    rows = full[(np.diff(full, axis=1) <= 0).all(axis=1)]
+    _, first = np.unique(rows, axis=0, return_index=True)
+    return rows[np.sort(first)]
+
+
 @functools.cache
 def reference_chamber(m, n_grid):
     """Compositions of ``n_grid`` into ``m`` nonincreasing parts, over ``n_grid``.
@@ -860,8 +869,7 @@ class TestMuirheadNumeric:
         grid = _grid_coordinates(3)
         assert _grid_coordinates(3) is grid
         coordinates, index = grid
-        full = reference_grid(3, 96)
-        assert np.array_equal(coordinates[index].T, full[(np.diff(full, axis=1) <= 0).all(axis=1)])
+        assert np.array_equal(coordinates[index].T, reference_grid_points(3, 96))
         assert not coordinates.flags.writeable and not index.flags.writeable
         with pytest.raises(ValueError):
             coordinates[0] = 1.0
@@ -871,14 +879,20 @@ class TestMuirheadNumeric:
     @pytest.mark.parametrize("m, n_grid, count", [(2, 512, 513), (3, 96, 97), (4, 40, 41),
                                                   (5, 24, 26)])
     def test_coordinates_rebuild_the_grid(self, m, n_grid, count):
-        # the sorted full grid's rows, in order, bit for bit: the compositions,
-        # then the barycentre, e_1 and (1/2, 1/2, 0, ...)
-        full = reference_grid(m, n_grid)
-        want = full[(np.diff(full, axis=1) <= 0).all(axis=1)]
+        # the sorted full grid's distinct rows, in order, bit for bit: the
+        # compositions, which hold e_1 and (1/2, 1/2, 0, ...), and the
+        # barycentre, appended only where it is no composition (m = 5)
+        points = {2: 257, 3: 817, 4: 632, 5: 334}[m]
+        want = reference_grid_points(m, n_grid)
         coordinates, index = _grid_coordinates(m)
+        grid = coordinates[index].T
         assert len(coordinates) == count and (np.diff(coordinates) > 0.0).all()
-        assert index.shape == (m, len(want))
-        assert coordinates[index].T.tobytes() == want.tobytes()
+        assert index.shape == (m, points) and len(want) == points
+        assert grid.tobytes() == want.tobytes()
+        assert len(np.unique(grid, axis=0)) == points
+        compositions = len(reference_chamber(m, n_grid))
+        assert compositions == (points - 1 if m == 5 else points)
+        assert (grid[compositions:] == 1.0 / m).all()
         assert not coordinates.flags.writeable and not index.flags.writeable
 
     @pytest.mark.parametrize("m, zeros", [(m, z) for m in range(2, 6) for z in range(1, m)])
@@ -1070,6 +1084,23 @@ class TestKInductive:
         # pair's node has 1/beta = 1 and contributes K(7; 1, 1, 0, ...)/5! = 6/7
         assert result.value == pytest.approx(120.0 * 6.0 / 7.0, rel=1e-12)
 
+    def test_estimated_exactly_below_the_cap(self):
+        # case ii at m <= 5 runs the estimator; a node is estimated exactly when
+        # its certified end, not the bracket's (m-1)!, sets the constant
+        ranges = InstanceRanges(regime="inductive")
+        seen = set()
+        for seed in range(400):
+            inst = random_instance(seed, ranges)
+            m = inst.tree.arity
+            for e in k_inductive(inst.shape, inst.exponents, m).ledger:
+                if e.muirhead_case == "ii":
+                    assert e.estimated == (e.log_muirhead < math.lgamma(m))
+                    assert e.bracket_upper == (not e.estimated)
+                    seen.add(e.estimated)
+                else:
+                    assert not e.estimated
+        assert seen == {True, False}  # the cap holds on seeds 143, 246 and 300
+
     def test_arity_past_float_factorials(self):
         # a pair beside a lone particle at the root of a 171-ary tree: 171! has
         # no float, but the root's factor (m-1)!/(m-2)! = 170 and the pair's
@@ -1215,14 +1246,15 @@ def ref_k_inductive(shape, pa, m, estimated_log_k=certified_log_k):
         d = node.degree
         mspec = MuirheadSpec(tuple(ai / beta_inv for ai in alpha_inv) + (0.0,) * (m - d))
         closed = muirhead_closed_form(mspec)
-        estimated = not closed.exact and m in bounds._RESOLUTION
         log_upper = math.lgamma(m)
         if closed.exact:
             log_k = bounds._log_closed_form(closed.case, m, mspec.s)
-        elif not estimated:
+        elif m not in bounds._RESOLUTION:
             log_k = log_upper
         else:
             log_k = estimated_log_k(mspec)
+        # estimated only where the estimate, not the bracket's cap, sets the constant
+        estimated = not closed.exact and log_k < log_upper
         log_factor = beta_inv * log_k + (1.0 - beta_inv) * log_upper - math.lgamma(m - d + 1)
         entries.append(
             NodeAccount(path, level, d, alpha_inv, beta_inv, closed.case, log_k, estimated,

@@ -680,13 +680,14 @@ class TestCliContract:
     @pytest.mark.parametrize("command", ["verify", "bound"])
     def test_inductive_gap_past_float_squares(self, capsys, tmp_path, command):
         # the pair's exponent gap has no float square, which exceeds every s,
-        # so its node takes the estimated bracket, not case iv
+        # so its node falls in the bracket, not case iv; the estimate's end
+        # (about 4e297) lies above (m-1)! = 1, so the node keeps the bracket's end
         doc = {"m": 2, "k": 2, "config": [[1, 1], [1, 2], [2, 1]], "p": [1e300, 1.0],
                "regime": "inductive"}
         path = tmp_path / "gap.json"
         path.write_text(json.dumps(doc))
         code, payload = run_cli(capsys, command, str(path))
-        assert code == 0 and payload["flags"] == ["estimated-K"]
+        assert code == 0 and payload["flags"] == ["bracket-upper-K"]
         assert math.isfinite(payload["K"]) and payload["K"] > 0.0
         assert payload.get("pass", True) is True
 

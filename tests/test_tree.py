@@ -396,6 +396,27 @@ class TestLevelArrays:
             LevelFunction(tree, [1.0, 2.0, 1, 1, flag, 3.0, 1.0])
         assert WeightAssignment(tree, [1.0, 2, 1, 1]).leaf_array.tolist() == [1.0, 2.0, 1.0, 1.0]
 
+    def test_list_items_read_as_map_values(self):
+        # an int past numpy's integers reads as a float, in a list as in a map
+        tree = TreeParams(2, 1)
+        assert WeightAssignment(tree, [10**30, 1.0]).leaf_array.tolist() == [1e30, 1.0]
+        assert WeightAssignment.from_mapping(tree, {"1": 10**30}).leaf_array.tolist() == [
+            1e30, 1.0
+        ]
+        assert WeightAssignment(tree, (np.float32(2.0), np.int64(3))).leaf_array.tolist() == [
+            2.0, 3.0
+        ]
+        assert LevelFunction.by_level(tree, [10**30, 2]).levels[1].tolist() == [2.0, 2.0]
+        with pytest.raises(ConfigurationError, match="too large for a float"):
+            WeightAssignment(tree, [10**400, 1.0])
+        with pytest.raises(ConfigurationError, match="too large for a float"):
+            LevelFunction(tree, (1.0, np.longdouble("1e4000"), 1.0))
+        # any other item falls to numpy's dtype, and its message
+        with pytest.raises(ConfigurationError, match="integers or floats, got <U"):
+            WeightAssignment(tree, ["1.0", 1.0])
+        with pytest.raises(ConfigurationError, match="integers or floats, got object data"):
+            WeightAssignment(tree, [None, 1.0])
+
     def test_owned_arrays_are_taken_over_and_views_copied(self, binary3):
         given = np.ones(8)
         assert WeightAssignment(binary3, given).leaf_array is given

@@ -497,6 +497,11 @@ class TestEqualityCase:
         with pytest.raises(ConfigurationError, match="non-negative"):
             check_equality_case(worked_config, ExponentAssignment((3.0, 3.0, 3.0)), seed=-1)
 
+    @pytest.mark.parametrize("seed", [1.5, True, "3"])
+    def test_non_integer_seed_rejected(self, worked_config, seed):
+        with pytest.raises(ConfigurationError, match="seed must be an integer"):
+            check_equality_case(worked_config, ExponentAssignment((3.0, 3.0, 3.0)), seed=seed)
+
     def test_off_root_base(self):
         # configurations below vertex 1.2 of the binary depth-5 tree, with
         # exponents whose top branch budgets meet the halves condition
@@ -627,8 +632,13 @@ class TestFuzzCampaign:
             ({"seed_count": -3}, "seed count must be non-negative, got -3"),
             ({"jobs": 0}, "jobs"),
             ({"jobs": (os.cpu_count() or 1) + 1}, "jobs"),
+            ({"seed_start": 1.5}, "seed_start must be an integer, got 1.5"),
+            ({"seed_count": True}, "seed_count must be an integer, got True"),
+            ({"jobs": 1.0}, "jobs must be an integer, got 1.0"),
+            ({"jobs": True}, "jobs must be an integer, got True"),
         ],
-        ids=["negative-seed", "negative-count", "zero-jobs", "jobs-above-cpu-count"],
+        ids=["negative-seed", "negative-count", "zero-jobs", "jobs-above-cpu-count",
+             "fractional-start", "boolean-count", "float-jobs", "boolean-jobs"],
     )
     def test_out_of_range_refused_before_any_pool(self, monkeypatch, settings, message):
         def no_pool(*args, **kwargs):

@@ -42,6 +42,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,8 +88,7 @@ class ExponentAssignment:
         return tuple([1.0 / p for p in self.exponents])
 
 
-@dataclass(frozen=True)
-class ExponentViolation:
+class ExponentViolation(NamedTuple):
     """Which exponent constraint failed and by how much."""
 
     constraint: str  # "count" | "positivity" | "finiteness" | "conjugacy"
@@ -418,8 +418,7 @@ def symmetric_sum(x: Sequence[float], spec: MuirheadSpec) -> float:
         return float(injective_sum(table)[0])
 
 
-@dataclass(frozen=True)
-class MuirheadValue:
+class MuirheadValue(NamedTuple):
     """Closed-form constant when a case applies, otherwise the known bracket."""
 
     case: str  # "i" | "iii" | "iv" | "v" exact; "ii" the bracket
@@ -487,8 +486,7 @@ _RESOLUTION = {1: 1, 2: 512, 3: 96, 4: 40, 5: 24}  # the grid's n for each arity
 ROUNDING_ALLOWANCE = 1e-12  # relative widening of the certified upper end
 
 
-@dataclass(frozen=True)
-class MuirheadEstimate:
+class MuirheadEstimate(NamedTuple):
     """Numeric interval for the symmetric-sum constant.
 
     ``value`` is the maximum of the symmetric sum over the estimator's grid,
@@ -594,8 +592,7 @@ def _continuity_step(delta: float, a: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, init=False)
-class NodeAccount:
+class NodeAccount(NamedTuple):
     """Per-node conjugacy bookkeeping and the factor it contributes."""
 
     node_path: tuple[int, ...]
@@ -608,16 +605,6 @@ class NodeAccount:
     estimated: bool
     log_factor: float
 
-    def __init__(self, node_path, level_offset, degree, alpha_inv, beta_inv,
-                 muirhead_case, log_muirhead, estimated, log_factor):
-        # one update of the instance dict, at half the cost of a frozen
-        # dataclass's __init__, which sets each field by object.__setattr__
-        vars(self).update(
-            node_path=node_path, level_offset=level_offset, degree=degree,
-            alpha_inv=alpha_inv, beta_inv=beta_inv, muirhead_case=muirhead_case,
-            log_muirhead=log_muirhead, estimated=estimated, log_factor=log_factor,
-        )
-
     @property
     def factor(self) -> float:
         return math.exp(self.log_factor)
@@ -629,8 +616,7 @@ class NodeAccount:
         return self.muirhead_case == "ii" and not self.estimated
 
 
-@dataclass(frozen=True)
-class KInductiveResult:
+class KInductiveResult(NamedTuple):
     value: float  # inf beyond the float range
     ledger: tuple[NodeAccount, ...]  # one account per join node, top-down
 

@@ -17,13 +17,7 @@ import json
 import sys
 from dataclasses import replace
 
-from .bounds import (
-    MuirheadSpec,
-    muirhead_closed_form,
-    muirhead_numeric,
-    rhs_product,
-    validate_exponents,
-)
+from .bounds import MuirheadSpec, muirhead_closed_form, muirhead_numeric, validate_exponents
 from .energy import orbit_energy_bruteforce, orbit_energy_factorized
 from .orbits import (
     EnumerationGuardError,
@@ -35,6 +29,7 @@ from .tree import ConfigurationError
 from .verify import (
     CampaignSpec,
     InstanceRanges,
+    bound_sides,
     check_equality_case,
     check_inequality,
     fuzz_campaign,
@@ -42,7 +37,6 @@ from .verify import (
     open_ratio_csv,
     parse_regime,
     reproduce_example,
-    resolve_constant,
 )
 
 EXIT_OK = 0
@@ -169,10 +163,7 @@ def _cmd_bound(args) -> int:
     if violation is not None:
         _emit({"error": violation.message, "constraint": violation.constraint})
         return EXIT_VIOLATION
-    k_constant, flags = resolve_constant(inst)
-    rhs = rhs_product(
-        inst.tree, inst.weights.masses, inst.f, inst.base, inst.shape, inst.exponents, k_constant
-    )
+    k_constant, flags, _, rhs = bound_sides(inst, None)
     _emit(
         {
             "K": k_constant,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +44,7 @@ from .tree import (
 _OVERFLOW = "the orbit energy exceeds the float range"
 
 
-@dataclass(frozen=True)
-class EnergyResult:
+class EnergyResult(NamedTuple):
     """Orbit energy value, the evaluator used, and the orbit cardinality."""
 
     value: float

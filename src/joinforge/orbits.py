@@ -29,7 +29,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cache
 from operator import attrgetter
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -242,8 +242,7 @@ def _shape_of(
     return ShapeNode(level - parent_level, tuple(branches))
 
 
-@dataclass(frozen=True)
-class JoinNode:
+class JoinNode(NamedTuple):
     """A join node's branch ``path`` from the top node, its depth ``offset``
     in levels below the base, its ``children``, and the ``degree - 1``
     exponent slots it owns.
@@ -266,8 +265,7 @@ class JoinNode:
         return len(self.children)
 
 
-@dataclass(frozen=True)
-class JoinWalk:
+class JoinWalk(NamedTuple):
     """What one walk over a shape's join nodes gives; cached on the top node.
 
     ``nodes`` are the join nodes' records, children first (post-order).

@@ -26,7 +26,7 @@ import math
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import reduce
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -129,8 +129,7 @@ def parse_word(text: str) -> Word:
     return tuple(scanned[0].tolist())
 
 
-@dataclass(frozen=True, order=True)
-class Vertex:
+class Vertex(NamedTuple):
     """A vertex of the tree, addressed by its word.
 
     The root is the empty word.  The level of a vertex equals the length of
@@ -699,8 +698,10 @@ def cylinder_masses(tree: TreeParams, weights: WeightAssignment) -> tuple[np.nda
                     total += children[:, symbol]
     except FloatingPointError:
         raise ConfigurationError("a cylinder mass exceeds the float range") from None
-    buffer.flags.writeable = False
-    return level_views(tree, 0, buffer)  # views of a read-only array are read-only
+    buffer.flags.writeable = False  # so no view can be made writable again
+    for view in masses:
+        view.flags.writeable = False
+    return masses
 
 
 @dataclass(frozen=True, init=False, eq=False)

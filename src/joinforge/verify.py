@@ -19,8 +19,8 @@ import json
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from typing import Any, TextIO
+from dataclasses import dataclass
+from typing import Any, NamedTuple, TextIO
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .bounds import (
     rhs_product,
     validate_exponents,
 )
-from .energy import orbit_energy_bruteforce, orbit_energy_factorized
+from .energy import EnergyResult, orbit_energy_bruteforce, orbit_energy_factorized
 from .orbits import (
     Configuration,
     EnumerationGuardError,
@@ -280,8 +280,7 @@ def load_instance(path: str) -> Instance:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """Outcome of one inequality check."""
 
     lhs: float
@@ -289,8 +288,8 @@ class Report:
     k_constant: float
     ratio: float
     passed: bool
-    flags: tuple[str, ...] = ()
-    metadata: dict[str, Any] = field(default_factory=dict)
+    flags: tuple[str, ...]
+    metadata: dict[str, Any]
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -325,23 +324,21 @@ def resolve_constant(inst: Instance) -> tuple[float, tuple[str, ...]]:
     return regime_constant(inst.shape, inst.exponents, inst.tree.arity, inst.regime)
 
 
-def check_inequality(inst: Instance, method: str = "factorized") -> Report:
-    """Evaluate both sides of the bound and report the outcome.
+def bound_sides(
+    inst: Instance, method: str | None
+) -> tuple[float, tuple[str, ...], EnergyResult | None, float]:
+    """The constant and its flags, the orbit energy by ``method`` (none
+    when None), and the right side, of an instance whose exponents are
+    valid (see ``validate_exponents``).
 
-    The report passes when the left side is at most the right side times
-    ``1 + DEFAULT_REL_TOL``.  The left side uses the factorized evaluator
-    unless brute force is requested and its enumeration fits
-    ``DEFAULT_ENUMERATION_GUARD``; a guard refusal is flagged and falls
-    back to the factorized path.  Invalid exponents produce a failing
-    report carrying the violation instead of raising.
+    They are computed in that order: a constant that is refused is refused
+    before any energy is evaluated, and an energy beyond the float range is
+    named as such, not by the right side it would also overflow.  A
+    brute-force enumeration that ``DEFAULT_ENUMERATION_GUARD`` refuses is
+    flagged and falls back to the factorized evaluator.
     """
-    metadata = _report_metadata(inst.config, inst.regime, inst.seed)
-    refusal = _exponent_refusal(inst.shape, inst.exponents, metadata)
-    if refusal is not None:
-        return refusal
-
     k_constant, flags = resolve_constant(inst)
-
+    energy = None
     if method == "brute":
         try:
             energy = orbit_energy_bruteforce(inst.config, inst.weights, inst.f)
@@ -350,12 +347,28 @@ def check_inequality(inst: Instance, method: str = "factorized") -> Report:
             energy = orbit_energy_factorized(inst.config, inst.weights, inst.f)
     elif method == "factorized":
         energy = orbit_energy_factorized(inst.config, inst.weights, inst.f)
-    else:
+    elif method is not None:
         raise ConfigurationError(f"unknown energy method {method!r}")
-
     rhs = rhs_product(
         inst.tree, inst.weights.masses, inst.f, inst.base, inst.shape, inst.exponents, k_constant
     )
+    return k_constant, flags, energy, rhs
+
+
+def check_inequality(inst: Instance, method: str = "factorized") -> Report:
+    """Evaluate both sides of the bound and report the outcome.
+
+    The report passes when the left side is at most the right side times
+    ``1 + DEFAULT_REL_TOL``.  The sides are those of :func:`bound_sides`,
+    the left one by the factorized evaluator unless brute force is
+    requested.  Invalid exponents produce a failing report carrying the
+    violation instead of raising.
+    """
+    metadata = _report_metadata(inst.config, inst.regime, inst.seed)
+    refusal = _exponent_refusal(inst.shape, inst.exponents, metadata)
+    if refusal is not None:
+        return refusal
+    k_constant, flags, energy, rhs = bound_sides(inst, method)
     lhs = energy.value
     metadata.update(method=energy.method, orbit_terms=energy.terms)
     return Report(
@@ -413,11 +426,7 @@ def check_equality_case(
     tree = config.tree
     if tree.arity != 2:
         raise ConfigurationError("the equality case is specific to binary trees")
-    if not _is_int(seed):
-        raise ConfigurationError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ConfigurationError(f"seed must be non-negative, got {seed}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed_number(seed, "seed"))
     level_values = [float(10.0 ** rng.uniform(-1.0, 1.0)) for _ in range(tree.depth + 1)]
     inst = Instance(
         config=config,
@@ -433,7 +442,7 @@ def check_equality_case(
         kept["reason"] = "halves condition not satisfied"
         return _sideless_report(True, FLAG_SKIPPED, kept)
     equal = abs(report.ratio - 1.0) <= DEFAULT_REL_TOL
-    return replace(report, passed=equal, metadata={**report.metadata, "f_levels": level_values})
+    return report._replace(passed=equal, metadata={**report.metadata, "f_levels": level_values})
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +453,7 @@ FLAG_DISPLAYED_NOT_TIGHT = "displayed-constant-not-tight"
 FLAG_BINARY_OPTIMAL_TIGHT = "binary-optimal-tight"
 
 
-@dataclass(frozen=True)
-class ExampleReport:
+class ExampleReport(NamedTuple):
     """Reproduction of the four-particle example on the binary depth-3 tree."""
 
     orbit_count: int
@@ -525,6 +533,17 @@ def reproduce_example(p: tuple[float, float, float] = (3.0, 3.0, 3.0)) -> Exampl
 # ---------------------------------------------------------------------------
 
 
+def _seed_number(value: Any, name: str, what: str | None = None) -> int:
+    """``value`` where it is a seed or a seed count: an ``int``, never a
+    ``bool`` or a numpy integer, and non-negative; ``name`` and ``what``
+    name it in the two refusals."""
+    if not _is_int(value):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ConfigurationError(f"{what or name} must be non-negative, got {value}")
+    return value
+
+
 # random instances: log-uniform weight and f ranges, and the share of zero weights
 WEIGHT_LOW, WEIGHT_HIGH = 1e-3, 1e3
 ZERO_WEIGHT_PROB = 0.05
@@ -562,7 +581,8 @@ class InstanceRanges:
 
 
 def random_instance(seed: int, ranges: InstanceRanges = InstanceRanges()) -> Instance:
-    """Deterministic instance from a seed: same seed, same instance.
+    """Deterministic instance from a seed, a non-negative ``int``: same
+    seed, same instance.
 
     Particles are rejection-sampled distinct leaves; weights are log-uniform
     with occasional exact zeros; the vertex function is log-uniform; the
@@ -570,7 +590,7 @@ def random_instance(seed: int, ranges: InstanceRanges = InstanceRanges()) -> Ins
     by branch budgets when the binary-optimal regime is requested, so the
     halves condition holds by construction).
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed_number(seed, "seed"))
     m = int(ranges.arities[int(rng.integers(0, len(ranges.arities)))])
     k = int(rng.integers(1, ranges.max_depth + 1))
     n = int(rng.integers(2, min(ranges.max_particles, m**k) + 1))
@@ -664,21 +684,16 @@ class CampaignSpec:
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("seed_start", "seed_count", "jobs"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-        if self.seed_start < 0:
-            raise ConfigurationError(f"seeds must be non-negative, got {self.seed_start}")
-        if self.seed_count < 0:
-            raise ConfigurationError(f"seed count must be non-negative, got {self.seed_count}")
+        _seed_number(self.seed_start, "seed_start", "seeds")
+        _seed_number(self.seed_count, "seed_count", "seed count")
+        if not _is_int(self.jobs):
+            raise ConfigurationError(f"jobs must be an integer, got {self.jobs!r}")
         cpus = os.cpu_count() or 1
         if not 1 <= self.jobs <= cpus:
             raise ConfigurationError(f"jobs must lie in 1..{cpus}, got {self.jobs}")
 
 
-@dataclass(frozen=True)
-class SeedResult:
+class SeedResult(NamedTuple):
     seed: int
     ratio: float
     passed: bool

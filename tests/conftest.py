@@ -3,15 +3,20 @@
 The automorphism oracle enumerates every rooted-tree automorphism of a
 small tree as a table of child permutations, one per internal vertex; it is
 deliberately independent of the library's shape machinery so equivalence
-and orbit results can be judged against first principles.
+and orbit results can be judged against first principles.  The exact
+energy oracle, ``exact_energy``, likewise reads the particles' words, not
+their shape.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import subprocess
 import sys
+from collections import defaultdict
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -94,3 +99,62 @@ def per_vertex(tree: TreeParams, draw) -> list[float]:
     """One ``draw()`` value per vertex, root first and each level in rank
     order, the order in which ``tree.vertices()`` visits the vertices."""
     return [draw() for _ in tree.vertices()]
+
+
+def exact_energy(config: Configuration, weights: WeightAssignment, f: LevelFunction) -> Fraction:
+    """The orbit energy in exact ``Fraction`` arithmetic, from the floats the
+    weights and ``f`` hold.
+
+    It is the factorized recursion, read off the particles' words.  A group
+    of two or more particles that first part at level ``J``, entering below
+    a vertex ``u``, is placed by choosing a vertex ``w`` at level ``J``
+    below ``u``; each ``w`` gives ``f(w)**(d-1)`` times the sum, over
+    injective maps of the group's ``d`` parts to children of ``w``, of the
+    product of each part's placements below its child.  A lone particle's
+    placements sum to the mass below its vertex.  Every value is exact, so
+    the order of the terms does not matter.  Each part's placements below
+    each vertex are summed once; keep the trees small.
+    """
+    tree = config.tree
+    leaves = [Fraction(x) for x in weights.leaf_array.tolist()]
+
+    @functools.cache
+    def mass(word: tuple[int, ...]) -> Fraction:
+        if len(word) == tree.depth:
+            return leaves[tree.rank(word)]
+        return sum((mass(word + (c,)) for c in tree.symbols()), Fraction(0))
+
+    @functools.cache
+    def placements(group: tuple[tuple[int, ...], ...], word: tuple[int, ...]) -> Fraction:
+        if len(group) == 1:
+            return mass(word)
+        level = len(word)
+        while len({p[level] for p in group}) == 1:
+            level += 1
+        split: dict[int, list[tuple[int, ...]]] = {}
+        for p in group:
+            split.setdefault(p[level], []).append(p)
+        parts = [tuple(part) for part in split.values()]
+        total = Fraction(0)
+        for suffix in itertools.product(tree.symbols(), repeat=level - len(word)):
+            w = word + suffix
+            rows = [[placements(part, w + (c,)) for c in tree.symbols()] for part in parts]
+            fw = Fraction(f.levels[level].item(tree.rank(w)))
+            total += fw ** (len(parts) - 1) * exact_injective_sum(rows)
+        return total
+
+    return placements(tuple(p.word for p in config.particles), config.base.word)
+
+
+def exact_injective_sum(rows: list[list[Fraction]]) -> Fraction:
+    """The sum over injective maps ``c`` of ``prod_b rows[b][c(b)]``, exactly:
+    a DP over the sets of children the first rows have taken."""
+    sums = {0: Fraction(1)}
+    for row in rows:
+        after: defaultdict[int, Fraction] = defaultdict(Fraction)
+        for used, value in sums.items():
+            for c, x in enumerate(row):
+                if x and not used >> c & 1:
+                    after[used | 1 << c] += value * x
+        sums = after
+    return sum(sums.values(), Fraction(0))

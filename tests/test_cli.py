@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -212,6 +213,30 @@ class TestSubcommands:
         code, payload = run_cli(capsys, "bound", worked_file, "--regime", regime)
         assert code == 0 and payload["rhs"] > 0.0
         assert payload["join_levels"] == [0, 1, 2]
+
+    @pytest.mark.parametrize(
+        "regime", ["general", "binary-optimal", "inductive", "explicit=2.5"]
+    )
+    def test_bound_reads_the_shared_sides(self, capsys, worked_file, monkeypatch, regime):
+        # bound asks verify's bound_sides for no energy, and prints its
+        # constant, flags and right side, which are the verify report's
+        shared, methods = verify_mod.bound_sides, []
+
+        def recorded(inst, method):
+            methods.append(method)
+            return shared(inst, method)
+
+        monkeypatch.setattr(cli_mod, "bound_sides", recorded)
+        code, payload = run_cli(capsys, "bound", worked_file, "--regime", regime)
+        assert code == 0 and methods == [None]
+        inst = load_instance(worked_file)
+        name, explicit = verify_mod.parse_regime(regime, inst.explicit_k)
+        report = verify_mod.check_inequality(
+            dataclasses.replace(inst, regime=name, explicit_k=explicit)
+        )
+        assert (payload["K"], payload["rhs"], payload["flags"]) == (
+            report.k_constant, report.rhs, list(report.flags)
+        )
 
     def test_fuzz(self, capsys, tmp_path):
         csv_path = tmp_path / "r.csv"
@@ -880,6 +905,24 @@ class TestCliContract:
             "    sys.exit(f\"import joinforge, joinforge.cli loaded {', '.join(loaded)}\")\n"
         ))
         assert result.returncode == 0, result.stderr
+
+    def test_one_record_rule(self):
+        # a record that only stores its fields is a NamedTuple, which runs no
+        # generated dataclass code at import; one that checks, derives or
+        # caches is a dataclass
+        from joinforge import bounds, energy, tree
+
+        types = {**vars(tree), **vars(orbits), **vars(energy), **vars(bounds), **vars(verify_mod)}
+        stores = ("Vertex JoinNode JoinWalk EnergyResult ExponentViolation MuirheadValue "
+                  "MuirheadEstimate NodeAccount KInductiveResult Report ExampleReport SeedResult")
+        checks = ("TreeParams Configuration ShapeLeaf ShapeNode WeightAssignment LevelFunction "
+                  "ExponentAssignment MuirheadSpec Instance InstanceRanges CampaignSpec "
+                  "CampaignSummary")
+        for name in stores.split():
+            record = types[name]
+            assert issubclass(record, tuple) and hasattr(record, "_fields"), name
+            assert not dataclasses.is_dataclass(record), name
+        assert all(dataclasses.is_dataclass(types[name]) for name in checks.split())
 
     def test_sources_compile_without_warnings(self):
         # a SyntaxWarning, such as the invalid escape sequence that Python 3.12

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from joinforge import (
     Configuration,
+    InstanceRanges,
     LevelFunction,
     ROOT,
     TreeParams,
@@ -21,10 +23,11 @@ from joinforge import (
     orbit_energy_bruteforce,
     orbit_energy_factorized,
     orbit_size,
+    random_instance,
 )
 from joinforge.orbits import DEFAULT_ENUMERATION_GUARD
 
-from conftest import per_vertex, unit_data, vx
+from conftest import exact_energy, per_vertex, unit_data, vx
 
 
 def random_data(tree: TreeParams, rng: random.Random):
@@ -132,6 +135,103 @@ class TestFactorized:
         members = list(orbit_enumerate(worked_config))
         for member in rng.sample(members, 10):
             assert orbit_energy_factorized(member, weights, f).value == reference
+
+
+# the stars of the benchmark's wide-star workload: d particles below distinct
+# children of the root of a k=2 tree of arity m
+WIDE_STARS = [(m, d) for m in (7, 8, 9) for d in (m - 2, m - 1, m)]
+
+
+def wide_star(m: int, d: int):
+    """A k=2 star with log-uniform weights (5% exactly zero) and ``f``, as the
+    benchmark draws them, from a generator seeded by the shape."""
+    rng = random.Random(f"star/{m}/{d}")
+    tree = TreeParams(m, 2)
+    particles = tuple(vx(c, rng.randint(1, m)) for c in rng.sample(range(1, m + 1), d))
+
+    def log_uniform() -> float:
+        return 10.0 ** rng.uniform(-3.0, 3.0)
+
+    weights = [0.0 if rng.random() < 0.05 else log_uniform() for _ in tree.leaves()]
+    f = per_vertex(tree, log_uniform)
+    return Configuration(tree, ROOT, particles), WeightAssignment(tree, weights), LevelFunction(tree, f)
+
+
+def star_closed_form(config, weights, f) -> Fraction:
+    """``f(root)**(d-1) * d! * e_d(M_1..M_m)``, with ``M_c`` the exact mass
+    below child ``c``: each injective map weighted by the chosen masses."""
+    m, d = config.tree.arity, config.n
+    leaves = [Fraction(x) for x in weights.leaf_array.tolist()]
+    masses = [sum(leaves[c * m : (c + 1) * m], Fraction(0)) for c in range(m)]
+    e = [Fraction(1)] + [Fraction(0)] * d
+    for x in masses:
+        for j in range(d, 0, -1):
+            e[j] += e[j - 1] * x
+    return Fraction(f(ROOT)) ** (d - 1) * math.factorial(d) * e[d]
+
+
+def sequential_sum_bound(m: int, d: int) -> float:
+    """A-priori relative error of the factorized energy of a k=2 star:
+    ``gamma_n = n*u / (1 - n*u)`` with ``u = 2**-53`` over ``n`` roundings
+    on the way to each term.  The masses add ``m`` leaves from zero (``m - 1``
+    roundings each, ``d`` masses a term), a term multiplies ``d`` masses
+    (``d - 1``), the injective sum adds ``m!/(m-d)!`` positive terms one at
+    a time (one fewer), and ``f(root)**(d-1)``, Python's power within one
+    ulp (two), multiplies the sum (one)."""
+    u = 2.0**-53
+    n = d * (m - 1) + (d - 1) + (math.perm(m, d) - 1) + 3
+    return n * u / (1.0 - n * u)
+
+
+def relative_error(value: float, exact: Fraction) -> float:
+    return float(abs(Fraction(value) - exact) / exact) if exact else float(value != 0.0)
+
+
+class TestExactOracle:
+    def test_matches_bruteforce_on_random_configs(self, binary3, ternary2):
+        # the oracle's recursion against the enumerated orbit, on small trees
+        rng = random.Random(5)
+        for tree in (binary3, ternary2, TreeParams(4, 2)):
+            leaves = list(tree.leaves())
+            for _ in range(6):
+                config = Configuration(tree, ROOT, tuple(rng.sample(leaves, rng.randint(1, 4))))
+                weights, f = random_data(tree, rng)
+                brute = orbit_energy_bruteforce(config, weights, f).value
+                assert relative_error(brute, exact_energy(config, weights, f)) <= 1e-12
+
+    @pytest.mark.parametrize("m, d", WIDE_STARS)
+    def test_star_closed_form(self, m, d):
+        config, weights, f = wide_star(m, d)
+        assert exact_energy(config, weights, f) == star_closed_form(config, weights, f)
+
+    @pytest.mark.parametrize(
+        "ranges",
+        [InstanceRanges(), InstanceRanges(arities=(2,), max_depth=5, max_particles=7)],
+        ids=["general", "binary"],
+    )
+    def test_factorized_within_tolerance_on_small_instances(self, ranges):
+        for seed in range(40):
+            inst = random_instance(seed, ranges)
+            exact = exact_energy(inst.config, inst.weights, inst.f)
+            value = orbit_energy_factorized(inst.config, inst.weights, inst.f).value
+            assert relative_error(value, exact) <= 1e-12, seed
+
+    def test_factorized_within_tolerance_off_root(self):
+        tree = TreeParams(3, 3)
+        rng = random.Random(31)
+        weights, f = random_data(tree, rng)
+        leaves = list(tree.leaves_below(vx(2)))
+        for n in (2, 3, 4, 5):
+            config = Configuration(tree, vx(2), tuple(rng.sample(leaves, n)))
+            value = orbit_energy_factorized(config, weights, f).value
+            assert relative_error(value, exact_energy(config, weights, f)) <= 1e-12
+
+    @pytest.mark.parametrize("m, d", WIDE_STARS)
+    def test_wide_star_within_sequential_sum_bound(self, m, d):
+        config, weights, f = wide_star(m, d)
+        value = orbit_energy_factorized(config, weights, f).value
+        error = relative_error(value, star_closed_form(config, weights, f))
+        assert error <= sequential_sum_bound(m, d), (error, sequential_sum_bound(m, d))
 
 
 class TestEnergyProperties:

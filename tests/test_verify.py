@@ -547,6 +547,21 @@ class TestRandomInstance:
         b = random_instance(123).to_json_dict()
         assert a == b
 
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            (True, "seed must be an integer, got True"),
+            (1.5, "seed must be an integer, got 1.5"),
+            (-1, "seed must be non-negative, got -1"),
+            (np.int64(3), "seed must be an integer, got "),
+        ],
+        ids=["boolean", "fractional", "negative", "numpy-integer"],
+    )
+    def test_seed_refused(self, seed, message):
+        # the rule of CampaignSpec's seeds and check_equality_case's seed
+        with pytest.raises(ConfigurationError, match=message):
+            random_instance(seed)
+
     def test_all_leaves_when_saturated(self):
         ranges = InstanceRanges(arities=(2,), max_depth=1, max_particles=2)
         inst = random_instance(0, ranges)

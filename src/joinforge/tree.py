@@ -377,28 +377,45 @@ def keyed_map(tree: TreeParams, arrays: Sequence[np.ndarray]) -> dict[str, float
     """Values keyed by word text from level arrays that end at the leaves.
 
     The inverse of ``keyed_levels``: every vertex on the arrays' levels gets
-    one entry.  Each level's words are spelled once, in rank order.
+    one entry.  Each level's words are spelled once, in rank order, by
+    ``_level_texts``, the spelling ``_whole_levels`` compares chunks with.
     """
-    symbols = [str(s) for s in tree.symbols()]
+    texts = _level_texts(tree.arity, tree.depth)
     keyed: dict[str, float] = {}
     for level, array in enumerate(arrays, tree.depth + 1 - len(arrays)):
-        words = map(".".join, itertools.product(symbols, repeat=level))
-        keyed.update(zip(words, array.tolist()))
+        keyed.update(zip(texts[level].split("/"), array.tolist()))
     return keyed
+
+
+def _level_texts(m: int, depth: int) -> list[str]:
+    """The words of each level ``0..depth`` of the ``m``-ary tree in rank
+    order, joined by '/': the one spelling of a level, which ``keyed_map``
+    writes and ``_whole_levels`` accepts.
+
+    The words of a level are those of the level above behind each symbol
+    in turn, so each level is spelled by ``m`` replacements of text.
+    """
+    symbols = [str(s) for s in range(1, m + 1)]
+    texts = ["", "/".join(symbols)][: depth + 1]
+    while len(texts) <= depth:
+        texts.append("/".join(f"{s}.{texts[-1].replace('/', f'/{s}.')}" for s in symbols))
+    return texts
 
 
 def _read_chunk(
     tree: TreeParams, first_level: int, keys: list[str], values: list[Any]
-) -> list[tuple[int, np.ndarray, np.ndarray]] | None:
-    """The entries of one chunk by level: each level with the ranks and
-    values of its entries; None when any entry is refused.
+) -> list[tuple[int, np.ndarray | slice, np.ndarray]] | None:
+    """The entries of one chunk by level: each level with the ranks, or
+    the slice, and values of its entries; None when any entry is refused.
 
-    A chunk as ``keyed_map`` writes one, words of one-digit symbols in level
-    order with every level between the first key's and the last key's
-    complete, is read as rows of bytes (see ``_digit_runs``).  At m <= 9
-    that is every chunk it writes, the root's included.  Any other chunk is
-    read by ``_scan_words``: two-digit symbols, several levels out of
-    order, or a bad key.
+    The chunk picks one of three readers.  A chunk of all the words of
+    whole levels in rank order, as ``keyed_map`` writes every map that fits
+    one chunk, is taken by one comparison of text (see ``_whole_levels``).
+    Any other chunk as ``keyed_map`` writes one, words of one-digit symbols
+    in level order with every level between the first key's and the last
+    key's complete, is read as rows of bytes (see ``_digit_runs``).  Any
+    other chunk is read by ``_scan_words``: part of a level of two-digit
+    symbols, several levels out of order, or a bad key.
     """
     if not all(map(_is_number_type, set(map(type, values)))):
         return None
@@ -407,6 +424,9 @@ def _read_chunk(
         text = "/".join(keys)
     except (TypeError, OverflowError, FloatingPointError):
         return None
+    whole = _whole_levels(tree, first_level, keys[0], text, numbers)
+    if whole is not None:
+        return whole
     runs = _digit_runs(text, len(keys), len(keys[0]), len(keys[-1]), tree.arity)
     if runs is None:
         return _scanned_levels(tree, first_level, text, numbers)
@@ -417,6 +437,35 @@ def _read_chunk(
         stop = start + len(digits)
         levels.append((level, _ranks(tree, digits), numbers[start:stop]))
         start = stop
+    return levels
+
+
+def _whole_levels(
+    tree: TreeParams, first_level: int, first: str, text: str, numbers: np.ndarray
+) -> list[tuple[int, slice, np.ndarray]] | None:
+    """``_read_chunk`` of the words in ``text``, whose first word is
+    ``first``, when they are all the words of levels ``low..high`` in rank
+    order, as ``_level_texts`` spells them; else None.
+
+    The first word, which must be the first of its level, gives ``low`` by
+    its dots, and the number of words gives ``high``; only then are those
+    levels spelled, and one comparison with their spelling checks every
+    word.  Each level's values are then one slice of ``numbers``, in order.
+    """
+    m, n = tree.arity, numbers.size
+    low = first.count(".") + 1 if first else 0
+    if not first_level <= low <= tree.depth or first != ".".join(["1"] * low):
+        return None
+    high, words = low, n - m**low
+    while words > 0 and high < tree.depth:
+        high += 1
+        words -= m**high
+    if words or text != "/".join(_level_texts(m, high)[low:]):
+        return None
+    levels, start = [], 0
+    for level in range(low, high + 1):
+        levels.append((level, slice(None), numbers[start : start + m**level]))
+        start += m**level
     return levels
 
 

@@ -259,8 +259,7 @@ def parse_regime(raw: Any, explicit_value: Any = None) -> tuple[str, float | Non
 
 def load_instance(path: str) -> Instance:
     try:
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
+        data = json.loads(_file_text(path))
     except OSError as exc:
         raise ConfigurationError(f"cannot read instance file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -273,6 +272,18 @@ def load_instance(path: str) -> Instance:
     except RecursionError:
         raise ConfigurationError(f"instance file {path!r} nests too deeply to read") from None
     return Instance.from_json_dict(data)
+
+
+def _file_text(path: str) -> str:
+    """The file's bytes decoded as UTF-8, each CR LF pair and lone CR read
+    as one LF, as a file opened in text mode reads them, so a refusal names
+    the same line and column.  The bytes are freed once decoded, so they
+    are not held while the text is parsed."""
+    with open(path, "rb") as handle:
+        text = handle.read().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 # ---------------------------------------------------------------------------

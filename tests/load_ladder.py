@@ -2,15 +2,21 @@
 
 Each rung ``m<m>k<k>`` is one instance file with a value at every vertex,
 written once from a fixed seed: full binary trees at k = 10, 12, 14 and 16,
-the k = 2 stars of m = 8 and 9, and m = 11, k = 4, whose two-digit symbols
-take ``_scan_words`` rather than the one-digit row reading.  Every rung
-times four steps in rounds, and the fastest round's time per call is
-printed, so that noise from other processes only ever adds:
+the k = 2 stars of m = 7, 8 and 9, and m = 11, k = 4, whose two-digit
+symbols take ``_scan_words`` rather than the one-digit row reading.  A star's
+maps, and the whole ``f`` map at k = 10, each fit one chunk and are read as
+whole levels.  Every rung times four steps in rounds, and the fastest
+round's time per call is printed, so that noise from other processes only
+ever adds:
 
 - ``json_load``: ``json.load`` of the file;
 - ``keyed_mu`` and ``keyed_f``: ``keyed_levels`` of its loaded ``mu`` and
   ``f`` maps;
 - ``load_instance``: the whole load, the three steps above included.
+
+A fifth column, ``cold_load_instance``, is the whole load as the benchmark
+runs its operations: each call made alone, right after ``gc.collect()``,
+and the median of five such calls per round.
 
 Run with the package on the path:
 
@@ -21,10 +27,12 @@ milliseconds.  pytest does not collect this file.
 """
 
 import argparse
+import gc
 import itertools
 import json
 import os
 import random
+import statistics
 import tempfile
 import time
 
@@ -32,7 +40,7 @@ from joinforge.tree import TreeParams, keyed_levels
 from joinforge.verify import load_instance
 
 # (m, k) per rung
-LADDER = ((2, 10), (2, 12), (2, 14), (2, 16), (8, 2), (9, 2), (11, 4))
+LADDER = ((2, 10), (2, 12), (2, 14), (2, 16), (7, 2), (8, 2), (9, 2), (11, 4))
 
 
 def instance_doc(m: int, k: int) -> dict:
@@ -65,6 +73,18 @@ def per_call_ms(call, rounds: int) -> float:
     return best * 1e3
 
 
+def cold_call_ms(call, rounds: int) -> float:
+    """The median of five calls per round, each made right after
+    ``gc.collect()``, in milliseconds."""
+    times = []
+    for _ in range(5 * rounds):
+        gc.collect()
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times) * 1e3
+
+
 def rung_times(path: str, m: int, k: int, rounds: int) -> dict[str, float]:
     def load() -> dict:
         with open(path, encoding="utf-8") as handle:
@@ -77,7 +97,9 @@ def rung_times(path: str, m: int, k: int, rounds: int) -> dict[str, float]:
         "keyed_f": lambda: keyed_levels(tree, 0, doc["f"], 1.0),
         "load_instance": lambda: load_instance(path),
     }
-    return {name: round(per_call_ms(call, rounds), 3) for name, call in steps.items()}
+    times = {name: round(per_call_ms(call, rounds), 3) for name, call in steps.items()}
+    times["cold_load_instance"] = round(cold_call_ms(steps["load_instance"], rounds), 3)
+    return times
 
 
 if __name__ == "__main__":

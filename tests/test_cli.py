@@ -371,19 +371,64 @@ class TestCliContract:
         assert "line" in err
 
     @pytest.mark.parametrize(
-        "content, message",
+        "content, err",
         [
-            (b'{"m": 2, "k": 1, "base": "\xff", "config": [[1], [2]], "p": [1.0]}', "UTF-8"),
-            (b"[" * 100_000, "nests too deeply"),
+            (
+                b'{"m": 2, "k": 1, "config": [[1], [2]], "p": [1.0]}'[:30],
+                "malformed JSON in 'in.json' at line 1, column 31: Expecting ',' delimiter",
+            ),
+            (
+                b'{"m": 2, "k": 1, "config": [[1], [2]], "p": [1.0],}',
+                "malformed JSON in 'in.json' at line 1, column 51: "
+                "Expecting property name enclosed in double quotes",
+            ),
+            (
+                b'{"m": 2, "k": 1, "base": "\xff", "config": [[1], [2]], "p": [1.0]}',
+                "instance file 'in.json' is not UTF-8: 'utf-8' codec can't decode "
+                "byte 0xff in position 26: invalid start byte",
+            ),
+            (
+                '{"m": 2, "k": 1, "config": [[1], [2]], "p": [1.0]}'.encode("utf-16"),
+                "instance file 'in.json' is not UTF-8: 'utf-8' codec can't decode "
+                "byte 0xff in position 0: invalid start byte",
+            ),
+            (
+                b'\xef\xbb\xbf{"m": 2, "k": 1, "config": [[1], [2]], "p": [1.0]}',
+                "malformed JSON in 'in.json' at line 1, column 1: "
+                "Unexpected UTF-8 BOM (decode using utf-8-sig)",
+            ),
+            (
+                b'{\r\n"m": 2,\r\n"k": 1 "config": [[1], [2]],\r\n"p": [1.0]}\r\n',
+                "malformed JSON in 'in.json' at line 3, column 8: Expecting ',' delimiter",
+            ),
+            (
+                b'{\r"m": 2,\r"k": 1 "config": [[1], [2]],\r"p": [1.0]}\r',
+                "malformed JSON in 'in.json' at line 3, column 8: Expecting ',' delimiter",
+            ),
+            (
+                b'{"m": 2,\r\n"k": "1\r\n2", "config": [[1], [2]], "p": [1.0]}',
+                "malformed JSON in 'in.json' at line 2, column 8: Invalid control character at",
+            ),
+            (b"[" * 100_000, "instance file 'in.json' nests too deeply to read"),
         ],
-        ids=["not-utf8", "deep-nesting"],
+        ids=[
+            "truncated", "trailing-comma", "not-utf8", "utf16", "bom", "crlf", "bare-cr",
+            "cr-in-string", "deep-nesting",
+        ],
     )
-    def test_unreadable_file_exit_two(self, capsys, tmp_path, content, message):
-        bad = tmp_path / "unreadable.json"
-        bad.write_bytes(content)
-        code = main(["verify", str(bad)])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == "" and message in captured.err
+    def test_unreadable_file_exit_two(self, capsys, monkeypatch, tmp_path, content, err):
+        # the whole stderr as a text-mode read gave it: CR LF and a lone CR
+        # count as one line end, and the bytes are never parsed as they are
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "in.json").write_bytes(content)
+        code = main(["verify", "in.json"])
+        assert (code, capsys.readouterr()) == (2, ("", f"error: {err}\n"))
+
+    def test_lone_cr_line_ends_read(self, capsys, tmp_path):
+        path = tmp_path / "cr.json"
+        path.write_bytes(b'{\r"m": 2,\r"k": 1, "config": [[1], [2]],\r"p": [1.0]}\r')
+        code, report = run_cli(capsys, "verify", str(path))
+        assert code == 0 and (report["lhs"], report["rhs"]) == (2.0, 4.0)
 
     def test_fuzz_unwritable_csv_exit_two(self, capsys, monkeypatch, tmp_path):
         def no_seed(args):

@@ -8,6 +8,7 @@ import math
 import functools
 import random
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -606,23 +607,41 @@ def as_bytes(arrays):
     return np.concatenate(arrays).tobytes() if isinstance(arrays, list) else arrays.tobytes()
 
 
-def read_keyed(tree, first_level, mapping, rows=True):
+def read_chunks(tree, first_level, mapping, readers=("levels", "rows")):
     """``keyed_levels``' arrays as bytes, or its refusal's message, and for
-    each chunk whether it was read as rows of bytes; with ``rows=False``
-    every chunk is left to ``_scan_words``."""
-    digit_runs, taken = tree_module._digit_runs, []
+    each chunk the reader that took it: ``"levels"`` (``_whole_levels``),
+    ``"rows"`` (``_digit_runs``) or ``"scan"`` (``_scan_words``).  Of the
+    first two, only those in ``readers`` may take a chunk; ``_scan_words``
+    takes whatever they leave."""
+    whole_levels, digit_runs, taken = tree_module._whole_levels, tree_module._digit_runs, []
 
-    def spy(*args):
-        runs = digit_runs(*args) if rows else None
-        taken.append(runs is not None)
+    def levels_spy(*args):
+        read = whole_levels(*args) if "levels" in readers else None
+        if read is not None:
+            taken.append("levels")
+        return read
+
+    def rows_spy(*args):
+        runs = digit_runs(*args) if "rows" in readers else None
+        taken.append("scan" if runs is None else "rows")
         return runs
 
-    with mock.patch.object(tree_module, "_digit_runs", spy):
+    with mock.patch.object(tree_module, "_whole_levels", levels_spy), mock.patch.object(
+        tree_module, "_digit_runs", rows_spy
+    ):
         try:
             got = as_bytes(keyed_levels(tree, first_level, mapping, 1.0))
         except ConfigurationError as exc:
             got = str(exc)
     return got, taken
+
+
+def read_keyed(tree, first_level, mapping, rows=True):
+    """``read_chunks`` without ``_whole_levels``, and for each chunk whether
+    it was read as rows of bytes; with ``rows=False`` every chunk is left to
+    ``_scan_words``."""
+    got, taken = read_chunks(tree, first_level, mapping, ("rows",) if rows else ())
+    return got, [reader == "rows" for reader in taken]
 
 
 # deepest tree per arity with at most about 40k vertices
@@ -733,23 +752,26 @@ class TestKeyedLevels:
         else:
             assert got.startswith(refusal)
 
-    @pytest.mark.parametrize("m, taken", [(9, [True]), (12, [True, False])])
+    @pytest.mark.parametrize("m, taken", [(9, ["levels"]), (12, ["rows", "scan"])])
     def test_one_and_two_digit_symbols_in_one_map(self, monkeypatch, m, taken):
-        # chunks of 9 keys: "1".."9" are read as rows, and "10".."12" by _scan_words
+        # chunks of 9 keys: at m=9 "1".."9" are all of level 1, read whole; at
+        # m=12 they are read as rows, and "10".."12" by _scan_words
         monkeypatch.setattr(tree_module, "KEY_CHUNK", 9)
         tree = TreeParams(m, 2)
         mapping = {str(s): float(s) for s in range(1, m + 1)}
-        got = read_keyed(tree, 1, mapping)
+        got = read_chunks(tree, 1, mapping)
         assert got == (as_bytes(reference_levels(tree, 1, mapping, 1.0)), taken)
-        assert read_keyed(tree, 1, mapping, rows=False)[0] == got[0]
+        assert read_chunks(tree, 1, mapping, ("rows",))[0] == got[0]
+        assert read_chunks(tree, 1, mapping, ())[0] == got[0]
 
     @pytest.mark.parametrize("first_level", [0, 1])
     def test_root_key_alone(self, first_level):
         tree = TreeParams(3, 2)
-        # the root is a one-byte row, so it is read as rows at either first
-        # level; the level check then refuses it above level 1
-        got, taken = read_keyed(tree, first_level, {"": 2.0})
-        assert taken == [True]
+        # the root alone is all of level 0, read whole at first level 0; above
+        # level 1 it is read as a one-byte row, and the level check refuses it
+        got, taken = read_chunks(tree, first_level, {"": 2.0})
+        assert taken == ["levels" if first_level == 0 else "rows"]
+        assert read_chunks(tree, first_level, {"": 2.0}, ("rows",)) == (got, ["rows"])
         if first_level == 0:
             assert got == as_bytes(reference_levels(tree, 0, {"": 2.0}, 1.0))
         else:
@@ -776,15 +798,17 @@ class TestKeyedLevels:
     def test_two_levels_in_one_chunk_read_as_rows(self):
         tree = TreeParams(3, 3)
         mapping = keyed_map(tree, [np.full(3**level, 2.5) for level in (2, 3)])
-        got, taken = read_keyed(tree, 2, mapping)
-        assert got == as_bytes(reference_levels(tree, 2, mapping, 1.0)) and taken == [True]
+        got, taken = read_chunks(tree, 2, mapping)
+        assert got == as_bytes(reference_levels(tree, 2, mapping, 1.0)) and taken == ["levels"]
+        assert read_chunks(tree, 2, mapping, ("rows",)) == (got, ["rows"])
 
     @settings(max_examples=120, deadline=None)
     @given(data=st.data(), case=st.sampled_from(sorted(SPANNING_CHUNKS)))
     def test_chunks_over_many_levels_read_as_rows(self, data, case):
         # chunks in keyed_map order that hold the root or three or more
         # levels, perhaps with one byte changed: the rows read what
-        # _scan_words reads, and the unchanged chunk is read as rows
+        # _scan_words reads, and the unchanged chunk is read as rows, or whole
+        # when it holds whole levels (a star's)
         tree, first_level, keys = SPANNING_CHUNKS[case]
         keys = list(keys)
         changed = data.draw(st.booleans(), label="change a byte")
@@ -797,12 +821,76 @@ class TestKeyedLevels:
             else:  # the root has no byte to change; it takes one
                 keys[i] = data.draw(st.sampled_from(["1", "0", "/", "."]), label="root")
         mapping = {key: float(i) for i, key in enumerate(keys)}
-        got, taken = read_keyed(tree, first_level, mapping)
-        assert (got, [False]) == read_keyed(tree, first_level, mapping, rows=False)
+        got, taken = read_chunks(tree, first_level, mapping)
+        assert (got, ["scan"]) == read_chunks(tree, first_level, mapping, ())
         if isinstance(got, bytes):
             assert got == as_bytes(reference_levels(tree, first_level, mapping, 1.0))
         if not changed:
-            assert isinstance(got, bytes) and taken == [True]
+            assert isinstance(got, bytes)
+            assert taken == ["levels" if case.startswith("star") else "rows"]
+            assert read_chunks(tree, first_level, mapping, ("rows",)) == (got, ["rows"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        m=st.integers(2, 12),
+        chunk=st.sampled_from([KEY_CHUNK, 7, 100]),
+        change=st.sampled_from(["none", "byte", "swap", "missing", "extra", "root"]),
+    )
+    def test_whole_levels_read_as_rows_and_scanner_read(self, data, m, chunk, change):
+        # a canonical map, perhaps changed: each chunk of all the words of
+        # whole levels in rank order is read whole, and every other chunk
+        # falls back to the rows or the scanner, with the same bytes or message
+        k = data.draw(st.integers(1, max(k for k in range(1, 12) if m**k <= 2000)), label="k")
+        tree = TreeParams(m, k)
+        first_level = 0 if change == "root" else data.draw(st.integers(0, k), label="first")
+        levels = [[v.to_text() for v in tree.vertices_at(l)] for l in range(first_level, k + 1)]
+        keys = [key for level in levels for key in level]
+        i = data.draw(st.integers(0, len(keys) - 1), label="key")
+        if change == "byte" and keys[i]:
+            j = data.draw(st.integers(0, len(keys[i]) - 1), label="byte")
+            other = [c for c in [*"0123456789./ ", "\0", "\u0661"] if c != keys[i][j]]
+            keys[i] = keys[i][:j] + data.draw(st.sampled_from(other), label="to") + keys[i][j + 1 :]
+        elif change == "swap" and len(keys) > 1:
+            j = data.draw(st.integers(0, len(keys) - 1).filter(lambda j: j != i), label="swap")
+            keys[i], keys[j] = keys[j], keys[i]
+        elif change == "missing":
+            del keys[i]
+        elif change == "extra":
+            outside = [text([1] * (k + 1)), "1.01", *([text([2] * (first_level - 1))] * first_level)]
+            keys.insert(i, data.draw(st.sampled_from(outside), label="extra"))
+        elif change == "root":
+            keys[0] = data.draw(st.sampled_from(["1", "0", "/", ".", " "]), label="root")
+        mapping = {key: float(i) for i, key in enumerate(keys)}
+        with mock.patch.object(tree_module, "KEY_CHUNK", chunk):
+            got, taken = read_chunks(tree, first_level, mapping)
+            assert read_chunks(tree, first_level, mapping, ("rows",))[0] == got
+            assert read_chunks(tree, first_level, mapping, ())[0] == got
+        if isinstance(got, bytes):
+            assert got == as_bytes(reference_levels(tree, first_level, mapping, 1.0))
+        # the chunks that are runs of whole levels, spelled as vertices_at spells them
+        runs = {
+            tuple(word for level in levels[low:high] for word in level)
+            for low in range(len(levels))
+            for high in range(low + 1, len(levels) + 1)
+        }
+        written = list(mapping)
+        chunks = [tuple(written[i : i + chunk]) for i in range(0, len(written), chunk)]
+        assert [reader == "levels" for reader in taken] == [c in runs for c in chunks[: len(taken)]]
+        if change == "none" and len(written) <= chunk:
+            assert taken == ["levels"]
+
+    def test_chunks_of_part_levels_are_not_spelled(self):
+        # at m=2, k=12 the second f chunk is 2048 words, as many as level 11
+        # holds, but starts at its second word: no chunk is compared as text
+        tree = TreeParams(2, 12)
+        mapping = keyed_map(tree, [np.full(2**level, 0.5) for level in range(13)])
+        with mock.patch.object(
+            tree_module, "_level_texts", side_effect=tree_module._level_texts
+        ) as spelled:
+            got, taken = read_chunks(tree, 0, mapping)
+        assert spelled.call_count == 0 and taken == ["rows"] * 4
+        assert got == as_bytes(reference_levels(tree, 0, mapping, 1.0))
 
     @pytest.mark.parametrize("chunk", [KEY_CHUNK, 7, 100])
     @pytest.mark.parametrize("m", range(2, 13))
@@ -904,6 +992,20 @@ class TestKeyedLevels:
         with pytest.raises(ConfigurationError, match="'1.2'"):
             keyed_levels(TreeParams(2, 2), 0, {"1.1": 1.0, "1.2": value}, 1.0)
 
+    @pytest.mark.parametrize(
+        "value", [10**400, 2**1024, -(2**1024), np.longdouble("1e400")], ids=str
+    )
+    def test_value_beyond_the_float_range_is_refused_without_a_warning(self, value):
+        # Python ints overflow by themselves; only numpy scalars need numpy's check
+        if isinstance(value, np.longdouble) and np.isinf(value):
+            pytest.skip("longdouble is no wider than float64 here")
+        for mapping in ({"1.2": value}, {"1.1": 1.0, "1.2": value}, {"1.1": 1, "1.2": value}):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ConfigurationError) as info:
+                    keyed_levels(TreeParams(2, 2), 0, mapping, 1.0)
+            assert str(info.value) == "value at '1.2' is too large for a float"
+
     @pytest.mark.skipif(
         np.finfo(np.longdouble).max <= np.finfo(np.float64).max,
         reason="longdouble is no wider than float64 here",
@@ -941,7 +1043,9 @@ def test_load_ladder_runs():
     result = run_python(str(REPO / "tests" / "load_ladder.py"), "--rounds", "1")
     assert result.returncode == 0, result.stderr
     times = json.loads(result.stdout)
-    assert list(times) == ["m2k10", "m2k12", "m2k14", "m2k16", "m8k2", "m9k2", "m11k4"]
+    rungs = ["m2k10", "m2k12", "m2k14", "m2k16", "m7k2", "m8k2", "m9k2", "m11k4"]
+    assert list(times) == rungs
+    steps = {"json_load", "keyed_mu", "keyed_f", "load_instance", "cold_load_instance"}
     for rung, got in times.items():
-        assert set(got) == {"json_load", "keyed_mu", "keyed_f", "load_instance"}, rung
+        assert set(got) == steps, rung
         assert all(ms > 0.0 for ms in got.values()), rung

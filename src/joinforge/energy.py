@@ -116,14 +116,15 @@ def factorized_from_shape(
                 level, width = base.level + record.offset, m**record.offset
                 start, stop = lo * width, (lo + 1) * width
                 below = record.offset + 1  # the children's depth below the base
+                # every lone-particle branch reads the same row of masses
+                if None in record.children:
+                    lone = masses[level + 1][start * m : stop * m].reshape(-1, m).T
                 # row b: branch b's value on each child of every join vertex
                 table = np.array(
                     [
-                        (
-                            masses[level + 1][start * m : stop * m]
-                            if c is None
-                            else _block_sums(values[c], m ** (records[c].offset - below))
-                        )
+                        lone
+                        if c is None
+                        else _block_sums(values[c], m ** (records[c].offset - below))
                         .reshape(-1, m)
                         .T
                         for c in record.children

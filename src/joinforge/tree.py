@@ -614,8 +614,11 @@ def _numbers(values: Any, what: str) -> np.ndarray:
     A list or tuple is read as map values are (see ``_is_number_type``), so
     a boolean in it is refused, which numpy would read as a number, and an
     int too large for numpy's integers reads as a float.  A list holding
-    anything else falls to numpy's dtype, and is refused by it.
+    anything else falls to numpy's dtype, and is refused by it.  A float64
+    ``ndarray`` (not a subclass) is returned as it is.
     """
+    if type(values) is np.ndarray and values.dtype == np.float64:
+        return values
     if isinstance(values, (list, tuple)):
         types = set(map(type, values))
         if bool in types or np.bool_ in types:

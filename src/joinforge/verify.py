@@ -645,38 +645,46 @@ def random_instance(seed: int, ranges: InstanceRanges = InstanceRanges()) -> Ins
     f_values = [10.0**x for x in rng.uniform(f_lo, f_hi, size=tree.vertex_count).tolist()]
     f = LevelFunction(tree, np.array(f_values))
 
-    if ranges.regime == "binary_optimal":
-        exponents = _binary_optimal_exponents(config.shape, rng)
-    else:
-        reciprocals = np.maximum(rng.dirichlet(np.ones(n - 1)), 1e-12)
-        reciprocals = reciprocals / reciprocals.sum()
-        exponents = ExponentAssignment(tuple([1.0 / q for q in reciprocals.tolist()]))
-
     return Instance(
         config=config,
         weights=weights,
         f=f,
-        exponents=exponents,
+        exponents=_random_exponents(config, ranges.regime, rng),
         regime=ranges.regime,
         seed=seed,
     )
 
 
-def _binary_optimal_exponents(
-    shape: JoinShape, rng: np.random.Generator
+def _random_exponents(
+    config: Configuration, regime: str, rng: np.random.Generator
 ) -> ExponentAssignment:
-    """Slot reciprocals with both top branch budgets capped below one half."""
-    counts = [branch.n_particles - 1 for branch in shape.branches]
-    budgets = [
-        float(rng.uniform(0.05, 0.495)) if t > 0 else 0.0 for t in counts
-    ]
+    """Slot reciprocals on the simplex, floored at 1e-12 and renormalized; in
+    the binary-optimal regime, both top branch budgets capped below one half."""
+    if regime != "binary_optimal":
+        reciprocals = np.maximum(_flat_dirichlet(rng, len(config.particles) - 1), 1e-12)
+        reciprocals = reciprocals / reciprocals.sum()
+        return ExponentAssignment(tuple([1.0 / q for q in reciprocals.tolist()]))
+    counts = [t for t in (b.n_particles - 1 for b in config.shape.branches) if t > 0]
+    budgets = rng.uniform(0.05, 0.495, size=len(counts)).tolist()
     reciprocals: list[float] = [1.0 - sum(budgets)]  # the top node's single slot
     for t, budget in zip(counts, budgets):
-        if t == 0:
-            continue
-        parts = np.maximum(rng.dirichlet(np.ones(t)), 1e-12)
+        parts = np.maximum(_flat_dirichlet(rng, t), 1e-12)
         reciprocals.extend((parts * (budget / parts.sum())).tolist())
     return ExponentAssignment(tuple([1.0 / q for q in reciprocals]))
+
+
+def _flat_dirichlet(rng: np.random.Generator, t: int) -> np.ndarray:
+    """``rng.dirichlet(np.ones(t))`` bit for bit, without its checks of alpha.
+
+    numpy draws each gamma(1) as its standard exponential, sums the draws
+    left to right from 0.0 (``sum`` of floats is compensated from Python
+    3.12, so a loop keeps that order) and multiplies each by the reciprocal.
+    """
+    draws = rng.standard_exponential(t)
+    total = 0.0
+    for x in draws.tolist():
+        total += x
+    return draws * (1.0 / total)
 
 
 @dataclass(frozen=True)

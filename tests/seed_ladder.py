@@ -11,6 +11,9 @@ them:
   ``LevelFunction``, ``ExponentAssignment`` and ``Instance`` constructors
   that end a draw, on values drawn before the rounds, so that the draw's
   share spent checking its values is timed apart from the drawing;
+- ``exponents``: the draw's last step alone, the regime's exponents
+  (``verify._random_exponents``) on the configurations and shapes drawn
+  before the rounds, read from one generator per regime;
 - ``extract_shape`` and ``join_nodes``: the shape, and the one walk over
   its join nodes (``orbits._join_nodes``);
 - ``cylinder_masses`` and ``factorized_from_shape``: the masses, and the
@@ -70,7 +73,13 @@ from joinforge.bounds import (
 from joinforge.energy import factorized_from_shape
 from joinforge.orbits import Configuration, _join_nodes, extract_shape
 from joinforge.tree import LevelFunction, WeightAssignment, cylinder_masses
-from joinforge.verify import Instance, InstanceRanges, check_inequality, random_instance
+from joinforge.verify import (
+    Instance,
+    InstanceRanges,
+    _random_exponents,
+    check_inequality,
+    random_instance,
+)
 
 SEEDS = range(1000, 1300)
 REGIMES = {
@@ -145,10 +154,14 @@ def regime_times(regime: str, ranges: InstanceRanges, rounds: int) -> dict[str, 
     instances = [random_instance(seed, ranges) for seed in SEEDS]
     for inst in instances:  # the stages after the shape and the masses read both cached
         inst.shape.join_nodes, inst.weights.masses
+    rng = np.random.default_rng(0)
     stages = {
         "random_instance": [lambda s=s: random_instance(s, ranges) for s in SEEDS],
         "draw_checks": [
             lambda i=i, f=np.concatenate(i.f.levels): checked_again(i, f) for i in instances
+        ],
+        "exponents": [
+            lambda c=i.config, rng=rng: _random_exponents(c, regime, rng) for i in instances
         ],
         "extract_shape": [lambda c=i.config: extract_shape(c) for i in instances],
         "join_nodes": [lambda s=i.shape: _join_nodes(s) for i in instances],

@@ -140,3 +140,41 @@ def test_zero_weight_share(monkeypatch, prob):
     # every leaf weighted, about half, and none (no weight double is kept)
     monkeypatch.setattr(verify_mod, "ZERO_WEIGHT_PROB", prob)
     assert_same_instances(range(100), SMALL["general"])
+
+
+# `verify._flat_dirichlet` against numpy's own Dirichlet draw; the oracle
+# above keeps calling `rng.dirichlet`, so it does not lean on the helper
+@pytest.mark.parametrize("t", range(1, 41))  # numpy's sum is pairwise from 8 terms
+def test_flat_dirichlet_is_numpys_bit_for_bit(t):
+    for seed in range(500):
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = verify_mod._flat_dirichlet(ours, t)
+        assert got.tobytes() == numpys.dirichlet(np.ones(t)).tobytes(), seed
+        assert ours.random() == numpys.random(), seed
+        assert ours.integers(0, 2**40) == numpys.integers(0, 2**40), seed
+
+
+@pytest.mark.parametrize("size", [1, 3, 4])
+def test_flat_dirichlet_keeps_a_buffered_integer_stream(size):
+    # 32-bit integer draws leave half a 64-bit word buffered, as a
+    # seed's word draws do; the draws after the helper read it alike
+    for seed in range(200):
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (ours, numpys):
+            rng.integers(1, 4, size=size)
+        got = verify_mod._flat_dirichlet(ours, 3)
+        assert got.tobytes() == numpys.dirichlet(np.ones(3)).tobytes(), seed
+        assert (ours.integers(1, 4, size=5) == numpys.integers(1, 4, size=5)).all(), seed
+        assert ours.random() == numpys.random(), seed
+
+
+def test_lone_top_branches_draw_no_budget():
+    # two particles, one under each top branch: the only slot is the top
+    # node's, so no budget and no Dirichlet point is drawn
+    tree = TreeParams(2, 3)
+    config = Configuration(tree, ROOT, (Vertex((1, 2, 1)), Vertex((2, 1, 1))))
+    rng = np.random.default_rng(7)
+    state = rng.bit_generator.state
+    exponents = verify_mod._random_exponents(config, "binary_optimal", rng)
+    assert exponents.exponents == (1.0,)
+    assert rng.bit_generator.state == state

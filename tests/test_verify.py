@@ -512,7 +512,7 @@ class TestEqualityCase:
             n = int(rng.integers(2, 7))
             picks = rng.choice(len(leaves), size=n, replace=False)
             config = Configuration(tree, base, tuple(leaves[i] for i in picks))
-            exponents = verify_mod._binary_optimal_exponents(config.shape, rng)
+            exponents = verify_mod._random_exponents(config, "binary_optimal", rng)
             report = check_equality_case(config, exponents, seed=draw)
             assert "skipped-condition-not-met" not in report.flags
             assert report.passed and abs(report.ratio - 1.0) <= 1e-9, (draw, report.ratio)
@@ -707,8 +707,8 @@ def test_seed_ladder_runs():
     times = json.loads(result.stdout)
     assert sorted(times) == ["binary_optimal", "general", "inductive"]
     stages = {
-        "random_instance", "draw_checks", "extract_shape", "join_nodes", "cylinder_masses",
-        "factorized_from_shape", "constant", "rhs_product", "check", "seed",
+        "random_instance", "draw_checks", "exponents", "extract_shape", "join_nodes",
+        "cylinder_masses", "factorized_from_shape", "constant", "rhs_product", "check", "seed",
         "interleaved_draw", "interleaved_check",
     }
     for regime, got in times.items():
